@@ -17,12 +17,10 @@ from .orchestrator import (
     TrainerConfig,
     inject_edge_failure,
     run,
-    run_baseline,
 )
 from .params import ParamVector, clip_elementwise, clip_l2, l2_diff_norm, weighted_sum, zeros
 from .secagg import (
     CipherVector,
-    DpConfig,
     FixedPointCodec,
     aggregate_encrypted,
     encrypt_update,
@@ -52,7 +50,6 @@ __all__ = [
     "CrossEdgeConfig",
     "DataConfig",
     "Dataset",
-    "DpConfig",
     "EdgeUpdate",
     "FixedPointCodec",
     "LocalModelSpec",
@@ -86,7 +83,6 @@ __all__ = [
     "l2_diff_norm",
     "partition_noniid",
     "run",
-    "run_baseline",
     "score",
     "select_clients",
     "split",

@@ -139,7 +139,10 @@ def build_config(raw: dict) -> SimulationConfig:
         for i, item in enumerate(raw["edge_failures"]):
             if not (isinstance(item, (list, tuple)) and len(item) == 2):
                 raise ConfigError(f"edge_failures[{i}]: expected [edge_id, round]")
-            fails.append((int(item[0]), int(item[1])))
+            try:
+                fails.append((int(item[0]), int(item[1])))
+            except (TypeError, ValueError):
+                raise ConfigError(f"edge_failures[{i}]: edge_id and round must be integers")
         kwargs["edge_failures"] = tuple(fails)
     if "security_overrides" in raw:
         try:
@@ -153,6 +156,18 @@ def build_config(raw: dict) -> SimulationConfig:
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
     return config
+
+
+def _apply_env_seed(config: SimulationConfig) -> SimulationConfig:
+    """Override the config seed with FEDMESH_SEED when it is set; raises ConfigError."""
+    value = os.environ.get("FEDMESH_SEED")
+    if value is None:
+        return config
+    try:
+        seed = int(value)
+    except ValueError:
+        raise ConfigError(f"FEDMESH_SEED: expected an integer, got {value!r}")
+    return dataclasses.replace(config, seed=seed)
 
 
 def canonical_config(config: SimulationConfig) -> dict:
@@ -263,9 +278,7 @@ def _run_to_dir(config: SimulationConfig, out: Path) -> SimulationResult:
 def cmd_run(config_path: str, output_dir: str, overrides: Sequence[str] = ()) -> int:
     try:
         raw = apply_overrides(load_config_dict(config_path), overrides)
-        config = build_config(raw)
-        if "FEDMESH_SEED" in os.environ:
-            config = dataclasses.replace(config, seed=int(os.environ["FEDMESH_SEED"]))
+        config = _apply_env_seed(build_config(raw))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -306,9 +319,7 @@ def cmd_compare(config_path: str, modes: Sequence[str], output_dir: str, overrid
             if mode not in MODES:
                 raise ConfigError(f"compare: unknown mode {mode!r} (choose from {MODES})")
         raw = apply_overrides(load_config_dict(config_path), overrides)
-        base = build_config(raw)
-        if "FEDMESH_SEED" in os.environ:
-            base = dataclasses.replace(base, seed=int(os.environ["FEDMESH_SEED"]))
+        base = _apply_env_seed(build_config(raw))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

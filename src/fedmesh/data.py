@@ -83,10 +83,6 @@ class Partition:
             object.__setattr__(self, "n_per_client", per_client)
             object.__setattr__(self, "n_per_edge", per_edge)
 
-    @property
-    def total_samples(self) -> int:
-        return sum(self.n_per_edge.values())
-
     def client_ids(self, edge_id: int) -> list[int]:
         return sorted(self.assignments[edge_id])
 

@@ -22,8 +22,8 @@ from . import secagg, selection, trainer
 from .aggregation import CrossEdgeConfig, EdgeUpdate, central_aggregate, cross_edge_exchange
 from .data import Dataset, Partition, partition_noniid, shift_features, split
 from .metrics import BinaryMetrics, RoundRecord, binary_metrics, jain_fairness
-from .params import ParamVector, clip_l2, weighted_sum, zeros
-from .secagg import DpConfig, FixedPointCodec
+from .params import ParamVector, zeros
+from .secagg import FixedPointCodec
 from .selection import ScoreWeights, SelectionConfig
 from .trainer import AdversaryBehavior, ClientReport, LocalModelSpec
 
@@ -82,6 +82,8 @@ class SecAggConfig:
             raise ValueError("secagg.scale must be a positive integer")
         if self.noise_multiplier < 0:
             raise ValueError("secagg.noise_multiplier must be nonnegative")
+        if self.mechanism not in secagg.MECHANISMS:
+            raise ValueError(f"secagg.mechanism must be one of {secagg.MECHANISMS}")
         if self.clip_val is not None and not self.clip_val > 0:
             raise ValueError("secagg.clip_val must be positive or null")
         if self.noise_multiplier > 0 and self.clip_val is None:
@@ -182,7 +184,7 @@ def inject_edge_failure(config: SimulationConfig, edge_id: int, round_no: int) -
 
 
 class _SecureEdgeAggregator:
-    """Per-edge secure aggregation state: keypair plus the shared codec."""
+    """Per-edge keypair and shared codec; plaintext mode sums the same quantized ints."""
 
     def __init__(self, cfg: SecAggConfig, codec: FixedPointCodec, key_seed: int):
         self.cfg = cfg
@@ -197,26 +199,16 @@ class _SecureEdgeAggregator:
         divisor: int,
         noise_seed: int,
     ) -> ParamVector:
-        clip_val = self.cfg.clip_val if self.cfg.clip_val is not None else math.inf
-        dp = DpConfig(
-            clip_norm=clip_val if self.cfg.clip_val is not None else 1.0,
-            noise_multiplier=self.cfg.noise_multiplier,
-            mechanism=self.cfg.mechanism,
-        )
-        if self.cfg.enabled:
+        cfg = self.cfg
+        clip_val = math.inf if cfg.clip_val is None else cfg.clip_val
+        if cfg.enabled:
             ciphers = [secagg.encrypt_update(d, self.codec, self.public_key) for d in deltas]
-            agg = secagg.aggregate_encrypted(
-                ciphers, self.public_key, weights, self.codec.max_participants
-            )
+            agg = secagg.aggregate_encrypted(ciphers, self.public_key, weights, self.codec.max_participants)
             return secagg.finalize_edge_update(
-                agg, self.private_key, self.codec, divisor, dp, clip_val, noise_seed
+                agg, self.private_key, self.codec, divisor, clip_val, cfg.noise_multiplier, cfg.mechanism, noise_seed
             )
-        # plaintext fallback: same mean/clip/noise semantics without encryption
-        coeffs = [1.0] * len(deltas) if weights is None else [float(w) for w in weights]
-        mean = weighted_sum([(c / divisor, d) for c, d in zip(coeffs, deltas)])
-        clipped = clip_l2(mean, clip_val)
-        noise = secagg.sample_dp_noise(dp, divisor, clipped.dim, noise_seed)
-        return ParamVector(clipped.values + noise)
+        total = secagg.sum_quantized(deltas, self.codec, weights)
+        return secagg.release(total, divisor, clip_val, cfg.noise_multiplier, cfg.mechanism, noise_seed)
 
 
 def _central_step(
@@ -235,11 +227,6 @@ def _central_step(
     return new_global, cross
 
 
-def run_baseline(config: SimulationConfig, dataset: Dataset, evaluator: Evaluator | None = None) -> SimulationResult:
-    """Run with the config's baseline_mode; logging schema matches run()."""
-    return run(config, dataset, evaluator=evaluator)
-
-
 @dataclass
 class PreparedData:
     """Splits, partition, and per-client shards as the round loop sees them."""
@@ -250,7 +237,6 @@ class PreparedData:
     partition: Partition
     edge_clients: dict[int, list[int]]
     client_train: dict[int, np.ndarray]
-    client_test: dict[int, np.ndarray]
     edge_test_rows: dict[int, np.ndarray]
 
 
@@ -304,7 +290,6 @@ def prepare_data(config: SimulationConfig, dataset: Dataset) -> PreparedData:
         partition=partition,
         edge_clients=edge_clients,
         client_train=client_train,
-        client_test=client_test,
         edge_test_rows=edge_test_rows,
     )
 

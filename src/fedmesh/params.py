@@ -33,9 +33,6 @@ class ParamVector:
     def dim(self) -> int:
         return self.values.shape[0]
 
-    def norm2(self) -> float:
-        return float(np.linalg.norm(self.values))
-
     def __add__(self, other: "ParamVector") -> "ParamVector":
         _check_dims(self, other)
         return ParamVector(self.values + other.values)
@@ -43,9 +40,6 @@ class ParamVector:
     def __sub__(self, other: "ParamVector") -> "ParamVector":
         _check_dims(self, other)
         return ParamVector(self.values - other.values)
-
-    def to_list(self) -> list[float]:
-        return [float(x) for x in self.values]
 
     def __repr__(self) -> str:
         return f"ParamVector(dim={self.dim})"
@@ -62,28 +56,14 @@ def _check_dims(a: ParamVector, b: ParamVector) -> None:
         raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
 
 
-def l2_diff_norm(a: ParamVector, b: ParamVector, block_sizes: Sequence[int] | None = None) -> float:
+def l2_diff_norm(a: ParamVector, b: ParamVector) -> float:
     """Summed per-parameter norm of the difference between two weight vectors.
 
-    By default every scalar entry counts as its own parameter, so the result
-    is sum(|a_k - b_k|). Passing `block_sizes` treats the vector as a
-    concatenation of layer blocks instead and sums the L2 norm of the
-    difference per block; `block_sizes` must partition the full dimension.
-    Both readings coincide for block_sizes == [1] * dim.
+    Every scalar entry counts as its own parameter, so the result is
+    sum(|a_k - b_k|).
     """
     _check_dims(a, b)
-    diff = a.values - b.values
-    if block_sizes is None:
-        return float(np.sum(np.abs(diff)))
-    sizes = [int(s) for s in block_sizes]
-    if any(s < 1 for s in sizes) or sum(sizes) != a.dim:
-        raise ValueError(f"block_sizes must be positive and sum to dim={a.dim}, got {sizes}")
-    total = 0.0
-    start = 0
-    for s in sizes:
-        total += float(np.linalg.norm(diff[start : start + s]))
-        start += s
-    return total
+    return float(np.sum(np.abs(a.values - b.values)))
 
 
 def weighted_sum(terms: Sequence[tuple[float, ParamVector]]) -> ParamVector:

@@ -10,7 +10,7 @@ which is the point of the simulator, not a deployment posture.
 
 Real-valued updates are quantized by a fixed-point codec before encryption;
 negative values map into the upper half of the plaintext ring and are decoded
-by the half-range rule.
+by the half-range rule. Encrypted and plaintext sums share one release step.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .params import ParamVector, clip_l2
 DEFAULT_KEY_BITS = 1024
 DEFAULT_SCALE = 2**20
 DEFAULT_MAX_PARTICIPANTS = 64
+MECHANISMS = ("gaussian", "laplace")
 
 _MILLER_RABIN_ROUNDS = 40
 _KEYGEN_RETRIES = 10_000
@@ -152,9 +153,12 @@ class FixedPointCodec:
         if self.scale < 1 or self.max_participants < 1:
             raise ValueError("scale and max_participants must be positive")
 
+    def quantize(self, x: float) -> int:
+        """The fixed-point integer of x; the only place the format is defined."""
+        return round(x * self.scale)
+
     def encode(self, x: float, n: int) -> int:
-        q = round(x * self.scale)
-        return q % n
+        return self.quantize(x) % n
 
     def decode(self, m: int, n: int) -> float:
         if m > n // 2:
@@ -162,7 +166,7 @@ class FixedPointCodec:
         return m / self.scale
 
     def check_headroom(self, x: float, n: int) -> bool:
-        return abs(round(x * self.scale)) * self.max_participants < n // 2
+        return abs(self.quantize(x)) * self.max_participants < n // 2
 
 
 @dataclass(frozen=True)
@@ -174,40 +178,6 @@ class CipherVector:
     @property
     def dim(self) -> int:
         return len(self.ciphertexts)
-
-
-@dataclass(frozen=True)
-class DpConfig:
-    """Noise mechanism settings: per-element std is noise_multiplier * clip_norm."""
-
-    clip_norm: float = 1.0
-    noise_multiplier: float = 0.0
-    mechanism: str = "gaussian"
-
-    def __post_init__(self) -> None:
-        if not self.clip_norm > 0:
-            raise ValueError("clip_norm must be positive")
-        if self.noise_multiplier < 0:
-            raise ValueError("noise_multiplier must be nonnegative")
-        if self.mechanism not in ("gaussian", "laplace"):
-            raise ValueError(f"unknown mechanism {self.mechanism!r}")
-
-
-def _mechanism_noise(mechanism: str, std: float, size: int, rng: np.random.Generator) -> np.ndarray:
-    if std == 0.0:
-        return np.zeros(size)
-    if mechanism == "gaussian":
-        return rng.normal(0.0, std, size)
-    # laplace calibrated by std: Var(Laplace(b)) = 2 b^2
-    return rng.laplace(0.0, std / np.sqrt(2.0), size)
-
-
-def sample_dp_noise(dp: DpConfig, participant_count: int, size: int, seed: int) -> np.ndarray:
-    """Noise draws exactly as added to a finalized mean update."""
-    if participant_count < 1:
-        raise ValueError("participant_count must be >= 1")
-    std = dp.noise_multiplier * dp.clip_norm / participant_count
-    return _mechanism_noise(dp.mechanism, std, size, np.random.default_rng(seed))
 
 
 def encrypt_update(v: ParamVector, codec: FixedPointCodec, public_key: PaillierPublicKey) -> CipherVector:
@@ -268,26 +238,59 @@ def decrypt_vector(
     return np.array([codec.decode(private_key.decrypt(c), n) for c in cv.ciphertexts])
 
 
+def sum_quantized(
+    updates: Sequence[ParamVector],
+    codec: FixedPointCodec,
+    weights: Sequence[int] | None = None,
+) -> np.ndarray:
+    """Bit-exact plaintext twin of decrypt_vector(aggregate_encrypted(...)):
+    the weighted quantized sum in Python ints, which never wrap, decoded."""
+    coeffs = [1] * len(updates) if weights is None else [int(w) for w in weights]
+    columns = zip(*(u.values for u in updates), strict=True)
+    totals = [sum(c * codec.quantize(float(x)) for c, x in zip(coeffs, column, strict=True)) for column in columns]
+    return np.array([t / codec.scale for t in totals])
+
+
+def release(
+    total: np.ndarray,
+    divisor: int,
+    clip_val: float,
+    noise_multiplier: float,
+    mechanism: str,
+    seed: int,
+) -> ParamVector:
+    """Average an aggregate, clip its L2 norm, then add noise.
+
+    The noise std per element is noise_multiplier * clip_val / divisor;
+    clipping happens strictly before the noise so a noiseless release's norm
+    never exceeds clip_val.
+    """
+    if divisor < 1:
+        raise ValueError("divisor must be >= 1")
+    if mechanism not in MECHANISMS:
+        raise ValueError(f"unknown mechanism {mechanism!r}")
+    clipped = clip_l2(ParamVector(total / divisor), clip_val)
+    if noise_multiplier == 0.0:  # also guards clip_val = inf
+        noise = np.zeros(clipped.dim)
+    else:
+        std = noise_multiplier * clip_val / divisor
+        rng = np.random.default_rng(seed)
+        if mechanism == "gaussian":
+            noise = rng.normal(0.0, std, clipped.dim)
+        else:  # laplace calibrated by std: Var(Laplace(b)) = 2 b^2
+            noise = rng.laplace(0.0, std / np.sqrt(2.0), clipped.dim)
+    return ParamVector(clipped.values + noise)
+
+
 def finalize_edge_update(
     agg: CipherVector,
     private_key: PaillierPrivateKey,
     codec: FixedPointCodec,
-    participant_count: int,
-    dp: DpConfig,
+    divisor: int,
     clip_val: float,
+    noise_multiplier: float,
+    mechanism: str,
     seed: int,
 ) -> ParamVector:
-    """Decrypt the aggregate, average, clip its L2 norm, then add noise.
-
-    The noise std per element is noise_multiplier * clip_val /
-    participant_count; clipping happens strictly before the noise so a
-    noiseless run's output norm never exceeds clip_val.
-    """
-    if participant_count < 1:
-        raise ValueError("participant_count must be >= 1")
-    mean = decrypt_vector(agg, private_key, codec) / participant_count
-    clipped = clip_l2(ParamVector(mean), clip_val)
-    # guard the sigma=0, clip_val=inf (clipping disabled) combination
-    std = 0.0 if dp.noise_multiplier == 0.0 else dp.noise_multiplier * clip_val / participant_count
-    noise = _mechanism_noise(dp.mechanism, std, clipped.dim, np.random.default_rng(seed))
-    return ParamVector(clipped.values + noise)
+    """Decrypt the aggregate and release it (see release)."""
+    return release(decrypt_vector(agg, private_key, codec), divisor, clip_val, noise_multiplier, mechanism, seed)

@@ -27,7 +27,6 @@ class LocalModelSpec:
     """Hyperparameters of the local model and its energy-cost constants."""
 
     input_dim: int
-    model_kind: str = "logistic_regression"
     local_epochs: int = 5
     learning_rate: float = 0.1
     batch_size: int = 32
@@ -35,8 +34,6 @@ class LocalModelSpec:
     energy_beta: float = DEFAULT_ENERGY_BETA
 
     def __post_init__(self) -> None:
-        if self.model_kind != "logistic_regression":
-            raise ValueError(f"unknown model_kind {self.model_kind!r}")
         if self.input_dim < 1 or self.local_epochs < 0 or self.batch_size < 1:
             raise ValueError("input_dim and batch_size must be positive, local_epochs nonnegative")
         if self.learning_rate < 0:
@@ -102,15 +99,10 @@ def predict_proba(weights: ParamVector, features: np.ndarray) -> np.ndarray:
     return sigmoid(_with_bias(features) @ weights.values)
 
 
-def bce_loss(weights: ParamVector, features: np.ndarray, labels: np.ndarray) -> float:
-    p = np.clip(predict_proba(weights, features), 1e-12, 1 - 1e-12)
-    return float(-np.mean(labels * np.log(p) + (1 - labels) * np.log(1 - p)))
-
-
-def gradient(weights: ParamVector, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Analytic gradient of the mean binary cross-entropy."""
+def gradient(weights: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Analytic gradient of the mean binary cross-entropy at raw weights."""
     xb = _with_bias(features)
-    p = sigmoid(xb @ weights.values)
+    p = sigmoid(xb @ weights)
     return xb.T @ (p - labels) / len(labels)
 
 
@@ -136,10 +128,7 @@ def train_local(
         order = rng.permutation(n)
         for lo in range(0, n, spec.batch_size):
             batch = order[lo : lo + spec.batch_size]
-            xb = _with_bias(feats[batch])
-            p = sigmoid(xb @ w)
-            grad = xb.T @ (p - labs[batch]) / len(batch)
-            w = w - spec.learning_rate * grad
+            w = w - spec.learning_rate * gradient(w, feats[batch], labs[batch])
     return ParamVector(w)
 
 

@@ -111,6 +111,23 @@ class TestCmdRun:
     def test_missing_config_exits_2(self, tmp_path):
         assert cmd_run(str(tmp_path / "nope.json"), str(tmp_path / "o")) == 2
 
+    @pytest.mark.parametrize(
+        "env_seed, overrides, field",
+        [
+            ("abc", [], "FEDMESH_SEED"),
+            (None, ['edge_failures=[["a", 1]]'], "edge_failures[0]"),
+            (None, ['secagg.mechanism="uniform"'], "secagg.mechanism"),
+        ],
+    )
+    def test_bad_input_is_a_config_error(self, config_file, tmp_path, monkeypatch, capsys, env_seed, overrides, field):
+        if env_seed is not None:
+            monkeypatch.setenv("FEDMESH_SEED", env_seed)
+        assert cmd_run(config_file, str(tmp_path / "o"), overrides=overrides) == 2
+        assert cmd_compare(config_file, ["fedselect_me", "no_selection"], str(tmp_path / "c"), overrides) == 2
+        err = capsys.readouterr().err
+        assert err.count("config error:") == 2
+        assert field in err
+
     def test_rounds_override_limits_rows(self, config_file, tmp_path):
         out = tmp_path / "out"
         assert cmd_run(config_file, str(out), overrides=["rounds_max=1"]) == 0

@@ -89,7 +89,7 @@ class TestPartitionNonIID:
             for r in rows
         ]
         assert len(all_rows) == len(set(all_rows)) == d.n_samples
-        assert part.total_samples == d.n_samples
+        assert sum(part.n_per_edge.values()) == d.n_samples
 
     def test_every_client_has_two_of_a_class(self):
         d = generate_synthetic(900, 5, 0.25, seed=8)

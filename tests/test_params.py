@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,28 +65,6 @@ class TestL2DiffNorm:
             b = rng.normal(size=10)
             expected = sum(abs(a[k] - b[k]) for k in range(10))
             assert l2_diff_norm(ParamVector(a), ParamVector(b)) == pytest.approx(expected, abs=1e-9)
-
-    def test_layered_variant_matches_blockwise_oracle(self):
-        rng = np.random.default_rng(7)
-        a, b = rng.normal(size=9), rng.normal(size=9)
-        blocks = [4, 3, 2]
-        expected = (
-            math.sqrt(np.sum((a[:4] - b[:4]) ** 2))
-            + math.sqrt(np.sum((a[4:7] - b[4:7]) ** 2))
-            + math.sqrt(np.sum((a[7:] - b[7:]) ** 2))
-        )
-        got = l2_diff_norm(ParamVector(a), ParamVector(b), block_sizes=blocks)
-        assert got == pytest.approx(expected, abs=1e-12)
-
-    def test_unit_blocks_reduce_to_default(self):
-        rng = np.random.default_rng(8)
-        a, b = ParamVector(rng.normal(size=6)), ParamVector(rng.normal(size=6))
-        assert l2_diff_norm(a, b, block_sizes=[1] * 6) == pytest.approx(l2_diff_norm(a, b), abs=1e-12)
-
-    def test_bad_blocks_rejected(self):
-        a = pv(1.0, 2.0, 3.0)
-        with pytest.raises(ValueError):
-            l2_diff_norm(a, a, block_sizes=[2, 2])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -174,7 +150,7 @@ class TestClipL2:
         for _ in range(100):
             v = ParamVector(rng.normal(scale=3.0, size=5))
             max_norm = float(rng.uniform(0.1, 2.0))
-            assert clip_l2(v, max_norm).norm2() <= max_norm + 1e-9
+            assert np.linalg.norm(clip_l2(v, max_norm).values) <= max_norm + 1e-9
 
     def test_preserves_direction(self):
         rng = np.random.default_rng(12)
@@ -182,7 +158,7 @@ class TestClipL2:
             raw = rng.normal(size=6)
             v = ParamVector(raw)
             out = clip_l2(v, 0.5)
-            cos = float(np.dot(v.values, out.values) / (v.norm2() * out.norm2()))
+            cos = float(np.dot(v.values, out.values) / (np.linalg.norm(v.values) * np.linalg.norm(out.values)))
             assert cos == pytest.approx(1.0, abs=1e-9)
 
     def test_nonpositive_norm_rejected(self):

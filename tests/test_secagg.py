@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from fedmesh.orchestrator import SecAggConfig
 from fedmesh.params import ParamVector
 from fedmesh.secagg import (
-    DpConfig,
     FixedPointCodec,
     aggregate_encrypted,
     decrypt_vector,
     encrypt_update,
     finalize_edge_update,
     keygen,
-    sample_dp_noise,
+    release,
+    sum_quantized,
 )
 
 KEY_BITS = 512  # fast test keys; default stays 1024
@@ -171,6 +172,25 @@ class TestAggregateEncrypted:
             aggregate_encrypted([a, a], public, weights=[1, -2])
 
 
+class TestSumQuantized:
+    def test_equals_decrypted_ciphertext_sum(self, keypair):
+        public, private = keypair
+        codec = FixedPointCodec(scale=2**20, max_participants=1000)
+        rng = np.random.default_rng(6)
+        for weights in (None, [3, 7, 1]):
+            vs = [ParamVector(rng.uniform(-3, 3, size=6)) for _ in range(3)]
+            cvs = [encrypt_update(v, codec, public) for v in vs]
+            decrypted = decrypt_vector(aggregate_encrypted(cvs, public, weights=weights), private, codec)
+            assert sum_quantized(vs, codec, weights).tobytes() == decrypted.tobytes()
+
+    def test_validation(self, codec):
+        a, b = ParamVector(np.zeros(2)), ParamVector(np.zeros(3))
+        with pytest.raises(ValueError):
+            sum_quantized([a, b], codec)
+        with pytest.raises(ValueError):
+            sum_quantized([a, a], codec, weights=[1])
+
+
 class TestFinalize:
     def test_noiseless_single_participant_round_trip(self, keypair, codec):
         public, private = keypair
@@ -178,8 +198,7 @@ class TestFinalize:
         v = ParamVector(rng.uniform(-0.3, 0.3, size=8))
         agg = aggregate_encrypted([encrypt_update(v, codec, public)], public)
         out = finalize_edge_update(
-            agg, private, codec, participant_count=1,
-            dp=DpConfig(clip_norm=1.0, noise_multiplier=0.0), clip_val=10.0, seed=0,
+            agg, private, codec, divisor=1, clip_val=10.0, noise_multiplier=0.0, mechanism="gaussian", seed=0
         )
         assert np.max(np.abs(out.values - v.values)) <= 0.5 / codec.scale
 
@@ -188,8 +207,8 @@ class TestFinalize:
         vs = [np.full(3, 1.0), np.full(3, 2.0), np.full(3, 6.0)]
         cvs = [encrypt_update(ParamVector(v), codec, public) for v in vs]
         out = finalize_edge_update(
-            aggregate_encrypted(cvs, public), private, codec, participant_count=3,
-            dp=DpConfig(noise_multiplier=0.0), clip_val=100.0, seed=0,
+            aggregate_encrypted(cvs, public), private, codec, divisor=3,
+            clip_val=100.0, noise_multiplier=0.0, mechanism="gaussian", seed=0,
         )
         assert np.allclose(out.values, [3.0, 3.0, 3.0], atol=0.5 / codec.scale)
 
@@ -199,10 +218,9 @@ class TestFinalize:
         v = ParamVector(np.full(4, 5.0))  # norm 10
         agg = aggregate_encrypted([encrypt_update(v, codec, public)], public)
         out = finalize_edge_update(
-            agg, private, codec, participant_count=1,
-            dp=DpConfig(noise_multiplier=0.0), clip_val=1.0, seed=0,
+            agg, private, codec, divisor=1, clip_val=1.0, noise_multiplier=0.0, mechanism="gaussian", seed=0
         )
-        assert out.norm2() <= 1.0 + 1e-9
+        assert np.linalg.norm(out.values) <= 1.0 + 1e-9
 
     def test_noise_std_monte_carlo(self, keypair, codec):
         # 10 draws of a 1000-dim zero aggregate give 10k noise samples
@@ -212,9 +230,8 @@ class TestFinalize:
         samples = np.concatenate(
             [
                 finalize_edge_update(
-                    agg, private, codec, participant_count=count,
-                    dp=DpConfig(clip_norm=clip_val, noise_multiplier=sigma, mechanism="gaussian"),
-                    clip_val=clip_val, seed=seed,
+                    agg, private, codec, divisor=count, clip_val=clip_val,
+                    noise_multiplier=sigma, mechanism="gaussian", seed=seed,
                 ).values
                 for seed in range(10)
             ]
@@ -226,34 +243,36 @@ class TestFinalize:
         public, private = keypair
         v = ParamVector(np.full(5, 0.2))
         agg = aggregate_encrypted([encrypt_update(v, codec, public)], public)
-        dp = DpConfig(clip_norm=1.0, noise_multiplier=0.5)
-        a = finalize_edge_update(agg, private, codec, 1, dp, 1.0, seed=42)
-        b = finalize_edge_update(agg, private, codec, 1, dp, 1.0, seed=42)
+        a = finalize_edge_update(agg, private, codec, 1, 1.0, 0.5, "gaussian", seed=42)
+        b = finalize_edge_update(agg, private, codec, 1, 1.0, 0.5, "gaussian", seed=42)
         assert np.array_equal(a.values, b.values)
 
 
 class TestDpNoise:
+    # a zero total never reaches the clip, so release returns the noise draws themselves
     def test_gaussian_passes_ks(self):
-        dp = DpConfig(clip_norm=1.0, noise_multiplier=1.0, mechanism="gaussian")
-        noise = sample_dp_noise(dp, participant_count=10, size=10_000, seed=3)
-        _, p_value = stats.kstest(noise, "norm", args=(0.0, 1.0 / 10))
+        noise = release(np.zeros(10_000), 10, clip_val=1.0, noise_multiplier=1.0, mechanism="gaussian", seed=3)
+        _, p_value = stats.kstest(noise.values, "norm", args=(0.0, 1.0 / 10))
         assert p_value > 0.001
 
     def test_laplace_passes_ks(self):
-        dp = DpConfig(clip_norm=2.0, noise_multiplier=1.0, mechanism="laplace")
-        noise = sample_dp_noise(dp, participant_count=4, size=10_000, seed=4)
+        noise = release(np.zeros(10_000), 4, clip_val=2.0, noise_multiplier=1.0, mechanism="laplace", seed=4)
         scale = 1.0 * 2.0 / 4 / np.sqrt(2.0)  # std matched to the gaussian calibration
-        _, p_value = stats.kstest(noise, "laplace", args=(0.0, scale))
+        _, p_value = stats.kstest(noise.values, "laplace", args=(0.0, scale))
         assert p_value > 0.001
 
     def test_zero_multiplier_is_silent(self):
-        dp = DpConfig(clip_norm=1.0, noise_multiplier=0.0)
-        assert np.array_equal(sample_dp_noise(dp, 5, 100, seed=0), np.zeros(100))
+        out = release(np.zeros(100), 5, clip_val=1.0, noise_multiplier=0.0, mechanism="gaussian", seed=0)
+        assert np.array_equal(out.values, np.zeros(100))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            DpConfig(clip_norm=0.0)
+            SecAggConfig(clip_val=0.0)
         with pytest.raises(ValueError):
-            DpConfig(noise_multiplier=-1.0)
+            SecAggConfig(noise_multiplier=-1.0)
         with pytest.raises(ValueError):
-            DpConfig(mechanism="uniform")
+            SecAggConfig(mechanism="uniform")
+        with pytest.raises(ValueError):
+            release(np.zeros(3), 1, clip_val=1.0, noise_multiplier=0.0, mechanism="uniform", seed=0)
+        with pytest.raises(ValueError):
+            release(np.zeros(3), 0, clip_val=1.0, noise_multiplier=0.0, mechanism="gaussian", seed=0)

@@ -2,18 +2,22 @@ import numpy as np
 import pytest
 
 from fedmesh.data import Dataset, generate_synthetic
+from fedmesh.metrics import binary_metrics
 from fedmesh.params import ParamVector
 from fedmesh.selection import estimate_metrics
 from fedmesh.trainer import (
     AdversaryBehavior,
     ClientReport,
     LocalModelSpec,
-    bce_loss,
     build_report,
     gradient,
     predict_proba,
     train_local,
 )
+
+
+def bce_loss(weights, features, labels):
+    return binary_metrics(predict_proba(weights, features), labels).loss
 
 
 @pytest.fixture
@@ -52,7 +56,7 @@ class TestTrainLocal:
         eps = 1e-6
         for _ in range(20):
             w = rng.normal(scale=0.5, size=11)
-            analytic = gradient(ParamVector(w), feats, labs)
+            analytic = gradient(w, feats, labs)
             numeric = np.empty_like(analytic)
             for k in range(len(w)):
                 up, down = w.copy(), w.copy()
@@ -165,8 +169,6 @@ class TestValidation:
 
     def test_spec_invariants(self):
         assert LocalModelSpec(input_dim=4).local_epochs == 5
-        with pytest.raises(ValueError):
-            LocalModelSpec(input_dim=4, model_kind="mlp")
         with pytest.raises(ValueError):
             LocalModelSpec(input_dim=0)
 
