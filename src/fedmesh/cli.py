@@ -116,6 +116,11 @@ def _build_section(cls, raw: Any, path: str):
         raise ConfigError(f"{path}: {exc}")
 
 
+def _is_int(value: Any) -> bool:
+    """A real integer: bools and floats with integral values do not count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def build_config(raw: dict) -> SimulationConfig:
     """Validate the raw dict and assemble a SimulationConfig; raises ConfigError."""
     unknown = set(raw) - _TOP_FIELDS - set(_SECTIONS)
@@ -129,6 +134,9 @@ def build_config(raw: dict) -> SimulationConfig:
     for name in _TOP_FIELDS - {"adversaries", "edge_failures", "security_overrides"}:
         if name in raw:
             kwargs[name] = raw[name]
+    for name in ("adversaries", "edge_failures"):
+        if name in raw and not isinstance(raw[name], (list, tuple)):
+            raise ConfigError(f"{name}: expected a list")
     if "adversaries" in raw:
         advs = []
         for i, item in enumerate(raw["adversaries"]):
@@ -139,16 +147,24 @@ def build_config(raw: dict) -> SimulationConfig:
         for i, item in enumerate(raw["edge_failures"]):
             if not (isinstance(item, (list, tuple)) and len(item) == 2):
                 raise ConfigError(f"edge_failures[{i}]: expected [edge_id, round]")
-            try:
-                fails.append((int(item[0]), int(item[1])))
-            except (TypeError, ValueError):
+            if not all(_is_int(x) for x in item):
                 raise ConfigError(f"edge_failures[{i}]: edge_id and round must be integers")
+            fails.append((item[0], item[1]))
         kwargs["edge_failures"] = tuple(fails)
     if "security_overrides" in raw:
-        try:
-            kwargs["security_overrides"] = {int(k): float(v) for k, v in raw["security_overrides"].items()}
-        except (TypeError, ValueError, AttributeError):
+        overrides = raw["security_overrides"]
+        if not isinstance(overrides, dict):
             raise ConfigError("security_overrides: expected {client_id: value} mapping")
+        security: dict[int, float] = {}
+        for key, value in overrides.items():
+            # JSON object keys are strings, so a client id arrives as "3"
+            cid = int(key) if isinstance(key, str) and key.isascii() and key.isdigit() else key
+            if not _is_int(cid):
+                raise ConfigError(f"security_overrides[{key!r}]: client id must be an integer")
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"security_overrides[{cid}]: value must be a number")
+            security[cid] = float(value)
+        kwargs["security_overrides"] = security
 
     try:
         config = SimulationConfig(**kwargs)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -66,31 +66,14 @@ class Partition:
     """Disjoint assignment of sample rows to clients grouped by edge."""
 
     assignments: Mapping[int, Mapping[int, np.ndarray]]  # edge_id -> client_id -> row indices
-    n_per_client: Mapping[int, int] = field(default_factory=dict)
-    n_per_edge: Mapping[int, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.n_per_client:
-            per_client = {
-                cid: int(len(rows))
-                for clients in self.assignments.values()
-                for cid, rows in clients.items()
-            }
-            per_edge = {
-                eid: int(sum(len(rows) for rows in clients.values()))
-                for eid, clients in self.assignments.items()
-            }
-            object.__setattr__(self, "n_per_client", per_client)
-            object.__setattr__(self, "n_per_edge", per_edge)
 
     def client_ids(self, edge_id: int) -> list[int]:
         return sorted(self.assignments[edge_id])
 
     def validate(self) -> None:
-        """Recount bookkeeping and check system-wide disjointness."""
+        """Check that no sample row is held twice, within or across clients."""
         seen: set[int] = set()
-        for eid, clients in self.assignments.items():
-            edge_total = 0
+        for clients in self.assignments.values():
             for cid, rows in clients.items():
                 rows_list = [int(r) for r in rows]
                 if len(set(rows_list)) != len(rows_list):
@@ -99,11 +82,6 @@ class Partition:
                 if overlap:
                     raise ValueError(f"sample indices assigned to two clients: {sorted(overlap)[:5]}")
                 seen.update(rows_list)
-                if self.n_per_client[cid] != len(rows_list):
-                    raise ValueError(f"client {cid} sample_count bookkeeping mismatch")
-                edge_total += len(rows_list)
-            if self.n_per_edge[eid] != edge_total:
-                raise ValueError(f"edge {eid} sample_count bookkeeping mismatch")
 
 
 def generate_synthetic(

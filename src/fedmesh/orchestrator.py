@@ -207,7 +207,7 @@ class _SecureEdgeAggregator:
             return secagg.finalize_edge_update(
                 agg, self.private_key, self.codec, divisor, clip_val, cfg.noise_multiplier, cfg.mechanism, noise_seed
             )
-        total = secagg.sum_quantized(deltas, self.codec, weights)
+        total = secagg.sum_quantized(deltas, self.codec, cfg.key_bits, weights)
         return secagg.release(total, divisor, clip_val, cfg.noise_multiplier, cfg.mechanism, noise_seed)
 
 

@@ -1,20 +1,35 @@
-"""Edge-level privacy pipeline: fixed-point encoding, additively homomorphic
-encryption, ciphertext-space summation, and clipped noisy release.
+"""Edge-level privacy pipeline: fixed-point quantization, slot packing,
+additively homomorphic encryption, ciphertext-space summation, and clipped
+noisy release.
 
 The cryptosystem is Paillier with g = n + 1, implemented over Python big
 integers: Enc(m) = (1 + m*n) * r^n mod n^2, so the product of ciphertexts
-decrypts to the sum of plaintexts. Decryption uses the CRT split over p and q
-for speed. Randomness is drawn from a seeded PRNG so simulations reproduce
-bit-for-bit; this trades cryptographic-grade randomness for determinism,
-which is the point of the simulator, not a deployment posture.
+decrypts to the sum of plaintexts. Key generation draws p and q with their top
+two bits set, (bits+1)//2 and bits//2 bits long, so n always has exactly
+key_bits bits. Decryption uses the CRT split over p and q for speed;
+encryption does not, because an encrypting client does not hold the
+factorization. Randomness is drawn from a seeded PRNG so simulations reproduce
+bit-for-bit; this trades cryptographic-grade randomness for determinism, which
+is the point of the simulator, not a deployment posture.
 
-Real-valued updates are quantized by a fixed-point codec before encryption;
-negative values map into the upper half of the plaintext ring and are decoded
-by the half-range rule. Encrypted and plaintext sums share one release step.
+Real-valued updates are quantized by a fixed-point codec, q = round(x *
+scale), and packed BatchCrypt-style into signed fixed-width slots: with
+need = scale.bit_length() + max_participants.bit_length() + 12 bits of value
+headroom, a b-bit modulus holds k = max(1, (b - 2) // need) slots of
+W = (b - 2) // k bits, and the plaintext is m = sum_j q_j * 2^(W*j) mod n.
+Packing is linear, so ciphertext products and scalar powers encrypt the packed
+weighted sum, and decryption lifts m to a signed integer and peels balanced
+base-2^W digits. An element is refused with OverflowError unless
+|q| * max_participants < 2^(W-1), which proves that no slot carries into the
+next under max_participants unit-weight additions (and no packed sum wraps the
+ring). Encrypted and plaintext sums apply the same bound and share one release
+step.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,19 +45,27 @@ MECHANISMS = ("gaussian", "laplace")
 
 _MILLER_RABIN_ROUNDS = 40
 _KEYGEN_RETRIES = 10_000
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SIEVE_LIMIT = 4096
+_SLOT_HEADROOM_BITS = 12
 
 
 class KeyGenerationError(RuntimeError):
     pass
 
 
+@functools.cache
+def _small_odd_primes() -> tuple[tuple[int, ...], int]:
+    """The odd primes below _SIEVE_LIMIT and their product, built on first use."""
+    primes = tuple(p for p in range(3, _SIEVE_LIMIT, 2) if all(p % d for d in range(3, math.isqrt(p) + 1, 2)))
+    return primes, math.prod(primes)
+
+
 def _is_probable_prime(n: int, rng: random.Random) -> bool:
-    if n < 2:
+    primes, product = _small_odd_primes()
+    if n < _SIEVE_LIMIT:
+        return n == 2 or n in primes
+    if n % 2 == 0 or math.gcd(n, product) != 1:
         return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -63,8 +86,9 @@ def _is_probable_prime(n: int, rng: random.Random) -> bool:
 
 
 def _gen_prime(bits: int, rng: random.Random) -> int:
+    """An odd prime of exactly `bits` bits whose top two bits are set."""
     for _ in range(_KEYGEN_RETRIES):
-        candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        candidate = rng.getrandbits(bits) | (3 << (bits - 2)) | 1
         if _is_probable_prime(candidate, rng):
             return candidate
     raise KeyGenerationError(f"no {bits}-bit prime found after {_KEYGEN_RETRIES} candidates")
@@ -122,28 +146,30 @@ class PaillierPrivateKey:
 
 
 def keygen(key_bits: int = DEFAULT_KEY_BITS, seed: int = 0) -> tuple[PaillierPublicKey, PaillierPrivateKey]:
-    """Deterministic Paillier keypair; key_bits is the modulus size (>= 512 in tests)."""
+    """Deterministic Paillier keypair whose modulus has exactly key_bits bits (>= 16).
+
+    p has (key_bits+1)//2 bits and q has key_bits//2, both with their top two
+    bits set, so 2^(key_bits-1) < p*q < 2^key_bits for the first pair drawn.
+    """
     if key_bits < 16:
         raise ValueError(f"key_bits too small: {key_bits}")
     rng = random.Random(seed)
-    for _ in range(_KEYGEN_RETRIES):
-        p = _gen_prime(key_bits // 2, rng)
+    p = _gen_prime((key_bits + 1) // 2, rng)
+    q = p
+    while q == p:
         q = _gen_prime(key_bits // 2, rng)
-        n = p * q
-        if p != q and n.bit_length() == key_bits:
-            public = PaillierPublicKey(n)
-            public.seed_obfuscation(rng.getrandbits(64))
-            return public, PaillierPrivateKey(public, p, q)
-    raise KeyGenerationError(f"could not assemble a {key_bits}-bit modulus")
+    public = PaillierPublicKey(p * q)
+    public.seed_obfuscation(rng.getrandbits(64))
+    return public, PaillierPrivateKey(public, p, q)
 
 
 @dataclass(frozen=True)
 class FixedPointCodec:
-    """Maps reals to ring integers: round(x * scale), negatives as n + x.
+    """Maps reals to integers, round(x * scale), and lays them out in slots.
 
-    max_participants bounds how many encoded values may be summed before
-    decoding; encryption rejects elements that could overflow half the ring
-    under that many additions.
+    max_participants bounds the total weight of the values summed before
+    decoding; check_headroom refuses elements that could carry out of their
+    slot under that much weight.
     """
 
     scale: int = DEFAULT_SCALE
@@ -157,41 +183,66 @@ class FixedPointCodec:
         """The fixed-point integer of x; the only place the format is defined."""
         return round(x * self.scale)
 
-    def encode(self, x: float, n: int) -> int:
-        return self.quantize(x) % n
+    def layout(self, modulus_bits: int) -> tuple[int, int]:
+        """(slots per plaintext, slot width in bits) for a modulus_bits-bit n."""
+        need = self.scale.bit_length() + self.max_participants.bit_length() + _SLOT_HEADROOM_BITS
+        slots = max(1, (modulus_bits - 2) // need)
+        return slots, (modulus_bits - 2) // slots
 
-    def decode(self, m: int, n: int) -> float:
-        if m > n // 2:
-            m -= n
-        return m / self.scale
-
-    def check_headroom(self, x: float, n: int) -> bool:
-        return abs(self.quantize(x)) * self.max_participants < n // 2
+    def check_headroom(self, values: np.ndarray, width: int) -> list[int]:
+        """Quantize values, refusing any whose max_participants-fold sum could
+        leave a signed width-bit slot: |q| * max_participants < 2^(width-1)."""
+        limit = 1 << (width - 1)
+        quantized = [self.quantize(float(x)) for x in values]
+        for i, q in enumerate(quantized):
+            if abs(q) * self.max_participants >= limit:
+                raise OverflowError(
+                    f"element {i} ({values[i]}) exceeds the {width}-bit slot headroom for "
+                    f"{self.max_participants} participants at scale {self.scale}"
+                )
+        return quantized
 
 
 @dataclass(frozen=True)
 class CipherVector:
-    """Elementwise encryption of a quantized parameter vector."""
+    """Packed encryption of a quantized parameter vector of `elements` entries."""
 
     ciphertexts: tuple[int, ...]
+    elements: int
 
     @property
     def dim(self) -> int:
+        """The number of ciphertexts, ceil(elements / slots)."""
         return len(self.ciphertexts)
 
 
+def _coefficients(count: int, weights: Sequence[int] | None, max_participants: int) -> list[int]:
+    """Validated per-update multipliers whose total stays within max_participants."""
+    if count == 0:
+        raise ValueError("aggregation requires at least one update")
+    if count > max_participants:
+        raise ValueError(f"{count} updates exceed max participants {max_participants}")
+    if weights is None:
+        return [1] * count
+    if len(weights) != count:
+        raise ValueError("one weight per update required")
+    if any(int(w) != w or w < 0 for w in weights):
+        raise ValueError("weights must be nonnegative integers")
+    if sum(weights) > max_participants:
+        raise ValueError(f"weights sum to {sum(weights)}, above max participants {max_participants}")
+    return [int(w) for w in weights]
+
+
 def encrypt_update(v: ParamVector, codec: FixedPointCodec, public_key: PaillierPublicKey) -> CipherVector:
-    """Quantize-then-encrypt each element; rejects values that could overflow."""
+    """Quantize, pack into slots and encrypt; rejects values that could carry."""
     n = public_key.n
-    cts = []
-    for i, x in enumerate(v.values):
-        if not codec.check_headroom(float(x), n):
-            raise OverflowError(
-                f"element {i} ({x}) exceeds plaintext headroom for "
-                f"{codec.max_participants} participants at scale {codec.scale}"
-            )
-        cts.append(public_key.raw_encrypt(codec.encode(float(x), n)))
-    return CipherVector(tuple(cts))
+    slots, width = codec.layout(n.bit_length())
+    quantized = codec.check_headroom(v.values, width)
+    cts = tuple(
+        public_key.raw_encrypt(sum(q << (width * j) for j, q in enumerate(quantized[i : i + slots])) % n)
+        for i in range(0, len(quantized), slots)
+    )
+    return CipherVector(cts, len(quantized))
 
 
 def aggregate_encrypted(
@@ -200,33 +251,25 @@ def aggregate_encrypted(
     weights: Sequence[int] | None = None,
     max_participants: int = DEFAULT_MAX_PARTICIPANTS,
 ) -> CipherVector:
-    """Homomorphic elementwise sum, optionally with nonnegative integer weights.
+    """Homomorphic slotwise sum, optionally with nonnegative integer weights.
 
     Nothing is decrypted here. With weights w_i the result encrypts
-    sum_i w_i * v_i (the caller's codec headroom must cover sum(w_i)).
+    sum_i w_i * v_i; sum(w_i) may not exceed max_participants, the weight the
+    codec's headroom covers.
     """
-    if not updates:
-        raise ValueError("aggregate_encrypted requires at least one update")
-    if len(updates) > max_participants:
-        raise ValueError(f"{len(updates)} updates exceed max participants {max_participants}")
-    dim = updates[0].dim
-    if any(u.dim != dim for u in updates):
+    coeffs = _coefficients(len(updates), weights, max_participants)
+    elements = updates[0].elements
+    if any(u.elements != elements for u in updates):
         raise ValueError("all cipher vectors must share one dimension")
-    if weights is not None:
-        if len(weights) != len(updates):
-            raise ValueError("one weight per update required")
-        if any(int(w) != w or w < 0 for w in weights):
-            raise ValueError("weights must be nonnegative integers")
 
-    acc = list(updates[0].ciphertexts)
-    if weights is not None:
-        acc = [public_key.scalar_mul(c, int(weights[0])) for c in acc]
-    for u_idx in range(1, len(updates)):
-        cts = updates[u_idx].ciphertexts
-        if weights is not None:
-            cts = [public_key.scalar_mul(c, int(weights[u_idx])) for c in cts]
+    terms = [
+        u.ciphertexts if weights is None else [public_key.scalar_mul(c, w) for c in u.ciphertexts]
+        for w, u in zip(coeffs, updates)
+    ]
+    acc = terms[0]
+    for cts in terms[1:]:
         acc = [public_key.add(a, c) for a, c in zip(acc, cts)]
-    return CipherVector(tuple(acc))
+    return CipherVector(tuple(acc), elements)
 
 
 def decrypt_vector(
@@ -234,20 +277,36 @@ def decrypt_vector(
     private_key: PaillierPrivateKey,
     codec: FixedPointCodec,
 ) -> np.ndarray:
+    """Decrypt and unpack: lift each plaintext to signed, then peel balanced
+    base-2^width digits, one per slot, until cv.elements values are out."""
     n = private_key.public_key.n
-    return np.array([codec.decode(private_key.decrypt(c), n) for c in cv.ciphertexts])
+    slots, width = codec.layout(n.bit_length())
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    totals: list[int] = []
+    for c in cv.ciphertexts:
+        m = private_key.decrypt(c)
+        if m > n // 2:
+            m -= n
+        for _ in range(min(slots, cv.elements - len(totals))):
+            digit = ((m + half) & mask) - half
+            totals.append(digit)
+            m = (m - digit) >> width
+    return np.array([t / codec.scale for t in totals])
 
 
 def sum_quantized(
     updates: Sequence[ParamVector],
     codec: FixedPointCodec,
+    key_bits: int,
     weights: Sequence[int] | None = None,
 ) -> np.ndarray:
-    """Bit-exact plaintext twin of decrypt_vector(aggregate_encrypted(...)):
-    the weighted quantized sum in Python ints, which never wrap, decoded."""
-    coeffs = [1] * len(updates) if weights is None else [int(w) for w in weights]
-    columns = zip(*(u.values for u in updates), strict=True)
-    totals = [sum(c * codec.quantize(float(x)) for c, x in zip(coeffs, column, strict=True)) for column in columns]
+    """Bit-exact plaintext twin of decrypt_vector(aggregate_encrypted(...)) under
+    a key_bits-bit key: the same headroom refusals, then the weighted quantized
+    sum in Python ints, which never wrap, decoded."""
+    _, width = codec.layout(key_bits)
+    rows = [codec.check_headroom(u.values, width) for u in updates]
+    coeffs = _coefficients(len(updates), weights, codec.max_participants)
+    totals = [sum(c * q for c, q in zip(coeffs, column)) for column in zip(*rows, strict=True)]
     return np.array([t / codec.scale for t in totals])
 
 

@@ -117,6 +117,13 @@ class TestCmdRun:
             ("abc", [], "FEDMESH_SEED"),
             (None, ['edge_failures=[["a", 1]]'], "edge_failures[0]"),
             (None, ['secagg.mechanism="uniform"'], "secagg.mechanism"),
+            (None, ["edge_failures=[[1.7, 2.9]]"], "edge_failures[0]"),
+            (None, ["edge_failures=[[true, 1]]"], "edge_failures[0]"),
+            (None, ['security_overrides={"3": true}'], "security_overrides[3]"),
+            (None, ['security_overrides={"1.5": 0.9}'], "security_overrides['1.5']"),
+            (None, ["security_overrides=[0.9]"], "security_overrides"),
+            (None, ["edge_failures=5"], "edge_failures"),
+            (None, ["adversaries=5"], "adversaries"),
         ],
     )
     def test_bad_input_is_a_config_error(self, config_file, tmp_path, monkeypatch, capsys, env_seed, overrides, field):

@@ -3,6 +3,7 @@ import pytest
 
 from fedmesh.data import (
     Dataset,
+    Partition,
     generate_synthetic,
     ingest_csv,
     partition_noniid,
@@ -81,7 +82,7 @@ class TestPartitionNonIID:
     def test_disjoint_and_bookkeeping(self):
         d = generate_synthetic(1500, 5, 0.3, seed=4)
         part = partition_noniid(d, n_edges=4, clients_per_edge=3, dirichlet_alpha=0.5, seed=6)
-        part.validate()  # raises on duplicates or count drift
+        part.validate()  # raises on a row held twice
         all_rows = [
             int(r)
             for clients in part.assignments.values()
@@ -89,7 +90,12 @@ class TestPartitionNonIID:
             for r in rows
         ]
         assert len(all_rows) == len(set(all_rows)) == d.n_samples
-        assert sum(part.n_per_edge.values()) == d.n_samples
+
+    def test_validate_rejects_shared_rows(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            Partition({0: {0: np.array([3, 3])}}).validate()
+        with pytest.raises(ValueError, match="two clients"):
+            Partition({0: {0: np.array([1, 2])}, 1: {1: np.array([2, 5])}}).validate()
 
     def test_every_client_has_two_of_a_class(self):
         d = generate_synthetic(900, 5, 0.25, seed=8)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from fedmesh.orchestrator import SecAggConfig
@@ -64,21 +68,39 @@ class TestPaillierCore:
         with pytest.raises(ValueError):
             keygen(8, seed=0)
 
+    @pytest.mark.parametrize("bits", [17, 64, 511, 512])
+    def test_exact_modulus_sizes(self, bits):
+        public, private = keygen(bits, seed=bits)
+        assert public.n.bit_length() == bits
+        assert private.p != private.q and private.p * private.q == public.n
+        assert keygen(bits, seed=bits)[0].n == public.n
+
 
 class TestCodec:
     def test_signed_encoding(self, keypair):
-        public, _ = keypair
+        # two signed slots in one plaintext: m = 500 + (-250) * 2^width mod n
+        public, private = keypair
         codec = FixedPointCodec(scale=1000)
-        assert codec.encode(0.5, public.n) == 500
-        assert codec.encode(-0.25, public.n) == public.n - 250
+        slots, width = codec.layout(public.n.bit_length())
+        cv = encrypt_update(ParamVector(np.array([0.5, -0.25])), codec, public)
+        assert cv.dim == 1 and slots >= 2
+        assert private.decrypt(cv.ciphertexts[0]) == (500 - (250 << width)) % public.n
+        assert decrypt_vector(cv, private, codec).tolist() == [0.5, -0.25]
 
     def test_round_trip_error_bound(self, keypair):
-        public, _ = keypair
+        public, private = keypair
         codec = FixedPointCodec(scale=2**20)
         rng = np.random.default_rng(1)
-        for x in rng.uniform(-10, 10, size=200):
-            decoded = codec.decode(codec.encode(float(x), public.n), public.n)
-            assert abs(decoded - x) <= 0.5 / codec.scale
+        x = rng.uniform(-10, 10, size=200)
+        decoded = decrypt_vector(encrypt_update(ParamVector(x), codec, public), private, codec)
+        assert np.max(np.abs(decoded - x)) <= 0.5 / codec.scale
+
+    def test_layout(self):
+        # need = 21 + 7 + 12 = 40 bits; a 2**500 participant bound leaves one slot
+        codec = FixedPointCodec(scale=2**20, max_participants=64)
+        assert codec.layout(1024) == (25, 40)
+        assert codec.layout(512) == (12, 42)
+        assert FixedPointCodec(scale=2**20, max_participants=2**500).layout(512) == (1, 510)
 
 
 class TestEncryptUpdate:
@@ -170,6 +192,8 @@ class TestAggregateEncrypted:
             aggregate_encrypted([a, a], public, weights=[1])
         with pytest.raises(ValueError):
             aggregate_encrypted([a, a], public, weights=[1, -2])
+        with pytest.raises(ValueError):
+            aggregate_encrypted([a, a], public, weights=[60, 5])
 
 
 class TestSumQuantized:
@@ -181,14 +205,74 @@ class TestSumQuantized:
             vs = [ParamVector(rng.uniform(-3, 3, size=6)) for _ in range(3)]
             cvs = [encrypt_update(v, codec, public) for v in vs]
             decrypted = decrypt_vector(aggregate_encrypted(cvs, public, weights=weights), private, codec)
-            assert sum_quantized(vs, codec, weights).tobytes() == decrypted.tobytes()
+            assert sum_quantized(vs, codec, KEY_BITS, weights).tobytes() == decrypted.tobytes()
 
     def test_validation(self, codec):
         a, b = ParamVector(np.zeros(2)), ParamVector(np.zeros(3))
         with pytest.raises(ValueError):
-            sum_quantized([a, b], codec)
+            sum_quantized([a, b], codec, KEY_BITS)
         with pytest.raises(ValueError):
-            sum_quantized([a, a], codec, weights=[1])
+            sum_quantized([a, a], codec, KEY_BITS, weights=[1])
+        with pytest.raises(ValueError):
+            sum_quantized([a, a], codec, KEY_BITS, weights=[60, 5])
+
+
+PROPERTY_CODEC = FixedPointCodec(scale=2**20, max_participants=64)
+
+
+@st.composite
+def packed_sums(draw):
+    """Updates of quantized values up to the slot bound, with optional weights
+    whose total stays within the codec's participant bound."""
+    _, width = PROPERTY_CODEC.layout(KEY_BITS)
+    bound = ((1 << (width - 1)) - 1) // PROPERTY_CODEC.max_participants
+    dim = draw(st.integers(1, 60))
+    count = draw(st.integers(1, 10))
+    row = st.lists(st.integers(-bound, bound), min_size=dim, max_size=dim)
+    rows = draw(st.lists(row, min_size=count, max_size=count))
+    weights = draw(st.none() | st.lists(st.integers(0, 6), min_size=count, max_size=count))
+    return rows, weights
+
+
+class TestPackedProperties:
+    @given(packed_sums())
+    @settings(max_examples=25, deadline=None)
+    def test_encrypted_sum_equals_plaintext_sum(self, keypair, case):
+        public, private = keypair
+        rows, weights = case
+        codec = PROPERTY_CODEC
+        vs = [ParamVector(np.array(row, dtype=float) / codec.scale) for row in rows]
+        cvs = [encrypt_update(v, codec, public) for v in vs]
+        agg = aggregate_encrypted(cvs, public, weights, codec.max_participants)
+        decrypted = decrypt_vector(agg, private, codec)
+        assert decrypted.tobytes() == sum_quantized(vs, codec, KEY_BITS, weights).tobytes()
+        coeffs = [1] * len(rows) if weights is None else weights
+        exact = [sum(c * q for c, q in zip(coeffs, column)) / codec.scale for column in zip(*rows)]
+        assert decrypted.tolist() == exact
+        slots, _ = codec.layout(KEY_BITS)
+        assert {cv.dim for cv in cvs} == {agg.dim} == {math.ceil(len(rows[0]) / slots)}
+
+    @given(packed_sums(), st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_one_quantum_past_the_bound_is_refused(self, keypair, case, data):
+        public, _ = keypair
+        rows, _ = case
+        codec = PROPERTY_CODEC
+        _, width = codec.layout(KEY_BITS)
+        refused = -((-1 << (width - 1)) // codec.max_participants)  # least |q| with |q| * max >= 2^(width-1)
+        bad_update = data.draw(st.integers(0, len(rows) - 1))
+        bad_element = data.draw(st.integers(0, len(rows[0]) - 1))
+        sign = data.draw(st.sampled_from([1, -1]))
+        rows[bad_update][bad_element] = sign * refused
+        vs = [ParamVector(np.array(row, dtype=float) / codec.scale) for row in rows]
+        with pytest.raises(OverflowError, match=f"element {bad_element} ") as encrypted:
+            for v in vs:
+                encrypt_update(v, codec, public)
+        with pytest.raises(OverflowError) as plain:
+            sum_quantized(vs, codec, KEY_BITS)
+        assert str(plain.value) == str(encrypted.value)
+        rows[bad_update][bad_element] = sign * (refused - 1)  # the last value the bound admits
+        encrypt_update(ParamVector(np.array(rows[bad_update], dtype=float) / codec.scale), codec, public)
 
 
 class TestFinalize:
