@@ -54,19 +54,18 @@ _SECTIONS = {
     "secagg": SecAggConfig,
     "aggregation": CrossEdgeConfig,
 }
-_TOP_FIELDS = {
-    "n_edges",
-    "clients_per_edge",
-    "rounds_max",
-    "patience",
-    "min_delta",
-    "seed",
-    "baseline_mode",
-    "decision_threshold",
-    "adversaries",
-    "edge_failures",
-    "security_overrides",
+# top-level scalar fields and their types (see _has_type)
+_SCALARS = {
+    "n_edges": int,
+    "clients_per_edge": int,
+    "rounds_max": int,
+    "patience": int,
+    "min_delta": float,
+    "seed": int,
+    "baseline_mode": str,
+    "decision_threshold": float,
 }
+_COLLECTIONS = {"adversaries", "edge_failures", "security_overrides"}
 
 
 def load_config_dict(path: str) -> dict:
@@ -116,14 +115,16 @@ def _build_section(cls, raw: Any, path: str):
         raise ConfigError(f"{path}: {exc}")
 
 
-def _is_int(value: Any) -> bool:
-    """A real integer: bools and floats with integral values do not count."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _has_type(value: Any, kind: type) -> bool:
+    """`value` is a `kind` without coercion: a bool is neither int nor float; an int is a float."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def build_config(raw: dict) -> SimulationConfig:
     """Validate the raw dict and assemble a SimulationConfig; raises ConfigError."""
-    unknown = set(raw) - _TOP_FIELDS - set(_SECTIONS)
+    unknown = set(raw) - set(_SCALARS) - _COLLECTIONS - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"{sorted(unknown)[0]}: unknown field")
 
@@ -131,8 +132,10 @@ def build_config(raw: dict) -> SimulationConfig:
     for name, cls in _SECTIONS.items():
         if name in raw:
             kwargs[name] = _build_section(cls, raw[name], name)
-    for name in _TOP_FIELDS - {"adversaries", "edge_failures", "security_overrides"}:
+    for name, kind in _SCALARS.items():
         if name in raw:
+            if not _has_type(raw[name], kind):
+                raise ConfigError(f"{name}: expected {kind.__name__}, got {raw[name]!r}")
             kwargs[name] = raw[name]
     for name in ("adversaries", "edge_failures"):
         if name in raw and not isinstance(raw[name], (list, tuple)):
@@ -147,7 +150,7 @@ def build_config(raw: dict) -> SimulationConfig:
         for i, item in enumerate(raw["edge_failures"]):
             if not (isinstance(item, (list, tuple)) and len(item) == 2):
                 raise ConfigError(f"edge_failures[{i}]: expected [edge_id, round]")
-            if not all(_is_int(x) for x in item):
+            if not all(_has_type(x, int) for x in item):
                 raise ConfigError(f"edge_failures[{i}]: edge_id and round must be integers")
             fails.append((item[0], item[1]))
         kwargs["edge_failures"] = tuple(fails)
@@ -159,9 +162,9 @@ def build_config(raw: dict) -> SimulationConfig:
         for key, value in overrides.items():
             # JSON object keys are strings, so a client id arrives as "3"
             cid = int(key) if isinstance(key, str) and key.isascii() and key.isdigit() else key
-            if not _is_int(cid):
+            if not _has_type(cid, int):
                 raise ConfigError(f"security_overrides[{key!r}]: client id must be an integer")
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if not _has_type(value, float):
                 raise ConfigError(f"security_overrides[{cid}]: value must be a number")
             security[cid] = float(value)
         kwargs["security_overrides"] = security

@@ -56,14 +56,12 @@ def _midrank_auroc(probs: np.ndarray, labels: np.ndarray) -> float:
     """AUROC via the rank-sum statistic; ties get the mean of their ranks."""
     order = np.argsort(probs, kind="stable")
     sorted_probs = probs[order]
+    # tie groups are maximal runs of equal sorted values, [starts[g], ends[g]]
+    breaks = np.flatnonzero(sorted_probs[1:] != sorted_probs[:-1])
+    starts = np.concatenate(([0], breaks + 1))
+    ends = np.concatenate((breaks, [len(probs) - 1]))
     ranks = np.empty(len(probs))
-    i = 0
-    while i < len(sorted_probs):
-        j = i
-        while j + 1 < len(sorted_probs) and sorted_probs[j + 1] == sorted_probs[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)  # midrank, 1-based
     n_pos = int(np.sum(labels == 1))
     n_neg = len(labels) - n_pos
     rank_sum_pos = float(np.sum(ranks[labels == 1]))

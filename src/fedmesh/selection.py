@@ -175,6 +175,10 @@ def update_weights(
     if total == 0.0:
         logger.warning("update_weights: all-zero metric means, keeping previous weights")
         return prev
+    if total < np.finfo(np.float64).tiny:
+        # subnormal means: eta * mean would underflow, so rescale by an exact power of two
+        mu, me, ms = (math.ldexp(m, 600) for m in round_means)
+        total = mu + me + ms
     return ScoreWeights(
         (1.0 - eta) * prev.w_utility + eta * mu / total,
         (1.0 - eta) * prev.w_energy + eta * me / total,

@@ -85,7 +85,13 @@ class ClientReport:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+    """Logistic function with the logit clipped to [-500, 500]; allocates one array."""
+    p = np.maximum(z, -500.0)
+    np.minimum(p, 500.0, out=p)
+    np.negative(p, out=p)
+    np.exp(p, out=p)
+    p += 1.0
+    return np.reciprocal(p, out=p)
 
 
 def _with_bias(features: np.ndarray) -> np.ndarray:
@@ -99,11 +105,16 @@ def predict_proba(weights: ParamVector, features: np.ndarray) -> np.ndarray:
     return sigmoid(_with_bias(features) @ weights.values)
 
 
-def gradient(weights: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Analytic gradient of the mean binary cross-entropy at raw weights."""
-    xb = _with_bias(features)
-    p = sigmoid(xb @ weights)
-    return xb.T @ (p - labels) / len(labels)
+def gradient(weights: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Analytic gradient of the mean binary cross-entropy at raw weights.
+
+    `rows` are bias-augmented feature rows (a trailing column of ones).
+    """
+    residual = sigmoid(rows @ weights)
+    residual -= labels
+    grad = rows.T @ residual
+    grad /= len(labels)
+    return grad
 
 
 def train_local(
@@ -119,16 +130,18 @@ def train_local(
         raise ValueError("client has no training samples")
     if start.dim != spec.param_dim:
         raise ValueError(f"start has dim {start.dim}, model needs {spec.param_dim}")
-    feats = dataset.features[idx]
+    rows = _with_bias(dataset.features[idx])
     labs = dataset.labels[idx].astype(np.float64)
     rng = np.random.default_rng(seed)
     w = np.array(start.values, copy=True)
     n = len(idx)
+    step = spec.batch_size
     for _ in range(spec.local_epochs):
         order = rng.permutation(n)
-        for lo in range(0, n, spec.batch_size):
-            batch = order[lo : lo + spec.batch_size]
-            w = w - spec.learning_rate * gradient(w, feats[batch], labs[batch])
+        # one gather per epoch; each batch is then a contiguous slice of it
+        rows_e, labs_e = rows[order], labs[order]
+        for lo in range(0, n, step):
+            w -= spec.learning_rate * gradient(w, rows_e[lo : lo + step], labs_e[lo : lo + step])
     return ParamVector(w)
 
 

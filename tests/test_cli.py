@@ -124,6 +124,11 @@ class TestCmdRun:
             (None, ["security_overrides=[0.9]"], "security_overrides"),
             (None, ["edge_failures=5"], "edge_failures"),
             (None, ["adversaries=5"], "adversaries"),
+            (None, ["n_edges=2.5"], "n_edges"),
+            (None, ['seed="7"'], "seed"),
+            (None, ["rounds_max=true"], "rounds_max"),
+            (None, ["min_delta=false"], "min_delta"),
+            (None, ["baseline_mode=1"], "baseline_mode"),
         ],
     )
     def test_bad_input_is_a_config_error(self, config_file, tmp_path, monkeypatch, capsys, env_seed, overrides, field):

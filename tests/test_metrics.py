@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedmesh.metrics import binary_metrics, jain_fairness
@@ -18,6 +18,24 @@ def auroc_pairwise_oracle(probs, labels):
         for q in neg:
             total += 1.0 if p > q else (0.5 if p == q else 0.0)
     return total / (len(pos) * len(neg))
+
+
+def auroc_midrank_oracle(probs, labels):
+    """Rank-sum AUROC with each tie run's midrank found by walking the sorted values."""
+    order = np.argsort(probs, kind="stable")
+    sorted_probs = probs[order]
+    ranks = np.empty(len(probs))
+    i = 0
+    while i < len(sorted_probs):
+        j = i
+        while j + 1 < len(sorted_probs) and sorted_probs[j + 1] == sorted_probs[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    n_pos = int(np.sum(labels == 1))
+    n_neg = len(labels) - n_pos
+    u = float(np.sum(ranks[labels == 1])) - n_pos * (n_pos + 1) / 2.0
+    return u / (n_pos * n_neg)
 
 
 def confusion_oracle(probs, labels, threshold):
@@ -75,6 +93,25 @@ class TestBinaryMetrics:
                 labels[0] = 1 - labels[0]
             m = binary_metrics(probs, labels)
             assert m.auroc == pytest.approx(auroc_pairwise_oracle(probs, labels), abs=1e-12)
+
+    @given(
+        n=st.integers(2, 2000),
+        levels=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4, unique=True),
+        skew=st.floats(0.0, 0.99),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=2000, levels=[0.5], skew=0.0, seed=0)  # one tie run over everything
+    @example(n=2, levels=[0.25, 0.75], skew=0.0, seed=1)
+    @settings(max_examples=150, deadline=None)
+    def test_auroc_long_tie_runs_match_midrank_oracle(self, n, levels, skew, seed):
+        # `skew` of the mass on the first level makes its tie run long
+        rng = np.random.default_rng(seed)
+        weights = np.full(len(levels), (1.0 - skew) / len(levels))
+        weights[0] += skew
+        probs = rng.choice(np.array(levels), size=n, p=weights)
+        labels = rng.integers(0, 2, n)
+        labels[rng.choice(n, 2, replace=False)] = [0, 1]
+        assert binary_metrics(probs, labels).auroc == auroc_midrank_oracle(probs, labels)
 
     def test_confusion_metrics_match_oracle(self):
         rng = np.random.default_rng(4)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedmesh.params import ParamVector, zeros
@@ -163,6 +163,7 @@ class TestUpdateWeights:
         st.tuples(st.floats(0, 1e6), st.floats(0, 1e6), st.floats(0, 1e6)).filter(lambda t: sum(t) > 0),
         st.floats(0, 1),
     )
+    @example((0.0, 0.0), (0.0, 0.0, 5e-324), 0.5)  # a subnormal mean once underflowed to weight 0
     @settings(max_examples=300, deadline=None)
     def test_simplex_preserved(self, prev_pair, means, eta):
         w1, w2 = prev_pair

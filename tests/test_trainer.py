@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmesh.data import Dataset, generate_synthetic
 from fedmesh.metrics import binary_metrics
@@ -18,6 +20,31 @@ from fedmesh.trainer import (
 
 def bce_loss(weights, features, labels):
     return binary_metrics(predict_proba(weights, features), labels).loss
+
+
+def with_bias(features):
+    return np.hstack([features, np.ones((features.shape[0], 1))])
+
+
+def train_local_oracle(start, spec, dataset, indices, seed):
+    """Per-batch gather, bias column and gradient step, written out longhand."""
+    idx = np.asarray(indices, dtype=np.int64)
+    feats = dataset.features[idx]
+    labs = dataset.labels[idx].astype(np.float64)
+    rng = np.random.default_rng(seed)
+    w = np.array(start.values, copy=True)
+    for _ in range(spec.local_epochs):
+        order = rng.permutation(len(idx))
+        for lo in range(0, len(idx), spec.batch_size):
+            batch = order[lo : lo + spec.batch_size]
+            xb = with_bias(feats[batch])
+            y = labs[batch]
+            p = 1.0 / (1.0 + np.exp(-np.clip(xb @ w, -500, 500)))
+            w = w - spec.learning_rate * (xb.T @ (p - y) / len(y))
+    return w
+
+
+ORACLE_DATASET = generate_synthetic(160, 10, 0.5, seed=12)
 
 
 @pytest.fixture
@@ -56,7 +83,7 @@ class TestTrainLocal:
         eps = 1e-6
         for _ in range(20):
             w = rng.normal(scale=0.5, size=11)
-            analytic = gradient(w, feats, labs)
+            analytic = gradient(w, with_bias(feats), labs)
             numeric = np.empty_like(analytic)
             for k in range(len(w)):
                 up, down = w.copy(), w.copy()
@@ -67,6 +94,24 @@ class TestTrainLocal:
                 ) / (2 * eps)
             denom = np.maximum(np.abs(numeric), 1e-8)
             assert np.max(np.abs(analytic - numeric) / denom) < 1e-5
+
+    @given(
+        n=st.integers(1, 120),
+        batch_size=st.integers(1, 40),
+        local_epochs=st.integers(0, 3),
+        learning_rate=st.floats(0.0, 50.0),
+        start=st.lists(st.floats(-1e3, 1e3), min_size=11, max_size=11),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_batch_oracle(self, n, batch_size, local_epochs, learning_rate, start, seed):
+        spec = LocalModelSpec(
+            input_dim=10, local_epochs=local_epochs, learning_rate=learning_rate, batch_size=batch_size
+        )
+        indices = np.random.default_rng(seed).permutation(len(ORACLE_DATASET.labels))[:n]
+        got = train_local(ParamVector(np.array(start)), spec, ORACLE_DATASET, indices, seed)
+        want = train_local_oracle(ParamVector(np.array(start)), spec, ORACLE_DATASET, indices, seed)
+        assert got.values.tobytes() == want.tobytes()
 
     def test_deterministic_given_seed(self, small_dataset):
         spec = LocalModelSpec(input_dim=10, learning_rate=0.2, local_epochs=5, batch_size=16)
