@@ -38,7 +38,7 @@ from .selection import (
     select_clients,
     update_weights,
 )
-from .trainer import AdversaryBehavior, ClientReport, LocalModelSpec, build_report, train_local
+from .trainer import AdversaryBehavior, ClientReport, LocalModelSpec, build_report, train_clients
 
 __all__ = [
     "AdversaryAssignment",
@@ -86,7 +86,7 @@ __all__ = [
     "score",
     "select_clients",
     "split",
-    "train_local",
+    "train_clients",
     "update_weights",
     "weighted_sum",
     "zeros",

@@ -21,6 +21,8 @@ import json
 import math
 import os
 import sys
+import types
+import typing
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Sequence
@@ -54,18 +56,13 @@ _SECTIONS = {
     "secagg": SecAggConfig,
     "aggregation": CrossEdgeConfig,
 }
-# top-level scalar fields and their types (see _has_type)
-_SCALARS = {
-    "n_edges": int,
-    "clients_per_edge": int,
-    "rounds_max": int,
-    "patience": int,
-    "min_delta": float,
-    "seed": int,
-    "baseline_mode": str,
-    "decision_threshold": float,
-}
 _COLLECTIONS = {"adversaries", "edge_failures", "security_overrides"}
+# the remaining top-level fields are scalars, checked against their annotations (see _has_type)
+_SCALARS = {
+    name: kind
+    for name, kind in typing.get_type_hints(SimulationConfig).items()
+    if name not in _SECTIONS and name not in _COLLECTIONS
+}
 
 
 def load_config_dict(path: str) -> dict:
@@ -105,21 +102,37 @@ def apply_overrides(raw: dict, assignments: Sequence[str]) -> dict:
 def _build_section(cls, raw: Any, path: str):
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: must be an object")
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(raw) - allowed
+    kinds = typing.get_type_hints(cls)
+    unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown field")
+    for name, value in raw.items():
+        _check_type(f"{path}.{name}", value, kinds[name])
     try:
         return cls(**raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}")
 
 
-def _has_type(value: Any, kind: type) -> bool:
-    """`value` is a `kind` without coercion: a bool is neither int nor float; an int is a float."""
+def _has_type(value: Any, kind: Any) -> bool:
+    """`value` is a `kind` without coercion.
+
+    A bool is only a bool; an int is also a float; a float must be finite; a
+    union such as `float | None` admits a value of any of its members.
+    """
+    if isinstance(kind, types.UnionType):
+        return any(_has_type(value, member) for member in typing.get_args(kind))
     if isinstance(value, bool):
-        return False
-    return isinstance(value, (int, float) if kind is float else kind)
+        return kind is bool
+    if kind is float:
+        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    return isinstance(value, kind)
+
+
+def _check_type(path: str, value: Any, kind: Any) -> None:
+    if not _has_type(value, kind):
+        expected = "finite float" if kind is float else getattr(kind, "__name__", kind)
+        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
 
 
 def build_config(raw: dict) -> SimulationConfig:
@@ -134,8 +147,7 @@ def build_config(raw: dict) -> SimulationConfig:
             kwargs[name] = _build_section(cls, raw[name], name)
     for name, kind in _SCALARS.items():
         if name in raw:
-            if not _has_type(raw[name], kind):
-                raise ConfigError(f"{name}: expected {kind.__name__}, got {raw[name]!r}")
+            _check_type(name, raw[name], kind)
             kwargs[name] = raw[name]
     for name in ("adversaries", "edge_failures"):
         if name in raw and not isinstance(raw[name], (list, tuple)):

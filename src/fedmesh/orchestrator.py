@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -64,6 +64,12 @@ class TrainerConfig:
     batch_size: int = 32
     energy_alpha: float = trainer.DEFAULT_ENERGY_ALPHA
     energy_beta: float = trainer.DEFAULT_ENERGY_BETA
+
+    def __post_init__(self) -> None:
+        self.spec(input_dim=1)  # LocalModelSpec owns the checks on these fields
+
+    def spec(self, input_dim: int) -> LocalModelSpec:
+        return LocalModelSpec(input_dim=input_dim, **asdict(self))
 
 
 @dataclass(frozen=True)
@@ -132,8 +138,10 @@ class SimulationConfig:
             raise ValueError("rounds_max: must be >= 1")
         if self.patience < 0:
             raise ValueError("patience: must be >= 0")
-        if self.min_delta < 0:
+        if not self.min_delta >= 0:
             raise ValueError("min_delta: must be >= 0")
+        if not math.isfinite(self.decision_threshold):
+            raise ValueError("decision_threshold: must be finite")
         if self.baseline_mode not in MODES:
             raise ValueError(f"baseline_mode: must be one of {MODES}")
         for adv in self.adversaries:
@@ -308,14 +316,7 @@ def run(config: SimulationConfig, dataset: Dataset, evaluator: Evaluator | None 
     edge_test_rows = prep.edge_test_rows
     single_edge = config.baseline_mode == "fedavg_single"
 
-    spec = LocalModelSpec(
-        input_dim=dataset.n_features,
-        local_epochs=config.trainer.local_epochs,
-        learning_rate=config.trainer.learning_rate,
-        batch_size=config.trainer.batch_size,
-        energy_alpha=config.trainer.energy_alpha,
-        energy_beta=config.trainer.energy_beta,
-    )
+    spec = config.trainer.spec(dataset.n_features)
     sel_cfg = replace(
         config.selection,
         energy_alpha=config.trainer.energy_alpha,
@@ -359,6 +360,22 @@ def run(config: SimulationConfig, dataset: Dataset, evaluator: Evaluator | None 
         if not alive:
             raise RuntimeError(f"all edges failed in round {round_no}")
 
+        cids = [cid for e in alive for cid in edge_clients[e]]
+        try:
+            trained = trainer.train_clients(
+                global_model,
+                spec,
+                d_train,
+                [client_train[cid] for cid in cids],
+                [derive_seed(seed, "train", round_no, cid) for cid in cids],
+            )
+        except trainer.DivergedError as exc:
+            raise ValueError(
+                f"round {round_no}, client {cids[exc.index]}: trained weights are not finite"
+                f" (trainer.learning_rate={spec.learning_rate})"
+            ) from exc
+        trained_by_id = dict(zip(cids, trained))
+
         edge_updates: list[EdgeUpdate] = []
         round_inconsistent: set[int] = set()
         round_outliers: set[int] = set()
@@ -366,13 +383,10 @@ def run(config: SimulationConfig, dataset: Dataset, evaluator: Evaluator | None 
         for e in alive:
             reports = []
             for cid in edge_clients[e]:
-                trained = trainer.train_local(
-                    global_model, spec, d_train, client_train[cid], derive_seed(seed, "train", round_no, cid)
-                )
                 reports.append(
                     trainer.build_report(
                         cid,
-                        trained,
+                        trained_by_id[cid],
                         global_model,
                         spec,
                         len(client_train[cid]),

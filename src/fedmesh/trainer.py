@@ -8,8 +8,9 @@ different model kind does not touch selection or aggregation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -36,8 +37,8 @@ class LocalModelSpec:
     def __post_init__(self) -> None:
         if self.input_dim < 1 or self.local_epochs < 0 or self.batch_size < 1:
             raise ValueError("input_dim and batch_size must be positive, local_epochs nonnegative")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and nonnegative")
 
     @property
     def param_dim(self) -> int:
@@ -108,41 +109,83 @@ def predict_proba(weights: ParamVector, features: np.ndarray) -> np.ndarray:
 def gradient(weights: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Analytic gradient of the mean binary cross-entropy at raw weights.
 
-    `rows` are bias-augmented feature rows (a trailing column of ones).
+    `rows` are bias-augmented feature rows (a trailing column of ones) of shape
+    (..., B, P), `weights` (..., P) and `labels` (..., B); any leading axes are
+    independent problems. Each product is one matrix-vector `matmul` per leading
+    index, so a stacked call gives the same floats as one call per problem.
     """
-    residual = sigmoid(rows @ weights)
+    residual = sigmoid(np.matmul(rows, weights[..., None])[..., 0])
     residual -= labels
-    grad = rows.T @ residual
-    grad /= len(labels)
+    grad = np.matmul(np.swapaxes(rows, -1, -2), residual[..., None])[..., 0]
+    grad /= labels.shape[-1]
     return grad
 
 
-def train_local(
+class DivergedError(ValueError):
+    """Training left a client's weights non-finite; `index` is its position in the shard list."""
+
+    def __init__(self, index: int):
+        super().__init__(f"trained weights of shard {index} are not finite")
+        self.index = index
+
+
+def train_clients(
     start: ParamVector,
     spec: LocalModelSpec,
     dataset: Dataset,
-    indices: np.ndarray | list[int],
-    seed: int,
-) -> ParamVector:
-    """Mini-batch gradient descent on BCE from `start`; deterministic per seed."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size == 0:
-        raise ValueError("client has no training samples")
+    shards: Sequence[np.ndarray | list[int]],
+    seeds: Sequence[int],
+) -> list[ParamVector]:
+    """Mini-batch gradient descent on BCE from `start` for every shard; deterministic per seed.
+
+    Client i trains on the rows `shards[i]` of `dataset`, shuffled each epoch
+    by its own `default_rng(seeds[i])`, and the result does not depend on which
+    other clients are trained with it. All clients take their k-th full batch
+    in one stacked step, then their final partial batches in one stacked step
+    per distinct length.
+    """
+    if len(shards) != len(seeds):
+        raise ValueError(f"{len(shards)} shards but {len(seeds)} seeds")
     if start.dim != spec.param_dim:
         raise ValueError(f"start has dim {start.dim}, model needs {spec.param_dim}")
-    rows = _with_bias(dataset.features[idx])
-    labs = dataset.labels[idx].astype(np.float64)
-    rng = np.random.default_rng(seed)
-    w = np.array(start.values, copy=True)
-    n = len(idx)
-    step = spec.batch_size
+    idx = [np.asarray(shard, dtype=np.int64) for shard in shards]
+    if any(shard.size == 0 for shard in idx):
+        raise ValueError("client has no training samples")
+    if not idx:
+        return []
+    step, lr = spec.batch_size, spec.learning_rate
+    sizes = np.array([shard.size for shard in idx], dtype=np.int64)
+    # clients ordered by full-batch count, descending: those with a k-th full batch are a prefix
+    order = np.argsort(-(sizes // step), kind="stable")
+    sizes = sizes[order]
+    full = sizes // step
+    tail = sizes % step
+    offsets = np.cumsum(sizes) - sizes
+    active = [int(np.count_nonzero(full > k)) for k in range(int(full[0]))]
+    tails = [(int(t), np.flatnonzero(tail == t)) for t in np.unique(tail[tail > 0])]
+    window = offsets[:, None] + np.arange(step)
+    rngs = [np.random.default_rng(seeds[i]) for i in order]
+    w = np.tile(start.values, (len(idx), 1))
+    rows = np.ones((len(idx), step, spec.param_dim))  # last column stays the bias input
+    epoch = np.empty(int(sizes.sum()), dtype=np.int64)  # dataset row ids in this epoch's batch order
     for _ in range(spec.local_epochs):
-        order = rng.permutation(n)
-        # one gather per epoch; each batch is then a contiguous slice of it
-        rows_e, labs_e = rows[order], labs[order]
-        for lo in range(0, n, step):
-            w -= spec.learning_rate * gradient(w, rows_e[lo : lo + step], labs_e[lo : lo + step])
-    return ParamVector(w)
+        for i, rng, lo in zip(order, rngs, offsets):
+            epoch[lo : lo + idx[i].size] = idx[i][rng.permutation(idx[i].size)]
+        for k, a in enumerate(active):
+            ids = epoch[window[:a] + k * step]
+            rows[:a, :, :-1] = np.take(dataset.features, ids, axis=0)
+            w[:a] -= lr * gradient(w[:a], rows[:a], dataset.labels[ids])
+        for t, members in tails:
+            ids = epoch[window[members, :t] + full[members, None] * step]
+            batch = rows[: members.size, :t]
+            batch[..., :-1] = np.take(dataset.features, ids, axis=0)
+            w[members] -= lr * gradient(w[members], batch, dataset.labels[ids])
+    trained = np.empty_like(w)
+    trained[order] = w
+    diverged = np.flatnonzero(~np.isfinite(trained).all(axis=1))
+    if diverged.size:
+        raise DivergedError(int(diverged[0]))
+    return [ParamVector(v) for v in trained]
 
 
 def build_report(

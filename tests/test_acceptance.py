@@ -29,7 +29,7 @@ from fedmesh.aggregation import CrossEdgeConfig, EdgeUpdate, central_aggregate, 
 from fedmesh.params import ParamVector, l2_diff_norm, weighted_sum
 from fedmesh.secagg import FixedPointCodec, aggregate_encrypted, decrypt_vector, encrypt_update, keygen, release
 from fedmesh.selection import ScoreWeights, consistency_check, estimate_metrics, score, update_weights
-from fedmesh.trainer import LocalModelSpec, build_report, train_local
+from fedmesh.trainer import LocalModelSpec, build_report, train_clients
 
 
 def report_pass(criterion: int, message: str) -> None:
@@ -346,12 +346,15 @@ def test_criterion_11_fedavg_baseline_equivalence():
         if oracle_model is None:
             oracle_model = sim.initial_global
         # advance the oracle by one round: plain sample-weighted client-model mean
-        trained = {
-            cid: train_local(
-                oracle_model, spec, prep.d_train, rows, derive_seed(base.seed, "train", rounds_max, cid)
-            )
-            for cid, rows in prep.client_train.items()
-        }
+        cids = sorted(prep.client_train)
+        models = train_clients(
+            oracle_model,
+            spec,
+            prep.d_train,
+            [prep.client_train[cid] for cid in cids],
+            [derive_seed(base.seed, "train", rounds_max, cid) for cid in cids],
+        )
+        trained = dict(zip(cids, models))
         oracle_model = weighted_sum(
             [(len(prep.client_train[cid]) / total, w) for cid, w in sorted(trained.items())]
         )

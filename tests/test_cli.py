@@ -129,6 +129,14 @@ class TestCmdRun:
             (None, ["rounds_max=true"], "rounds_max"),
             (None, ["min_delta=false"], "min_delta"),
             (None, ["baseline_mode=1"], "baseline_mode"),
+            (None, ["data.n_samples=2.5"], "data.n_samples"),
+            (None, ["trainer.batch_size=true"], "trainer.batch_size"),
+            (None, ["selection.capacity_k=2.5"], "selection.capacity_k"),
+            (None, ["min_delta=NaN"], "min_delta"),
+            (None, ["decision_threshold=NaN"], "decision_threshold"),
+            (None, ["trainer.learning_rate=NaN"], "trainer.learning_rate"),
+            (None, ["trainer.learning_rate=Infinity"], "trainer.learning_rate"),
+            (None, ["trainer.batch_size=0"], "trainer: "),
         ],
     )
     def test_bad_input_is_a_config_error(self, config_file, tmp_path, monkeypatch, capsys, env_seed, overrides, field):

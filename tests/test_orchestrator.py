@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import fedmesh.aggregation
+import fedmesh.trainer
 from fedmesh.aggregation import CrossEdgeConfig, EdgeUpdate
 from fedmesh.data import generate_synthetic
 from fedmesh.metrics import BinaryMetrics
@@ -15,6 +16,7 @@ from fedmesh.orchestrator import (
     SecAggConfig,
     SelectionConfig,
     SimulationConfig,
+    TrainerConfig,
     _central_step,
     derive_seed,
     evaluate,
@@ -23,7 +25,7 @@ from fedmesh.orchestrator import (
     run,
 )
 from fedmesh.params import weighted_sum
-from fedmesh.trainer import LocalModelSpec, train_local
+from fedmesh.trainer import LocalModelSpec, train_clients
 
 
 def make_config(**overrides) -> SimulationConfig:
@@ -143,6 +145,17 @@ class TestRunBasics:
             run(make_config(patience=-1), dataset)
         with pytest.raises(ValueError, match="baseline_mode"):
             run(make_config(baseline_mode="fedprox"), dataset)
+        with pytest.raises(ValueError, match="min_delta"):
+            run(make_config(min_delta=float("nan")), dataset)
+        with pytest.raises(ValueError, match="decision_threshold"):
+            run(make_config(decision_threshold=float("nan")), dataset)
+
+    def test_diverged_training_names_round_and_client(self, dataset):
+        # clients 0-3 stay finite at this step size; client 4 is the first to overflow
+        config = make_config(trainer=TrainerConfig(learning_rate=1e308, batch_size=8))
+        message = r"^round 1, client 4: trained weights are not finite \(trainer\.learning_rate=1e\+308\)$"
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=message):
+            run(config, dataset)
 
 
 class TestSecureAggregationPath:
@@ -245,6 +258,38 @@ class TestEdgeFailures:
             assert dict(r_clean.per_edge) == dict(r_failed.per_edge)
         assert clean.rounds[2].global_val != failed.rounds[2].global_val
 
+    def test_training_does_not_depend_on_who_else_trains(self, big_dataset, monkeypatch):
+        # all clients of a round train in stacked steps; a failed edge changes that batch's
+        # membership, and no surviving client's weights may move by a single bit
+        calls = []
+        train_clients_ = fedmesh.trainer.train_clients
+
+        def recording(start, spec, data, shards, seeds):
+            models = train_clients_(start, spec, data, shards, seeds)
+            calls.append({seed: m.values.tobytes() for seed, m in zip(seeds, models)})
+            return models
+
+        monkeypatch.setattr(fedmesh.trainer, "train_clients", recording)
+        base = make_config(n_edges=3, clients_per_edge=4, rounds_max=2, data=DataConfig(n_samples=1600))
+        clean = run(base, big_dataset)
+        clean_calls, calls = calls, []
+        failed = run(inject_edge_failure(base, 1, 2), big_dataset)
+
+        def round_one(result):
+            return (
+                result.rounds[0],
+                [e for e in result.events if e["round"] == 1],
+                result.excluded_clients_log[0],
+            )
+
+        assert repr(round_one(clean)) == repr(round_one(failed))
+        assert clean_calls[0] == calls[0]
+        edge_clients = prepare_data(base, big_dataset).edge_clients
+        survivors = {derive_seed(base.seed, "train", 2, cid) for e in (0, 2) for cid in edge_clients[e]}
+        assert set(calls[1]) == survivors
+        assert len(clean_calls[1]) == 12
+        assert calls[1] == {seed: clean_calls[1][seed] for seed in survivors}
+
     def test_four_of_five_edges_fail(self, big_dataset):
         config = make_config(
             n_edges=5,
@@ -293,12 +338,15 @@ class TestBaselines:
         )
         global_model = sim.initial_global
         for round_no in range(1, 4):
-            trained = {
-                cid: train_local(
-                    global_model, spec, prep.d_train, rows, derive_seed(config.seed, "train", round_no, cid)
-                )
-                for cid, rows in prep.client_train.items()
-            }
+            cids = sorted(prep.client_train)
+            models = train_clients(
+                global_model,
+                spec,
+                prep.d_train,
+                [prep.client_train[cid] for cid in cids],
+                [derive_seed(config.seed, "train", round_no, cid) for cid in cids],
+            )
+            trained = dict(zip(cids, models))
             total = sum(len(rows) for rows in prep.client_train.values())
             global_model = weighted_sum(
                 [(len(prep.client_train[cid]) / total, w) for cid, w in sorted(trained.items())]

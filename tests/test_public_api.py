@@ -46,7 +46,7 @@ PUBLIC_API = [
     "score",
     "select_clients",
     "split",
-    "train_local",
+    "train_clients",
     "update_weights",
     "weighted_sum",
     "zeros",

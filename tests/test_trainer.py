@@ -14,7 +14,7 @@ from fedmesh.trainer import (
     build_report,
     gradient,
     predict_proba,
-    train_local,
+    train_clients,
 )
 
 
@@ -47,6 +47,25 @@ def train_local_oracle(start, spec, dataset, indices, seed):
 ORACLE_DATASET = generate_synthetic(160, 10, 0.5, seed=12)
 
 
+def train_one(start, spec, dataset, indices, seed):
+    (trained,) = train_clients(start, spec, dataset, [indices], [seed])
+    return trained
+
+
+@st.composite
+def shard_sizes(draw):
+    """A batch size and 1-12 shard sizes: below it, exact multiples, shared tails, anything."""
+    batch_size = draw(st.integers(1, 40))
+    shared_tail = draw(st.integers(0, batch_size - 1))
+    size = st.one_of(
+        st.integers(1, batch_size),
+        st.integers(0, (150 - shared_tail) // batch_size).map(lambda k: k * batch_size + shared_tail),
+        st.integers(0, 150 // batch_size).map(lambda k: k * batch_size),
+        st.integers(1, 150),
+    ).filter(lambda n: n >= 1)
+    return batch_size, draw(st.lists(size, min_size=1, max_size=12))
+
+
 @pytest.fixture
 def two_point_dataset():
     return Dataset(np.array([[1.0], [-1.0]]), np.array([1, 0]), name="two-point")
@@ -61,8 +80,9 @@ class TestTrainLocal:
     def test_zero_learning_rate_is_identity(self, small_dataset):
         spec = LocalModelSpec(input_dim=10, learning_rate=0.0, local_epochs=3)
         start = ParamVector(np.random.default_rng(1).normal(size=11))
-        out = train_local(start, spec, small_dataset, np.arange(50), seed=5)
-        assert np.array_equal(out.values, start.values)
+        out = train_clients(start, spec, small_dataset, [np.arange(50), np.arange(7)], [5, 6])
+        for trained in out:
+            assert np.array_equal(trained.values, start.values)
 
     def test_loss_strictly_decreases_per_epoch(self, two_point_dataset):
         # full-batch descent on a separable pair: per-epoch loss is monotone
@@ -72,64 +92,85 @@ class TestTrainLocal:
         losses = []
         for epochs in range(101):
             spec = LocalModelSpec(input_dim=1, learning_rate=0.5, local_epochs=epochs, batch_size=2)
-            w = train_local(start, spec, two_point_dataset, idx, seed=0)
+            w = train_one(start, spec, two_point_dataset, idx, seed=0)
             losses.append(bce_loss(w, feats, labs))
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_gradient_matches_finite_differences(self, small_dataset):
+        # one stacked call: three problems, each against its own finite differences
         rng = np.random.default_rng(3)
-        feats = small_dataset.features[:40]
-        labs = small_dataset.labels[:40].astype(float)
+        feats = small_dataset.features[:120].reshape(3, 40, 10)
+        labs = small_dataset.labels[:120].astype(float).reshape(3, 40)
+        rows = np.stack([with_bias(f) for f in feats])
         eps = 1e-6
         for _ in range(20):
-            w = rng.normal(scale=0.5, size=11)
-            analytic = gradient(w, with_bias(feats), labs)
-            numeric = np.empty_like(analytic)
-            for k in range(len(w)):
-                up, down = w.copy(), w.copy()
-                up[k] += eps
-                down[k] -= eps
-                numeric[k] = (
-                    bce_loss(ParamVector(up), feats, labs) - bce_loss(ParamVector(down), feats, labs)
-                ) / (2 * eps)
-            denom = np.maximum(np.abs(numeric), 1e-8)
-            assert np.max(np.abs(analytic - numeric) / denom) < 1e-5
+            w = rng.normal(scale=0.5, size=(3, 11))
+            analytic = gradient(w, rows, labs)
+            assert analytic.shape == (3, 11)
+            for j in range(3):
+                assert analytic[j].tobytes() == gradient(w[j], rows[j], labs[j]).tobytes()
+                numeric = np.empty(11)
+                for k in range(11):
+                    up, down = w[j].copy(), w[j].copy()
+                    up[k] += eps
+                    down[k] -= eps
+                    numeric[k] = (
+                        bce_loss(ParamVector(up), feats[j], labs[j]) - bce_loss(ParamVector(down), feats[j], labs[j])
+                    ) / (2 * eps)
+                denom = np.maximum(np.abs(numeric), 1e-8)
+                assert np.max(np.abs(analytic[j] - numeric) / denom) < 1e-5
 
     @given(
-        n=st.integers(1, 120),
-        batch_size=st.integers(1, 40),
+        shards=shard_sizes(),
         local_epochs=st.integers(0, 3),
         learning_rate=st.floats(0.0, 50.0),
         start=st.lists(st.floats(-1e3, 1e3), min_size=11, max_size=11),
         seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
     )
     @settings(max_examples=200, deadline=None)
-    def test_matches_per_batch_oracle(self, n, batch_size, local_epochs, learning_rate, start, seed):
+    def test_matches_per_batch_oracle(self, shards, local_epochs, learning_rate, start, seed, data):
+        # every client trains exactly as it would alone, whoever shares its stacked steps
+        batch_size, sizes = shards
         spec = LocalModelSpec(
             input_dim=10, local_epochs=local_epochs, learning_rate=learning_rate, batch_size=batch_size
         )
-        indices = np.random.default_rng(seed).permutation(len(ORACLE_DATASET.labels))[:n]
-        got = train_local(ParamVector(np.array(start)), spec, ORACLE_DATASET, indices, seed)
-        want = train_local_oracle(ParamVector(np.array(start)), spec, ORACLE_DATASET, indices, seed)
-        assert got.values.tobytes() == want.tobytes()
+        rng = np.random.default_rng(seed)
+        indices = [rng.permutation(len(ORACLE_DATASET.labels))[:n] for n in sizes]
+        seeds = [int(s) for s in rng.integers(0, 2**63, len(sizes))]
+        start = ParamVector(np.array(start))
+        got = train_clients(start, spec, ORACLE_DATASET, indices, seeds)
+        assert len(got) == len(sizes)
+        for trained, rows, client_seed in zip(got, indices, seeds):
+            want = train_local_oracle(start, spec, ORACLE_DATASET, rows, client_seed)
+            assert trained.values.tobytes() == want.tobytes()
+        perm = data.draw(st.permutations(range(len(sizes))))
+        shuffled = train_clients(start, spec, ORACLE_DATASET, [indices[i] for i in perm], [seeds[i] for i in perm])
+        for trained, i in zip(shuffled, perm):
+            assert trained.values.tobytes() == got[i].values.tobytes()
 
     def test_deterministic_given_seed(self, small_dataset):
         spec = LocalModelSpec(input_dim=10, learning_rate=0.2, local_epochs=5, batch_size=16)
         start = ParamVector(np.zeros(11))
-        a = train_local(start, spec, small_dataset, np.arange(80), seed=9)
-        b = train_local(start, spec, small_dataset, np.arange(80), seed=9)
+        a = train_one(start, spec, small_dataset, np.arange(80), seed=9)
+        b = train_one(start, spec, small_dataset, np.arange(80), seed=9)
         assert a.values.tobytes() == b.values.tobytes()
-        c = train_local(start, spec, small_dataset, np.arange(80), seed=10)
+        c = train_one(start, spec, small_dataset, np.arange(80), seed=10)
         assert a.values.tobytes() != c.values.tobytes()
 
     def test_empty_client_rejected(self, small_dataset):
         spec = LocalModelSpec(input_dim=10)
-        with pytest.raises(ValueError):
-            train_local(ParamVector(np.zeros(11)), spec, small_dataset, [], seed=0)
+        start = ParamVector(np.zeros(11))
+        with pytest.raises(ValueError, match="no training samples"):
+            train_clients(start, spec, small_dataset, [[]], [0])
+        with pytest.raises(ValueError, match="no training samples"):
+            train_clients(start, spec, small_dataset, [np.arange(5), [], np.arange(9)], [0, 1, 2])
+        with pytest.raises(ValueError, match="seeds"):
+            train_clients(start, spec, small_dataset, [np.arange(5)], [0, 1])
 
     def test_training_actually_fits(self, small_dataset):
         spec = LocalModelSpec(input_dim=10, learning_rate=0.5, local_epochs=30)
-        w = train_local(ParamVector(np.zeros(11)), spec, small_dataset, np.arange(200), seed=4)
+        w = train_one(ParamVector(np.zeros(11)), spec, small_dataset, np.arange(200), seed=4)
         probs = predict_proba(w, small_dataset.features)
         acc = np.mean((probs >= 0.5) == small_dataset.labels)
         assert acc > 0.8
@@ -216,6 +257,9 @@ class TestValidation:
         assert LocalModelSpec(input_dim=4).local_epochs == 5
         with pytest.raises(ValueError):
             LocalModelSpec(input_dim=0)
+        for learning_rate in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="learning_rate"):
+                LocalModelSpec(input_dim=4, learning_rate=learning_rate)
 
     def test_behavior_validation(self):
         with pytest.raises(ValueError):
