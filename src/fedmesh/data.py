@@ -267,21 +267,19 @@ def split(
     test: float,
     seed: int,
 ) -> tuple[Dataset, Dataset, Dataset]:
-    """Stratified disjoint train/val/test split; fractions must sum to 1."""
-    if abs(train + val + test - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {train + val + test}")
+    """Stratified disjoint train/val/test split; fractions must be nonnegative and sum to 1."""
+    if min(train, val, test) < 0 or abs(train + val + test - 1.0) > 1e-9:
+        raise ValueError(f"fractions must be nonnegative and sum to 1, got {(train, val, test)}")
     rng = np.random.default_rng(seed)
-    parts: list[list[int]] = [[], [], []]
+    per_class = []
     for c in (0, 1):
         rows = rng.permutation(np.flatnonzero(d.labels == c))
         counts = _largest_remainder_counts(np.array([train, val, test]), len(rows))
-        start = 0
-        for i, cnt in enumerate(counts):
-            parts[i].extend(int(r) for r in rows[start : start + cnt])
-            start += cnt
+        per_class.append(np.split(rows, np.cumsum(counts)[:-1]))
     out = []
-    for chunk, tag in zip(parts, ("train", "val", "test")):
-        if not chunk:
+    for chunks, tag in zip(zip(*per_class), ("train", "val", "test")):
+        rows = np.sort(np.concatenate(chunks))
+        if not rows.size:
             raise ValueError(f"{tag} split is empty; adjust fractions or dataset size")
-        out.append(d.subset(sorted(chunk), name=f"{d.name}/{tag}"))
+        out.append(d.subset(rows, name=f"{d.name}/{tag}"))
     return out[0], out[1], out[2]

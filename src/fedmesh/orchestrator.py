@@ -162,9 +162,9 @@ class SimulationConfig:
                 raise ValueError("security_overrides: values must lie in [0, 1]")
         if self.data.unknown_edge is not None and not 0 <= self.data.unknown_edge < self.n_edges:
             raise ValueError("data.unknown_edge: out of range")
-        fractions = self.data.train_fraction + self.data.val_fraction + self.data.test_fraction
-        if abs(fractions - 1.0) > 1e-9:
-            raise ValueError("data: train/val/test fractions must sum to 1")
+        fractions = (self.data.train_fraction, self.data.val_fraction, self.data.test_fraction)
+        if min(fractions) < 0 or abs(sum(fractions) - 1.0) > 1e-9:
+            raise ValueError("data: train/val/test fractions must be nonnegative and sum to 1")
 
 
 @dataclass

@@ -137,6 +137,7 @@ class TestCmdRun:
             (None, ["trainer.learning_rate=NaN"], "trainer.learning_rate"),
             (None, ["trainer.learning_rate=Infinity"], "trainer.learning_rate"),
             (None, ["trainer.batch_size=0"], "trainer: "),
+            (None, ["data.train_fraction=0.95", "data.val_fraction=-0.1"], "fractions"),
         ],
     )
     def test_bad_input_is_a_config_error(self, config_file, tmp_path, monkeypatch, capsys, env_seed, overrides, field):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmesh.data import (
     Dataset,
     Partition,
+    _largest_remainder_counts,
     generate_synthetic,
     ingest_csv,
     partition_noniid,
@@ -14,6 +17,22 @@ from fedmesh.data import (
 
 def positive_fraction(labels):
     return float(np.mean(labels))
+
+
+def split_oracle(d, train, val, test, seed):
+    """Each class's shuffled rows dealt to the three parts one Python int at a time."""
+    rng = np.random.default_rng(seed)
+    parts = [[], [], []]
+    for c in (0, 1):
+        rows = rng.permutation(np.flatnonzero(d.labels == c))
+        counts = _largest_remainder_counts(np.array([train, val, test]), len(rows))
+        start = 0
+        for i, cnt in enumerate(counts):
+            parts[i].extend(int(r) for r in rows[start : start + cnt])
+            start += cnt
+    if not all(parts):
+        return None
+    return [d.subset(sorted(chunk)) for chunk in parts]
 
 
 class TestGenerateSynthetic:
@@ -203,7 +222,31 @@ class TestSplit:
         seen = {row.tobytes() for part in (tr, va, te) for row in part.features}
         assert len(seen) == 300
 
+    @given(
+        n=st.integers(1, 300),
+        positive=st.floats(0.0, 1.0),
+        train=st.floats(0.0, 1.0),
+        val_share=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_row_oracle(self, n, positive, train, val_share, seed):
+        rng = np.random.default_rng(seed)
+        d = Dataset(rng.normal(size=(n, 3)), (rng.random(n) < positive).astype(int))
+        val = val_share * (1.0 - train)
+        test = max(0.0, 1.0 - train - val)
+        want = split_oracle(d, train, val, test, seed)
+        if want is None:
+            with pytest.raises(ValueError, match="split is empty"):
+                split(d, train, val, test, seed)
+            return
+        for got, ref in zip(split(d, train, val, test, seed), want):
+            assert got.features.tobytes() == ref.features.tobytes()
+            assert got.labels.tobytes() == ref.labels.tobytes()
+
     def test_fraction_sum_validated(self):
         d = generate_synthetic(300, 4, 0.5, seed=6)
         with pytest.raises(ValueError):
             split(d, 0.8, 0.1, 0.2, seed=1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            split(d, 1.1, -0.1, 0.0, seed=1)
