@@ -38,7 +38,7 @@ from .selection import (
     select_clients,
     update_weights,
 )
-from .trainer import AdversaryBehavior, ClientReport, LocalModelSpec, build_report, train_clients
+from .trainer import AdversaryBehavior, ClientReport, LocalModelSpec, build_report, train_clients, train_local
 
 __all__ = [
     "AdversaryAssignment",
@@ -87,6 +87,7 @@ __all__ = [
     "select_clients",
     "split",
     "train_clients",
+    "train_local",
     "update_weights",
     "weighted_sum",
     "zeros",

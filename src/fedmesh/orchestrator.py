@@ -360,21 +360,20 @@ def run(config: SimulationConfig, dataset: Dataset, evaluator: Evaluator | None 
         if not alive:
             raise RuntimeError(f"all edges failed in round {round_no}")
 
+        # the clients of every alive edge train as one lockstep cohort
         cids = [cid for e in alive for cid in edge_clients[e]]
+        train_seeds = [derive_seed(seed, "train", round_no, cid) for cid in cids]
+        cohort = trainer.Cohort(global_model, spec, d_train, [client_train[cid] for cid in cids], train_seeds)
         try:
-            trained = trainer.train_clients(
-                global_model,
-                spec,
-                d_train,
-                [client_train[cid] for cid in cids],
-                [derive_seed(seed, "train", round_no, cid) for cid in cids],
-            )
+            trained_by_id = {
+                cid: trainer.train_local(global_model, spec, d_train, client_train[cid], s, cohort)
+                for cid, s in zip(cids, train_seeds)
+            }
         except trainer.DivergedError as exc:
             raise ValueError(
                 f"round {round_no}, client {cids[exc.index]}: trained weights are not finite"
                 f" (trainer.learning_rate={spec.learning_rate})"
             ) from exc
-        trained_by_id = dict(zip(cids, trained))
 
         edge_updates: list[EdgeUpdate] = []
         round_inconsistent: set[int] = set()

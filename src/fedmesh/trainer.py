@@ -163,10 +163,12 @@ def train_clients(
     offsets = np.cumsum(sizes) - sizes
     active = [int(np.count_nonzero(full > k)) for k in range(int(full[0]))]
     tails = [(int(t), np.flatnonzero(tail == t)) for t in np.unique(tail[tail > 0])]
-    window = offsets[:, None] + np.arange(step)
+    # a batch never holds more rows than the largest shard, however large batch_size is
+    width = min(step, int(sizes.max()))
+    window = offsets[:, None] + np.arange(width)
     rngs = [np.random.default_rng(seeds[i]) for i in order]
     w = np.tile(start.values, (len(idx), 1))
-    rows = np.ones((len(idx), step, spec.param_dim))  # last column stays the bias input
+    rows = np.ones((len(idx), width, spec.param_dim))  # last column stays the bias input
     epoch = np.empty(int(sizes.sum()), dtype=np.int64)  # dataset row ids in this epoch's batch order
     for _ in range(spec.local_epochs):
         for i, rng, lo in zip(order, rngs, offsets):
@@ -186,6 +188,72 @@ def train_clients(
     if diverged.size:
         raise DivergedError(int(diverged[0]))
     return [ParamVector(v) for v in trained]
+
+
+class Cohort:
+    """Clients that train from the same `start` on the same dataset, in lockstep.
+
+    Each member is still trained by its own `train_local` call; the first such
+    call trains every member in one `train_clients` run and the others read
+    their weights from it.
+    """
+
+    def __init__(
+        self,
+        start: ParamVector,
+        spec: LocalModelSpec,
+        dataset: Dataset,
+        shards: Sequence[np.ndarray | list[int]],
+        seeds: Sequence[int],
+    ):
+        if len(shards) != len(seeds):
+            raise ValueError(f"{len(shards)} shards but {len(seeds)} seeds")
+        if len(set(seeds)) != len(seeds):
+            raise ValueError("cohort members need distinct seeds")
+        self._start, self._spec, self._dataset = start, spec, dataset
+        self._shards, self._seeds = list(shards), list(seeds)
+        self._member = {s: k for k, s in enumerate(seeds)}
+        self._trained: list[ParamVector] | None = None
+
+    def trained(
+        self,
+        start: ParamVector,
+        spec: LocalModelSpec,
+        dataset: Dataset,
+        indices: np.ndarray | list[int],
+        seed: int,
+    ) -> ParamVector:
+        k = self._member.get(seed)
+        if (
+            k is None
+            or start is not self._start
+            or dataset is not self._dataset
+            or spec != self._spec
+            or not (indices is self._shards[k] or np.array_equal(indices, self._shards[k]))
+        ):
+            raise ValueError(f"the client with seed {seed} is not a member of this cohort")
+        if self._trained is None:
+            self._trained = train_clients(self._start, self._spec, self._dataset, self._shards, self._seeds)
+        return self._trained[k]
+
+
+def train_local(
+    start: ParamVector,
+    spec: LocalModelSpec,
+    dataset: Dataset,
+    indices: np.ndarray | list[int],
+    seed: int,
+    cohort: Cohort | None = None,
+) -> ParamVector:
+    """One client's weights after mini-batch descent from `start` on the rows `indices`.
+
+    Without `cohort` the client trains alone. As a member of `cohort` it trains
+    in lockstep with the other members (see `Cohort`). The weights are the
+    same bytes either way.
+    """
+    if cohort is None:
+        return train_clients(start, spec, dataset, [indices], [seed])[0]
+    return cohort.trained(start, spec, dataset, indices, seed)
 
 
 def build_report(

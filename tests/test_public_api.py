@@ -47,6 +47,7 @@ PUBLIC_API = [
     "select_clients",
     "split",
     "train_clients",
+    "train_local",
     "update_weights",
     "weighted_sum",
     "zeros",

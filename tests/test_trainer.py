@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedmesh.trainer
 from fedmesh.data import Dataset, generate_synthetic
 from fedmesh.metrics import binary_metrics
 from fedmesh.params import ParamVector
@@ -10,11 +11,13 @@ from fedmesh.selection import estimate_metrics
 from fedmesh.trainer import (
     AdversaryBehavior,
     ClientReport,
+    Cohort,
     LocalModelSpec,
     build_report,
     gradient,
     predict_proba,
     train_clients,
+    train_local,
 )
 
 
@@ -45,11 +48,6 @@ def train_local_oracle(start, spec, dataset, indices, seed):
 
 
 ORACLE_DATASET = generate_synthetic(160, 10, 0.5, seed=12)
-
-
-def train_one(start, spec, dataset, indices, seed):
-    (trained,) = train_clients(start, spec, dataset, [indices], [seed])
-    return trained
 
 
 @st.composite
@@ -92,7 +90,7 @@ class TestTrainLocal:
         losses = []
         for epochs in range(101):
             spec = LocalModelSpec(input_dim=1, learning_rate=0.5, local_epochs=epochs, batch_size=2)
-            w = train_one(start, spec, two_point_dataset, idx, seed=0)
+            w = train_local(start, spec, two_point_dataset, idx, seed=0)
             losses.append(bce_loss(w, feats, labs))
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
@@ -152,10 +150,10 @@ class TestTrainLocal:
     def test_deterministic_given_seed(self, small_dataset):
         spec = LocalModelSpec(input_dim=10, learning_rate=0.2, local_epochs=5, batch_size=16)
         start = ParamVector(np.zeros(11))
-        a = train_one(start, spec, small_dataset, np.arange(80), seed=9)
-        b = train_one(start, spec, small_dataset, np.arange(80), seed=9)
+        a = train_local(start, spec, small_dataset, np.arange(80), seed=9)
+        b = train_local(start, spec, small_dataset, np.arange(80), seed=9)
         assert a.values.tobytes() == b.values.tobytes()
-        c = train_one(start, spec, small_dataset, np.arange(80), seed=10)
+        c = train_local(start, spec, small_dataset, np.arange(80), seed=10)
         assert a.values.tobytes() != c.values.tobytes()
 
     def test_empty_client_rejected(self, small_dataset):
@@ -168,12 +166,81 @@ class TestTrainLocal:
         with pytest.raises(ValueError, match="seeds"):
             train_clients(start, spec, small_dataset, [np.arange(5)], [0, 1])
 
+    def test_batch_size_far_above_shard_sizes(self, small_dataset):
+        # full-batch descent: the step buffers are sized by the shards, not by batch_size
+        spec = LocalModelSpec(input_dim=10, learning_rate=0.3, local_epochs=4, batch_size=10**7)
+        start = ParamVector(np.random.default_rng(2).normal(size=11))
+        shards = [np.arange(3), np.arange(40, 200), np.arange(7, 47)]
+        got = train_clients(start, spec, small_dataset, shards, [11, 12, 13])
+        for trained, rows, seed in zip(got, shards, [11, 12, 13]):
+            want = train_local_oracle(start, spec, small_dataset, rows, seed)
+            assert trained.values.tobytes() == want.tobytes()
+
     def test_training_actually_fits(self, small_dataset):
         spec = LocalModelSpec(input_dim=10, learning_rate=0.5, local_epochs=30)
-        w = train_one(ParamVector(np.zeros(11)), spec, small_dataset, np.arange(200), seed=4)
+        w = train_local(ParamVector(np.zeros(11)), spec, small_dataset, np.arange(200), seed=4)
         probs = predict_proba(w, small_dataset.features)
         acc = np.mean((probs >= 0.5) == small_dataset.labels)
         assert acc > 0.8
+
+
+class TestCohort:
+    SHARDS = [np.arange(0, 50), np.arange(60, 67), np.arange(100, 164)]
+    SEEDS = [7, 8, 9]
+
+    def test_members_train_once_and_match_training_alone(self, small_dataset, monkeypatch):
+        spec = LocalModelSpec(input_dim=10, learning_rate=0.4, local_epochs=3, batch_size=16)
+        start = ParamVector(np.random.default_rng(3).normal(size=11))
+        alone = [train_local(start, spec, small_dataset, i, s) for i, s in zip(self.SHARDS, self.SEEDS)]
+        runs = []
+        train_clients_ = fedmesh.trainer.train_clients
+
+        def recording(*args):
+            runs.append(args)
+            return train_clients_(*args)
+
+        monkeypatch.setattr(fedmesh.trainer, "train_clients", recording)
+        cohort = Cohort(start, spec, small_dataset, self.SHARDS, self.SEEDS)
+        assert runs == []
+        # asked for in any order, each member gets the bytes it gets alone, from one lockstep run
+        for k in (2, 0, 1, 2):
+            got = train_local(start, spec, small_dataset, self.SHARDS[k].copy(), self.SEEDS[k], cohort)
+            want = train_local_oracle(start, spec, small_dataset, self.SHARDS[k], self.SEEDS[k])
+            assert got.values.tobytes() == alone[k].values.tobytes() == want.tobytes()
+        assert len(runs) == 1
+
+    def test_non_members_rejected(self, small_dataset):
+        spec = LocalModelSpec(input_dim=10)
+        start = ParamVector(np.zeros(11))
+        cohort = Cohort(start, spec, small_dataset, self.SHARDS, self.SEEDS)
+        calls = [
+            (start, spec, small_dataset, self.SHARDS[0], 99),
+            (start, spec, small_dataset, self.SHARDS[1], self.SEEDS[0]),
+            (ParamVector(np.zeros(11)), spec, small_dataset, self.SHARDS[0], self.SEEDS[0]),
+            (start, LocalModelSpec(input_dim=10, batch_size=8), small_dataset, self.SHARDS[0], self.SEEDS[0]),
+            (start, spec, generate_synthetic(200, 10, 0.5, seed=21), self.SHARDS[0], self.SEEDS[0]),
+        ]
+        for args in calls:
+            with pytest.raises(ValueError, match="not a member"):
+                train_local(*args, cohort)
+        with pytest.raises(ValueError, match="distinct seeds"):
+            Cohort(start, spec, small_dataset, self.SHARDS, [1, 2, 1])
+        with pytest.raises(ValueError, match="seeds"):
+            Cohort(start, spec, small_dataset, self.SHARDS, [1, 2])
+
+    def test_a_diverged_member_is_named_by_its_position(self, small_dataset):
+        # only the second member's rows are huge, so only it overflows; any member's call reports it
+        features = small_dataset.features.copy()
+        features[self.SHARDS[1]] *= 1e200
+        data = Dataset(features, small_dataset.labels, name="one huge shard")
+        spec = LocalModelSpec(input_dim=10, learning_rate=1e200, local_epochs=2)
+        start = ParamVector(np.zeros(11))
+        cohort = Cohort(start, spec, data, self.SHARDS, self.SEEDS)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(fedmesh.trainer.DivergedError) as info:
+                train_local(start, spec, data, self.SHARDS[2], self.SEEDS[2], cohort)
+            assert info.value.index == 1
+            train_local(start, spec, data, self.SHARDS[0], self.SEEDS[0])
 
 
 class TestBuildReport:
