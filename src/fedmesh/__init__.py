@@ -18,7 +18,7 @@ from .orchestrator import (
     inject_edge_failure,
     run,
 )
-from .params import ParamVector, clip_elementwise, clip_l2, l2_diff_norm, weighted_sum, zeros
+from .params import ParamVector, clip_elementwise, clip_l2, weighted_sum, zeros
 from .secagg import (
     CipherVector,
     FixedPointCodec,
@@ -38,7 +38,7 @@ from .selection import (
     select_clients,
     update_weights,
 )
-from .trainer import AdversaryBehavior, ClientReport, LocalModelSpec, build_report, train_clients, train_local
+from .trainer import AdversaryBehavior, ClientReports, LocalModelSpec, build_report, train_clients, train_local
 
 __all__ = [
     "AdversaryAssignment",
@@ -46,7 +46,7 @@ __all__ = [
     "BinaryMetrics",
     "CipherVector",
     "ClientEvaluation",
-    "ClientReport",
+    "ClientReports",
     "CrossEdgeConfig",
     "DataConfig",
     "Dataset",
@@ -80,7 +80,6 @@ __all__ = [
     "inject_edge_failure",
     "jain_fairness",
     "keygen",
-    "l2_diff_norm",
     "partition_noniid",
     "run",
     "score",

@@ -71,17 +71,28 @@ class Partition:
         return sorted(self.assignments[edge_id])
 
     def validate(self) -> None:
-        """Check that no sample row is held twice, within or across clients."""
-        seen: set[int] = set()
-        for clients in self.assignments.values():
-            for cid, rows in clients.items():
-                rows_list = [int(r) for r in rows]
-                if len(set(rows_list)) != len(rows_list):
-                    raise ValueError(f"client {cid} holds duplicate sample indices")
-                overlap = seen.intersection(rows_list)
-                if overlap:
-                    raise ValueError(f"sample indices assigned to two clients: {sorted(overlap)[:5]}")
-                seen.update(rows_list)
+        """Check that no sample row is held twice, within or across clients.
+
+        Clients are checked in order, each against itself and then against
+        the clients before it; the first offender is named."""
+        held = [np.asarray(rows, dtype=np.int64) for clients in self.assignments.values() for rows in clients.values()]
+        cids = [cid for clients in self.assignments.values() for cid in clients]
+        if not held:
+            return
+        rows = np.concatenate(held)
+        owner = np.repeat(np.arange(len(held)), [r.size for r in held])
+        order = np.argsort(rows, kind="stable")  # equal rows stay in holding order
+        rows, owner = rows[order], owner[order]
+        repeat = np.flatnonzero(rows[1:] == rows[:-1])
+        if not repeat.size:
+            return
+        # every repeat of a row is held by its later holder; the first such holder errs first
+        later, earlier = owner[repeat + 1], owner[repeat]
+        k = int(later.min())
+        if np.any((later == k) & (earlier == k)):
+            raise ValueError(f"client {cids[k]} holds duplicate sample indices")
+        overlap = np.unique(rows[repeat + 1][later == k])
+        raise ValueError(f"sample indices assigned to two clients: {overlap[:5].tolist()}")
 
 
 def generate_synthetic(
@@ -146,18 +157,17 @@ def partition_noniid(
     rng = np.random.default_rng(seed)
     class_rows = [np.flatnonzero(d.labels == c) for c in (0, 1)]
 
-    # per client, per class lists of row indices
-    holdings: list[list[list[int]]] = [[[], []] for _ in range(n_clients)]
+    # per client, per class row indices
+    empty = np.array([], dtype=np.int64)
+    holdings: list[list[np.ndarray]] = [[empty, empty] for _ in range(n_clients)]
     for cls, rows in enumerate(class_rows):
         if len(rows) == 0:
             continue
         shuffled = rng.permutation(rows)
         proportions = rng.dirichlet([dirichlet_alpha] * n_clients)
         counts = _largest_remainder_counts(proportions, len(rows))
-        start = 0
-        for j, cnt in enumerate(counts):
-            holdings[j][cls].extend(int(r) for r in shuffled[start : start + cnt])
-            start += cnt
+        for j, part in enumerate(np.split(shuffled, np.cumsum(counts)[:-1])):
+            holdings[j][cls] = part
     _repair_starved_clients(holdings)
 
     assignments: dict[int, dict[int, np.ndarray]] = {}
@@ -165,17 +175,17 @@ def partition_noniid(
         assignments[e] = {}
         for k in range(clients_per_edge):
             cid = e * clients_per_edge + k
-            rows = holdings[cid][0] + holdings[cid][1]
-            assignments[e][cid] = np.sort(np.asarray(rows, dtype=np.int64))
+            assignments[e][cid] = np.sort(np.concatenate(holdings[cid]))
     return Partition(assignments)
 
 
-def _repair_starved_clients(holdings: list[list[list[int]]]) -> None:
+def _repair_starved_clients(holdings: list[list[np.ndarray]]) -> None:
     """Top up clients lacking 2 samples of every class from the richest donor.
 
     Extreme Dirichlet draws routinely leave a few clients nearly empty; moving
     a handful of samples deterministically keeps the draw's skew while meeting
-    the minimum client size. Donors keep at least 2 samples of the class.
+    the minimum client size. Each move takes the donor's last row of the
+    class. Donors keep at least 2 samples of the class.
     """
     for cid, classes in enumerate(holdings):
         if max(len(classes[0]), len(classes[1])) >= 2:
@@ -187,9 +197,11 @@ def _repair_starved_clients(holdings: list[list[list[int]]]) -> None:
                     (d for d in range(len(holdings)) if d != cid),
                     key=lambda d: len(holdings[d][cls]),
                 )
-                if len(holdings[donor][cls]) <= 2:
+                given = holdings[donor][cls]
+                if len(given) <= 2:
                     break  # donors exhausted for this class, try the other
-                classes[cls].append(holdings[donor][cls].pop())
+                classes[cls] = np.append(classes[cls], given[-1])
+                holdings[donor][cls] = given[:-1]
             if len(classes[cls]) >= 2:
                 filled = True
                 break

@@ -53,8 +53,11 @@ def _f1(tp: int, fp: int, fn: int) -> float:
 
 
 def _midrank_auroc(probs: np.ndarray, labels: np.ndarray) -> float:
-    """AUROC via the rank-sum statistic; ties get the mean of their ranks."""
-    order = np.argsort(probs, kind="stable")
+    """AUROC via the rank-sum statistic; ties get the mean of their ranks.
+
+    A tie group's midrank does not depend on the order within the group, so
+    any sort order gives the same ranks."""
+    order = np.argsort(probs)
     sorted_probs = probs[order]
     # tie groups are maximal runs of equal sorted values, [starts[g], ends[g]]
     breaks = np.flatnonzero(sorted_probs[1:] != sorted_probs[:-1])

@@ -25,7 +25,7 @@ from .metrics import BinaryMetrics, RoundRecord, binary_metrics, jain_fairness
 from .params import ParamVector, zeros
 from .secagg import FixedPointCodec
 from .selection import ScoreWeights, SelectionConfig
-from .trainer import AdversaryBehavior, ClientReport, LocalModelSpec
+from .trainer import AdversaryBehavior, ClientReports, LocalModelSpec
 
 logger = logging.getLogger(__name__)
 
@@ -202,15 +202,16 @@ class _SecureEdgeAggregator:
 
     def mean_update(
         self,
-        deltas: Sequence[ParamVector],
+        deltas: np.ndarray,
         weights: Sequence[int] | None,
         divisor: int,
         noise_seed: int,
     ) -> ParamVector:
+        """Release the (weighted) mean of the deltas, one client update per row."""
         cfg = self.cfg
         clip_val = math.inf if cfg.clip_val is None else cfg.clip_val
         if cfg.enabled:
-            ciphers = [secagg.encrypt_update(d, self.codec, self.public_key) for d in deltas]
+            ciphers = [secagg.encrypt_update(ParamVector(d), self.codec, self.public_key) for d in deltas]
             agg = secagg.aggregate_encrypted(ciphers, self.public_key, weights, self.codec.max_participants)
             return secagg.finalize_edge_update(
                 agg, self.private_key, self.codec, divisor, clip_val, cfg.noise_multiplier, cfg.mechanism, noise_seed
@@ -360,15 +361,17 @@ def run(config: SimulationConfig, dataset: Dataset, evaluator: Evaluator | None 
         if not alive:
             raise RuntimeError(f"all edges failed in round {round_no}")
 
-        # the clients of every alive edge train as one lockstep cohort
+        # the clients of every alive edge train as one lockstep cohort, stacked one row each
         cids = [cid for e in alive for cid in edge_clients[e]]
         train_seeds = [derive_seed(seed, "train", round_no, cid) for cid in cids]
         cohort = trainer.Cohort(global_model, spec, d_train, [client_train[cid] for cid in cids], train_seeds)
         try:
-            trained_by_id = {
-                cid: trainer.train_local(global_model, spec, d_train, client_train[cid], s, cohort)
-                for cid, s in zip(cids, train_seeds)
-            }
+            trained = np.stack(
+                [
+                    trainer.train_local(global_model, spec, d_train, client_train[cid], s, cohort).values
+                    for cid, s in zip(cids, train_seeds)
+                ]
+            )
         except trainer.DivergedError as exc:
             raise ValueError(
                 f"round {round_no}, client {cids[exc.index]}: trained weights are not finite"
@@ -379,25 +382,30 @@ def run(config: SimulationConfig, dataset: Dataset, evaluator: Evaluator | None 
         round_inconsistent: set[int] = set()
         round_outliers: set[int] = set()
         used_weights: dict[int, tuple[float, float, float]] = {}
+        first_row = 0
         for e in alive:
-            reports = []
-            for cid in edge_clients[e]:
-                reports.append(
-                    trainer.build_report(
-                        cid,
-                        trained_by_id[cid],
-                        global_model,
-                        spec,
-                        len(client_train[cid]),
-                        security[cid],
-                        adversary_map.get(cid),
-                        np.random.default_rng(derive_seed(seed, "behavior", round_no, cid)),
-                    )
-                )
-
-            selected_ids, evaluations = _select_for_mode(
-                config, sel_cfg, reports, global_model, score_weights, e, round_no, seed
+            ids = edge_clients[e]  # ascending, so a client's report row is found by searchsorted
+            reports = trainer.build_report(
+                ids,
+                trained[first_row : first_row + len(ids)],
+                global_model,
+                spec,
+                [len(client_train[cid]) for cid in ids],
+                [security[cid] for cid in ids],
+                adversary_map,
+                lambda cid: np.random.default_rng(derive_seed(seed, "behavior", round_no, cid)),
             )
+            first_row += len(ids)
+
+            try:
+                selected_ids, evaluations = _select_for_mode(
+                    config, sel_cfg, reports, global_model, score_weights, e, round_no, seed
+                )
+            except selection.NonFiniteMetric as exc:
+                raise ValueError(
+                    f"round {round_no}, client {exc.client_id}: {exc.detail}"
+                    f" (trainer.learning_rate={spec.learning_rate})"
+                ) from exc
             round_inconsistent.update(
                 ev.client_id for ev in evaluations if selection.FLAG_INCONSISTENT in ev.flags
             )
@@ -407,37 +415,33 @@ def run(config: SimulationConfig, dataset: Dataset, evaluator: Evaluator | None 
             weights_now = score_weights[e]
             if weights_now is not None:
                 used_weights[e] = weights_now.as_tuple()
-            events.append(_selection_event(config, round_no, e, weights_now, selected_ids, evaluations))
-
-            if evaluations and config.baseline_mode == "fedselect_me":
-                means = (
-                    float(np.mean([ev.estimated_utility for ev in evaluations])),
-                    float(np.mean([ev.estimated_energy for ev in evaluations])),
-                    float(np.mean([ev.security_index for ev in evaluations])),
+                score_weights[e] = selection.update_weights(
+                    weights_now,
+                    (
+                        float(np.mean([ev.estimated_utility for ev in evaluations])),
+                        float(np.mean([ev.estimated_energy for ev in evaluations])),
+                        float(np.mean([ev.security_index for ev in evaluations])),
+                    ),
+                    sel_cfg.eta,
                 )
-                assert weights_now is not None
-                score_weights[e] = selection.update_weights(weights_now, means, sel_cfg.eta)
+            events.append(_selection_event(config, round_no, e, weights_now, selected_ids, evaluations))
 
             if not selected_ids:
                 logger.warning("round %d edge %d: no clients selected, edge skipped", round_no, e)
                 continue
-            by_id = {r.client_id: r for r in reports}
-            deltas = [by_id[cid].weights - global_model for cid in selected_ids]
+            rows = np.searchsorted(reports.client_ids, selected_ids)
+            counts = reports.sample_count[rows]
             if single_edge:
-                int_weights = [by_id[cid].sample_count for cid in selected_ids]
+                int_weights = counts.tolist()
                 divisor = sum(int_weights)
             else:
                 int_weights = None
                 divisor = len(selected_ids)
             mean_update = aggregators[e].mean_update(
-                deltas, int_weights, divisor, derive_seed(seed, "dp", round_no, e)
+                reports.weights[rows] - global_model.values, int_weights, divisor, derive_seed(seed, "dp", round_no, e)
             )
             edge_updates.append(
-                EdgeUpdate(
-                    edge_id=e,
-                    local_model=global_model + mean_update,
-                    sample_count=sum(by_id[cid].sample_count for cid in selected_ids),
-                )
+                EdgeUpdate(edge_id=e, local_model=global_model + mean_update, sample_count=int(counts.sum()))
             )
 
         if not edge_updates:
@@ -497,29 +501,28 @@ def run(config: SimulationConfig, dataset: Dataset, evaluator: Evaluator | None 
 def _select_for_mode(
     config: SimulationConfig,
     sel_cfg: SelectionConfig,
-    reports: list[ClientReport],
+    reports: ClientReports,
     edge_model: ParamVector,
     score_weights: dict[int, ScoreWeights | None],
     edge_id: int,
     round_no: int,
     seed: int,
 ) -> tuple[list[int], list[selection.ClientEvaluation]]:
+    ids = sorted(reports.client_ids.tolist())
     if config.baseline_mode == "no_selection":
-        return [r.client_id for r in sorted(reports, key=lambda r: r.client_id)], []
+        return ids, []
     if config.baseline_mode == "fedavg_single":
-        ids = sorted(r.client_id for r in reports)
         k = min(sel_cfg.capacity_k, len(ids))
         rng = np.random.default_rng(derive_seed(seed, "sample", round_no))
         return sorted(int(c) for c in rng.choice(ids, size=k, replace=False)), []
 
-    if score_weights[edge_id] is None:
-        triples = []
-        for r in sorted(reports, key=lambda r: r.client_id):
-            u, en = selection.estimate_metrics(r, edge_model, sel_cfg.energy_alpha, sel_cfg.energy_beta)
-            triples.append((u, en, r.security_index))
-        score_weights[edge_id] = selection.grid_search_init(triples, sel_cfg.grid_step)
     weights = score_weights[edge_id]
-    assert weights is not None
+    if weights is None:
+        utility, energy = selection.estimate_metrics(reports, edge_model, sel_cfg.energy_alpha, sel_cfg.energy_beta)
+        weights = selection.grid_search_init(
+            np.column_stack([utility, energy, reports.security_index]), sel_cfg.grid_step
+        )
+        score_weights[edge_id] = weights
     return selection.select_clients(reports, edge_model, weights, sel_cfg)
 
 

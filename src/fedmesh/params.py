@@ -24,7 +24,7 @@ class ParamVector:
         arr = np.array(self.values, dtype=np.float64, copy=True)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError(f"ParamVector requires a nonempty 1-D vector, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("ParamVector entries must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -56,14 +56,16 @@ def _check_dims(a: ParamVector, b: ParamVector) -> None:
         raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
 
 
-def l2_diff_norm(a: ParamVector, b: ParamVector) -> float:
-    """Summed per-parameter norm of the difference between two weight vectors.
+def l2_diff_norm(rows: np.ndarray, reference: ParamVector) -> np.ndarray:
+    """Summed per-parameter norm of each row's difference from `reference`.
 
-    Every scalar entry counts as its own parameter, so the result is
-    sum(|a_k - b_k|).
+    Every scalar entry counts as its own parameter, so row i gives
+    sum_k |rows[i, k] - reference_k|: the same float as summing that row alone.
     """
-    _check_dims(a, b)
-    return float(np.sum(np.abs(a.values - b.values)))
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != reference.dim:
+        raise ValueError(f"dimension mismatch: rows of shape {rows.shape}, reference of dim {reference.dim}")
+    return np.abs(rows - reference.values).sum(axis=1)
 
 
 def weighted_sum(terms: Sequence[tuple[float, ParamVector]]) -> ParamVector:

@@ -12,11 +12,12 @@ factorization. Randomness is drawn from a seeded PRNG so simulations reproduce
 bit-for-bit; this trades cryptographic-grade randomness for determinism, which
 is the point of the simulator, not a deployment posture.
 
-Real-valued updates are quantized by a fixed-point codec, q = round(x *
-scale), and packed BatchCrypt-style into signed fixed-width slots: with
-need = scale.bit_length() + max_participants.bit_length() + 12 bits of value
-headroom, a b-bit modulus holds k = max(1, (b - 2) // need) slots of
-W = (b - 2) // k bits, and the plaintext is m = sum_j q_j * 2^(W*j) mod n.
+Real-valued updates are quantized by a fixed-point codec, q = x * scale
+rounded half to even, and packed BatchCrypt-style into signed fixed-width
+slots: with need = scale.bit_length() + max_participants.bit_length() + 12
+bits of value headroom, a b-bit modulus holds k = max(1, (b - 2) // need)
+slots of W = (b - 2) // k bits, and the plaintext is
+m = sum_j q_j * 2^(W*j) mod n.
 Packing is linear, so ciphertext products and scalar powers encrypt the packed
 weighted sum, and decryption lifts m to a signed integer and peels balanced
 base-2^W digits. An element is refused with OverflowError unless
@@ -47,6 +48,7 @@ _MILLER_RABIN_ROUNDS = 40
 _KEYGEN_RETRIES = 10_000
 _SIEVE_LIMIT = 4096
 _SLOT_HEADROOM_BITS = 12
+_INT64_SUM_MAX_WIDTH = 64
 
 
 class KeyGenerationError(RuntimeError):
@@ -165,7 +167,7 @@ def keygen(key_bits: int = DEFAULT_KEY_BITS, seed: int = 0) -> tuple[PaillierPub
 
 @dataclass(frozen=True)
 class FixedPointCodec:
-    """Maps reals to integers, round(x * scale), and lays them out in slots.
+    """Maps reals to integers, x * scale rounded half to even, and lays them out in slots.
 
     max_participants bounds the total weight of the values summed before
     decoding; check_headroom refuses elements that could carry out of their
@@ -179,9 +181,14 @@ class FixedPointCodec:
         if self.scale < 1 or self.max_participants < 1:
             raise ValueError("scale and max_participants must be positive")
 
-    def quantize(self, x: float) -> int:
-        """The fixed-point integer of x; the only place the format is defined."""
-        return round(x * self.scale)
+    def quantize(self, x: np.ndarray) -> np.ndarray:
+        """The fixed-point integers of x, as integral floats: x * scale rounded
+        half to even. The only place the format is defined."""
+        return np.rint(np.asarray(x, dtype=np.float64) * self.scale)
+
+    def decode(self, totals: Sequence[int]) -> np.ndarray:
+        """Reals from (summed) fixed-point integers, each correctly rounded."""
+        return np.array([t / self.scale for t in totals])
 
     def layout(self, modulus_bits: int) -> tuple[int, int]:
         """(slots per plaintext, slot width in bits) for a modulus_bits-bit n."""
@@ -189,18 +196,25 @@ class FixedPointCodec:
         slots = max(1, (modulus_bits - 2) // need)
         return slots, (modulus_bits - 2) // slots
 
-    def check_headroom(self, values: np.ndarray, width: int) -> list[int]:
-        """Quantize values, refusing any whose max_participants-fold sum could
-        leave a signed width-bit slot: |q| * max_participants < 2^(width-1)."""
+    def check_headroom(self, values: np.ndarray, width: int) -> np.ndarray:
+        """Quantize values (one update per row), refusing any element whose
+        max_participants-fold sum could leave a signed width-bit slot:
+        |q| * max_participants < 2^(width-1), compared in exact integers."""
+        quantized = self.quantize(values)
         limit = 1 << (width - 1)
-        quantized = [self.quantize(float(x)) for x in values]
-        for i, q in enumerate(quantized):
-            if abs(q) * self.max_participants >= limit:
-                raise OverflowError(
-                    f"element {i} ({values[i]}) exceeds the {width}-bit slot headroom for "
-                    f"{self.max_participants} participants at scale {self.scale}"
-                )
-        return quantized
+        peak = float(np.max(np.abs(quantized), initial=0.0))
+        if math.isfinite(peak) and int(peak) * self.max_participants < limit:
+            return quantized
+        # the first refused element in row order; the peak guarantees there is one
+        k = next(
+            k
+            for k, q in enumerate(quantized.reshape(-1).tolist())
+            if not math.isfinite(q) or abs(int(q)) * self.max_participants >= limit
+        )
+        raise OverflowError(
+            f"element {k % quantized.shape[-1]} ({np.asarray(values).reshape(-1)[k]}) exceeds the {width}-bit "
+            f"slot headroom for {self.max_participants} participants at scale {self.scale}"
+        )
 
 
 @dataclass(frozen=True)
@@ -237,7 +251,7 @@ def encrypt_update(v: ParamVector, codec: FixedPointCodec, public_key: PaillierP
     """Quantize, pack into slots and encrypt; rejects values that could carry."""
     n = public_key.n
     slots, width = codec.layout(n.bit_length())
-    quantized = codec.check_headroom(v.values, width)
+    quantized = [int(q) for q in codec.check_headroom(v.values, width).tolist()]
     cts = tuple(
         public_key.raw_encrypt(sum(q << (width * j) for j, q in enumerate(quantized[i : i + slots])) % n)
         for i in range(0, len(quantized), slots)
@@ -291,23 +305,34 @@ def decrypt_vector(
             digit = ((m + half) & mask) - half
             totals.append(digit)
             m = (m - digit) >> width
-    return np.array([t / codec.scale for t in totals])
+    return codec.decode(totals)
 
 
 def sum_quantized(
-    updates: Sequence[ParamVector],
+    updates: np.ndarray,
     codec: FixedPointCodec,
     key_bits: int,
     weights: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Bit-exact plaintext twin of decrypt_vector(aggregate_encrypted(...)) under
-    a key_bits-bit key: the same headroom refusals, then the weighted quantized
-    sum in Python ints, which never wrap, decoded."""
+    a key_bits-bit key, for updates stacked one per row: the same headroom
+    refusals, then the weighted quantized sum, decoded.
+
+    The headroom check bounds every partial sum by 2^(width-1), so int64 sums
+    are exact for slots of at most _INT64_SUM_MAX_WIDTH bits; wider slots are
+    summed in Python ints, which never wrap.
+    """
+    if np.ndim(updates) != 2:
+        raise ValueError("updates must be stacked one per row")
     _, width = codec.layout(key_bits)
-    rows = [codec.check_headroom(u.values, width) for u in updates]
-    coeffs = _coefficients(len(updates), weights, codec.max_participants)
-    totals = [sum(c * q for c, q in zip(coeffs, column)) for column in zip(*rows, strict=True)]
-    return np.array([t / codec.scale for t in totals])
+    quantized = codec.check_headroom(updates, width)
+    coeffs = _coefficients(len(quantized), weights, codec.max_participants)
+    if width <= _INT64_SUM_MAX_WIDTH:
+        totals = (np.array(coeffs, dtype=np.int64) @ quantized.astype(np.int64)).tolist()
+    else:
+        rows = [[int(q) for q in row] for row in quantized.tolist()]
+        totals = [sum(c * q for c, q in zip(coeffs, column)) for column in zip(*rows)]
+    return codec.decode(totals)
 
 
 def release(

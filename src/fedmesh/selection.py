@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .params import ParamVector, l2_diff_norm
-from .trainer import DEFAULT_ENERGY_ALPHA, DEFAULT_ENERGY_BETA, ClientReport
+from .trainer import DEFAULT_ENERGY_ALPHA, DEFAULT_ENERGY_BETA, ClientReports
 
 logger = logging.getLogger(__name__)
 
@@ -88,32 +88,55 @@ class SelectionConfig:
             raise ValueError("default_security_index must lie in [0, 1]")
 
 
+class NonFiniteMetric(ValueError):
+    """A client's utility or energy, or the edge's running sum of one, is not finite."""
+
+    def __init__(self, client_id: int, detail: str):
+        super().__init__(f"client {client_id}: {detail}")
+        self.client_id = client_id
+        self.detail = detail
+
+
+def _require_finite(client_ids: np.ndarray, quantity: str, values: np.ndarray, summed: bool = False) -> None:
+    """Refuse the first client whose value is not finite or, when the edge
+    averages the values (`summed`), whose addition takes their running sum out
+    of range."""
+    finite = np.isfinite(np.cumsum(values) if summed else values)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        detail = "is not finite" if not math.isfinite(values[k]) else f"makes the edge's total {quantity} overflow"
+        raise NonFiniteMetric(int(client_ids[k]), f"{quantity} {values[k]} {detail}")
+
+
 def estimate_metrics(
-    report: ClientReport,
+    reports: ClientReports,
     edge_weights: ParamVector,
     alpha: float = DEFAULT_ENERGY_ALPHA,
     beta: float = DEFAULT_ENERGY_BETA,
-) -> tuple[float, float]:
-    """Edge's own estimate of a client's utility and energy.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Edge's own estimate of each client's utility and energy, row by row.
 
     Utility is the summed per-parameter norm between the uploaded weights and
     the edge model the client trained from; energy is the sample/model-size
-    surrogate alpha * N_i + beta * P.
+    surrogate alpha * N_i + beta * P. Both must stay finite, summed over the
+    edge's clients too (NonFiniteMetric names the client otherwise).
     """
-    utility = l2_diff_norm(report.weights, edge_weights)
-    energy = alpha * report.sample_count + beta * report.weights.dim
+    utility = l2_diff_norm(reports.weights, edge_weights)
+    energy = alpha * reports.sample_count + beta * edge_weights.dim
+    _require_finite(reports.client_ids, "estimated utility", utility, summed=True)
+    _require_finite(reports.client_ids, "estimated energy", energy, summed=True)
     return utility, energy
 
 
-def consistency_check(reported: float, estimated: float) -> float:
-    """Bounded discrepancy |x/(1+x) - y/(1+y)| in [0, 1); 0 iff the values agree."""
-    if reported < 0 or estimated < 0:
+def consistency_check(reported, estimated):
+    """Bounded discrepancy |x/(1+x) - y/(1+y)| in [0, 1), elementwise; 0 iff the values agree."""
+    if np.any(np.less(reported, 0)) or np.any(np.less(estimated, 0)):
         raise ValueError("consistency_check requires nonnegative inputs")
     return abs(reported / (1.0 + reported) - estimated / (1.0 + estimated))
 
 
-def score(eval_metrics: tuple[float, float, float], weights: ScoreWeights) -> float:
-    """Ranking score w1*U - w2*E + w3*S; higher is better."""
+def score(eval_metrics, weights: ScoreWeights):
+    """Ranking score w1*U - w2*E + w3*S, elementwise; higher is better."""
     u, e, s = eval_metrics
     return weights.w_utility * u - weights.w_energy * e + weights.w_security * s
 
@@ -142,17 +165,20 @@ def grid_search_init(
     utility while penalizing a scoring that spreads clients far apart. Ties go
     to the lexicographically smallest (w1, w2, w3).
     """
-    if not evaluations:
+    triples = np.asarray(evaluations, dtype=np.float64).reshape(-1, 3)
+    if not triples.size:
         raise ValueError("grid_search_init requires at least one evaluation")
+    u, e, s = triples.T
     best: ScoreWeights | None = None
     best_objective = -math.inf
     for candidate in simplex_grid(grid_step):  # enumeration order is lexicographic
-        scores = np.array([score(m, candidate) for m in evaluations])
+        scores = score((u, e, s), candidate)
         objective = float(scores.mean() - scores.std())
         if objective > best_objective:
             best_objective = objective
             best = candidate
-    assert best is not None
+    if best is None:
+        raise ValueError("grid_search_init: no score weights give a finite objective for these evaluations")
     return best
 
 
@@ -187,7 +213,7 @@ def update_weights(
 
 
 def select_clients(
-    reports: Sequence[ClientReport],
+    reports: ClientReports,
     edge_weights: ParamVector,
     weights: ScoreWeights,
     config: SelectionConfig,
@@ -198,40 +224,49 @@ def select_clients(
     estimates beyond the consistency threshold. Step 2 drops clients whose
     score is a two-sided z-outlier among the remaining pool (skipped for pools
     smaller than 4). Survivors are ranked by score descending with client id
-    as the tie-break; all evaluations are returned for auditing.
+    as the tie-break; all evaluations, in client id order, are returned for
+    auditing. Every metric must be finite (NonFiniteMetric names the client
+    otherwise); finite utility and energy keep the score finite.
     """
-    if not reports:
+    if not len(reports.client_ids):
         raise ValueError("select_clients requires at least one report")
+    by_id = np.argsort(reports.client_ids, kind="stable")
+    ids = reports.client_ids[by_id]
+    est_u, est_e = estimate_metrics(reports, edge_weights, config.energy_alpha, config.energy_beta)
+    est_u, est_e = est_u[by_id], est_e[by_id]
+    reported_u, reported_e = reports.reported_utility[by_id], reports.reported_energy[by_id]
+    _require_finite(ids, "reported utility", reported_u)
+    _require_finite(ids, "reported energy", reported_e)
+    security = reports.security_index[by_id]
+    delta_u = consistency_check(reported_u, est_u)
+    delta_e = consistency_check(reported_e, est_e)
+    scores = score((est_u, est_e, security), weights)
+    inconsistent = np.maximum(delta_u, delta_e) > config.consistency_threshold
 
-    evaluations = []
-    for report in sorted(reports, key=lambda r: r.client_id):
-        est_u, est_e = estimate_metrics(report, edge_weights, config.energy_alpha, config.energy_beta)
-        delta_u = consistency_check(report.reported_utility, est_u)
-        delta_e = consistency_check(report.reported_energy, est_e)
-        ev = ClientEvaluation(
-            client_id=report.client_id,
-            estimated_utility=est_u,
-            estimated_energy=est_e,
-            security_index=report.security_index,
-            delta_u=delta_u,
-            delta_e=delta_e,
-            score=score((est_u, est_e, report.security_index), weights),
-        )
-        if max(delta_u, delta_e) > config.consistency_threshold:
-            ev.flags.add(FLAG_INCONSISTENT)
-        evaluations.append(ev)
-
-    survivors = [ev for ev in evaluations if FLAG_INCONSISTENT not in ev.flags]
-    if len(survivors) >= _MIN_POOL_FOR_OUTLIERS:
-        scores = np.array([ev.score for ev in survivors])
-        std = float(scores.std())
+    outlier = np.zeros_like(inconsistent)
+    pool = np.flatnonzero(~inconsistent)
+    if pool.size >= _MIN_POOL_FOR_OUTLIERS:
+        std = float(scores[pool].std())
         if std > 0.0:
-            mean = float(scores.mean())
-            for ev in survivors:
-                if abs(ev.score - mean) / std > config.outlier_z_threshold:
-                    ev.flags.add(FLAG_SCORE_OUTLIER)
-        survivors = [ev for ev in survivors if FLAG_SCORE_OUTLIER not in ev.flags]
+            outlier[pool] = np.abs(scores[pool] - float(scores[pool].mean())) / std > config.outlier_z_threshold
 
-    ranked = sorted(survivors, key=lambda ev: (-ev.score, ev.client_id))
-    selected = [ev.client_id for ev in ranked[: config.capacity_k]]
+    evaluations = [
+        ClientEvaluation(
+            client_id=cid,
+            estimated_utility=u,
+            estimated_energy=e,
+            security_index=sec,
+            delta_u=du,
+            delta_e=de,
+            score=sc,
+            flags={FLAG_INCONSISTENT} if bad else {FLAG_SCORE_OUTLIER} if out else set(),
+        )
+        for cid, u, e, sec, du, de, sc, bad, out in zip(
+            ids.tolist(), est_u.tolist(), est_e.tolist(), security.tolist(), delta_u.tolist(),
+            delta_e.tolist(), scores.tolist(), inconsistent.tolist(), outlier.tolist(),
+        )
+    ]
+    survivors = np.flatnonzero(~inconsistent & ~outlier)
+    ranked = survivors[np.lexsort((ids[survivors], -scores[survivors]))]
+    selected = ids[ranked[: config.capacity_k]].tolist()
     return selected, evaluations

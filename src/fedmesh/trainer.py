@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Callable, Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -19,6 +19,9 @@ from .params import ParamVector, l2_diff_norm
 
 DEFAULT_ENERGY_ALPHA = 0.01
 DEFAULT_ENERGY_BETA = 0.001
+
+# rows gathered into the stacked-step buffer at once (more when one step needs more)
+_GATHER_ROWS = 8192
 
 BehaviorKind = Literal["inflate_utility", "deflate_energy", "noise_weights"]
 
@@ -66,22 +69,29 @@ class AdversaryBehavior:
 
 
 @dataclass(frozen=True)
-class ClientReport:
-    """Trained weights plus the client's self-reported metrics."""
+class ClientReports:
+    """One edge's uploads in a round, one row per client: the submitted weights
+    plus each client's self-reported metrics."""
 
-    client_id: int
-    weights: ParamVector
-    reported_utility: float
-    reported_energy: float
-    security_index: float
-    sample_count: int
+    client_ids: np.ndarray  # (n,)
+    weights: np.ndarray  # (n, P)
+    reported_utility: np.ndarray  # (n,)
+    reported_energy: np.ndarray  # (n,)
+    security_index: np.ndarray  # (n,)
+    sample_count: np.ndarray  # (n,)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.security_index <= 1.0:
+        n = len(self.client_ids)
+        if self.weights.ndim != 2 or self.weights.shape[0] != n:
+            raise ValueError(f"weights must have one row per client, got shape {self.weights.shape} for {n}")
+        columns = (self.reported_utility, self.reported_energy, self.security_index, self.sample_count)
+        if any(np.shape(c) != (n,) for c in columns):
+            raise ValueError(f"every reported metric needs one entry per client ({n})")
+        if not np.all((self.security_index >= 0.0) & (self.security_index <= 1.0)):
             raise ValueError(f"security_index must lie in [0, 1], got {self.security_index}")
-        if self.sample_count <= 0:
+        if np.any(self.sample_count <= 0):
             raise ValueError(f"sample_count must be positive, got {self.sample_count}")
-        if self.reported_utility < 0 or self.reported_energy < 0:
+        if np.any(self.reported_utility < 0) or np.any(self.reported_energy < 0):
             raise ValueError("reported metrics must be nonnegative")
 
 
@@ -142,7 +152,9 @@ def train_clients(
     by its own `default_rng(seeds[i])`, and the result does not depend on which
     other clients are trained with it. All clients take their k-th full batch
     in one stacked step, then their final partial batches in one stacked step
-    per distinct length.
+    per distinct length. Each epoch's rows are gathered step after step, a
+    buffer of consecutive steps at a time, so every step reads one contiguous
+    block.
     """
     if len(shards) != len(seeds):
         raise ValueError(f"{len(shards)} shards but {len(seeds)} seeds")
@@ -163,25 +175,45 @@ def train_clients(
     offsets = np.cumsum(sizes) - sizes
     active = [int(np.count_nonzero(full > k)) for k in range(int(full[0]))]
     tails = [(int(t), np.flatnonzero(tail == t)) for t in np.unique(tail[tail > 0])]
-    # a batch never holds more rows than the largest shard, however large batch_size is
-    width = min(step, int(sizes.max()))
-    window = offsets[:, None] + np.arange(width)
+    # stacked steps in training order, as (clients updated, client count, batch length)
+    steps = [(slice(0, a), a, step) for a in active] + [(members, members.size, t) for t, members in tails]
+    # where each step's rows sit in `epoch`, laid out step after step: batch k of clients 0..active[k]-1
+    # (clients with a k-th full batch are a prefix), then each partial-batch group
+    k_of = np.repeat(np.arange(len(active)), active)
+    client_of = np.concatenate([np.arange(a) for a in active] or [np.zeros(0, dtype=np.int64)])
+    layout = np.concatenate(
+        [((offsets[client_of] + k_of * step)[:, None] + np.arange(step)).ravel()]
+        + [(offsets[members, None] + full[members, None] * step + np.arange(t)).ravel() for t, members in tails]
+    )
+    # consecutive steps share one gather into `rows`, of at most max(_GATHER_ROWS, one step) rows
+    limit = max(_GATHER_ROWS, max(clients * length for _, clients, length in steps))
+    chunks: list[tuple[int, int, list]] = []  # (first row, end row, steps) of each gather
+    lo = hi = 0
+    group: list = []
+    for s in steps:
+        if group and hi + s[1] * s[2] - lo > limit:
+            chunks.append((lo, hi, group))
+            lo, group = hi, []
+        group.append(s)
+        hi += s[1] * s[2]
+    chunks.append((lo, hi, group))
     rngs = [np.random.default_rng(seeds[i]) for i in order]
     w = np.tile(start.values, (len(idx), 1))
-    rows = np.ones((len(idx), width, spec.param_dim))  # last column stays the bias input
-    epoch = np.empty(int(sizes.sum()), dtype=np.int64)  # dataset row ids in this epoch's batch order
+    rows = np.ones((max(hi - lo for lo, hi, _ in chunks), spec.param_dim))  # last column stays the bias input
+    epoch = np.empty(int(sizes.sum()), dtype=np.int64)  # dataset row ids, each client's in its shuffled order
     for _ in range(spec.local_epochs):
         for i, rng, lo in zip(order, rngs, offsets):
             epoch[lo : lo + idx[i].size] = idx[i][rng.permutation(idx[i].size)]
-        for k, a in enumerate(active):
-            ids = epoch[window[:a] + k * step]
-            rows[:a, :, :-1] = np.take(dataset.features, ids, axis=0)
-            w[:a] -= lr * gradient(w[:a], rows[:a], dataset.labels[ids])
-        for t, members in tails:
-            ids = epoch[window[members, :t] + full[members, None] * step]
-            batch = rows[: members.size, :t]
-            batch[..., :-1] = np.take(dataset.features, ids, axis=0)
-            w[members] -= lr * gradient(w[members], batch, dataset.labels[ids])
+        for lo, hi, group in chunks:
+            ids = epoch[layout[lo:hi]]
+            rows[: hi - lo, :-1] = np.take(dataset.features, ids, axis=0)
+            labels = dataset.labels[ids]
+            at = 0
+            for members, clients, length in group:
+                n = clients * length
+                batch = rows[at : at + n].reshape(clients, length, -1)
+                w[members] -= lr * gradient(w[members], batch, labels[at : at + n].reshape(clients, length))
+                at += n
     trained = np.empty_like(w)
     trained[order] = w
     diverged = np.flatnonzero(~np.isfinite(trained).all(axis=1))
@@ -257,41 +289,47 @@ def train_local(
 
 
 def build_report(
-    client_id: int,
-    trained: ParamVector,
+    client_ids: Sequence[int],
+    trained: np.ndarray,
     received: ParamVector,
     spec: LocalModelSpec,
-    sample_count: int,
-    security_index: float,
-    behavior: AdversaryBehavior | None = None,
-    rng: np.random.Generator | None = None,
-) -> ClientReport:
-    """Assemble the client's upload: weights plus self-reported metrics.
+    sample_counts: Sequence[int],
+    security_indices: Sequence[float],
+    behaviors: Mapping[int, AdversaryBehavior] | None = None,
+    rng_for: Callable[[int], np.random.Generator] | None = None,
+) -> ClientReports:
+    """Assemble the uploads of clients that trained from `received`, one row each.
 
     An honest client reports utility as the summed per-parameter norm of its
-    weight change and energy as alpha * sample_count + beta * param_count,
-    which the edge can reproduce exactly from the same inputs. Adversarial
-    behaviors distort the report (or the weights) as configured.
+    weight change, sum_k |trained_k - received_k|, and energy as
+    alpha * sample_count + beta * param_count, which the edge can reproduce
+    exactly from the same inputs. `behaviors`, keyed by client id, distort a
+    client's report (or weights) as configured; a noise_weights client draws
+    its noise from `rng_for(client_id)`.
     """
-    if trained.dim != received.dim:
-        raise ValueError(f"dimension mismatch: {trained.dim} != {received.dim}")
+    trained = np.asarray(trained, dtype=np.float64)
     utility = l2_diff_norm(trained, received)
-    energy = spec.energy_alpha * sample_count + spec.energy_beta * trained.dim
+    energy = spec.energy_alpha * np.asarray(sample_counts, dtype=np.int64) + spec.energy_beta * received.dim
     weights = trained
-    if behavior is not None:
+    for row, cid in enumerate(client_ids):
+        behavior = behaviors.get(cid) if behaviors else None
+        if behavior is None:
+            continue
         if behavior.kind == "inflate_utility":
-            utility *= behavior.factor
+            utility[row] *= behavior.factor
         elif behavior.kind == "deflate_energy":
-            energy /= behavior.factor
+            energy[row] /= behavior.factor
         elif behavior.kind == "noise_weights":
-            if rng is None:
+            if rng_for is None:
                 raise ValueError("noise_weights behavior requires an rng")
-            weights = ParamVector(trained.values + rng.normal(0.0, behavior.factor, trained.dim))
-    return ClientReport(
-        client_id=client_id,
+            if weights is trained:
+                weights = trained.copy()
+            weights[row] += rng_for(cid).normal(0.0, behavior.factor, received.dim)
+    return ClientReports(
+        client_ids=np.asarray(client_ids, dtype=np.int64),
         weights=weights,
         reported_utility=utility,
         reported_energy=energy,
-        security_index=security_index,
-        sample_count=sample_count,
+        security_index=np.asarray(security_indices, dtype=np.float64),
+        sample_count=np.asarray(sample_counts, dtype=np.int64),
     )

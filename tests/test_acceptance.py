@@ -52,16 +52,16 @@ def test_criterion_02_equation_oracles():
         dim = int(rng.integers(1, 21))
         a, b = rng.normal(size=dim), rng.normal(size=dim)
         expected = sum(abs(a[k] - b[k]) for k in range(dim))
-        assert abs(l2_diff_norm(ParamVector(a), ParamVector(b)) - expected) <= 1e-9
+        assert abs(l2_diff_norm(a[None], ParamVector(b))[0] - expected) <= 1e-9
 
     # energy surrogate: alpha * N + beta * P
     for _ in range(100):
         n_i = int(rng.integers(1, 1000))
         alpha, beta = rng.uniform(0.001, 0.1, size=2)
         w = ParamVector(rng.normal(size=11))
-        rep = build_report(0, w, w, spec, n_i, 0.5)
+        rep = build_report([0], w.values[None], w, spec, [n_i], [0.5])
         _, energy = estimate_metrics(rep, w, alpha, beta)
-        assert abs(energy - (alpha * n_i + beta * 11)) <= 1e-9
+        assert abs(energy[0] - (alpha * n_i + beta * 11)) <= 1e-9
 
     # consistency deltas for utility and energy
     for _ in range(100):

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedmesh.cli import (
@@ -183,6 +188,24 @@ class TestCmdRun:
         out2 = tmp_path / "out2"
         assert cmd_run(str(rebuilt_config), str(out2)) == 0
         assert (out / "rounds.csv").read_bytes() == (out2 / "rounds.csv").read_bytes()
+
+    def test_overflowing_selection_metric_names_round_and_client(self, config_file, tmp_path, capsys):
+        # each client's utility is finite, near 1.8e308, but client 1's takes the edge's total past the float range
+        message = (
+            "run failed: round 1, client 1: estimated utility 1.7891596921132418e+308 makes the edge's total"
+            " estimated utility overflow (trainer.learning_rate=1e+308)"
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cmd_run(config_file, str(tmp_path / "o"), ["trainer.learning_rate=1e308"]) == 1
+        assert capsys.readouterr().err.strip() == message
+        # the same without assertions: no check in the path may be an assert
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-O", "-W", "ignore", "-m", "fedmesh.cli", "run", "--config", config_file,
+             "--out", str(tmp_path / "o2"), "--set", "trainer.learning_rate=1e308"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr.strip()) == (1, message)
 
     def test_main_entrypoint(self, config_file, tmp_path):
         assert main(["run", "--config", config_file, "--out", str(tmp_path / "o"), "--set", "rounds_max=1"]) == 0

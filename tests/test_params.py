@@ -49,14 +49,19 @@ class TestParamVector:
             zeros(0)
 
 
+def distance(a, b):
+    """l2_diff_norm of the single row a against b."""
+    return l2_diff_norm(a.values[None], b)[0]
+
+
 class TestL2DiffNorm:
     def test_identical_vectors_give_zero(self):
         a = pv(0.5, -1.5, 2.0)
-        assert l2_diff_norm(a, a) == 0.0
+        assert distance(a, a) == 0.0
 
     def test_per_parameter_reading(self):
         # |3-0| + |0-4| = 7 when every scalar is its own parameter
-        assert l2_diff_norm(pv(3.0, 0.0), pv(0.0, 4.0)) == 7.0
+        assert distance(pv(3.0, 0.0), pv(0.0, 4.0)) == 7.0
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(42)
@@ -64,17 +69,32 @@ class TestL2DiffNorm:
             a = rng.normal(size=10)
             b = rng.normal(size=10)
             expected = sum(abs(a[k] - b[k]) for k in range(10))
-            assert l2_diff_norm(ParamVector(a), ParamVector(b)) == pytest.approx(expected, abs=1e-9)
+            assert distance(ParamVector(a), ParamVector(b)) == pytest.approx(expected, abs=1e-9)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            l2_diff_norm(pv(1.0), pv(1.0, 2.0))
+            distance(pv(1.0), pv(1.0, 2.0))
+        with pytest.raises(ValueError):
+            l2_diff_norm(np.ones(2), pv(1.0, 2.0))
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(13)
         for _ in range(200):
             a, b, c = (ParamVector(rng.normal(size=8)) for _ in range(3))
-            assert l2_diff_norm(a, c) <= l2_diff_norm(a, b) + l2_diff_norm(b, c) + 1e-9
+            assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-9
+
+    @given(st.integers(1, 300), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_equal_the_one_vector_sum_byte_for_byte(self, n, dim, seed):
+        # every row's norm is the float the vector alone gives, whatever rows share the call
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-8, 9, size=(n, dim))
+        reference = rng.normal(size=dim) * 10.0 ** rng.integers(-8, 9, size=dim)
+        rows = np.where(rng.random(size=(n, dim)) < 0.1, reference, rows)  # some exact zero differences
+        got = l2_diff_norm(rows, ParamVector(reference))
+        assert got.shape == (n,)
+        for row, norm in zip(rows, got):
+            assert np.float64(np.sum(np.abs(row - reference))).tobytes() == norm.tobytes()
 
 
 class TestWeightedSum:

@@ -6,7 +6,7 @@ PUBLIC_API = [
     "BinaryMetrics",
     "CipherVector",
     "ClientEvaluation",
-    "ClientReport",
+    "ClientReports",
     "CrossEdgeConfig",
     "DataConfig",
     "Dataset",
@@ -40,7 +40,6 @@ PUBLIC_API = [
     "inject_edge_failure",
     "jain_fairness",
     "keygen",
-    "l2_diff_norm",
     "partition_noniid",
     "run",
     "score",

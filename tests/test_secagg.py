@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import fedmesh.secagg
 from fedmesh.orchestrator import SecAggConfig
 from fedmesh.params import ParamVector
 from fedmesh.secagg import (
@@ -20,6 +21,10 @@ from fedmesh.secagg import (
 )
 
 KEY_BITS = 512  # fast test keys; default stays 1024
+
+
+def stacked(vectors):
+    return np.stack([v.values for v in vectors])
 
 
 @pytest.fixture(scope="module")
@@ -205,16 +210,17 @@ class TestSumQuantized:
             vs = [ParamVector(rng.uniform(-3, 3, size=6)) for _ in range(3)]
             cvs = [encrypt_update(v, codec, public) for v in vs]
             decrypted = decrypt_vector(aggregate_encrypted(cvs, public, weights=weights), private, codec)
-            assert sum_quantized(vs, codec, KEY_BITS, weights).tobytes() == decrypted.tobytes()
+            assert sum_quantized(stacked(vs), codec, KEY_BITS, weights).tobytes() == decrypted.tobytes()
 
     def test_validation(self, codec):
-        a, b = ParamVector(np.zeros(2)), ParamVector(np.zeros(3))
+        with pytest.raises(ValueError, match="one per row"):
+            sum_quantized(np.zeros(3), codec, KEY_BITS)
+        with pytest.raises(ValueError, match="at least one"):
+            sum_quantized(np.zeros((0, 3)), codec, KEY_BITS)
         with pytest.raises(ValueError):
-            sum_quantized([a, b], codec, KEY_BITS)
+            sum_quantized(np.zeros((2, 3)), codec, KEY_BITS, weights=[1])
         with pytest.raises(ValueError):
-            sum_quantized([a, a], codec, KEY_BITS, weights=[1])
-        with pytest.raises(ValueError):
-            sum_quantized([a, a], codec, KEY_BITS, weights=[60, 5])
+            sum_quantized(np.zeros((2, 3)), codec, KEY_BITS, weights=[60, 5])
 
 
 PROPERTY_CODEC = FixedPointCodec(scale=2**20, max_participants=64)
@@ -245,7 +251,7 @@ class TestPackedProperties:
         cvs = [encrypt_update(v, codec, public) for v in vs]
         agg = aggregate_encrypted(cvs, public, weights, codec.max_participants)
         decrypted = decrypt_vector(agg, private, codec)
-        assert decrypted.tobytes() == sum_quantized(vs, codec, KEY_BITS, weights).tobytes()
+        assert decrypted.tobytes() == sum_quantized(stacked(vs), codec, KEY_BITS, weights).tobytes()
         coeffs = [1] * len(rows) if weights is None else weights
         exact = [sum(c * q for c, q in zip(coeffs, column)) / codec.scale for column in zip(*rows)]
         assert decrypted.tolist() == exact
@@ -269,10 +275,77 @@ class TestPackedProperties:
             for v in vs:
                 encrypt_update(v, codec, public)
         with pytest.raises(OverflowError) as plain:
-            sum_quantized(vs, codec, KEY_BITS)
+            sum_quantized(stacked(vs), codec, KEY_BITS)
         assert str(plain.value) == str(encrypted.value)
         rows[bad_update][bad_element] = sign * (refused - 1)  # the last value the bound admits
         encrypt_update(ParamVector(np.array(rows[bad_update], dtype=float) / codec.scale), codec, public)
+
+
+@st.composite
+def int64_edge_sums(draw):
+    """Updates whose quantized values reach the headroom bound (and one past it), for
+    keys whose slots are 64 bits wide (the widest int64 sums cover), 63 and 42."""
+    key_bits = draw(st.sampled_from([66, 130, 512]))
+    codec = FixedPointCodec(scale=2**20, max_participants=64)
+    _, width = codec.layout(key_bits)
+    admitted = -(-(1 << (width - 1)) // codec.max_participants) - 1  # the largest |q| the bound admits
+    dim, count = draw(st.integers(1, 8)), draw(st.integers(1, codec.max_participants))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(-admitted, admitted, size=(count, dim), endpoint=True)
+    at_bound = rng.random((count, dim)) < draw(st.sampled_from([0.0, 0.2, 1.0]))
+    rows[at_bound] = admitted * rng.choice([-1, 1], size=int(at_bound.sum()))
+    if draw(st.booleans()):  # one quantum past the bound
+        at = draw(st.integers(0, count - 1)), draw(st.integers(0, dim - 1))
+        rows[at] = draw(st.sampled_from([1, -1])) * (admitted + 1)
+    cap = codec.max_participants // count
+    weights = draw(st.none() | st.just(rng.integers(0, cap, size=count, endpoint=True).tolist()))
+    return codec, key_bits, rows.astype(float) / codec.scale, weights
+
+
+class TestArrayQuantization:
+    """The array quantizer and int64 sums against the per-element Python definitions."""
+
+    @given(
+        st.lists(st.integers(-(2**52), 2**52 - 1), min_size=1, max_size=20),
+        st.integers(0, 40),
+        st.lists(st.floats(-1e9, 1e9), min_size=1, max_size=20),
+        st.sampled_from([1, 3, 1000, 2**20, 10**6 + 1]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_rint_equals_round(self, ks, shift, xs, scale):
+        # exact .5 ties: (k + 0.5) / 2^shift times 2^shift is k + 0.5 exactly, and both round it to even
+        ties = np.array([(k + 0.5) / 2**shift for k in ks])
+        got = FixedPointCodec(scale=2**shift).quantize(ties)
+        assert [int(q) for q in got.tolist()] == [round(t * 2**shift) for t in ties.tolist()]
+        got = FixedPointCodec(scale=scale).quantize(np.array(xs))
+        assert [int(q) for q in got.tolist()] == [round(x * scale) for x in xs]
+
+    @given(int64_edge_sums())
+    @settings(max_examples=200, deadline=None)
+    def test_int64_sum_equals_python_int_sum(self, case):
+        codec, key_bits, updates, weights = case
+        _, width = codec.layout(key_bits)
+        outcomes = []
+        for max_width in (fedmesh.secagg._INT64_SUM_MAX_WIDTH, 0):  # int64, then Python ints
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(fedmesh.secagg, "_INT64_SUM_MAX_WIDTH", max_width)
+                try:
+                    outcomes.append(sum_quantized(updates, codec, key_bits, weights).tobytes())
+                except OverflowError as exc:
+                    outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        # the per-element oracle: Python round, the exact bound, then Python-int sums
+        quantized = [[round(x * codec.scale) for x in row] for row in updates.tolist()]
+        refused = [
+            (i, x) for row, qs in zip(updates.tolist(), quantized)
+            for i, (x, q) in enumerate(zip(row, qs)) if abs(q) * codec.max_participants >= 1 << (width - 1)
+        ]
+        if refused:
+            assert outcomes[0].startswith(f"element {refused[0][0]} ({refused[0][1]}) exceeds the {width}-bit")
+        else:
+            coeffs = [1] * len(quantized) if weights is None else weights
+            exact = [sum(c * q for c, q in zip(coeffs, column)) / codec.scale for column in zip(*quantized)]
+            assert outcomes[0] == np.array(exact).tobytes()
 
 
 class TestFinalize:

@@ -1,3 +1,7 @@
+import dataclasses
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +11,7 @@ from fedmesh.params import ParamVector, zeros
 from fedmesh.selection import (
     FLAG_INCONSISTENT,
     FLAG_SCORE_OUTLIER,
+    NonFiniteMetric,
     ScoreWeights,
     SelectionConfig,
     consistency_check,
@@ -17,15 +22,27 @@ from fedmesh.selection import (
     simplex_grid,
     update_weights,
 )
-from fedmesh.trainer import AdversaryBehavior, LocalModelSpec, build_report
+from fedmesh.trainer import AdversaryBehavior, ClientReports, LocalModelSpec, build_report
 
 
 def honest_report(client_id, trained_values, edge_model, sample_count=50, security=0.5, behavior=None, rng=None):
+    """One client's report, as a one-row ClientReports."""
     spec = LocalModelSpec(input_dim=len(trained_values) - 1)
     return build_report(
-        client_id, ParamVector(np.asarray(trained_values, dtype=float)), edge_model,
-        spec, sample_count, security, behavior, rng,
+        [client_id], np.asarray(trained_values, dtype=float)[None], edge_model, spec, [sample_count], [security],
+        {client_id: behavior} if behavior else None, lambda cid: rng,
     )
+
+
+def stacked(reports):
+    """One edge's reports from one-client reports, rows in the given order."""
+    return ClientReports(
+        *(np.concatenate([getattr(r, f.name) for r in reports]) for f in dataclasses.fields(ClientReports))
+    )
+
+
+def select(reports, edge, weights, config):
+    return select_clients(stacked(reports), edge, weights, config)
 
 
 class TestEstimateMetrics:
@@ -33,13 +50,13 @@ class TestEstimateMetrics:
         edge = ParamVector(np.ones(11))
         report = honest_report(0, np.ones(11), edge)
         u, _ = estimate_metrics(report, edge)
-        assert u == 0.0
+        assert u.tolist() == [0.0]
 
     def test_energy_substitution(self):
         edge = zeros(11)
         report = honest_report(0, np.zeros(11), edge, sample_count=200)
         _, e = estimate_metrics(report, edge, alpha=0.01, beta=0.001)
-        assert e == pytest.approx(2.011, abs=1e-12)
+        assert e[0] == pytest.approx(2.011, abs=1e-12)
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(2)
@@ -49,7 +66,7 @@ class TestEstimateMetrics:
             report = honest_report(0, w_client, ParamVector(w_edge))
             u, _ = estimate_metrics(report, ParamVector(w_edge))
             expected = sum(abs(w_client[k] - w_edge[k]) for k in range(11))
-            assert u == pytest.approx(expected, abs=1e-9)
+            assert u[0] == pytest.approx(expected, abs=1e-9)
 
 
 class TestConsistencyCheck:
@@ -138,6 +155,14 @@ class TestGridSearchInit:
         with pytest.raises(ValueError):
             grid_search_init([], grid_step=0.5)
 
+    def test_no_finite_objective_is_an_error(self):
+        # every candidate scores the two clients +-1e308, whose spread overflows: no weights can be chosen
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="no score weights give a finite objective"):
+                grid_search_init([(1e308, -1e308, 1e308), (-1e308, 1e308, -1e308)], grid_step=0.5)
+            with pytest.raises(ValueError, match="no score weights give a finite objective"):
+                grid_search_init([(math.inf, 0.0, 0.5)], grid_step=0.5)
+
 
 class TestUpdateWeights:
     def test_eta_zero_keeps_prev(self):
@@ -185,7 +210,7 @@ class TestSelectClients:
         edge = zeros(11)
         rng = np.random.default_rng(0)
         reports = [honest_report(c, rng.normal(size=11), edge) for c in range(3)]
-        selected, evals = select_clients(reports, edge, self.weights(), self.config(capacity_k=3))
+        selected, evals = select(reports, edge, self.weights(), self.config(capacity_k=3))
         assert sorted(selected) == [0, 1, 2]
         assert all(not ev.flags for ev in evals)
 
@@ -197,9 +222,9 @@ class TestSelectClients:
             5, 0.1 * rng.normal(size=11), edge, behavior=AdversaryBehavior("inflate_utility", 10.0)
         )
         # sanity: a 10x lie at this utility level exceeds the 0.15 threshold
-        honest_u = sum(abs(x) for x in liar.weights.values - edge.values)
+        honest_u = sum(abs(x) for x in liar.weights[0] - edge.values)
         assert consistency_check(10 * honest_u, honest_u) > 0.15
-        selected, evals = select_clients(reports + [liar], edge, self.weights(), self.config())
+        selected, evals = select(reports + [liar], edge, self.weights(), self.config())
         flagged = [ev.client_id for ev in evals if FLAG_INCONSISTENT in ev.flags]
         assert flagged == [5]
         assert 5 not in selected
@@ -218,7 +243,7 @@ class TestSelectClients:
         edge = zeros(2)
         reports = [honest_report(c, [1.0, 0.0], edge) for c in range(9)]
         reports.append(honest_report(9, [100.0, 0.0], edge))
-        selected, evals = select_clients(
+        selected, evals = select(
             reports, edge, ScoreWeights(1.0, 0.0, 0.0), self.config(outlier_z_threshold=2.5)
         )
         outliers = [ev.client_id for ev in evals if FLAG_SCORE_OUTLIER in ev.flags]
@@ -229,7 +254,7 @@ class TestSelectClients:
     def test_outlier_step_skipped_for_tiny_pools(self):
         edge = zeros(2)
         reports = [honest_report(c, [v, 0.0], edge) for c, v in enumerate([1.0, 1.0, 50.0])]
-        selected, evals = select_clients(reports, edge, ScoreWeights(1.0, 0.0, 0.0), self.config())
+        selected, evals = select(reports, edge, ScoreWeights(1.0, 0.0, 0.0), self.config())
         assert sorted(selected) == [0, 1, 2]
         assert all(not ev.flags for ev in evals)
 
@@ -237,13 +262,13 @@ class TestSelectClients:
         edge = zeros(2)
         utilities = [0.5, 2.0, 1.0, 3.0]
         reports = [honest_report(c, [u, 0.0], edge) for c, u in enumerate(utilities)]
-        selected, _ = select_clients(reports, edge, ScoreWeights(1.0, 0.0, 0.0), self.config(capacity_k=2))
+        selected, _ = select(reports, edge, ScoreWeights(1.0, 0.0, 0.0), self.config(capacity_k=2))
         assert selected == [3, 1]  # by score descending
 
     def test_tie_broken_by_client_id(self):
         edge = zeros(2)
         reports = [honest_report(c, [1.5, 0.0], edge) for c in (4, 2, 7)]
-        selected, _ = select_clients(reports, edge, ScoreWeights(1.0, 0.0, 0.0), self.config(capacity_k=2))
+        selected, _ = select(reports, edge, ScoreWeights(1.0, 0.0, 0.0), self.config(capacity_k=2))
         assert selected == [2, 4]
 
     def test_monotone_in_utility(self):
@@ -253,17 +278,17 @@ class TestSelectClients:
         cfg = self.config(capacity_k=3)
         w = ScoreWeights(0.6, 0.2, 0.2)
         target = 2
-        selected_before, _ = select_clients(
+        selected_before, _ = select(
             [honest_report(c, [u, 0.0], edge) for c, u in enumerate(base)], edge, w, cfg
         )
         if target not in selected_before:
             base[target] = max(base) + 0.1  # promote it into the selection first
-            selected_before, _ = select_clients(
+            selected_before, _ = select(
                 [honest_report(c, [u, 0.0], edge) for c, u in enumerate(base)], edge, w, cfg
             )
         assert target in selected_before
         base[target] += 0.5
-        selected_after, _ = select_clients(
+        selected_after, _ = select(
             [honest_report(c, [u, 0.0], edge) for c, u in enumerate(base)], edge, w, cfg
         )
         assert target in selected_after
@@ -272,7 +297,7 @@ class TestSelectClients:
         edge = ParamVector(np.random.default_rng(3).normal(size=11))
         rng = np.random.default_rng(4)
         reports = [honest_report(c, rng.normal(size=11), edge) for c in range(8)]
-        _, evals = select_clients(reports, edge, self.weights(), self.config())
+        _, evals = select(reports, edge, self.weights(), self.config())
         for ev in evals:
             assert ev.delta_u == 0.0
             assert ev.delta_e == 0.0
@@ -282,7 +307,7 @@ class TestSelectClients:
         # heavy energy weight drives scores negative; clients rank last but stay in
         edge = zeros(2)
         reports = [honest_report(c, [0.1, 0.0], edge, sample_count=1000) for c in range(2)]
-        selected, evals = select_clients(reports, edge, ScoreWeights(0.0, 1.0, 0.0), self.config())
+        selected, evals = select(reports, edge, ScoreWeights(0.0, 1.0, 0.0), self.config())
         assert all(ev.score < 0 for ev in evals)
         assert sorted(selected) == [0, 1]
 
@@ -290,10 +315,33 @@ class TestSelectClients:
         edge = zeros(11)
         rng = np.random.default_rng(11)
         reports = [honest_report(c, rng.normal(size=11), edge) for c in range(10)]
-        first = select_clients(reports, edge, self.weights(), self.config(capacity_k=4))
-        second = select_clients(list(reversed(reports)), edge, self.weights(), self.config(capacity_k=4))
+        first = select(reports, edge, self.weights(), self.config(capacity_k=4))
+        second = select(list(reversed(reports)), edge, self.weights(), self.config(capacity_k=4))
         assert first[0] == second[0]
 
+    def test_non_finite_metrics_name_the_client(self):
+        edge = zeros(2)
+        cases = [
+            # one client's utility overflows by itself
+            ([[1.0, 0.0], [1e308, -1e308], [2.0, 0.0]], [None] * 3, "client 1: estimated utility inf is not finite"),
+            # each utility is finite; the second takes the edge's total past the float range
+            ([[1.0, 0.0], [1e308, 0.0], [1e308, 0.0]], [None] * 3,
+             "client 2: estimated utility 1e+308 makes the edge's total estimated utility overflow"),
+            # a report inflated past the float range
+            ([[1.0, 0.0], [1e300, 0.0]], [None, AdversaryBehavior("inflate_utility", 1e10)],
+             "client 1: reported utility inf is not finite"),
+        ]
+        for rows, behaviors, message in cases:
+            with np.errstate(over="ignore"):
+                reports = stacked(
+                    [honest_report(c, row, edge, behavior=b) for c, (row, b) in enumerate(zip(rows, behaviors))]
+                )
+                with pytest.raises(NonFiniteMetric, match=f"^{re.escape(message)}$") as info:
+                    select_clients(reports, edge, self.weights(), self.config())
+            assert info.value.client_id == int(message.split(":")[0].split()[1])
+
     def test_empty_reports_rejected(self):
-        with pytest.raises(ValueError):
-            select_clients([], zeros(2), self.weights(), self.config())
+        none = np.zeros(0, dtype=np.int64)
+        empty = ClientReports(none, np.zeros((0, 2)), np.zeros(0), np.zeros(0), np.zeros(0), none)
+        with pytest.raises(ValueError, match="at least one report"):
+            select_clients(empty, zeros(2), self.weights(), self.config())

@@ -10,7 +10,7 @@ from fedmesh.params import ParamVector
 from fedmesh.selection import estimate_metrics
 from fedmesh.trainer import (
     AdversaryBehavior,
-    ClientReport,
+    ClientReports,
     Cohort,
     LocalModelSpec,
     build_report,
@@ -147,6 +147,29 @@ class TestTrainLocal:
         for trained, i in zip(shuffled, perm):
             assert trained.values.tobytes() == got[i].values.tobytes()
 
+    @given(
+        shards=shard_sizes(),
+        gather_rows=st.integers(1, 400),
+        local_epochs=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_chunked_gathers_match_training_alone(self, shards, gather_rows, local_epochs, seed):
+        # buffer fills that split the epoch anywhere between steps leave every client's bytes alone
+        batch_size, sizes = shards
+        spec = LocalModelSpec(input_dim=10, local_epochs=local_epochs, learning_rate=2.0, batch_size=batch_size)
+        rng = np.random.default_rng(seed)
+        indices = [rng.permutation(len(ORACLE_DATASET.labels))[:n] for n in sizes]
+        seeds = [int(s) for s in rng.integers(0, 2**63, len(sizes))]
+        start = ParamVector(rng.normal(size=11))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fedmesh.trainer, "_GATHER_ROWS", gather_rows)
+            got = train_clients(start, spec, ORACLE_DATASET, indices, seeds)
+        for trained, rows, client_seed in zip(got, indices, seeds):
+            alone = train_local(start, spec, ORACLE_DATASET, rows, client_seed)
+            want = train_local_oracle(start, spec, ORACLE_DATASET, rows, client_seed)
+            assert trained.values.tobytes() == alone.values.tobytes() == want.tobytes()
+
     def test_deterministic_given_seed(self, small_dataset):
         spec = LocalModelSpec(input_dim=10, learning_rate=0.2, local_epochs=5, batch_size=16)
         start = ParamVector(np.zeros(11))
@@ -243,82 +266,94 @@ class TestCohort:
             train_local(start, spec, data, self.SHARDS[0], self.SEEDS[0])
 
 
+def report(client_id, trained, received, spec, sample_count, security, behavior=None, rng=None):
+    """build_report for one client."""
+    return build_report(
+        [client_id], trained.values[None], received, spec, [sample_count], [security],
+        {client_id: behavior} if behavior else None, None if rng is None else lambda cid: rng,
+    )
+
+
 class TestBuildReport:
     def spec(self):
         return LocalModelSpec(input_dim=10)
 
     def test_honest_report_zero_utility_when_unchanged(self):
         w = ParamVector(np.ones(11))
-        report = build_report(0, w, w, self.spec(), sample_count=10, security_index=0.5)
-        assert report.reported_utility == 0.0
+        assert report(0, w, w, self.spec(), sample_count=10, security=0.5).reported_utility.tolist() == [0.0]
 
     def test_energy_formula(self):
         w = ParamVector(np.ones(11))
-        report = build_report(0, w, w, self.spec(), sample_count=100, security_index=0.5)
-        assert report.reported_energy == pytest.approx(1.011, abs=1e-12)
+        got = report(0, w, w, self.spec(), sample_count=100, security=0.5)
+        assert got.reported_energy[0] == pytest.approx(1.011, abs=1e-12)
 
     def test_honest_report_matches_edge_estimate(self):
         # the edge recomputing the same quantities must land on the same numbers
         rng = np.random.default_rng(8)
         received = ParamVector(rng.normal(size=11))
-        trained = ParamVector(rng.normal(size=11))
-        report = build_report(3, trained, received, self.spec(), 57, 0.4)
-        est_u, est_e = estimate_metrics(report, received, 0.01, 0.001)
-        assert report.reported_utility == est_u
-        assert report.reported_energy == est_e
+        trained = rng.normal(size=(5, 11))
+        reports = build_report([3, 4, 6, 7, 9], trained, received, self.spec(), [57, 1, 8, 300, 12], [0.4] * 5)
+        est_u, est_e = estimate_metrics(reports, received, 0.01, 0.001)
+        assert reports.reported_utility.tobytes() == est_u.tobytes()
+        assert reports.reported_energy.tobytes() == est_e.tobytes()
 
     def test_inflate_utility(self):
         rng = np.random.default_rng(9)
         received = ParamVector(rng.normal(size=11))
         trained = ParamVector(rng.normal(size=11))
-        honest = build_report(1, trained, received, self.spec(), 20, 0.5)
-        liar = build_report(
-            1, trained, received, self.spec(), 20, 0.5,
-            behavior=AdversaryBehavior("inflate_utility", 10.0),
-        )
-        assert liar.reported_utility == pytest.approx(10 * honest.reported_utility, rel=1e-12)
-        assert np.array_equal(liar.weights.values, honest.weights.values)
+        honest = report(1, trained, received, self.spec(), 20, 0.5)
+        liar = report(1, trained, received, self.spec(), 20, 0.5, behavior=AdversaryBehavior("inflate_utility", 10.0))
+        assert liar.reported_utility[0] == pytest.approx(10 * honest.reported_utility[0], rel=1e-12)
+        assert np.array_equal(liar.weights, honest.weights)
 
     def test_deflate_energy(self):
         w = ParamVector(np.ones(11))
-        report = build_report(
-            2, w, w, self.spec(), 100, 0.5, behavior=AdversaryBehavior("deflate_energy", 4.0)
-        )
-        assert report.reported_energy == pytest.approx(1.011 / 4.0, rel=1e-12)
+        got = report(2, w, w, self.spec(), 100, 0.5, behavior=AdversaryBehavior("deflate_energy", 4.0))
+        assert got.reported_energy[0] == pytest.approx(1.011 / 4.0, rel=1e-12)
 
     def test_noise_weights_masks_tamper(self):
         rng = np.random.default_rng(10)
         received = ParamVector(rng.normal(size=11))
-        trained = ParamVector(rng.normal(size=11))
-        report = build_report(
-            4, trained, received, self.spec(), 30, 0.5,
-            behavior=AdversaryBehavior("noise_weights", 2.0),
-            rng=np.random.default_rng(77),
-        )
-        # weights were tampered with, but the report describes the clean ones
-        assert not np.array_equal(report.weights.values, trained.values)
-        honest = build_report(4, trained, received, self.spec(), 30, 0.5)
-        assert report.reported_utility == honest.reported_utility
+        trained = rng.normal(size=(3, 11))
+        drawn = []
+
+        def rng_for(cid):
+            drawn.append(cid)
+            return np.random.default_rng(77)
+
+        behaviors = {5: AdversaryBehavior("noise_weights", 2.0), 9: AdversaryBehavior("inflate_utility", 2.0)}
+        reports = build_report([4, 5, 6], trained, received, self.spec(), [30] * 3, [0.5] * 3, behaviors, rng_for)
+        # only the tampering client draws noise; its weights change, its report describes the clean ones
+        assert drawn == [5]
+        noise = np.random.default_rng(77).normal(0.0, 2.0, 11)
+        assert reports.weights[1].tobytes() == (trained[1] + noise).tobytes()
+        assert np.array_equal(reports.weights[[0, 2]], trained[[0, 2]])
+        honest = build_report([4, 5, 6], trained, received, self.spec(), [30] * 3, [0.5] * 3)
+        assert reports.reported_utility.tobytes() == honest.reported_utility.tobytes()
+        assert np.array_equal(honest.weights, trained)
 
     def test_noise_weights_requires_rng(self):
         w = ParamVector(np.ones(3))
         with pytest.raises(ValueError):
-            build_report(0, w, w, LocalModelSpec(input_dim=2), 5, 0.5,
-                         behavior=AdversaryBehavior("noise_weights", 1.0))
+            report(0, w, w, LocalModelSpec(input_dim=2), 5, 0.5, behavior=AdversaryBehavior("noise_weights", 1.0))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            build_report(0, ParamVector(np.ones(3)), ParamVector(np.ones(4)),
-                         LocalModelSpec(input_dim=2), 5, 0.5)
+            report(0, ParamVector(np.ones(3)), ParamVector(np.ones(4)), LocalModelSpec(input_dim=2), 5, 0.5)
 
 
 class TestValidation:
     def test_client_report_invariants(self):
-        w = ParamVector(np.ones(3))
-        with pytest.raises(ValueError):
-            ClientReport(0, w, 1.0, 1.0, security_index=1.5, sample_count=5)
-        with pytest.raises(ValueError):
-            ClientReport(0, w, 1.0, 1.0, security_index=0.5, sample_count=0)
+        def reports(security=0.5, count=5, utility=1.0, rows=1):
+            return ClientReports(
+                np.array([0]), np.ones((rows, 3)), np.array([utility]), np.array([1.0]),
+                np.array([security]), np.array([count]),
+            )
+
+        reports()
+        for bad in (dict(security=1.5), dict(security=float("nan")), dict(count=0), dict(utility=-1.0), dict(rows=2)):
+            with pytest.raises(ValueError):
+                reports(**bad)
 
     def test_spec_invariants(self):
         assert LocalModelSpec(input_dim=4).local_epochs == 5
