@@ -15,6 +15,57 @@ from fedmesh.data import (
 )
 
 
+def partition_oracle(d, n_edges, clients_per_edge, dirichlet_alpha, seed):
+    """Dirichlet label-skew partition dealt one Python int at a time; starved
+    clients take the richest donor's last row of a class, one row at a time."""
+    n_clients = n_edges * clients_per_edge
+    rng = np.random.default_rng(seed)
+    holdings = [[[], []] for _ in range(n_clients)]
+    for cls in (0, 1):
+        rows = np.flatnonzero(d.labels == cls)
+        if len(rows) == 0:
+            continue
+        shuffled = rng.permutation(rows)
+        counts = _largest_remainder_counts(rng.dirichlet([dirichlet_alpha] * n_clients), len(rows))
+        start = 0
+        for j, cnt in enumerate(counts):
+            holdings[j][cls].extend(int(r) for r in shuffled[start : start + cnt])
+            start += cnt
+    repairs = 0
+    for cid, classes in enumerate(holdings):
+        if max(len(classes[0]), len(classes[1])) >= 2:
+            continue
+        filled = False
+        for cls in sorted((0, 1), key=lambda c: -len(classes[c])):
+            while len(classes[cls]) < 2:
+                donor = max((o for o in range(n_clients) if o != cid), key=lambda o: len(holdings[o][cls]))
+                if len(holdings[donor][cls]) <= 2:
+                    break
+                classes[cls].append(holdings[donor][cls].pop())
+                repairs += 1
+            if len(classes[cls]) >= 2:
+                filled = True
+                break
+        if not filled:
+            return None, repairs
+    return [sorted(h[0] + h[1]) for h in holdings], repairs
+
+
+def validate_oracle(assignments):
+    """The first duplicate or shared row, found with Python sets, as validate words it."""
+    seen = set()
+    for clients in assignments.values():
+        for cid, rows in clients.items():
+            rows_list = [int(r) for r in rows]
+            if len(set(rows_list)) != len(rows_list):
+                return f"client {cid} holds duplicate sample indices"
+            overlap = seen.intersection(rows_list)
+            if overlap:
+                return f"sample indices assigned to two clients: {sorted(overlap)[:5]}"
+            seen.update(rows_list)
+    return None
+
+
 def positive_fraction(labels):
     return float(np.mean(labels))
 
@@ -115,6 +166,37 @@ class TestPartitionNonIID:
             Partition({0: {0: np.array([3, 3])}}).validate()
         with pytest.raises(ValueError, match="two clients"):
             Partition({0: {0: np.array([1, 2])}, 1: {1: np.array([2, 5])}}).validate()
+
+    @given(
+        st.integers(1, 3), st.integers(1, 5), st.sampled_from([0.005, 0.05, 0.5, 5.0]),
+        st.integers(100, 400), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_row_oracle(self, n_edges, clients_per_edge, alpha, n_samples, imbalance, seed):
+        # the same rows per client, including which rows a starved client takes from which donor
+        d = generate_synthetic(n_samples, 3, imbalance, seed=seed % 1000)
+        want, _ = partition_oracle(d, n_edges, clients_per_edge, alpha, seed)
+        if want is None:
+            with pytest.raises(ValueError, match="could not give every client"):
+                partition_noniid(d, n_edges, clients_per_edge, alpha, seed)
+            return
+        part = partition_noniid(d, n_edges, clients_per_edge, alpha, seed)
+        got = [part.assignments[e][c].tolist() for e in sorted(part.assignments) for c in sorted(part.assignments[e])]
+        assert got == want
+
+    @given(st.lists(st.lists(st.integers(0, 30), max_size=8), min_size=1, max_size=6), st.integers(1, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_validate_matches_set_oracle(self, holdings, per_edge):
+        assignments = {}
+        for cid, rows in enumerate(holdings):
+            assignments.setdefault(cid // per_edge, {})[cid] = np.array(rows, dtype=np.int64)
+        expected = validate_oracle(assignments)
+        if expected is None:
+            Partition(assignments).validate()
+        else:
+            with pytest.raises(ValueError) as info:
+                Partition(assignments).validate()
+            assert str(info.value) == expected
 
     def test_every_client_has_two_of_a_class(self):
         d = generate_synthetic(900, 5, 0.25, seed=8)
