@@ -20,9 +20,9 @@ from .params import ParamVector, l2_diff_norm
 DEFAULT_ENERGY_ALPHA = 0.01
 DEFAULT_ENERGY_BETA = 0.001
 
-# rows gathered into the stacked-step buffer at once (more when one step needs more);
-# 8192 trained no faster and raised the peak memory of small cohorts, whose whole epoch it held
-_GATHER_ROWS = 1024
+# rows gathered into the stacked-step buffer at once (more when one step needs more); larger
+# buffers trained no faster and raised the peak memory of small cohorts, whose whole epoch they held
+_GATHER_ROWS = 512
 
 BehaviorKind = Literal["inflate_utility", "deflate_energy", "noise_weights"]
 
