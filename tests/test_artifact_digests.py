@@ -49,8 +49,7 @@ CONFIGS = {
     },
 }
 
-# (rounds.csv, events.jsonl) sha256 prefixes per (config, seed), as written before the
-# per-round array pipeline replaced per-client reports, selection and quantized sums
+# (rounds.csv, events.jsonl) sha256 prefixes per (config, seed)
 DIGESTS = {
     ("fedselect_me", 1): ("cf6fb89a3de91ff8", "bce5076f10b27200"),
     ("fedselect_me", 2): ("fe06f6388d772a8a", "27e546e35769c857"),
