@@ -14,9 +14,11 @@ Exit codes: 0 success, 1 runtime failure, 2 invalid config or arguments.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -25,7 +27,7 @@ import types
 import typing
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence, TypeVar
 
 from . import __version__
 from .aggregation import CrossEdgeConfig
@@ -43,6 +45,9 @@ from .orchestrator import (
     run,
 )
 from .selection import SelectionConfig
+
+
+_T = TypeVar("_T")
 
 
 class ConfigError(ValueError):
@@ -306,6 +311,21 @@ def _run_to_dir(config: SimulationConfig, out: Path) -> SimulationResult:
     return result
 
 
+def _failure_line_first(action: Callable[[], _T], failure: str) -> _T | None:
+    """Run action with stderr held back. If it raises, print `failure: message`
+    first and the held text (numpy RuntimeWarnings, say) after it, and return
+    None; otherwise write the held text out unchanged."""
+    held = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(held):
+            return action()
+    except Exception as exc:  # noqa: BLE001 - simulation failures map to exit 1
+        print(f"{failure}: {exc}", file=sys.stderr)
+        return None
+    finally:
+        sys.stderr.write(held.getvalue())
+
+
 def cmd_run(config_path: str, output_dir: str, overrides: Sequence[str] = ()) -> int:
     try:
         raw = apply_overrides(load_config_dict(config_path), overrides)
@@ -313,10 +333,8 @@ def cmd_run(config_path: str, output_dir: str, overrides: Sequence[str] = ()) ->
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        result = _run_to_dir(config, Path(output_dir))
-    except Exception as exc:  # noqa: BLE001 - simulation failures map to exit 1
-        print(f"run failed: {exc}", file=sys.stderr)
+    result = _failure_line_first(lambda: _run_to_dir(config, Path(output_dir)), "run failed")
+    if result is None:
         return 1
     last = result.rounds[-1]
     print(
@@ -356,40 +374,42 @@ def cmd_compare(config_path: str, modes: Sequence[str], output_dir: str, overrid
         return 2
 
     out = Path(output_dir)
-    try:
-        rows = []
-        first_acc: float | None = None
-        for mode in modes:
-            config = dataclasses.replace(base, baseline_mode=mode)
-            config.validate()
-            result = _run_to_dir(config, out / mode)
-            last = result.rounds[-1]
-            test_loss, test_acc, f1m, f1w, auroc = last.global_test
-            if first_acc is None:
-                first_acc = test_acc
-            rows.append(
-                [
-                    mode,
-                    str(len(result.rounds)),
-                    _fmt(last.global_val[0]),
-                    _fmt(last.global_val[1]),
-                    _fmt(test_loss),
-                    _fmt(test_acc),
-                    _fmt(f1m),
-                    _fmt(f1w),
-                    _fmt(auroc),
-                    _fmt(last.jfi),
-                    _fmt(test_acc - first_acc),
-                ]
-            )
-        out.mkdir(parents=True, exist_ok=True)
-        lines = [",".join(_COMPARE_COLUMNS)] + [",".join(r) for r in rows]
-        (out / "compare.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except Exception as exc:  # noqa: BLE001
-        print(f"compare failed: {exc}", file=sys.stderr)
+    if _failure_line_first(lambda: _compare_to_dir(base, modes, out), "compare failed") is None:
         return 1
     print(f"wrote {out / 'compare.csv'} for modes: {', '.join(modes)}")
     return 0
+
+
+def _compare_to_dir(base: SimulationConfig, modes: Sequence[str], out: Path) -> Path:
+    rows = []
+    first_acc: float | None = None
+    for mode in modes:
+        config = dataclasses.replace(base, baseline_mode=mode)
+        config.validate()
+        result = _run_to_dir(config, out / mode)
+        last = result.rounds[-1]
+        test_loss, test_acc, f1m, f1w, auroc = last.global_test
+        if first_acc is None:
+            first_acc = test_acc
+        rows.append(
+            [
+                mode,
+                str(len(result.rounds)),
+                _fmt(last.global_val[0]),
+                _fmt(last.global_val[1]),
+                _fmt(test_loss),
+                _fmt(test_acc),
+                _fmt(f1m),
+                _fmt(f1w),
+                _fmt(auroc),
+                _fmt(last.jfi),
+                _fmt(test_acc - first_acc),
+            ]
+        )
+    out.mkdir(parents=True, exist_ok=True)
+    lines = [",".join(_COMPARE_COLUMNS)] + [",".join(r) for r in rows]
+    (out / "compare.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return out / "compare.csv"
 
 
 # ---------------------------------------------------------------------------

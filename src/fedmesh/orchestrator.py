@@ -192,13 +192,19 @@ def inject_edge_failure(config: SimulationConfig, edge_id: int, round_no: int) -
 
 
 class _SecureEdgeAggregator:
-    """Per-edge keypair and shared codec; plaintext mode sums the same quantized ints."""
+    """Per-edge keypair (None when secagg is off) and shared codec; plaintext
+    mode sums the same quantized ints."""
 
-    def __init__(self, cfg: SecAggConfig, codec: FixedPointCodec, key_seed: int):
+    def __init__(
+        self,
+        cfg: SecAggConfig,
+        codec: FixedPointCodec,
+        keypair: tuple[secagg.PaillierPublicKey, secagg.PaillierPrivateKey] | None,
+    ):
         self.cfg = cfg
         self.codec = codec
-        if cfg.enabled:
-            self.public_key, self.private_key = secagg.keygen(cfg.key_bits, key_seed)
+        if keypair is not None:
+            self.public_key, self.private_key = keypair
 
     def mean_update(
         self,
@@ -207,11 +213,19 @@ class _SecureEdgeAggregator:
         divisor: int,
         noise_seed: int,
     ) -> ParamVector:
-        """Release the (weighted) mean of the deltas, one client update per row."""
+        """Release the (weighted) mean of the deltas, one client update per row.
+        A secagg.HeadroomError names the refused row."""
         cfg = self.cfg
         clip_val = math.inf if cfg.clip_val is None else cfg.clip_val
         if cfg.enabled:
-            ciphers = [secagg.encrypt_update(ParamVector(d), self.codec, self.public_key) for d in deltas]
+            slots, _ = self.codec.layout(self.public_key.n.bit_length())
+            self.public_key.precompute_randomizers(len(deltas) * -(-deltas.shape[1] // slots))
+            ciphers = []
+            for row, d in enumerate(deltas):
+                try:
+                    ciphers.append(secagg.encrypt_update(ParamVector(d), self.codec, self.public_key))
+                except secagg.HeadroomError as exc:
+                    raise secagg.HeadroomError(str(exc), row) from exc
             agg = secagg.aggregate_encrypted(ciphers, self.public_key, weights, self.codec.max_participants)
             return secagg.finalize_edge_update(
                 agg, self.private_key, self.codec, divisor, clip_val, cfg.noise_multiplier, cfg.mechanism, noise_seed
@@ -337,10 +351,13 @@ def run(config: SimulationConfig, dataset: Dataset, evaluator: Evaluator | None 
         scale=config.secagg.scale,
         max_participants=total_train + len(client_train) + 2,
     )
-    aggregators = {
-        e: _SecureEdgeAggregator(config.secagg, codec, derive_seed(seed, "keys", e))
-        for e in edge_clients
-    }
+    keypairs = [None] * len(edge_clients)
+    if config.secagg.enabled:
+        key_bits = config.secagg.key_bits
+        keypairs = secagg._fork_map(
+            lambda key_seed: secagg.keygen(key_bits, key_seed), [derive_seed(seed, "keys", e) for e in edge_clients]
+        )
+    aggregators = {e: _SecureEdgeAggregator(config.secagg, codec, kp) for e, kp in zip(edge_clients, keypairs)}
 
     global_model = zeros(spec.param_dim)
     initial_global = global_model
@@ -437,9 +454,15 @@ def run(config: SimulationConfig, dataset: Dataset, evaluator: Evaluator | None 
             else:
                 int_weights = None
                 divisor = len(selected_ids)
-            mean_update = aggregators[e].mean_update(
-                reports.weights[rows] - global_model.values, int_weights, divisor, derive_seed(seed, "dp", round_no, e)
-            )
+            try:
+                mean_update = aggregators[e].mean_update(
+                    reports.weights[rows] - global_model.values,
+                    int_weights,
+                    divisor,
+                    derive_seed(seed, "dp", round_no, e),
+                )
+            except secagg.HeadroomError as exc:
+                raise OverflowError(f"round {round_no}, edge {e}, client {selected_ids[exc.row]}: {exc}") from exc
             edge_updates.append(
                 EdgeUpdate(edge_id=e, local_model=global_model + mean_update, sample_count=int(counts.sum()))
             )

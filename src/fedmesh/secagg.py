@@ -25,15 +25,34 @@ base-2^W digits. An element is refused with OverflowError unless
 next under max_participants unit-weight additions (and no packed sum wraps the
 ring). Encrypted and plaintext sums apply the same bound and share one release
 step.
+
+The modular exponentiations run on every usable core. Keys depend only on
+their seeds, so several keys are generated in forked processes at once. The
+randomizer r^n mod n^2 depends only on the key and on r, never on the
+message, so precompute_randomizers draws the next values of r from the key's
+seeded PRNG, in the order raw_encrypt would, and computes their powers in
+forked processes ahead of the encryptions; every key and ciphertext is
+byte-identical to a serial run. The encrypting side still works from n
+alone and never uses the factorization. The workers are plain os.fork
+children that run only pure-Python big-integer code and pickle, write their
+results into a pipe and leave through os._exit. Python 3.12 and later warn
+when a process with other threads forks, because a child may inherit a lock
+that one of those threads held. The parent's other threads here are numpy's
+BLAS pool; a child never calls numpy, BLAS, logging or any other code that
+takes such a lock, and os._exit skips atexit handlers and the flushing of
+inherited buffers, so that hazard cannot arise.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
+import os
+import pickle
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -51,8 +70,91 @@ _SLOT_HEADROOM_BITS = 12
 _INT64_SUM_MAX_WIDTH = 64
 
 
+_T = TypeVar("_T")
+_R = TypeVar("_R")
+
+
 class KeyGenerationError(RuntimeError):
     pass
+
+
+class HeadroomError(OverflowError):
+    """An element that could carry out of its slot; `row` is the update (row of
+    the stacked input) that holds it."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on; 1 where fork or the affinity query is missing."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fork_worker(fn: Callable[[_T], _R], share: list[_T]) -> tuple[int, int]:
+    """Fork a child that pickles (True, [fn(x) for x in share]), or (False, the
+    exception fn raised), into a pipe and exits 0; returns (pid, read end)."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:  # the child: pure-Python work, then os._exit whatever happens
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = (True, [fn(x) for x in share])
+            except Exception as exc:
+                payload = (False, exc)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump(payload, pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _fork_map(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
+    """[fn(x) for x in items], computed by k = min(usable cores, len(items)) processes.
+
+    Child j (1..k-1) computes items[j::k] and the caller items[0::k]; then the
+    caller reads and reaps every child. An exception in a child is raised
+    again here with its type and message. With k = 1 nothing forks. fn must
+    be pure-Python code (see the module docstring); its results must pickle.
+    """
+    items = list(items)
+    k = min(_usable_cores(), len(items))
+    if k <= 1:
+        return [fn(x) for x in items]
+    workers: list[tuple[int, int]] = []
+    outputs: list[tuple[bytes, int]] = []
+    try:
+        for j in range(1, k):
+            workers.append(_fork_worker(fn, items[j::k]))
+        shares = [[fn(x) for x in items[0::k]]]
+    finally:  # also when the caller's share raised: every child finishes its share and is reaped
+        for pid, read_fd in workers:
+            with open(read_fd, "rb") as pipe:
+                data = pipe.read()
+            outputs.append((data, os.waitpid(pid, 0)[1]))
+    for data, status in outputs:
+        if status != 0:
+            raise ChildProcessError(f"fork worker exited with code {os.waitstatus_to_exitcode(status)}")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        shares.append(value)
+    out: list = [None] * len(items)
+    for j, share in enumerate(shares):
+        out[j::k] = share
+    return out
 
 
 @functools.cache
@@ -103,17 +205,28 @@ class PaillierPublicKey:
     def __post_init__(self) -> None:
         self.n_sq = self.n * self.n
         self._rng = random.Random()
+        self._randomizers: collections.deque[int] = collections.deque()
 
     def seed_obfuscation(self, seed: int) -> None:
         self._rng.seed(seed)
 
+    def precompute_randomizers(self, count: int) -> None:
+        """Queue r^n mod n^2 for the next `count` encryptions, computed on every
+        usable core; r is drawn from the key's PRNG in encryption order."""
+        rs = [self._rng.randrange(1, self.n) for _ in range(count)]
+        self._randomizers.extend(_fork_map(functools.partial(pow, exp=self.n, mod=self.n_sq), rs))
+
     def raw_encrypt(self, m: int) -> int:
-        """Encrypt an integer already mapped into [0, n)."""
+        """Encrypt an integer already mapped into [0, n), with the oldest
+        precomputed randomizer or, when none is queued, a fresh one."""
         if not 0 <= m < self.n:
             raise ValueError("plaintext out of ring range")
-        r = self._rng.randrange(1, self.n)
+        if self._randomizers:
+            rn = self._randomizers.popleft()
+        else:
+            rn = pow(self._rng.randrange(1, self.n), self.n, self.n_sq)
         # (1+n)^m mod n^2 collapses to 1 + m*n by the binomial theorem
-        return (1 + m * self.n) % self.n_sq * pow(r, self.n, self.n_sq) % self.n_sq
+        return (1 + m * self.n) % self.n_sq * rn % self.n_sq
 
     def add(self, c1: int, c2: int) -> int:
         return c1 * c2 % self.n_sq
@@ -199,7 +312,8 @@ class FixedPointCodec:
     def check_headroom(self, values: np.ndarray, width: int) -> np.ndarray:
         """Quantize values (one update per row), refusing any element whose
         max_participants-fold sum could leave a signed width-bit slot:
-        |q| * max_participants < 2^(width-1), compared in exact integers."""
+        |q| * max_participants < 2^(width-1), compared in exact integers. The
+        HeadroomError names the first refused element and its row."""
         quantized = self.quantize(values)
         limit = 1 << (width - 1)
         peak = float(np.max(np.abs(quantized), initial=0.0))
@@ -211,9 +325,10 @@ class FixedPointCodec:
             for k, q in enumerate(quantized.reshape(-1).tolist())
             if not math.isfinite(q) or abs(int(q)) * self.max_participants >= limit
         )
-        raise OverflowError(
+        raise HeadroomError(
             f"element {k % quantized.shape[-1]} ({np.asarray(values).reshape(-1)[k]}) exceeds the {width}-bit "
-            f"slot headroom for {self.max_participants} participants at scale {self.scale}"
+            f"slot headroom for {self.max_participants} participants at scale {self.scale}",
+            k // quantized.shape[-1],
         )
 
 

@@ -132,7 +132,13 @@ def consistency_check(reported, estimated):
     """Bounded discrepancy |x/(1+x) - y/(1+y)| in [0, 1), elementwise; 0 iff the values agree."""
     if np.any(np.less(reported, 0)) or np.any(np.less(estimated, 0)):
         raise ValueError("consistency_check requires nonnegative inputs")
-    return abs(reported / (1.0 + reported) - estimated / (1.0 + estimated))
+    delta = abs(reported / (1.0 + reported) - estimated / (1.0 + estimated))
+    if np.all(delta):
+        return delta
+    # distinct but close values can map to one double x/(1+x), so a zero is recomputed as
+    # |x-y|/(1+x)/(1+y), the same distance without the cancellation; nonzero results stay as they are
+    collided = (delta == 0) & (reported != estimated)
+    return np.where(collided, abs(reported - estimated) / (1.0 + reported) / (1.0 + estimated), delta)[()]
 
 
 def score(eval_metrics, weights: ScoreWeights):

@@ -1,4 +1,5 @@
-"""Byte-identity pins: the sha256 of rounds.csv and events.jsonl for small runs.
+"""Byte-identity pins: the sha256 of rounds.csv and events.jsonl for small runs,
+and of the ciphertexts of a fixed encryption sequence.
 
 A change that keeps the simulator's arithmetic must keep every digest. A
 change that moves an artifact on purpose updates the digests here and names
@@ -8,9 +9,12 @@ them in CHANGES.md.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from fedmesh.cli import cmd_run
+from fedmesh.params import ParamVector
+from fedmesh.secagg import FixedPointCodec, encrypt_update, keygen
 
 CONFIGS = {
     # plaintext FedSelect-ME with one adversary of each kind
@@ -47,6 +51,15 @@ CONFIGS = {
         "selection": {"capacity_k": 4},
         "secagg": {"key_bits": 256},
     },
+    # Paillier with one small key per edge
+    "fedselect_me_secure": {
+        "n_edges": 2,
+        "clients_per_edge": 3,
+        "rounds_max": 2,
+        "patience": 2,
+        "data": {"n_samples": 600},
+        "secagg": {"key_bits": 256},
+    },
 }
 
 # (rounds.csv, events.jsonl) sha256 prefixes per (config, seed)
@@ -60,7 +73,13 @@ DIGESTS = {
     ("fedavg_single_secure", 1): ("8c7d56d88cd2703b", "ab8466ddd051d580"),
     ("fedavg_single_secure", 2): ("c6a8b4dba549bea5", "0323524d84005987"),
     ("fedavg_single_secure", 23): ("75aa34a50b3a7152", "c09b6391b28d9bce"),
+    ("fedselect_me_secure", 1): ("cbbab430f22e3655", "de1c28ab925c6a25"),
+    ("fedselect_me_secure", 2): ("28d92e9c152dbcef", "e0afdedb49343d1d"),
+    ("fedselect_me_secure", 23): ("c39838ca1e30b268", "025d255eeb887edc"),
 }
+
+# sha256 prefix of the 11 ciphertexts of encryption_sequence under keygen(256, seed)
+CIPHERTEXT_DIGESTS = {1: "3258f0f2f6130203", 2: "aace347ab922a73c", 23: "eaea163c2d5a20c4"}
 
 
 @pytest.mark.parametrize("name,seed", sorted(DIGESTS))
@@ -74,3 +93,30 @@ def test_artifacts_are_byte_identical(name, seed, tmp_path, monkeypatch, capsys)
         for artifact in ("rounds.csv", "events.jsonl")
     )
     assert got == DIGESTS[name, seed]
+
+
+def encryption_sequence(public, precompute):
+    """Four raw encryptions, three packed updates of two ciphertexts each, one more
+    raw encryption; precompute maps a step to the randomizers queued before it."""
+    codec = FixedPointCodec(scale=2**20, max_participants=64)
+    steps = [lambda m=m: [public.raw_encrypt(m)] for m in (0, 1, 2**100, public.n - 1)]
+    steps += [
+        lambda i=i: list(encrypt_update(ParamVector(np.linspace(-1.0, 1.0, 7) * (i + 1)), codec, public).ciphertexts)
+        for i in range(3)
+    ]
+    steps.append(lambda: [public.raw_encrypt(12345)])
+    cts = []
+    for step, encrypt in enumerate(steps):
+        if step in precompute:
+            public.precompute_randomizers(precompute[step])
+        cts += encrypt()
+    return cts
+
+
+@pytest.mark.parametrize("precompute", [{}, {0: 11}, {1: 2, 4: 4, 7: 3}, {3: 20}], ids=["serial", "all", "mixed", "surplus"])
+@pytest.mark.parametrize("seed", sorted(CIPHERTEXT_DIGESTS))
+def test_ciphertexts_are_byte_identical(seed, precompute):
+    public, _ = keygen(256, seed)
+    cts = encryption_sequence(public, precompute)
+    assert len(cts) == 11
+    assert hashlib.sha256(b"".join(c.to_bytes(64, "big") for c in cts)).hexdigest()[:16] == CIPHERTEXT_DIGESTS[seed]

@@ -207,6 +207,51 @@ class TestCmdRun:
         )
         assert (proc.returncode, proc.stderr.strip()) == (1, message)
 
+    def test_refused_update_names_round_edge_and_client(self, config_file, tmp_path, capsys):
+        errors = []
+        for secure in ("false", "true"):
+            overrides = ["trainer.learning_rate=1e300", f"secagg.enabled={secure}", "secagg.key_bits=256"]
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert cmd_run(config_file, str(tmp_path / secure), overrides) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0].startswith("run failed: round 1, edge 0, client 0: element 0 (")
+        assert "-bit slot headroom for" in errors[0]
+        assert errors[1] == errors[0]  # encrypted and plaintext sums refuse the same element
+
+    @pytest.mark.parametrize(
+        "command,learning_rate,failure",
+        [("run", "1e300", "run failed: round 1, edge 0"), ("compare", "1e308", "compare failed: round 1, client 1")],
+    )
+    def test_failure_line_precedes_numpy_warnings(self, config_file, tmp_path, command, learning_rate, failure):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        argv = [sys.executable, "-m", "fedmesh.cli", command, "--config", config_file, "--out", str(tmp_path / "o")]
+        if command == "compare":
+            argv += ["--modes", "fedselect_me,no_selection"]
+        proc = subprocess.run(
+            argv + ["--set", f"trainer.learning_rate={learning_rate}"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        first, *rest = proc.stderr.splitlines()
+        assert proc.returncode == 1
+        assert first.startswith(failure)
+        assert any("RuntimeWarning: overflow" in line for line in rest)  # held back, not dropped
+
+    def test_successful_run_stderr_unchanged(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        rows = ["a,b,c,y"] + [f"{x[0]},{x[1]},{x[2]},{int(x[0] > 0)}" for x in rng.normal(size=(300, 3))]
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(rows[:5] + ["1.0,,2.0,1"] + rows[5:]) + "\n")
+        config = {
+            "n_edges": 2, "clients_per_edge": 2, "rounds_max": 1, "patience": 1, "seed": 5,
+            "data": {"csv_path": str(data), "label_column": "y"}, "secagg": {"enabled": False},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert cmd_run(str(path), str(tmp_path / "o")) == 0
+        captured = capsys.readouterr()
+        assert captured.err == f"dropped 1 incomplete rows from {data}\n"
+        assert captured.out.startswith("completed 1 rounds")
+
     def test_main_entrypoint(self, config_file, tmp_path):
         assert main(["run", "--config", config_file, "--out", str(tmp_path / "o"), "--set", "rounds_max=1"]) == 0
 

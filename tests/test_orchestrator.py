@@ -1,11 +1,14 @@
 import dataclasses
 import inspect
 import json
+import os
+import re
 
 import numpy as np
 import pytest
 
 import fedmesh.aggregation
+import fedmesh.secagg
 import fedmesh.trainer
 from fedmesh.aggregation import CrossEdgeConfig, EdgeUpdate
 from fedmesh.data import generate_synthetic
@@ -169,6 +172,34 @@ class TestSecureAggregationPath:
         assert plaintext.final_global.values.tobytes() == encrypted.final_global.values.tobytes()
         assert plaintext.rounds == encrypted.rounds
         assert plaintext.events == encrypted.events
+
+    def test_plaintext_run_never_forks(self, dataset, monkeypatch):
+        def no_fork():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(fedmesh.secagg, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert len(run(make_config(rounds_max=2), dataset).rounds) == 2
+        # the secure path forks for its keys, so the patch does intercept it
+        with pytest.raises(AssertionError, match="os.fork called"):
+            run(make_config(rounds_max=1, secagg=SecAggConfig(enabled=True, key_bits=256)), dataset)
+
+    def test_headroom_refusal_names_round_edge_and_client(self, dataset):
+        # only client 1's submitted weights are out of range; every client is aggregated
+        config = make_config(
+            rounds_max=1,
+            baseline_mode="no_selection",
+            adversaries=(AdversaryAssignment(client_id=1, kind="noise_weights", factor=1e10),),
+        )
+        secure = dataclasses.replace(config, secagg=SecAggConfig(enabled=True, key_bits=256))
+        messages = []
+        for cfg in (config, secure):
+            with pytest.raises(OverflowError) as refused:
+                run(cfg, dataset)
+            assert isinstance(refused.value.__cause__, fedmesh.secagg.HeadroomError)
+            messages.append(str(refused.value))
+        assert re.fullmatch(r"round 1, edge 0, client 1: element \d+ \(\S+\) exceeds the 42-bit slot headroom .*", messages[0])
+        assert messages[1] == messages[0]
 
     def test_dp_noise_perturbs_model(self, dataset):
         quiet = make_config(rounds_max=1)

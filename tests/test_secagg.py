@@ -1,4 +1,6 @@
+import functools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from fedmesh.orchestrator import SecAggConfig
 from fedmesh.params import ParamVector
 from fedmesh.secagg import (
     FixedPointCodec,
+    KeyGenerationError,
+    _fork_map,
     aggregate_encrypted,
     decrypt_vector,
     encrypt_update,
@@ -79,6 +83,112 @@ class TestPaillierCore:
         assert public.n.bit_length() == bits
         assert private.p != private.q and private.p * private.q == public.n
         assert keygen(bits, seed=bits)[0].n == public.n
+
+
+def _square_or_raise(x):
+    if x == 3:
+        raise KeyGenerationError("no 3-bit prime found after 7 candidates")
+    if x == 4:
+        raise ValueError("plaintext out of ring range")
+    return x * x
+
+
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+fork_only = pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self/fd"), reason="needs fork")
+
+
+@fork_only
+class TestForkMap:
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize("count", [0, 1, 2, 5])
+    def test_equals_list_comprehension(self, monkeypatch, cores, count):
+        monkeypatch.setattr(fedmesh.secagg, "_usable_cores", lambda: cores)
+        items = [(i, 7 * i + 1) for i in range(count)]
+        assert _fork_map(lambda t: pow(t[1], 65537, 2**127 - 1) + t[0], items) == [
+            pow(b, 65537, 2**127 - 1) + a for a, b in items
+        ]
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "item,error", [(3, KeyGenerationError), (4, ValueError)], ids=["keygen_error", "value_error"]
+    )
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_child_exception_reaches_caller(self, monkeypatch, cores, item, error):
+        monkeypatch.setattr(fedmesh.secagg, "_usable_cores", lambda: cores)
+        items = [0, item] if cores == 2 else [0, 5, item]  # the failing item is the last worker's
+        before = _open_fds()
+        with pytest.raises(error) as raised:
+            _fork_map(_square_or_raise, items)
+        assert type(raised.value) is error
+        with pytest.raises(error) as serial:
+            _square_or_raise(item)
+        assert str(raised.value) == str(serial.value)
+        assert _open_fds() == before
+        _assert_no_child_left()
+
+    def test_parent_exception_reaps_every_child(self, monkeypatch):
+        monkeypatch.setattr(fedmesh.secagg, "_usable_cores", lambda: 3)
+        before = _open_fds()
+        with pytest.raises(ValueError, match="out of ring range"):
+            _fork_map(_square_or_raise, [4, 1, 2, 8, 9, 10])
+        assert _open_fds() == before
+        _assert_no_child_left()
+
+    def test_unpicklable_result_is_a_child_failure(self, monkeypatch):
+        monkeypatch.setattr(fedmesh.secagg, "_usable_cores", lambda: 2)
+        with pytest.raises(ChildProcessError, match="exited with code 1"):
+            _fork_map(lambda x: (lambda: x), [1, 2])
+        _assert_no_child_left()
+
+    def test_forked_keygen_equals_serial(self, monkeypatch):
+        monkeypatch.setattr(fedmesh.secagg, "_usable_cores", lambda: 2)
+        seeds = [11, 12, 13]
+        forked = _fork_map(functools.partial(keygen, 256), seeds)
+        for (pub, priv), seed in zip(forked, seeds):
+            serial_pub, serial_priv = keygen(256, seed)
+            assert (pub.n, priv.p, priv.q) == (serial_pub.n, serial_priv.p, serial_priv.q)
+            assert pub._rng.getstate() == serial_pub._rng.getstate()
+            assert priv.public_key is pub
+            assert priv.decrypt(pub.raw_encrypt(42)) == 42
+
+
+class TestPrecomputedRandomizers:
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("precompute"), st.integers(0, 4)),
+                st.tuples(st.just("encrypt"), st.integers(0, 2**200)),
+            ),
+            max_size=12,
+        )
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_ciphertexts_equal_serial_ones(self, ops):
+        serial, _ = keygen(256, seed=5)
+        batched, _ = keygen(256, seed=5)
+        for op, value in ops:
+            if op == "precompute":
+                batched.precompute_randomizers(value)
+            else:
+                assert batched.raw_encrypt(value) == serial.raw_encrypt(value)
+        queued = len(batched._randomizers)
+        assert [batched.raw_encrypt(1) for _ in range(queued + 1)] == [serial.raw_encrypt(1) for _ in range(queued + 1)]
+
+    def test_refused_plaintext_keeps_the_queue(self):
+        public, private = keygen(256, seed=5)
+        public.precompute_randomizers(1)
+        with pytest.raises(ValueError, match="out of ring range"):
+            public.raw_encrypt(public.n)
+        assert len(public._randomizers) == 1
+        assert private.decrypt(public.raw_encrypt(9)) == 9
 
 
 class TestCodec:
@@ -277,6 +387,7 @@ class TestPackedProperties:
         with pytest.raises(OverflowError) as plain:
             sum_quantized(stacked(vs), codec, KEY_BITS)
         assert str(plain.value) == str(encrypted.value)
+        assert plain.value.row == bad_update
         rows[bad_update][bad_element] = sign * (refused - 1)  # the last value the bound admits
         encrypt_update(ParamVector(np.array(rows[bad_update], dtype=float) / codec.scale), codec, public)
 
