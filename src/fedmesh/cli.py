@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 runtime failure, 2 invalid config or arguments.
 from __future__ import annotations
 
 import argparse
+import collections.abc
 import contextlib
 import csv
 import dataclasses
@@ -30,21 +31,9 @@ from pathlib import Path
 from typing import Any, Callable, Sequence, TypeVar
 
 from . import __version__
-from .aggregation import CrossEdgeConfig
 from .data import Dataset, generate_synthetic, ingest_csv
 from .metrics import RoundRecord
-from .orchestrator import (
-    MODES,
-    AdversaryAssignment,
-    DataConfig,
-    SecAggConfig,
-    SimulationConfig,
-    SimulationResult,
-    TrainerConfig,
-    derive_seed,
-    run,
-)
-from .selection import SelectionConfig
+from .orchestrator import SimulationConfig, SimulationResult, derive_seed, run
 
 
 _T = TypeVar("_T")
@@ -52,22 +41,6 @@ _T = TypeVar("_T")
 
 class ConfigError(ValueError):
     """Invalid configuration; message names the offending field."""
-
-
-_SECTIONS = {
-    "data": DataConfig,
-    "trainer": TrainerConfig,
-    "selection": SelectionConfig,
-    "secagg": SecAggConfig,
-    "aggregation": CrossEdgeConfig,
-}
-_COLLECTIONS = {"adversaries", "edge_failures", "security_overrides"}
-# the remaining top-level fields are scalars, checked against their annotations (see _has_type)
-_SCALARS = {
-    name: kind
-    for name, kind in typing.get_type_hints(SimulationConfig).items()
-    if name not in _SECTIONS and name not in _COLLECTIONS
-}
 
 
 def load_config_dict(path: str) -> dict:
@@ -104,21 +77,6 @@ def apply_overrides(raw: dict, assignments: Sequence[str]) -> dict:
     return out
 
 
-def _build_section(cls, raw: Any, path: str):
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: must be an object")
-    kinds = typing.get_type_hints(cls)
-    unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown field")
-    for name, value in raw.items():
-        _check_type(f"{path}.{name}", value, kinds[name])
-    try:
-        return cls(**raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}")
-
-
 def _has_type(value: Any, kind: Any) -> bool:
     """`value` is a `kind` without coercion.
 
@@ -134,64 +92,56 @@ def _has_type(value: Any, kind: Any) -> bool:
     return isinstance(value, kind)
 
 
-def _check_type(path: str, value: Any, kind: Any) -> None:
-    if not _has_type(value, kind):
+def _build(kind: Any, raw: Any, path: str) -> Any:
+    """Build a value of the annotated `kind` from parsed JSON; a ConfigError names `path`.
+
+    A dataclass is built from an object that holds only its fields, and
+    validates itself; a tuple is built from a list, a mapping from an object
+    keyed by client id, and any other value must already be a `kind`.
+    """
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if dataclasses.is_dataclass(kind):
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path or 'config'}: expected an object")
+        kinds = typing.get_type_hints(kind)
+        prefix = f"{path}." if path else ""
+        unknown = sorted(set(raw) - set(kinds))
+        if unknown:
+            raise ConfigError(f"{prefix}{unknown[0]}: unknown field")
+        fields = {name: _build(kinds[name], value, prefix + name) for name, value in raw.items()}
+        try:
+            return kind(**fields)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: {exc}" if path else str(exc))
+    if origin is tuple:
+        if not isinstance(raw, (list, tuple)):
+            raise ConfigError(f"{path}: expected a list")
+        kinds = [args[0]] * len(raw) if args[-1] is Ellipsis else args
+        if len(raw) != len(kinds):
+            raise ConfigError(f"{path}: expected a list of {len(kinds)}")
+        return tuple(_build(k, value, f"{path}[{i}]") for i, (k, value) in enumerate(zip(kinds, raw)))
+    if origin is collections.abc.Mapping:
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: expected an object")
+        built: dict[Any, Any] = {}
+        for key, value in raw.items():
+            # JSON object keys are strings, so a client id arrives as "3"
+            cid = int(key) if isinstance(key, str) and key.isascii() and key.isdigit() else key
+            if not _has_type(cid, args[0]):
+                raise ConfigError(f"{path}[{key!r}]: client id must be an integer")
+            if cid in built:
+                raise ConfigError(f"{path}[{key!r}]: client id {cid} is given twice")
+            built[cid] = _build(args[1], value, f"{path}[{cid}]")
+        return built
+    if not _has_type(raw, kind):
         expected = "finite float" if kind is float else getattr(kind, "__name__", kind)
-        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+        raise ConfigError(f"{path}: expected {expected}, got {raw!r}")
+    return raw
 
 
 def build_config(raw: dict) -> SimulationConfig:
-    """Validate the raw dict and assemble a SimulationConfig; raises ConfigError."""
-    unknown = set(raw) - set(_SCALARS) - _COLLECTIONS - set(_SECTIONS)
-    if unknown:
-        raise ConfigError(f"{sorted(unknown)[0]}: unknown field")
-
-    kwargs: dict[str, Any] = {}
-    for name, cls in _SECTIONS.items():
-        if name in raw:
-            kwargs[name] = _build_section(cls, raw[name], name)
-    for name, kind in _SCALARS.items():
-        if name in raw:
-            _check_type(name, raw[name], kind)
-            kwargs[name] = raw[name]
-    for name in ("adversaries", "edge_failures"):
-        if name in raw and not isinstance(raw[name], (list, tuple)):
-            raise ConfigError(f"{name}: expected a list")
-    if "adversaries" in raw:
-        advs = []
-        for i, item in enumerate(raw["adversaries"]):
-            advs.append(_build_section(AdversaryAssignment, item, f"adversaries[{i}]"))
-        kwargs["adversaries"] = tuple(advs)
-    if "edge_failures" in raw:
-        fails = []
-        for i, item in enumerate(raw["edge_failures"]):
-            if not (isinstance(item, (list, tuple)) and len(item) == 2):
-                raise ConfigError(f"edge_failures[{i}]: expected [edge_id, round]")
-            if not all(_has_type(x, int) for x in item):
-                raise ConfigError(f"edge_failures[{i}]: edge_id and round must be integers")
-            fails.append((item[0], item[1]))
-        kwargs["edge_failures"] = tuple(fails)
-    if "security_overrides" in raw:
-        overrides = raw["security_overrides"]
-        if not isinstance(overrides, dict):
-            raise ConfigError("security_overrides: expected {client_id: value} mapping")
-        security: dict[int, float] = {}
-        for key, value in overrides.items():
-            # JSON object keys are strings, so a client id arrives as "3"
-            cid = int(key) if isinstance(key, str) and key.isascii() and key.isdigit() else key
-            if not _has_type(cid, int):
-                raise ConfigError(f"security_overrides[{key!r}]: client id must be an integer")
-            if not _has_type(value, float):
-                raise ConfigError(f"security_overrides[{cid}]: value must be a number")
-            security[cid] = float(value)
-        kwargs["security_overrides"] = security
-
-    try:
-        config = SimulationConfig(**kwargs)
-        config.validate()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc))
-    return config
+    """Assemble a SimulationConfig from a raw dict, checking every field; raises ConfigError."""
+    return _build(SimulationConfig, raw, "")
 
 
 def _apply_env_seed(config: SimulationConfig) -> SimulationConfig:
@@ -218,8 +168,6 @@ def config_hash(config: SimulationConfig) -> str:
 def make_dataset(config: SimulationConfig) -> Dataset:
     d = config.data
     if d.csv_path is not None:
-        if d.label_column is None:
-            raise ConfigError("data.label_column: required when data.csv_path is set")
         dataset, dropped = ingest_csv(d.csv_path, d.label_column)
         if dropped:
             print(f"dropped {dropped} incomplete rows from {d.csv_path}", file=sys.stderr)
@@ -364,28 +312,26 @@ def cmd_compare(config_path: str, modes: Sequence[str], output_dir: str, overrid
     try:
         if len(modes) < 2:
             raise ConfigError("compare: need at least 2 modes")
-        for mode in modes:
-            if mode not in MODES:
-                raise ConfigError(f"compare: unknown mode {mode!r} (choose from {MODES})")
         raw = apply_overrides(load_config_dict(config_path), overrides)
         base = _apply_env_seed(build_config(raw))
-    except ConfigError as exc:
+        # every mode's config validates itself here, before any mode runs
+        configs = [dataclasses.replace(base, baseline_mode=mode) for mode in modes]
+    except ValueError as exc:  # a ConfigError, or a mode the base config does not admit
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     out = Path(output_dir)
-    if _failure_line_first(lambda: _compare_to_dir(base, modes, out), "compare failed") is None:
+    if _failure_line_first(lambda: _compare_to_dir(configs, out), "compare failed") is None:
         return 1
     print(f"wrote {out / 'compare.csv'} for modes: {', '.join(modes)}")
     return 0
 
 
-def _compare_to_dir(base: SimulationConfig, modes: Sequence[str], out: Path) -> Path:
+def _compare_to_dir(configs: Sequence[SimulationConfig], out: Path) -> Path:
     rows = []
     first_acc: float | None = None
-    for mode in modes:
-        config = dataclasses.replace(base, baseline_mode=mode)
-        config.validate()
+    for config in configs:
+        mode = config.baseline_mode
         result = _run_to_dir(config, out / mode)
         last = result.rounds[-1]
         test_loss, test_acc, f1m, f1w, auroc = last.global_test

@@ -56,6 +56,24 @@ class DataConfig:
     csv_path: str | None = None
     label_column: str | None = None
 
+    def __post_init__(self) -> None:
+        fractions = (self.train_fraction, self.val_fraction, self.test_fraction)
+        checks = {
+            "n_samples must be >= 100": self.n_samples >= 100,
+            "n_features must be >= 1": self.n_features >= 1,
+            "class_imbalance must lie in (0, 1)": 0 < self.class_imbalance < 1,
+            "label_noise must be >= 0": self.label_noise >= 0,
+            "dirichlet_alpha must be > 0": self.dirichlet_alpha > 0,
+            "train/val/test fractions must be nonnegative and sum to 1": (
+                min(fractions) >= 0 and abs(sum(fractions) - 1.0) <= 1e-9
+            ),
+            "edge_test_fraction must lie in [0, 1]": 0 <= self.edge_test_fraction <= 1,
+            "label_column is required when csv_path is set": self.csv_path is None or self.label_column is not None,
+        }
+        for message, holds in checks.items():
+            if not holds:
+                raise ValueError(message)
+
 
 @dataclass(frozen=True)
 class TrainerConfig:
@@ -129,7 +147,7 @@ class SimulationConfig:
     def n_clients(self) -> int:
         return self.n_edges * self.clients_per_edge
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_edges < 1:
             raise ValueError("n_edges: must be >= 1")
         if self.clients_per_edge < 1:
@@ -162,9 +180,6 @@ class SimulationConfig:
                 raise ValueError("security_overrides: values must lie in [0, 1]")
         if self.data.unknown_edge is not None and not 0 <= self.data.unknown_edge < self.n_edges:
             raise ValueError("data.unknown_edge: out of range")
-        fractions = (self.data.train_fraction, self.data.val_fraction, self.data.test_fraction)
-        if min(fractions) < 0 or abs(sum(fractions) - 1.0) > 1e-9:
-            raise ValueError("data: train/val/test fractions must be nonnegative and sum to 1")
 
 
 @dataclass
@@ -184,10 +199,6 @@ def evaluate(weights: ParamVector, features: np.ndarray, labels: np.ndarray, thr
 
 def inject_edge_failure(config: SimulationConfig, edge_id: int, round_no: int) -> SimulationConfig:
     """Return a config in which the given edge contributes nothing in that round."""
-    if not 0 <= edge_id < config.n_edges:
-        raise ValueError(f"edge {edge_id} does not exist (n_edges={config.n_edges})")
-    if round_no < 1:
-        raise ValueError("round must be >= 1")
     return replace(config, edge_failures=config.edge_failures + ((edge_id, round_no),))
 
 
@@ -319,7 +330,6 @@ def prepare_data(config: SimulationConfig, dataset: Dataset) -> PreparedData:
 
 def run(config: SimulationConfig, dataset: Dataset, evaluator: Evaluator | None = None) -> SimulationResult:
     """Execute the simulation and return per-round records plus audit logs."""
-    config.validate()
     seed = config.seed
     threshold = config.decision_threshold
     if evaluator is None:
@@ -332,14 +342,9 @@ def run(config: SimulationConfig, dataset: Dataset, evaluator: Evaluator | None 
     single_edge = config.baseline_mode == "fedavg_single"
 
     spec = config.trainer.spec(dataset.n_features)
-    sel_cfg = replace(
-        config.selection,
-        energy_alpha=config.trainer.energy_alpha,
-        energy_beta=config.trainer.energy_beta,
-    )
     adversary_map = {a.client_id: a.behavior() for a in config.adversaries}
     security = {
-        cid: float(config.security_overrides.get(cid, sel_cfg.default_security_index))
+        cid: float(config.security_overrides.get(cid, config.selection.default_security_index))
         for cid in client_train
     }
     failures: dict[int, set[int]] = {}
@@ -416,7 +421,7 @@ def run(config: SimulationConfig, dataset: Dataset, evaluator: Evaluator | None 
 
             try:
                 selected_ids, evaluations = _select_for_mode(
-                    config, sel_cfg, reports, global_model, score_weights, e, round_no, seed
+                    config, spec, reports, global_model, score_weights, e, round_no, seed
                 )
             except selection.NonFiniteMetric as exc:
                 raise ValueError(
@@ -439,7 +444,7 @@ def run(config: SimulationConfig, dataset: Dataset, evaluator: Evaluator | None 
                         float(np.mean([ev.estimated_energy for ev in evaluations])),
                         float(np.mean([ev.security_index for ev in evaluations])),
                     ),
-                    sel_cfg.eta,
+                    config.selection.eta,
                 )
             events.append(_selection_event(config, round_no, e, weights_now, selected_ids, evaluations))
 
@@ -523,7 +528,7 @@ def run(config: SimulationConfig, dataset: Dataset, evaluator: Evaluator | None 
 
 def _select_for_mode(
     config: SimulationConfig,
-    sel_cfg: SelectionConfig,
+    spec: LocalModelSpec,
     reports: ClientReports,
     edge_model: ParamVector,
     score_weights: dict[int, ScoreWeights | None],
@@ -535,18 +540,20 @@ def _select_for_mode(
     if config.baseline_mode == "no_selection":
         return ids, []
     if config.baseline_mode == "fedavg_single":
-        k = min(sel_cfg.capacity_k, len(ids))
+        k = min(config.selection.capacity_k, len(ids))
         rng = np.random.default_rng(derive_seed(seed, "sample", round_no))
         return sorted(int(c) for c in rng.choice(ids, size=k, replace=False)), []
 
     weights = score_weights[edge_id]
     if weights is None:
-        utility, energy = selection.estimate_metrics(reports, edge_model, sel_cfg.energy_alpha, sel_cfg.energy_beta)
+        utility, energy = selection.estimate_metrics(reports, edge_model, spec.energy_alpha, spec.energy_beta)
         weights = selection.grid_search_init(
-            np.column_stack([utility, energy, reports.security_index]), sel_cfg.grid_step
+            np.column_stack([utility, energy, reports.security_index]), config.selection.grid_step
         )
         score_weights[edge_id] = weights
-    return selection.select_clients(reports, edge_model, weights, sel_cfg)
+    return selection.select_clients(
+        reports, edge_model, weights, config.selection, spec.energy_alpha, spec.energy_beta
+    )
 
 
 def _selection_event(

@@ -69,8 +69,6 @@ class SelectionConfig:
     outlier_z_threshold: float = 2.5
     eta: float = 0.1
     grid_step: float = 0.1
-    energy_alpha: float = DEFAULT_ENERGY_ALPHA
-    energy_beta: float = DEFAULT_ENERGY_BETA
     default_security_index: float = 0.5
 
     def __post_init__(self) -> None:
@@ -223,14 +221,18 @@ def select_clients(
     edge_weights: ParamVector,
     weights: ScoreWeights,
     config: SelectionConfig,
+    alpha: float = DEFAULT_ENERGY_ALPHA,
+    beta: float = DEFAULT_ENERGY_BETA,
 ) -> tuple[list[int], list[ClientEvaluation]]:
     """Two-step filtering then top-k ranking of the edge's clients.
 
     Step 1 drops clients whose reported metrics disagree with the edge's own
-    estimates beyond the consistency threshold. Step 2 drops clients whose
-    score is a two-sided z-outlier among the remaining pool (skipped for pools
-    smaller than 4). Survivors are ranked by score descending with client id
-    as the tie-break; all evaluations, in client id order, are returned for
+    estimates beyond the consistency threshold; the energy estimate uses the
+    constants alpha and beta that the clients report with (see
+    estimate_metrics). Step 2 drops clients whose score is a two-sided
+    z-outlier among the remaining pool (skipped for pools smaller than 4).
+    Survivors are ranked by score descending with client id as the
+    tie-break; all evaluations, in client id order, are returned for
     auditing. Every metric must be finite (NonFiniteMetric names the client
     otherwise); finite utility and energy keep the score finite.
     """
@@ -238,7 +240,7 @@ def select_clients(
         raise ValueError("select_clients requires at least one report")
     by_id = np.argsort(reports.client_ids, kind="stable")
     ids = reports.client_ids[by_id]
-    est_u, est_e = estimate_metrics(reports, edge_weights, config.energy_alpha, config.energy_beta)
+    est_u, est_e = estimate_metrics(reports, edge_weights, alpha, beta)
     est_u, est_e = est_u[by_id], est_e[by_id]
     reported_u, reported_e = reports.reported_utility[by_id], reports.reported_energy[by_id]
     _require_finite(ids, "reported utility", reported_u)

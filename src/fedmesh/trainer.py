@@ -41,8 +41,9 @@ class LocalModelSpec:
     def __post_init__(self) -> None:
         if self.input_dim < 1 or self.local_epochs < 0 or self.batch_size < 1:
             raise ValueError("input_dim and batch_size must be positive, local_epochs nonnegative")
-        if not 0 <= self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be finite and nonnegative")
+        for name in ("learning_rate", "energy_alpha", "energy_beta"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
 
     @property
     def param_dim(self) -> int:

@@ -1,17 +1,22 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmesh.cli import (
     ConfigError,
     apply_overrides,
     build_config,
+    canonical_config,
     cmd_compare,
     cmd_plot,
     cmd_run,
@@ -143,6 +148,18 @@ class TestCmdRun:
             (None, ["trainer.learning_rate=Infinity"], "trainer.learning_rate"),
             (None, ["trainer.batch_size=0"], "trainer: "),
             (None, ["data.train_fraction=0.95", "data.val_fraction=-0.1"], "fractions"),
+            (None, ['security_overrides={"3": 0.9, "03": 0.1}'], "security_overrides['03']"),
+            (None, ["selection.energy_alpha=0.01"], "selection.energy_alpha: unknown field"),
+            (None, ["data.n_samples=50"], "data: n_samples"),
+            (None, ["data.n_features=0"], "data: n_features"),
+            (None, ["data.class_imbalance=1.5"], "data: class_imbalance"),
+            (None, ["data.dirichlet_alpha=0"], "data: dirichlet_alpha"),
+            (None, ["data.label_noise=-1"], "data: label_noise"),
+            (None, ["trainer.energy_alpha=-1"], "trainer: energy_alpha"),
+            (None, ["trainer.energy_beta=-1"], "trainer: energy_beta"),
+            (None, ["data.csv_path=rows.csv"], "data: label_column"),
+            (None, ["data.edge_test_fraction=2"], "data: edge_test_fraction"),
+            (None, ["data.edge_test_fraction=-1"], "data: edge_test_fraction"),
         ],
     )
     def test_bad_input_is_a_config_error(self, config_file, tmp_path, monkeypatch, capsys, env_seed, overrides, field):
@@ -153,6 +170,7 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert err.count("config error:") == 2
         assert field in err
+        assert not (tmp_path / "o").exists() and not (tmp_path / "c").exists()  # nothing ran
 
     def test_rounds_override_limits_rows(self, config_file, tmp_path):
         out = tmp_path / "out"
@@ -306,6 +324,13 @@ class TestCmdCompare:
     def test_unknown_mode_rejected(self, config_file, tmp_path):
         assert cmd_compare(config_file, ["fedselect_me", "fedprox"], str(tmp_path / "x")) == 2
 
+    def test_every_mode_is_checked_before_any_runs(self, config_file, tmp_path, capsys):
+        # edge failures suit fedselect_me but not fedavg_single's single virtual edge
+        out = tmp_path / "cmp"
+        assert cmd_compare(config_file, ["fedselect_me", "fedavg_single"], str(out), ["edge_failures=[[0,1]]"]) == 2
+        assert "config error: edge_failures" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCmdPlot:
     def run_and_plot(self, config_file, tmp_path, overrides=()):
@@ -348,3 +373,105 @@ class TestCmdPlot:
 
     def test_missing_csv_exits_2(self, tmp_path):
         assert cmd_plot(str(tmp_path / "none.csv"), str(tmp_path / "p")) == 2
+
+
+# a valid config small enough to run in a blink: 2 edges x 2 clients, 1 round, secagg off
+_SMALL = {
+    "n_edges": 2,
+    "clients_per_edge": 2,
+    "rounds_max": 1,
+    "patience": 1,
+    "seed": 5,
+    "adversaries": [{"client_id": 1, "kind": "inflate_utility", "factor": 3.0}],
+    "edge_failures": [[1, 1]],
+    "security_overrides": {"2": 0.9},
+    "data": {"n_samples": 400},
+    "secagg": {"enabled": False, "key_bits": 256, "noise_multiplier": 0.0, "clip_val": None},
+}
+_FULL = json.loads(json.dumps(canonical_config(build_config(_SMALL))))  # every field spelled out
+
+
+def _paths(node, path=()):
+    """Every path into a JSON tree, the containers' own included."""
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _mutants(old):
+    """The one-field mutations of `old`: type swaps (never to a string where a string may
+    belong), non-finite floats, bools, a negative, the wrong container and, for an
+    object, an unknown key."""
+    swaps = [7, 2.5, None, [1], {"k": 1}] + ([] if old is None or isinstance(old, str) else ["text"])
+    number = isinstance(old, (int, float)) and not isinstance(old, bool)
+    if isinstance(old, dict):
+        wrong = list(old.values())
+    elif isinstance(old, list):
+        wrong = {str(i): v for i, v in enumerate(old)}
+    else:
+        wrong = [old]
+    mutants = [c for c in swaps if type(c) is not type(old)]
+    mutants += [math.nan, math.inf, -math.inf, (-abs(old) or -1) if number else -1, wrong]
+    mutants += [b for b in (True, False) if b is not old]
+    if isinstance(old, dict):
+        mutants.append({**old, "zz_unknown": 1})
+    return mutants
+
+
+def _at(tree, path):
+    for key in path:
+        tree = tree[key]
+    return tree
+
+
+def _mutated(path, mutant):
+    if not path:
+        return mutant
+    config = json.loads(json.dumps(_FULL))
+    _at(config, path[:-1])[path[-1]] = mutant
+    return config
+
+
+_MUTATIONS = [(path, mutant) for path in _paths(_FULL) for mutant in _mutants(_at(_FULL, path))]
+
+
+class TestConfigProperties:
+    @given(st.sampled_from(_MUTATIONS))
+    @settings(max_examples=400, deadline=None)
+    def test_any_mutation_exits_0_or_2(self, mutation):
+        path, mutant = mutation
+        with tempfile.TemporaryDirectory() as tmp:
+            config_path = Path(tmp) / "config.json"
+            config_path.write_text(json.dumps(_mutated(path, mutant)))
+            assert cmd_run(str(config_path), str(Path(tmp) / "run")) in (0, 2)
+            assert cmd_compare(str(config_path), ["fedselect_me", "no_selection"], str(Path(tmp) / "cmp")) in (0, 2)
+
+    @given(
+        seed=st.integers(0, 2**31),
+        liar=st.tuples(st.integers(0, 3), st.sampled_from(["inflate_utility", "deflate_energy", "noise_weights"])),
+        failure=st.tuples(st.integers(0, 1), st.integers(1, 2)),
+        security=st.dictionaries(st.integers(0, 3).map(str), st.floats(0.0, 1.0), max_size=2),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_manifest_replays_collections(self, seed, liar, failure, security):
+        config = {
+            **_SMALL,
+            "rounds_max": 2,
+            "patience": 2,
+            "seed": seed,
+            "adversaries": [{"client_id": liar[0], "kind": liar[1], "factor": 2.5}],
+            "edge_failures": [list(failure)],
+            "security_overrides": security,
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            runs = []
+            for name in ("first", "replay"):
+                config_path = Path(tmp) / f"{name}.json"
+                config_path.write_text(json.dumps(config))
+                assert cmd_run(str(config_path), str(Path(tmp) / name)) == 0
+                manifest = json.loads((Path(tmp) / name / "manifest.json").read_text())
+                runs.append((manifest["config_hash"], (Path(tmp) / name / "rounds.csv").read_bytes()))
+                config = manifest["config"]  # the replay runs from the embedded config alone
+            assert runs[1] == runs[0]
+            assert config_hash(build_config(config)) == runs[0][0]
