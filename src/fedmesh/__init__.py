@@ -7,17 +7,7 @@ __version__ = "0.1.0"
 from .aggregation import CrossEdgeConfig, EdgeUpdate, central_aggregate, cross_edge_exchange
 from .data import Dataset, Partition, generate_synthetic, ingest_csv, partition_noniid, split
 from .metrics import BinaryMetrics, RoundRecord, binary_metrics, jain_fairness
-from .orchestrator import (
-    MODES,
-    AdversaryAssignment,
-    DataConfig,
-    SecAggConfig,
-    SimulationConfig,
-    SimulationResult,
-    TrainerConfig,
-    inject_edge_failure,
-    run,
-)
+from .orchestrator import MODES, DataConfig, SecAggConfig, SimulationConfig, SimulationResult, inject_edge_failure, run
 from .params import ParamVector, clip_elementwise, clip_l2, weighted_sum, zeros
 from .secagg import (
     CipherVector,
@@ -38,11 +28,10 @@ from .selection import (
     select_clients,
     update_weights,
 )
-from .trainer import AdversaryBehavior, ClientReports, LocalModelSpec, build_report, train_clients, train_local
+from .trainer import AdversaryAssignment, ClientReports, TrainerConfig, build_report, train_clients, train_local
 
 __all__ = [
     "AdversaryAssignment",
-    "AdversaryBehavior",
     "BinaryMetrics",
     "CipherVector",
     "ClientEvaluation",
@@ -52,7 +41,6 @@ __all__ = [
     "Dataset",
     "EdgeUpdate",
     "FixedPointCodec",
-    "LocalModelSpec",
     "MODES",
     "ParamVector",
     "Partition",

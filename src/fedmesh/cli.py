@@ -166,9 +166,13 @@ def config_hash(config: SimulationConfig) -> str:
 
 
 def make_dataset(config: SimulationConfig) -> Dataset:
+    """The config's dataset; a CSV that cannot be read as one raises ConfigError."""
     d = config.data
     if d.csv_path is not None:
-        dataset, dropped = ingest_csv(d.csv_path, d.label_column)
+        try:
+            dataset, dropped = ingest_csv(d.csv_path, d.label_column)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"data.csv_path: {exc}")
         if dropped:
             print(f"dropped {dropped} incomplete rows from {d.csv_path}", file=sys.stderr)
         return dataset
@@ -238,10 +242,9 @@ def _effective_edge_ids(config: SimulationConfig) -> list[int]:
     return [0] if config.baseline_mode == "fedavg_single" else list(range(config.n_edges))
 
 
-def _run_to_dir(config: SimulationConfig, out: Path) -> SimulationResult:
+def _run_to_dir(config: SimulationConfig, dataset: Dataset, out: Path) -> SimulationResult:
     out.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
-    dataset = make_dataset(config)
     result = run(config, dataset)
     edge_ids = _effective_edge_ids(config)
     write_rounds_csv(out / "rounds.csv", result.rounds, edge_ids)
@@ -278,10 +281,11 @@ def cmd_run(config_path: str, output_dir: str, overrides: Sequence[str] = ()) ->
     try:
         raw = apply_overrides(load_config_dict(config_path), overrides)
         config = _apply_env_seed(build_config(raw))
+        dataset = make_dataset(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    result = _failure_line_first(lambda: _run_to_dir(config, Path(output_dir)), "run failed")
+    result = _failure_line_first(lambda: _run_to_dir(config, dataset, Path(output_dir)), "run failed")
     if result is None:
         return 1
     last = result.rounds[-1]
@@ -312,27 +316,31 @@ def cmd_compare(config_path: str, modes: Sequence[str], output_dir: str, overrid
     try:
         if len(modes) < 2:
             raise ConfigError("compare: need at least 2 modes")
+        for i, mode in enumerate(modes):
+            if mode in modes[:i]:
+                raise ConfigError(f"compare: mode {mode!r} is given twice")
         raw = apply_overrides(load_config_dict(config_path), overrides)
         base = _apply_env_seed(build_config(raw))
         # every mode's config validates itself here, before any mode runs
         configs = [dataclasses.replace(base, baseline_mode=mode) for mode in modes]
+        dataset = make_dataset(base)  # the data do not depend on the mode
     except ValueError as exc:  # a ConfigError, or a mode the base config does not admit
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     out = Path(output_dir)
-    if _failure_line_first(lambda: _compare_to_dir(configs, out), "compare failed") is None:
+    if _failure_line_first(lambda: _compare_to_dir(configs, dataset, out), "compare failed") is None:
         return 1
     print(f"wrote {out / 'compare.csv'} for modes: {', '.join(modes)}")
     return 0
 
 
-def _compare_to_dir(configs: Sequence[SimulationConfig], out: Path) -> Path:
+def _compare_to_dir(configs: Sequence[SimulationConfig], dataset: Dataset, out: Path) -> Path:
     rows = []
     first_acc: float | None = None
     for config in configs:
         mode = config.baseline_mode
-        result = _run_to_dir(config, out / mode)
+        result = _run_to_dir(config, dataset, out / mode)
         last = result.rounds[-1]
         test_loss, test_acc, f1m, f1w, auroc = last.global_test
         if first_acc is None:

@@ -6,7 +6,7 @@ handling, so it agrees with exhaustive pairwise comparison including ties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -39,7 +39,6 @@ class RoundRecord:
     global_val: tuple[float, float]  # (loss, accuracy)
     global_test: tuple[float, float, float, float, float | None]  # (loss, acc, f1m, f1w, auroc)
     jfi: float
-    score_weights: Mapping[int, tuple[float, float, float]] = field(default_factory=dict)
 
 
 def _bce(probs: np.ndarray, labels: np.ndarray) -> float:

@@ -13,8 +13,8 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -25,13 +25,11 @@ from .metrics import BinaryMetrics, RoundRecord, binary_metrics, jain_fairness
 from .params import ParamVector, zeros
 from .secagg import FixedPointCodec
 from .selection import ScoreWeights, SelectionConfig
-from .trainer import AdversaryBehavior, ClientReports, LocalModelSpec
+from .trainer import AdversaryAssignment, ClientReports, TrainerConfig
 
 logger = logging.getLogger(__name__)
 
 MODES = ("fedselect_me", "fedavg_single", "no_selection")
-
-Evaluator = Callable[[ParamVector, np.ndarray, np.ndarray], BinaryMetrics]
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -76,21 +74,6 @@ class DataConfig:
 
 
 @dataclass(frozen=True)
-class TrainerConfig:
-    local_epochs: int = 5
-    learning_rate: float = 0.1
-    batch_size: int = 32
-    energy_alpha: float = trainer.DEFAULT_ENERGY_ALPHA
-    energy_beta: float = trainer.DEFAULT_ENERGY_BETA
-
-    def __post_init__(self) -> None:
-        self.spec(input_dim=1)  # LocalModelSpec owns the checks on these fields
-
-    def spec(self, input_dim: int) -> LocalModelSpec:
-        return LocalModelSpec(input_dim=input_dim, **asdict(self))
-
-
-@dataclass(frozen=True)
 class SecAggConfig:
     enabled: bool = True
     key_bits: int = secagg.DEFAULT_KEY_BITS
@@ -112,16 +95,6 @@ class SecAggConfig:
             raise ValueError("secagg.clip_val must be positive or null")
         if self.noise_multiplier > 0 and self.clip_val is None:
             raise ValueError("secagg.noise_multiplier > 0 requires a finite clip_val")
-
-
-@dataclass(frozen=True)
-class AdversaryAssignment:
-    client_id: int
-    kind: str
-    factor: float = 1.0
-
-    def behavior(self) -> AdversaryBehavior:
-        return AdversaryBehavior(kind=self.kind, factor=self.factor)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -165,7 +138,6 @@ class SimulationConfig:
         for adv in self.adversaries:
             if not 0 <= adv.client_id < self.n_clients:
                 raise ValueError(f"adversaries: client_id {adv.client_id} out of range")
-            adv.behavior()  # validates kind/factor
         for edge_id, round_no in self.edge_failures:
             if not 0 <= edge_id < self.n_edges:
                 raise ValueError(f"edge_failures: edge_id {edge_id} out of range")
@@ -187,9 +159,7 @@ class SimulationResult:
     rounds: list[RoundRecord]
     final_global: ParamVector
     stopped_early: bool
-    excluded_clients_log: list[dict]
     events: list[dict]
-    initial_global: ParamVector
 
 
 def evaluate(weights: ParamVector, features: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> BinaryMetrics:
@@ -328,12 +298,10 @@ def prepare_data(config: SimulationConfig, dataset: Dataset) -> PreparedData:
     )
 
 
-def run(config: SimulationConfig, dataset: Dataset, evaluator: Evaluator | None = None) -> SimulationResult:
-    """Execute the simulation and return per-round records plus audit logs."""
+def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
+    """Execute the simulation and return per-round records plus the event log."""
     seed = config.seed
     threshold = config.decision_threshold
-    if evaluator is None:
-        evaluator = lambda w, x, y: evaluate(w, x, y, threshold)  # noqa: E731
 
     prep = prepare_data(config, dataset)
     d_train, d_val, d_test = prep.d_train, prep.d_val, prep.d_test
@@ -341,8 +309,7 @@ def run(config: SimulationConfig, dataset: Dataset, evaluator: Evaluator | None 
     edge_test_rows = prep.edge_test_rows
     single_edge = config.baseline_mode == "fedavg_single"
 
-    spec = config.trainer.spec(dataset.n_features)
-    adversary_map = {a.client_id: a.behavior() for a in config.adversaries}
+    spec = config.trainer
     security = {
         cid: float(config.security_overrides.get(cid, config.selection.default_security_index))
         for cid in client_train
@@ -364,13 +331,11 @@ def run(config: SimulationConfig, dataset: Dataset, evaluator: Evaluator | None 
         )
     aggregators = {e: _SecureEdgeAggregator(config.secagg, codec, kp) for e, kp in zip(edge_clients, keypairs)}
 
-    global_model = zeros(spec.param_dim)
-    initial_global = global_model
+    global_model = zeros(trainer.model_dim(dataset.n_features))
     score_weights: dict[int, ScoreWeights | None] = {e: None for e in edge_clients}
 
     rounds: list[RoundRecord] = []
     events: list[dict] = []
-    excluded_log: list[dict] = []
     best_val = math.inf
     non_improving = 0
     stopped_early = False
@@ -401,9 +366,6 @@ def run(config: SimulationConfig, dataset: Dataset, evaluator: Evaluator | None 
             ) from exc
 
         edge_updates: list[EdgeUpdate] = []
-        round_inconsistent: set[int] = set()
-        round_outliers: set[int] = set()
-        used_weights: dict[int, tuple[float, float, float]] = {}
         first_row = 0
         for e in alive:
             ids = edge_clients[e]  # ascending, so a client's report row is found by searchsorted
@@ -414,29 +376,20 @@ def run(config: SimulationConfig, dataset: Dataset, evaluator: Evaluator | None 
                 spec,
                 [len(client_train[cid]) for cid in ids],
                 [security[cid] for cid in ids],
-                adversary_map,
+                config.adversaries,
                 lambda cid: np.random.default_rng(derive_seed(seed, "behavior", round_no, cid)),
             )
             first_row += len(ids)
 
             try:
-                selected_ids, evaluations = _select_for_mode(
-                    config, spec, reports, global_model, score_weights, e, round_no, seed
-                )
+                selected_ids, evaluations = _select_for_mode(config, reports, global_model, score_weights, e, round_no)
             except selection.NonFiniteMetric as exc:
                 raise ValueError(
                     f"round {round_no}, client {exc.client_id}: {exc.detail}"
                     f" (trainer.learning_rate={spec.learning_rate})"
                 ) from exc
-            round_inconsistent.update(
-                ev.client_id for ev in evaluations if selection.FLAG_INCONSISTENT in ev.flags
-            )
-            round_outliers.update(
-                ev.client_id for ev in evaluations if selection.FLAG_SCORE_OUTLIER in ev.flags
-            )
             weights_now = score_weights[e]
             if weights_now is not None:
-                used_weights[e] = weights_now.as_tuple()
                 score_weights[e] = selection.update_weights(
                     weights_now,
                     (
@@ -481,10 +434,10 @@ def run(config: SimulationConfig, dataset: Dataset, evaluator: Evaluator | None 
             rows = edge_test_rows[eid]
             if len(rows) == 0:
                 continue
-            m = evaluator(model, d_train.features[rows], d_train.labels[rows])
+            m = evaluate(model, d_train.features[rows], d_train.labels[rows], threshold)
             per_edge[eid] = (m.accuracy, m.loss)
-        val_m = evaluator(new_global, d_val.features, d_val.labels)
-        test_m = evaluator(new_global, d_test.features, d_test.labels)
+        val_m = evaluate(new_global, d_val.features, d_val.labels, threshold)
+        test_m = evaluate(new_global, d_test.features, d_test.labels, threshold)
         accuracies = [acc for acc, _ in per_edge.values()]
         jfi = 1.0 if not any(accuracies) else jain_fairness(accuracies)
 
@@ -495,15 +448,7 @@ def run(config: SimulationConfig, dataset: Dataset, evaluator: Evaluator | None 
                 global_val=(val_m.loss, val_m.accuracy),
                 global_test=(test_m.loss, test_m.accuracy, test_m.f1_macro, test_m.f1_weighted, test_m.auroc),
                 jfi=jfi,
-                score_weights=used_weights,
             )
-        )
-        excluded_log.append(
-            {
-                "round": round_no,
-                "inconsistent": sorted(round_inconsistent),
-                "score_outlier": sorted(round_outliers),
-            }
         )
         global_model = new_global
 
@@ -520,30 +465,27 @@ def run(config: SimulationConfig, dataset: Dataset, evaluator: Evaluator | None 
         rounds=rounds,
         final_global=global_model,
         stopped_early=stopped_early,
-        excluded_clients_log=excluded_log,
         events=events,
-        initial_global=initial_global,
     )
 
 
 def _select_for_mode(
     config: SimulationConfig,
-    spec: LocalModelSpec,
     reports: ClientReports,
     edge_model: ParamVector,
     score_weights: dict[int, ScoreWeights | None],
     edge_id: int,
     round_no: int,
-    seed: int,
 ) -> tuple[list[int], list[selection.ClientEvaluation]]:
     ids = sorted(reports.client_ids.tolist())
     if config.baseline_mode == "no_selection":
         return ids, []
     if config.baseline_mode == "fedavg_single":
         k = min(config.selection.capacity_k, len(ids))
-        rng = np.random.default_rng(derive_seed(seed, "sample", round_no))
+        rng = np.random.default_rng(derive_seed(config.seed, "sample", round_no))
         return sorted(int(c) for c in rng.choice(ids, size=k, replace=False)), []
 
+    spec = config.trainer
     weights = score_weights[edge_id]
     if weights is None:
         utility, energy = selection.estimate_metrics(reports, edge_model, spec.energy_alpha, spec.energy_beta)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,14 +24,11 @@ DEFAULT_ENERGY_BETA = 0.001
 # buffers trained no faster and raised the peak memory of small cohorts, whose whole epoch they held
 _GATHER_ROWS = 512
 
-BehaviorKind = Literal["inflate_utility", "deflate_energy", "noise_weights"]
-
 
 @dataclass(frozen=True)
-class LocalModelSpec:
+class TrainerConfig:
     """Hyperparameters of the local model and its energy-cost constants."""
 
-    input_dim: int
     local_epochs: int = 5
     learning_rate: float = 0.1
     batch_size: int = 32
@@ -39,20 +36,16 @@ class LocalModelSpec:
     energy_beta: float = DEFAULT_ENERGY_BETA
 
     def __post_init__(self) -> None:
-        if self.input_dim < 1 or self.local_epochs < 0 or self.batch_size < 1:
-            raise ValueError("input_dim and batch_size must be positive, local_epochs nonnegative")
+        if self.local_epochs < 0 or self.batch_size < 1:
+            raise ValueError("batch_size must be positive, local_epochs nonnegative")
         for name in ("learning_rate", "energy_alpha", "energy_beta"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and nonnegative")
 
-    @property
-    def param_dim(self) -> int:
-        return self.input_dim + 1  # weights plus bias
-
 
 @dataclass(frozen=True)
-class AdversaryBehavior:
-    """A dishonest client behavior applied when building its report.
+class AdversaryAssignment:
+    """A dishonest client and how it distorts the report it builds.
 
     - inflate_utility: reported utility is factor * the honest value
     - deflate_energy: reported energy is the honest value / factor
@@ -60,7 +53,8 @@ class AdversaryBehavior:
       while metrics are reported for the clean weights (masking the tamper)
     """
 
-    kind: BehaviorKind
+    client_id: int
+    kind: str
     factor: float = 1.0
 
     def __post_init__(self) -> None:
@@ -107,14 +101,20 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return np.reciprocal(p, out=p)
 
 
+def model_dim(n_features: int) -> int:
+    """Parameter count of the model on `n_features` features: one weight each plus the bias."""
+    return n_features + 1
+
+
 def _with_bias(features: np.ndarray) -> np.ndarray:
     return np.hstack([features, np.ones((features.shape[0], 1))])
 
 
 def predict_proba(weights: ParamVector, features: np.ndarray) -> np.ndarray:
     """Positive-class probability for each feature row."""
-    if weights.dim != features.shape[1] + 1:
-        raise ValueError(f"expected {features.shape[1] + 1} parameters, got {weights.dim}")
+    width = model_dim(features.shape[1])
+    if weights.dim != width:
+        raise ValueError(f"expected {width} parameters, got {weights.dim}")
     return sigmoid(_with_bias(features) @ weights.values)
 
 
@@ -143,7 +143,7 @@ class DivergedError(ValueError):
 
 def train_clients(
     start: ParamVector,
-    spec: LocalModelSpec,
+    spec: TrainerConfig,
     dataset: Dataset,
     shards: Sequence[np.ndarray | list[int]],
     seeds: Sequence[int],
@@ -160,8 +160,9 @@ def train_clients(
     """
     if len(shards) != len(seeds):
         raise ValueError(f"{len(shards)} shards but {len(seeds)} seeds")
-    if start.dim != spec.param_dim:
-        raise ValueError(f"start has dim {start.dim}, model needs {spec.param_dim}")
+    width = model_dim(dataset.n_features)
+    if start.dim != width:
+        raise ValueError(f"start has dim {start.dim}, model needs {width}")
     idx = [np.asarray(shard, dtype=np.int64) for shard in shards]
     if any(shard.size == 0 for shard in idx):
         raise ValueError("client has no training samples")
@@ -201,7 +202,7 @@ def train_clients(
     chunks.append((lo, hi, group))
     rngs = [np.random.default_rng(seeds[i]) for i in order]
     w = np.tile(start.values, (len(idx), 1))
-    rows = np.ones((max(hi - lo for lo, hi, _ in chunks), spec.param_dim))  # last column stays the bias input
+    rows = np.ones((max(hi - lo for lo, hi, _ in chunks), width))  # last column stays the bias input
     epoch = np.empty(int(sizes.sum()), dtype=np.int64)  # dataset row ids, each client's in its shuffled order
     for _ in range(spec.local_epochs):
         for i, rng, lo in zip(order, rngs, offsets):
@@ -235,7 +236,7 @@ class Cohort:
     def __init__(
         self,
         start: ParamVector,
-        spec: LocalModelSpec,
+        spec: TrainerConfig,
         dataset: Dataset,
         shards: Sequence[np.ndarray | list[int]],
         seeds: Sequence[int],
@@ -252,7 +253,7 @@ class Cohort:
     def trained(
         self,
         start: ParamVector,
-        spec: LocalModelSpec,
+        spec: TrainerConfig,
         dataset: Dataset,
         indices: np.ndarray | list[int],
         seed: int,
@@ -273,7 +274,7 @@ class Cohort:
 
 def train_local(
     start: ParamVector,
-    spec: LocalModelSpec,
+    spec: TrainerConfig,
     dataset: Dataset,
     indices: np.ndarray | list[int],
     seed: int,
@@ -294,10 +295,10 @@ def build_report(
     client_ids: Sequence[int],
     trained: np.ndarray,
     received: ParamVector,
-    spec: LocalModelSpec,
+    spec: TrainerConfig,
     sample_counts: Sequence[int],
     security_indices: Sequence[float],
-    behaviors: Mapping[int, AdversaryBehavior] | None = None,
+    adversaries: Sequence[AdversaryAssignment] = (),
     rng_for: Callable[[int], np.random.Generator] | None = None,
 ) -> ClientReports:
     """Assemble the uploads of clients that trained from `received`, one row each.
@@ -305,16 +306,17 @@ def build_report(
     An honest client reports utility as the summed per-parameter norm of its
     weight change, sum_k |trained_k - received_k|, and energy as
     alpha * sample_count + beta * param_count, which the edge can reproduce
-    exactly from the same inputs. `behaviors`, keyed by client id, distort a
-    client's report (or weights) as configured; a noise_weights client draws
-    its noise from `rng_for(client_id)`.
+    exactly from the same inputs. A client named in `adversaries` distorts its
+    report (or weights) as assigned; a noise_weights client draws its noise
+    from `rng_for(client_id)`.
     """
     trained = np.asarray(trained, dtype=np.float64)
     utility = l2_diff_norm(trained, received)
     energy = spec.energy_alpha * np.asarray(sample_counts, dtype=np.int64) + spec.energy_beta * received.dim
     weights = trained
+    behaviors = {a.client_id: a for a in adversaries}
     for row, cid in enumerate(client_ids):
-        behavior = behaviors.get(cid) if behaviors else None
+        behavior = behaviors.get(cid)
         if behavior is None:
             continue
         if behavior.kind == "inflate_utility":

@@ -26,10 +26,10 @@ from fedmesh.orchestrator import (
     run,
 )
 from fedmesh.aggregation import CrossEdgeConfig, EdgeUpdate, central_aggregate, cross_edge_exchange
-from fedmesh.params import ParamVector, l2_diff_norm, weighted_sum
+from fedmesh.params import ParamVector, l2_diff_norm, weighted_sum, zeros
 from fedmesh.secagg import FixedPointCodec, aggregate_encrypted, decrypt_vector, encrypt_update, keygen, release
 from fedmesh.selection import ScoreWeights, consistency_check, estimate_metrics, score, update_weights
-from fedmesh.trainer import LocalModelSpec, build_report, train_clients
+from fedmesh.trainer import TrainerConfig, build_report, train_clients
 
 
 def report_pass(criterion: int, message: str) -> None:
@@ -45,7 +45,7 @@ def test_criterion_01_jfi_recomputation():
 
 def test_criterion_02_equation_oracles():
     rng = np.random.default_rng(2024)
-    spec = LocalModelSpec(input_dim=10)
+    spec = TrainerConfig()
 
     # utility norm: summed per-parameter distance vs scalar loop
     for _ in range(100):
@@ -199,8 +199,14 @@ def test_criterion_06_adversary_exclusion():
     dataset = generate_synthetic(2000, 10, 0.5, seed=66)
     result = run(config, dataset)
     assert len(result.rounds) == 5
-    for entry in result.excluded_clients_log:
-        assert set(entry["inconsistent"]) >= set(liars), f"round {entry['round']} missed a liar"
+    for round_no in range(1, 6):
+        flagged = {
+            c
+            for event in result.events
+            if event["type"] == "selection" and event["round"] == round_no
+            for c in event["flagged_inconsistent"]
+        }
+        assert flagged >= set(liars), f"round {round_no} missed a liar"
     liar_utilities = [
         ev["estimated_utility"]
         for event in result.events
@@ -254,7 +260,7 @@ def test_criterion_08_convergence_sanity():
     dataset = generate_synthetic(4000, 10, 0.5, seed=777)
     result = run(config, dataset)
     prep = prepare_data(config, dataset)
-    init = evaluate(result.initial_global, prep.d_test.features, prep.d_test.labels)
+    init = evaluate(zeros(dataset.n_features + 1), prep.d_test.features, prep.d_test.labels)
     final_acc = result.rounds[-1].global_test[1]
     final_auroc = result.rounds[-1].global_test[4]
     assert final_acc - init.accuracy >= 0.15
@@ -332,19 +338,12 @@ def test_criterion_11_fedavg_baseline_equivalence():
     )
     dataset = generate_synthetic(600, 10, 0.5, seed=99)
     prep = prepare_data(base, dataset)
-    spec = LocalModelSpec(
-        input_dim=dataset.n_features,
-        local_epochs=base.trainer.local_epochs,
-        learning_rate=base.trainer.learning_rate,
-        batch_size=base.trainer.batch_size,
-    )
+    spec = base.trainer
     total = sum(len(rows) for rows in prep.client_train.values())
 
-    oracle_model = None
+    oracle_model = zeros(dataset.n_features + 1)
     for rounds_max in (1, 2, 3):
         sim = run(dataclasses.replace(base, rounds_max=rounds_max), dataset)
-        if oracle_model is None:
-            oracle_model = sim.initial_global
         # advance the oracle by one round: plain sample-weighted client-model mean
         cids = sorted(prep.client_train)
         models = train_clients(

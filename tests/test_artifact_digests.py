@@ -1,5 +1,6 @@
 """Byte-identity pins: the sha256 of rounds.csv and events.jsonl for small runs,
-and of the ciphertexts of a fixed encryption sequence.
+the config_hash their manifests record, and the sha256 of the ciphertexts of a
+fixed encryption sequence.
 
 A change that keeps the simulator's arithmetic must keep every digest. A
 change that moves an artifact on purpose updates the digests here and names
@@ -78,6 +79,22 @@ DIGESTS = {
     ("fedselect_me_secure", 23): ("c39838ca1e30b268", "025d255eeb887edc"),
 }
 
+# config_hash prefixes per (config, seed); a schema change that moves them stops old manifests from replaying
+CONFIG_HASHES = {
+    ("fedselect_me", 1): "12ff260cf3e82596",
+    ("fedselect_me", 2): "bcaaa310800e5fd5",
+    ("fedselect_me", 23): "ab19808ad479f25d",
+    ("no_selection", 1): "09fd0cc1a7bb737f",
+    ("no_selection", 2): "03ac231631292e47",
+    ("no_selection", 23): "358267cf60a5b639",
+    ("fedavg_single_secure", 1): "6a41cb31ed0d46a1",
+    ("fedavg_single_secure", 2): "abb865b16227ffc3",
+    ("fedavg_single_secure", 23): "3316526764d49604",
+    ("fedselect_me_secure", 1): "aab2c234ad79717d",
+    ("fedselect_me_secure", 2): "6f3ac5000eb2f1d4",
+    ("fedselect_me_secure", 23): "c63837551e524ba2",
+}
+
 # sha256 prefix of the 11 ciphertexts of encryption_sequence under keygen(256, seed)
 CIPHERTEXT_DIGESTS = {1: "3258f0f2f6130203", 2: "aace347ab922a73c", 23: "eaea163c2d5a20c4"}
 
@@ -93,6 +110,8 @@ def test_artifacts_are_byte_identical(name, seed, tmp_path, monkeypatch, capsys)
         for artifact in ("rounds.csv", "events.jsonl")
     )
     assert got == DIGESTS[name, seed]
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["config_hash"][:16] == CONFIG_HASHES[name, seed]
 
 
 def encryption_sequence(public, precompute):

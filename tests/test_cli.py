@@ -160,11 +160,15 @@ class TestCmdRun:
             (None, ["data.csv_path=rows.csv"], "data: label_column"),
             (None, ["data.edge_test_fraction=2"], "data: edge_test_fraction"),
             (None, ["data.edge_test_fraction=-1"], "data: edge_test_fraction"),
+            (None, ["data.csv_path=TMP/missing.csv", "data.label_column=y"], "data.csv_path: [Errno 2]"),
+            (None, ["data.csv_path=TMP/rows.csv", "data.label_column=y"], "data.csv_path: label column 'y' not found"),
         ],
     )
     def test_bad_input_is_a_config_error(self, config_file, tmp_path, monkeypatch, capsys, env_seed, overrides, field):
         if env_seed is not None:
             monkeypatch.setenv("FEDMESH_SEED", env_seed)
+        (tmp_path / "rows.csv").write_text("a,b\n1.0,0\n")  # a readable table without column y
+        overrides = [item.replace("TMP", str(tmp_path)) for item in overrides]
         assert cmd_run(config_file, str(tmp_path / "o"), overrides=overrides) == 2
         assert cmd_compare(config_file, ["fedselect_me", "no_selection"], str(tmp_path / "c"), overrides) == 2
         err = capsys.readouterr().err
@@ -285,12 +289,28 @@ class TestCmdCompare:
         assert lines[1].split(",")[0] == "fedselect_me"
         assert lines[2].split(",")[0] == "no_selection"
 
-    def test_identical_modes_give_identical_rows(self, config_file, tmp_path):
+    def test_rerun_gives_identical_rows(self, config_file, tmp_path):
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert cmd_compare(config_file, ["no_selection", "fedselect_me"], str(out)) == 0
+        text = (outs[0] / "compare.csv").read_text()
+        assert (outs[1] / "compare.csv").read_text() == text
+        header, *rows = [line.split(",") for line in text.splitlines()]
+        acc = header.index("test_accuracy")
+        assert float(rows[0][-1]) == 0.0  # delta vs first mode
+        assert float(rows[1][-1]) == float(rows[1][acc]) - float(rows[0][acc])
+        # every mode shares one dataset, and runs exactly as `fedmesh run` runs it
+        for mode in ("no_selection", "fedselect_me"):
+            assert cmd_run(config_file, str(tmp_path / mode), [f"baseline_mode={mode}"]) == 0
+            for artifact in ("rounds.csv", "events.jsonl"):
+                assert (tmp_path / mode / artifact).read_bytes() == (outs[0] / mode / artifact).read_bytes()
+
+    def test_repeated_mode_rejected(self, config_file, tmp_path, capsys):
         out = tmp_path / "cmp"
-        assert cmd_compare(config_file, ["no_selection", "no_selection"], str(out)) == 0
-        lines = (out / "compare.csv").read_text().splitlines()
-        assert lines[1].split(",")[1:-1] == lines[2].split(",")[1:-1]
-        assert float(lines[2].split(",")[-1]) == 0.0  # delta vs first mode
+        argv = ["compare", "--config", config_file, "--modes", "fedselect_me,no_selection,fedselect_me", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "config error: compare: mode 'fedselect_me' is given twice\n"
+        assert not out.exists()
 
     def test_adversarial_compare_favors_selection(self, tmp_path):
         # 20% of clients noise their weights while reporting clean metrics:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fedmesh.aggregation
+import fedmesh.orchestrator
 import fedmesh.secagg
 import fedmesh.trainer
 from fedmesh.aggregation import CrossEdgeConfig, EdgeUpdate
@@ -27,8 +28,8 @@ from fedmesh.orchestrator import (
     prepare_data,
     run,
 )
-from fedmesh.params import weighted_sum
-from fedmesh.trainer import LocalModelSpec, train_clients
+from fedmesh.params import weighted_sum, zeros
+from fedmesh.trainer import train_clients
 
 
 def make_config(**overrides) -> SimulationConfig:
@@ -55,8 +56,25 @@ def big_dataset():
     return generate_synthetic(1600, 10, 0.5, seed=100)
 
 
-def frozen_evaluator(weights, features, labels):
+def frozen_evaluate(weights, features, labels, threshold=0.5):
     return BinaryMetrics(accuracy=0.5, f1_macro=0.5, f1_weighted=0.5, auroc=0.5, loss=0.7)
+
+
+def excluded(result):
+    """Per round, the clients that any edge flagged, as the selection events record them."""
+    selections = [e for e in result.events if e["type"] == "selection"]
+
+    def flagged(round_no, key):
+        return sorted({c for e in selections if e["round"] == round_no for c in e[key]})
+
+    return [
+        {
+            "round": r.round,
+            "inconsistent": flagged(r.round, "flagged_inconsistent"),
+            "score_outlier": flagged(r.round, "flagged_score_outlier"),
+        }
+        for r in result.rounds
+    ]
 
 
 def result_fingerprint(result):
@@ -73,7 +91,6 @@ def result_fingerprint(result):
         ],
         "final": result.final_global.values.tolist(),
         "events": result.events,
-        "excluded": result.excluded_clients_log,
     }
     return json.dumps(payload, sort_keys=True)
 
@@ -83,7 +100,7 @@ class TestRunBasics:
         result = run(make_config(rounds_max=1), dataset)
         assert len(result.rounds) == 1
         assert not result.stopped_early
-        assert result.excluded_clients_log == [{"round": 1, "inconsistent": [], "score_outlier": []}]
+        assert excluded(result) == [{"round": 1, "inconsistent": [], "score_outlier": []}]
         assert np.all(np.isfinite(result.final_global.values))
 
     def test_round_record_contents(self, dataset):
@@ -96,9 +113,10 @@ class TestRunBasics:
         assert val_loss > 0.0 and 0.0 <= val_acc <= 1.0
         assert rec.global_test[4] is None or 0.0 <= rec.global_test[4] <= 1.0
 
-    def test_early_stopping_with_frozen_loss(self, dataset):
+    def test_early_stopping_with_frozen_loss(self, dataset, monkeypatch):
+        monkeypatch.setattr(fedmesh.orchestrator, "evaluate", frozen_evaluate)
         config = make_config(rounds_max=20, patience=3)
-        result = run(config, dataset, evaluator=frozen_evaluator)
+        result = run(config, dataset)
         # round 1 sets the baseline; rounds 2..4 fail to improve
         assert len(result.rounds) == config.patience + 1
         assert result.stopped_early
@@ -124,7 +142,7 @@ class TestRunBasics:
         config = make_config(rounds_max=5)
         result = run(config, dataset)
         prep = prepare_data(config, dataset)
-        init = evaluate(result.initial_global, prep.d_test.features, prep.d_test.labels)
+        init = evaluate(zeros(dataset.n_features + 1), prep.d_test.features, prep.d_test.labels)
         final = evaluate(result.final_global, prep.d_test.features, prep.d_test.labels)
         assert final.accuracy > init.accuracy
 
@@ -226,7 +244,7 @@ class TestAdversaries:
         )
         result = run(config, big_dataset)
         assert len(result.rounds) == 5
-        for entry in result.excluded_clients_log:
+        for entry in excluded(result):
             assert set(entry["inconsistent"]) >= {0, 7, 13}
         for event in result.events:
             if event["type"] == "selection":
@@ -243,7 +261,7 @@ class TestAdversaries:
             adversaries=(AdversaryAssignment(0, "inflate_utility", 5.0),),
         )
         result = run(config, big_dataset)
-        for entry in result.excluded_clients_log:
+        for entry in excluded(result):
             assert entry["inconsistent"] == [] and entry["score_outlier"] == []
         liar_edge_events = [
             e for e in result.events if e["type"] == "selection" and e["edge"] == 0
@@ -252,7 +270,7 @@ class TestAdversaries:
 
     def test_honest_runs_have_no_flags(self, dataset):
         result = run(make_config(rounds_max=3), dataset)
-        for entry in result.excluded_clients_log:
+        for entry in excluded(result):
             assert entry["inconsistent"] == [] and entry["score_outlier"] == []
 
 
@@ -310,7 +328,7 @@ class TestEdgeFailures:
             return (
                 result.rounds[0],
                 [e for e in result.events if e["round"] == 1],
-                result.excluded_clients_log[0],
+                excluded(result)[0],
             )
 
         assert repr(round_one(clean)) == repr(round_one(failed))
@@ -361,13 +379,8 @@ class TestBaselines:
         )
         sim = run(config, dataset)
         prep = prepare_data(config, dataset)
-        spec = LocalModelSpec(
-            input_dim=dataset.n_features,
-            local_epochs=config.trainer.local_epochs,
-            learning_rate=config.trainer.learning_rate,
-            batch_size=config.trainer.batch_size,
-        )
-        global_model = sim.initial_global
+        spec = config.trainer
+        global_model = zeros(dataset.n_features + 1)
         for round_no in range(1, 4):
             cids = sorted(prep.client_train)
             models = train_clients(

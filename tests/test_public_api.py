@@ -2,7 +2,6 @@ import fedmesh
 
 PUBLIC_API = [
     "AdversaryAssignment",
-    "AdversaryBehavior",
     "BinaryMetrics",
     "CipherVector",
     "ClientEvaluation",
@@ -12,7 +11,6 @@ PUBLIC_API = [
     "Dataset",
     "EdgeUpdate",
     "FixedPointCodec",
-    "LocalModelSpec",
     "MODES",
     "ParamVector",
     "Partition",

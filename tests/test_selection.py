@@ -22,15 +22,14 @@ from fedmesh.selection import (
     simplex_grid,
     update_weights,
 )
-from fedmesh.trainer import AdversaryBehavior, ClientReports, LocalModelSpec, build_report
+from fedmesh.trainer import AdversaryAssignment, ClientReports, TrainerConfig, build_report
 
 
 def honest_report(client_id, trained_values, edge_model, sample_count=50, security=0.5, behavior=None, rng=None):
-    """One client's report, as a one-row ClientReports."""
-    spec = LocalModelSpec(input_dim=len(trained_values) - 1)
+    """One client's report, as a one-row ClientReports; `behavior` is an adversary's (kind, factor)."""
     return build_report(
-        [client_id], np.asarray(trained_values, dtype=float)[None], edge_model, spec, [sample_count], [security],
-        {client_id: behavior} if behavior else None, lambda cid: rng,
+        [client_id], np.asarray(trained_values, dtype=float)[None], edge_model, TrainerConfig(), [sample_count],
+        [security], [AdversaryAssignment(client_id, *behavior)] if behavior else (), lambda cid: rng,
     )
 
 
@@ -219,7 +218,7 @@ class TestSelectClients:
         rng = np.random.default_rng(1)
         reports = [honest_report(c, 0.1 * rng.normal(size=11), edge) for c in range(5)]
         liar = honest_report(
-            5, 0.1 * rng.normal(size=11), edge, behavior=AdversaryBehavior("inflate_utility", 10.0)
+            5, 0.1 * rng.normal(size=11), edge, behavior=("inflate_utility", 10.0)
         )
         # sanity: a 10x lie at this utility level exceeds the 0.15 threshold
         honest_u = sum(abs(x) for x in liar.weights[0] - edge.values)
@@ -328,7 +327,7 @@ class TestSelectClients:
             ([[1.0, 0.0], [1e308, 0.0], [1e308, 0.0]], [None] * 3,
              "client 2: estimated utility 1e+308 makes the edge's total estimated utility overflow"),
             # a report inflated past the float range
-            ([[1.0, 0.0], [1e300, 0.0]], [None, AdversaryBehavior("inflate_utility", 1e10)],
+            ([[1.0, 0.0], [1e300, 0.0]], [None, ("inflate_utility", 1e10)],
              "client 1: reported utility inf is not finite"),
         ]
         for rows, behaviors, message in cases:

@@ -9,10 +9,10 @@ from fedmesh.metrics import binary_metrics
 from fedmesh.params import ParamVector
 from fedmesh.selection import estimate_metrics
 from fedmesh.trainer import (
-    AdversaryBehavior,
+    AdversaryAssignment,
     ClientReports,
     Cohort,
-    LocalModelSpec,
+    TrainerConfig,
     build_report,
     gradient,
     predict_proba,
@@ -76,7 +76,7 @@ def small_dataset():
 
 class TestTrainLocal:
     def test_zero_learning_rate_is_identity(self, small_dataset):
-        spec = LocalModelSpec(input_dim=10, learning_rate=0.0, local_epochs=3)
+        spec = TrainerConfig(learning_rate=0.0, local_epochs=3)
         start = ParamVector(np.random.default_rng(1).normal(size=11))
         out = train_clients(start, spec, small_dataset, [np.arange(50), np.arange(7)], [5, 6])
         for trained in out:
@@ -89,7 +89,7 @@ class TestTrainLocal:
         feats, labs = two_point_dataset.features, two_point_dataset.labels.astype(float)
         losses = []
         for epochs in range(101):
-            spec = LocalModelSpec(input_dim=1, learning_rate=0.5, local_epochs=epochs, batch_size=2)
+            spec = TrainerConfig(learning_rate=0.5, local_epochs=epochs, batch_size=2)
             w = train_local(start, spec, two_point_dataset, idx, seed=0)
             losses.append(bce_loss(w, feats, labs))
         assert all(b < a for a, b in zip(losses, losses[1:]))
@@ -130,9 +130,7 @@ class TestTrainLocal:
     def test_matches_per_batch_oracle(self, shards, local_epochs, learning_rate, start, seed, data):
         # every client trains exactly as it would alone, whoever shares its stacked steps
         batch_size, sizes = shards
-        spec = LocalModelSpec(
-            input_dim=10, local_epochs=local_epochs, learning_rate=learning_rate, batch_size=batch_size
-        )
+        spec = TrainerConfig(local_epochs=local_epochs, learning_rate=learning_rate, batch_size=batch_size)
         rng = np.random.default_rng(seed)
         indices = [rng.permutation(len(ORACLE_DATASET.labels))[:n] for n in sizes]
         seeds = [int(s) for s in rng.integers(0, 2**63, len(sizes))]
@@ -157,7 +155,7 @@ class TestTrainLocal:
     def test_chunked_gathers_match_training_alone(self, shards, gather_rows, local_epochs, seed):
         # buffer fills that split the epoch anywhere between steps leave every client's bytes alone
         batch_size, sizes = shards
-        spec = LocalModelSpec(input_dim=10, local_epochs=local_epochs, learning_rate=2.0, batch_size=batch_size)
+        spec = TrainerConfig(local_epochs=local_epochs, learning_rate=2.0, batch_size=batch_size)
         rng = np.random.default_rng(seed)
         indices = [rng.permutation(len(ORACLE_DATASET.labels))[:n] for n in sizes]
         seeds = [int(s) for s in rng.integers(0, 2**63, len(sizes))]
@@ -171,7 +169,7 @@ class TestTrainLocal:
             assert trained.values.tobytes() == alone.values.tobytes() == want.tobytes()
 
     def test_deterministic_given_seed(self, small_dataset):
-        spec = LocalModelSpec(input_dim=10, learning_rate=0.2, local_epochs=5, batch_size=16)
+        spec = TrainerConfig(learning_rate=0.2, local_epochs=5, batch_size=16)
         start = ParamVector(np.zeros(11))
         a = train_local(start, spec, small_dataset, np.arange(80), seed=9)
         b = train_local(start, spec, small_dataset, np.arange(80), seed=9)
@@ -180,7 +178,7 @@ class TestTrainLocal:
         assert a.values.tobytes() != c.values.tobytes()
 
     def test_empty_client_rejected(self, small_dataset):
-        spec = LocalModelSpec(input_dim=10)
+        spec = TrainerConfig()
         start = ParamVector(np.zeros(11))
         with pytest.raises(ValueError, match="no training samples"):
             train_clients(start, spec, small_dataset, [[]], [0])
@@ -189,9 +187,15 @@ class TestTrainLocal:
         with pytest.raises(ValueError, match="seeds"):
             train_clients(start, spec, small_dataset, [np.arange(5)], [0, 1])
 
+    def test_start_must_have_the_dataset_width(self, small_dataset):
+        # ten features and the bias: 11 parameters
+        for dim in (10, 12):
+            with pytest.raises(ValueError, match=f"start has dim {dim}, model needs 11"):
+                train_clients(ParamVector(np.zeros(dim)), TrainerConfig(), small_dataset, [np.arange(5)], [0])
+
     def test_batch_size_far_above_shard_sizes(self, small_dataset):
         # full-batch descent: the step buffers are sized by the shards, not by batch_size
-        spec = LocalModelSpec(input_dim=10, learning_rate=0.3, local_epochs=4, batch_size=10**7)
+        spec = TrainerConfig(learning_rate=0.3, local_epochs=4, batch_size=10**7)
         start = ParamVector(np.random.default_rng(2).normal(size=11))
         shards = [np.arange(3), np.arange(40, 200), np.arange(7, 47)]
         got = train_clients(start, spec, small_dataset, shards, [11, 12, 13])
@@ -200,7 +204,7 @@ class TestTrainLocal:
             assert trained.values.tobytes() == want.tobytes()
 
     def test_training_actually_fits(self, small_dataset):
-        spec = LocalModelSpec(input_dim=10, learning_rate=0.5, local_epochs=30)
+        spec = TrainerConfig(learning_rate=0.5, local_epochs=30)
         w = train_local(ParamVector(np.zeros(11)), spec, small_dataset, np.arange(200), seed=4)
         probs = predict_proba(w, small_dataset.features)
         acc = np.mean((probs >= 0.5) == small_dataset.labels)
@@ -212,7 +216,7 @@ class TestCohort:
     SEEDS = [7, 8, 9]
 
     def test_members_train_once_and_match_training_alone(self, small_dataset, monkeypatch):
-        spec = LocalModelSpec(input_dim=10, learning_rate=0.4, local_epochs=3, batch_size=16)
+        spec = TrainerConfig(learning_rate=0.4, local_epochs=3, batch_size=16)
         start = ParamVector(np.random.default_rng(3).normal(size=11))
         alone = [train_local(start, spec, small_dataset, i, s) for i, s in zip(self.SHARDS, self.SEEDS)]
         runs = []
@@ -233,14 +237,14 @@ class TestCohort:
         assert len(runs) == 1
 
     def test_non_members_rejected(self, small_dataset):
-        spec = LocalModelSpec(input_dim=10)
+        spec = TrainerConfig()
         start = ParamVector(np.zeros(11))
         cohort = Cohort(start, spec, small_dataset, self.SHARDS, self.SEEDS)
         calls = [
             (start, spec, small_dataset, self.SHARDS[0], 99),
             (start, spec, small_dataset, self.SHARDS[1], self.SEEDS[0]),
             (ParamVector(np.zeros(11)), spec, small_dataset, self.SHARDS[0], self.SEEDS[0]),
-            (start, LocalModelSpec(input_dim=10, batch_size=8), small_dataset, self.SHARDS[0], self.SEEDS[0]),
+            (start, TrainerConfig(batch_size=8), small_dataset, self.SHARDS[0], self.SEEDS[0]),
             (start, spec, generate_synthetic(200, 10, 0.5, seed=21), self.SHARDS[0], self.SEEDS[0]),
         ]
         for args in calls:
@@ -256,7 +260,7 @@ class TestCohort:
         features = small_dataset.features.copy()
         features[self.SHARDS[1]] *= 1e200
         data = Dataset(features, small_dataset.labels, name="one huge shard")
-        spec = LocalModelSpec(input_dim=10, learning_rate=1e200, local_epochs=2)
+        spec = TrainerConfig(learning_rate=1e200, local_epochs=2)
         start = ParamVector(np.zeros(11))
         cohort = Cohort(start, spec, data, self.SHARDS, self.SEEDS)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -267,16 +271,16 @@ class TestCohort:
 
 
 def report(client_id, trained, received, spec, sample_count, security, behavior=None, rng=None):
-    """build_report for one client."""
+    """build_report for one client; `behavior` is an adversary's (kind, factor)."""
     return build_report(
         [client_id], trained.values[None], received, spec, [sample_count], [security],
-        {client_id: behavior} if behavior else None, None if rng is None else lambda cid: rng,
+        [AdversaryAssignment(client_id, *behavior)] if behavior else (), None if rng is None else lambda cid: rng,
     )
 
 
 class TestBuildReport:
     def spec(self):
-        return LocalModelSpec(input_dim=10)
+        return TrainerConfig()
 
     def test_honest_report_zero_utility_when_unchanged(self):
         w = ParamVector(np.ones(11))
@@ -302,13 +306,13 @@ class TestBuildReport:
         received = ParamVector(rng.normal(size=11))
         trained = ParamVector(rng.normal(size=11))
         honest = report(1, trained, received, self.spec(), 20, 0.5)
-        liar = report(1, trained, received, self.spec(), 20, 0.5, behavior=AdversaryBehavior("inflate_utility", 10.0))
+        liar = report(1, trained, received, self.spec(), 20, 0.5, behavior=("inflate_utility", 10.0))
         assert liar.reported_utility[0] == pytest.approx(10 * honest.reported_utility[0], rel=1e-12)
         assert np.array_equal(liar.weights, honest.weights)
 
     def test_deflate_energy(self):
         w = ParamVector(np.ones(11))
-        got = report(2, w, w, self.spec(), 100, 0.5, behavior=AdversaryBehavior("deflate_energy", 4.0))
+        got = report(2, w, w, self.spec(), 100, 0.5, behavior=("deflate_energy", 4.0))
         assert got.reported_energy[0] == pytest.approx(1.011 / 4.0, rel=1e-12)
 
     def test_noise_weights_masks_tamper(self):
@@ -321,8 +325,8 @@ class TestBuildReport:
             drawn.append(cid)
             return np.random.default_rng(77)
 
-        behaviors = {5: AdversaryBehavior("noise_weights", 2.0), 9: AdversaryBehavior("inflate_utility", 2.0)}
-        reports = build_report([4, 5, 6], trained, received, self.spec(), [30] * 3, [0.5] * 3, behaviors, rng_for)
+        adversaries = [AdversaryAssignment(5, "noise_weights", 2.0), AdversaryAssignment(9, "inflate_utility", 2.0)]
+        reports = build_report([4, 5, 6], trained, received, self.spec(), [30] * 3, [0.5] * 3, adversaries, rng_for)
         # only the tampering client draws noise; its weights change, its report describes the clean ones
         assert drawn == [5]
         noise = np.random.default_rng(77).normal(0.0, 2.0, 11)
@@ -335,11 +339,11 @@ class TestBuildReport:
     def test_noise_weights_requires_rng(self):
         w = ParamVector(np.ones(3))
         with pytest.raises(ValueError):
-            report(0, w, w, LocalModelSpec(input_dim=2), 5, 0.5, behavior=AdversaryBehavior("noise_weights", 1.0))
+            report(0, w, w, TrainerConfig(), 5, 0.5, behavior=("noise_weights", 1.0))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            report(0, ParamVector(np.ones(3)), ParamVector(np.ones(4)), LocalModelSpec(input_dim=2), 5, 0.5)
+            report(0, ParamVector(np.ones(3)), ParamVector(np.ones(4)), TrainerConfig(), 5, 0.5)
 
 
 class TestValidation:
@@ -356,15 +360,17 @@ class TestValidation:
                 reports(**bad)
 
     def test_spec_invariants(self):
-        assert LocalModelSpec(input_dim=4).local_epochs == 5
-        with pytest.raises(ValueError):
-            LocalModelSpec(input_dim=0)
-        for learning_rate in (-0.1, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="learning_rate"):
-                LocalModelSpec(input_dim=4, learning_rate=learning_rate)
+        assert TrainerConfig().local_epochs == 5
+        for bad in (dict(batch_size=0), dict(local_epochs=-1)):
+            with pytest.raises(ValueError, match="batch_size must be positive, local_epochs nonnegative"):
+                TrainerConfig(**bad)
+        for name in ("learning_rate", "energy_alpha", "energy_beta"):
+            for value in (-0.1, float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=name):
+                    TrainerConfig(**{name: value})
 
     def test_behavior_validation(self):
         with pytest.raises(ValueError):
-            AdversaryBehavior("drop_updates", 1.0)
+            AdversaryAssignment(0, "drop_updates", 1.0)
         with pytest.raises(ValueError):
-            AdversaryBehavior("inflate_utility", 0.0)
+            AdversaryAssignment(0, "inflate_utility", 0.0)
