@@ -5,9 +5,9 @@ sample-weighted global model updates."""
 __version__ = "0.1.0"
 
 from .aggregation import CrossEdgeConfig, EdgeUpdate, central_aggregate, cross_edge_exchange
-from .data import Dataset, Partition, generate_synthetic, ingest_csv, partition_noniid, split
+from .data import Dataset, generate_synthetic, ingest_csv, partition_noniid, split
 from .metrics import BinaryMetrics, RoundRecord, binary_metrics, jain_fairness
-from .orchestrator import MODES, DataConfig, SecAggConfig, SimulationConfig, SimulationResult, inject_edge_failure, run
+from .orchestrator import MODES, DataConfig, SecAggConfig, SimulationConfig, SimulationResult, run
 from .params import ParamVector, clip_elementwise, clip_l2, weighted_sum, zeros
 from .secagg import (
     CipherVector,
@@ -43,7 +43,6 @@ __all__ = [
     "FixedPointCodec",
     "MODES",
     "ParamVector",
-    "Partition",
     "RoundRecord",
     "ScoreWeights",
     "SecAggConfig",
@@ -65,7 +64,6 @@ __all__ = [
     "generate_synthetic",
     "grid_search_init",
     "ingest_csv",
-    "inject_edge_failure",
     "jain_fairness",
     "keygen",
     "partition_noniid",

@@ -238,16 +238,11 @@ def write_events_jsonl(path: Path, events: Sequence[dict]) -> None:
             fh.write(json.dumps(event, sort_keys=True) + "\n")
 
 
-def _effective_edge_ids(config: SimulationConfig) -> list[int]:
-    return [0] if config.baseline_mode == "fedavg_single" else list(range(config.n_edges))
-
-
 def _run_to_dir(config: SimulationConfig, dataset: Dataset, out: Path) -> SimulationResult:
     out.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
     result = run(config, dataset)
-    edge_ids = _effective_edge_ids(config)
-    write_rounds_csv(out / "rounds.csv", result.rounds, edge_ids)
+    write_rounds_csv(out / "rounds.csv", result.rounds, list(config.edge_clients))
     write_events_jsonl(out / "events.jsonl", result.events)
     manifest = {
         "config_hash": config_hash(config),

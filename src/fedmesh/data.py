@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ class Dataset:
 
     features: np.ndarray
     labels: np.ndarray
-    name: str = "dataset"
 
     def __post_init__(self) -> None:
         feats = np.array(self.features, dtype=np.float64, copy=True)
@@ -56,43 +55,9 @@ class Dataset:
     def n_features(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, indices: Sequence[int], name: str | None = None) -> "Dataset":
+    def subset(self, indices: Sequence[int]) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.features[idx], self.labels[idx], name or self.name)
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint assignment of sample rows to clients grouped by edge."""
-
-    assignments: Mapping[int, Mapping[int, np.ndarray]]  # edge_id -> client_id -> row indices
-
-    def client_ids(self, edge_id: int) -> list[int]:
-        return sorted(self.assignments[edge_id])
-
-    def validate(self) -> None:
-        """Check that no sample row is held twice, within or across clients.
-
-        Clients are checked in order, each against itself and then against
-        the clients before it; the first offender is named."""
-        held = [np.asarray(rows, dtype=np.int64) for clients in self.assignments.values() for rows in clients.values()]
-        cids = [cid for clients in self.assignments.values() for cid in clients]
-        if not held:
-            return
-        rows = np.concatenate(held)
-        owner = np.repeat(np.arange(len(held)), [r.size for r in held])
-        order = np.argsort(rows, kind="stable")  # equal rows stay in holding order
-        rows, owner = rows[order], owner[order]
-        repeat = np.flatnonzero(rows[1:] == rows[:-1])
-        if not repeat.size:
-            return
-        # every repeat of a row is held by its later holder; the first such holder errs first
-        later, earlier = owner[repeat + 1], owner[repeat]
-        k = int(later.min())
-        if np.any((later == k) & (earlier == k)):
-            raise ValueError(f"client {cids[k]} holds duplicate sample indices")
-        overlap = np.unique(rows[repeat + 1][later == k])
-        raise ValueError(f"sample indices assigned to two clients: {overlap[:5].tolist()}")
+        return Dataset(self.features[idx], self.labels[idx])
 
 
 def generate_synthetic(
@@ -126,7 +91,7 @@ def generate_synthetic(
     mean = feats.mean(axis=0)
     std = feats.std(axis=0)
     std[std == 0.0] = 1.0
-    return Dataset((feats - mean) / std, labels, name=f"synthetic-seed{seed}")
+    return Dataset((feats - mean) / std, labels)
 
 
 def partition_noniid(
@@ -135,14 +100,15 @@ def partition_noniid(
     clients_per_edge: int,
     dirichlet_alpha: float,
     seed: int,
-) -> Partition:
-    """Dirichlet label-skew partition of all samples across edges and clients.
+) -> list[np.ndarray]:
+    """Dirichlet label-skew partition of all samples across the clients of all edges.
 
     For each class, the class's rows are split across all clients with
     proportions drawn from Dirichlet(alpha); small alpha gives strongly skewed
-    per-client label mixes, large alpha approaches IID. Client j belongs to
-    edge j // clients_per_edge. Retries the draw until every client holds at
-    least 2 samples of some class.
+    per-client label mixes, large alpha approaches IID. Entry c holds client
+    c's sorted rows, and every row is held by exactly one client. Starved
+    clients are topped up until every client holds at least 2 samples of some
+    class.
     """
     if n_edges < 1 or clients_per_edge < 1:
         raise ValueError("n_edges and clients_per_edge must be positive")
@@ -169,14 +135,7 @@ def partition_noniid(
         for j, part in enumerate(np.split(shuffled, np.cumsum(counts)[:-1])):
             holdings[j][cls] = part
     _repair_starved_clients(holdings)
-
-    assignments: dict[int, dict[int, np.ndarray]] = {}
-    for e in range(n_edges):
-        assignments[e] = {}
-        for k in range(clients_per_edge):
-            cid = e * clients_per_edge + k
-            assignments[e][cid] = np.sort(np.concatenate(holdings[cid]))
-    return Partition(assignments)
+    return [np.sort(np.concatenate(classes)) for classes in holdings]
 
 
 def _repair_starved_clients(holdings: list[list[np.ndarray]]) -> None:
@@ -227,7 +186,7 @@ def shift_features(d: Dataset, row_indices: Sequence[int], offset: float) -> Dat
     idx = np.asarray(row_indices, dtype=np.int64)
     feats = np.array(d.features, copy=True)
     feats[idx] += offset
-    return Dataset(feats, d.labels, name=d.name)
+    return Dataset(feats, d.labels)
 
 
 def ingest_csv(path: str, label_column: str) -> tuple[Dataset, int]:
@@ -268,7 +227,7 @@ def ingest_csv(path: str, label_column: str) -> tuple[Dataset, int]:
     mean = feats.mean(axis=0)
     std = feats.std(axis=0)
     std[std == 0.0] = 1.0
-    d = Dataset((feats - mean) / std, np.asarray(labels, dtype=np.int64), name=path)
+    d = Dataset((feats - mean) / std, np.asarray(labels, dtype=np.int64))
     return d, dropped
 
 
@@ -293,5 +252,5 @@ def split(
         rows = np.sort(np.concatenate(chunks))
         if not rows.size:
             raise ValueError(f"{tag} split is empty; adjust fractions or dataset size")
-        out.append(d.subset(rows, name=f"{d.name}/{tag}"))
+        out.append(d.subset(rows))
     return out[0], out[1], out[2]

@@ -18,8 +18,7 @@ PROB_CLAMP = 1e-12
 class BinaryMetrics:
     """Threshold metrics plus AUROC for one prediction set.
 
-    auroc is None when undefined (single-class labels); auroc_reason then
-    says why.
+    auroc is None when undefined (single-class labels).
     """
 
     accuracy: float
@@ -27,7 +26,6 @@ class BinaryMetrics:
     f1_weighted: float
     auroc: float | None
     loss: float
-    auroc_reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -101,10 +99,8 @@ def binary_metrics(
 
     if n_pos == 0 or n_neg == 0:
         auroc = None
-        reason = f"AUROC undefined: labels contain a single class (pos={n_pos}, neg={n_neg})"
     else:
         auroc = _midrank_auroc(probs, y)
-        reason = None
 
     return BinaryMetrics(
         accuracy=accuracy,
@@ -112,7 +108,6 @@ def binary_metrics(
         f1_weighted=f1_weighted,
         auroc=auroc,
         loss=_bce(probs, y),
-        auroc_reason=reason,
     )
 
 

@@ -13,14 +13,14 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import secagg, selection, trainer
 from .aggregation import CrossEdgeConfig, EdgeUpdate, central_aggregate, cross_edge_exchange
-from .data import Dataset, Partition, partition_noniid, shift_features, split
+from .data import Dataset, partition_noniid, shift_features, split
 from .metrics import BinaryMetrics, RoundRecord, binary_metrics, jain_fairness
 from .params import ParamVector, zeros
 from .secagg import FixedPointCodec
@@ -120,6 +120,15 @@ class SimulationConfig:
     def n_clients(self) -> int:
         return self.n_edges * self.clients_per_edge
 
+    @property
+    def edge_clients(self) -> dict[int, range]:
+        """The clients of each edge: client c sits on edge c // clients_per_edge,
+        or on the one virtual edge 0 under fedavg_single."""
+        if self.baseline_mode == "fedavg_single":
+            return {0: range(self.n_clients)}
+        k = self.clients_per_edge
+        return {e: range(e * k, (e + 1) * k) for e in range(self.n_edges)}
+
     def __post_init__(self) -> None:
         if self.n_edges < 1:
             raise ValueError("n_edges: must be >= 1")
@@ -135,9 +144,12 @@ class SimulationConfig:
             raise ValueError("decision_threshold: must be finite")
         if self.baseline_mode not in MODES:
             raise ValueError(f"baseline_mode: must be one of {MODES}")
-        for adv in self.adversaries:
-            if not 0 <= adv.client_id < self.n_clients:
-                raise ValueError(f"adversaries: client_id {adv.client_id} out of range")
+        adversary_ids = [adv.client_id for adv in self.adversaries]
+        for i, cid in enumerate(adversary_ids):
+            if not 0 <= cid < self.n_clients:
+                raise ValueError(f"adversaries: client_id {cid} out of range")
+            if cid in adversary_ids[:i]:
+                raise ValueError(f"adversaries: client_id {cid} is given twice")
         for edge_id, round_no in self.edge_failures:
             if not 0 <= edge_id < self.n_edges:
                 raise ValueError(f"edge_failures: edge_id {edge_id} out of range")
@@ -167,52 +179,36 @@ def evaluate(weights: ParamVector, features: np.ndarray, labels: np.ndarray, thr
     return binary_metrics(trainer.predict_proba(weights, features), labels, threshold)
 
 
-def inject_edge_failure(config: SimulationConfig, edge_id: int, round_no: int) -> SimulationConfig:
-    """Return a config in which the given edge contributes nothing in that round."""
-    return replace(config, edge_failures=config.edge_failures + ((edge_id, round_no),))
-
-
-class _SecureEdgeAggregator:
-    """Per-edge keypair (None when secagg is off) and shared codec; plaintext
-    mode sums the same quantized ints."""
-
-    def __init__(
-        self,
-        cfg: SecAggConfig,
-        codec: FixedPointCodec,
-        keypair: tuple[secagg.PaillierPublicKey, secagg.PaillierPrivateKey] | None,
-    ):
-        self.cfg = cfg
-        self.codec = codec
-        if keypair is not None:
-            self.public_key, self.private_key = keypair
-
-    def mean_update(
-        self,
-        deltas: np.ndarray,
-        weights: Sequence[int] | None,
-        divisor: int,
-        noise_seed: int,
-    ) -> ParamVector:
-        """Release the (weighted) mean of the deltas, one client update per row.
-        A secagg.HeadroomError names the refused row."""
-        cfg = self.cfg
-        clip_val = math.inf if cfg.clip_val is None else cfg.clip_val
-        if cfg.enabled:
-            slots, _ = self.codec.layout(self.public_key.n.bit_length())
-            self.public_key.precompute_randomizers(len(deltas) * -(-deltas.shape[1] // slots))
-            ciphers = []
-            for row, d in enumerate(deltas):
-                try:
-                    ciphers.append(secagg.encrypt_update(ParamVector(d), self.codec, self.public_key))
-                except secagg.HeadroomError as exc:
-                    raise secagg.HeadroomError(str(exc), row) from exc
-            agg = secagg.aggregate_encrypted(ciphers, self.public_key, weights, self.codec.max_participants)
-            return secagg.finalize_edge_update(
-                agg, self.private_key, self.codec, divisor, clip_val, cfg.noise_multiplier, cfg.mechanism, noise_seed
-            )
-        total = secagg.sum_quantized(deltas, self.codec, cfg.key_bits, weights)
+def _edge_mean_update(
+    cfg: SecAggConfig,
+    codec: FixedPointCodec,
+    keypair: tuple[secagg.PaillierPublicKey, secagg.PaillierPrivateKey] | None,
+    deltas: np.ndarray,
+    weights: Sequence[int] | None,
+    divisor: int,
+    noise_seed: int,
+) -> ParamVector:
+    """Release the (weighted) mean of the deltas, one client update per row,
+    encrypted under the edge's keypair; with secagg off (keypair None) the
+    same quantized ints are summed in plaintext. A secagg.HeadroomError names
+    the refused row."""
+    clip_val = math.inf if cfg.clip_val is None else cfg.clip_val
+    if keypair is None:
+        total = secagg.sum_quantized(deltas, codec, cfg.key_bits, weights)
         return secagg.release(total, divisor, clip_val, cfg.noise_multiplier, cfg.mechanism, noise_seed)
+    public_key, private_key = keypair
+    slots, _ = codec.layout(public_key.n.bit_length())
+    public_key.precompute_randomizers(len(deltas) * -(-deltas.shape[1] // slots))
+    ciphers = []
+    for row, d in enumerate(deltas):
+        try:
+            ciphers.append(secagg.encrypt_update(ParamVector(d), codec, public_key))
+        except secagg.HeadroomError as exc:
+            raise secagg.HeadroomError(str(exc), row) from exc
+    agg = secagg.aggregate_encrypted(ciphers, public_key, weights, codec.max_participants)
+    return secagg.finalize_edge_update(
+        agg, private_key, codec, divisor, clip_val, cfg.noise_multiplier, cfg.mechanism, noise_seed
+    )
 
 
 def _central_step(
@@ -233,15 +229,14 @@ def _central_step(
 
 @dataclass
 class PreparedData:
-    """Splits, partition, and per-client shards as the round loop sees them."""
+    """Splits and per-client shards as the round loop sees them: client c
+    trains on client_train[c], and edge e is tested on edge_test_rows[e]."""
 
     d_train: Dataset
     d_val: Dataset
     d_test: Dataset
-    partition: Partition
-    edge_clients: dict[int, list[int]]
-    client_train: dict[int, np.ndarray]
-    edge_test_rows: dict[int, np.ndarray]
+    client_train: list[np.ndarray]
+    edge_test_rows: list[np.ndarray]
 
 
 def prepare_data(config: SimulationConfig, dataset: Dataset) -> PreparedData:
@@ -254,45 +249,30 @@ def prepare_data(config: SimulationConfig, dataset: Dataset) -> PreparedData:
         config.data.test_fraction,
         derive_seed(seed, "split"),
     )
-    partition = partition_noniid(
+    client_rows = partition_noniid(
         d_train, config.n_edges, config.clients_per_edge, config.data.dirichlet_alpha, derive_seed(seed, "partition")
     )
-    partition.validate()
     if config.data.unknown_edge is not None:
-        shifted_rows = np.concatenate(
-            [rows for rows in partition.assignments[config.data.unknown_edge].values()]
-        )
-        d_train = shift_features(d_train, shifted_rows, config.data.unknown_shift)
-
-    # edge topology: fedavg_single collapses every client into one virtual edge
-    if config.baseline_mode == "fedavg_single":
-        edge_clients = {0: sorted(cid for clients in partition.assignments.values() for cid in clients)}
-    else:
-        edge_clients = {e: partition.client_ids(e) for e in sorted(partition.assignments)}
-    client_rows = {
-        cid: rows for clients in partition.assignments.values() for cid, rows in clients.items()
-    }
+        # the unknown region is one physical edge's clients, also under fedavg_single
+        k = config.clients_per_edge
+        first = config.data.unknown_edge * k
+        d_train = shift_features(d_train, np.concatenate(client_rows[first : first + k]), config.data.unknown_shift)
 
     # per-client holdout feeding the edge-level test shards
-    client_train: dict[int, np.ndarray] = {}
-    client_test: dict[int, np.ndarray] = {}
-    for cid, rows in client_rows.items():
+    client_train: list[np.ndarray] = []
+    client_test: list[np.ndarray] = []
+    for cid, rows in enumerate(client_rows):
         rng = np.random.default_rng(derive_seed(seed, "shard", cid))
         perm = rng.permutation(rows)
         n = len(perm)
         test_n = 0 if n < 2 else min(n - 1, max(1, round(config.data.edge_test_fraction * n)))
-        client_test[cid] = np.sort(perm[:test_n])
-        client_train[cid] = np.sort(perm[test_n:])
-    edge_test_rows = {
-        e: np.concatenate([client_test[c] for c in clients if len(client_test[c])] or [np.array([], dtype=np.int64)])
-        for e, clients in edge_clients.items()
-    }
+        client_test.append(np.sort(perm[:test_n]))
+        client_train.append(np.sort(perm[test_n:]))
+    edge_test_rows = [np.concatenate([client_test[c] for c in clients]) for clients in config.edge_clients.values()]
     return PreparedData(
         d_train=d_train,
         d_val=d_val,
         d_test=d_test,
-        partition=partition,
-        edge_clients=edge_clients,
         client_train=client_train,
         edge_test_rows=edge_test_rows,
     )
@@ -305,20 +285,20 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
 
     prep = prepare_data(config, dataset)
     d_train, d_val, d_test = prep.d_train, prep.d_val, prep.d_test
-    edge_clients, client_train = prep.edge_clients, prep.client_train
-    edge_test_rows = prep.edge_test_rows
+    client_train, edge_test_rows = prep.client_train, prep.edge_test_rows
+    edge_clients = config.edge_clients
     single_edge = config.baseline_mode == "fedavg_single"
 
     spec = config.trainer
-    security = {
-        cid: float(config.security_overrides.get(cid, config.selection.default_security_index))
-        for cid in client_train
-    }
+    security = [
+        float(config.security_overrides.get(cid, config.selection.default_security_index))
+        for cid in range(config.n_clients)
+    ]
     failures: dict[int, set[int]] = {}
     for edge_id, round_no in config.edge_failures:
         failures.setdefault(round_no, set()).add(edge_id)
 
-    total_train = sum(len(v) for v in client_train.values())
+    total_train = sum(len(rows) for rows in client_train)
     codec = FixedPointCodec(
         scale=config.secagg.scale,
         max_participants=total_train + len(client_train) + 2,
@@ -329,10 +309,9 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
         keypairs = secagg._fork_map(
             lambda key_seed: secagg.keygen(key_bits, key_seed), [derive_seed(seed, "keys", e) for e in edge_clients]
         )
-    aggregators = {e: _SecureEdgeAggregator(config.secagg, codec, kp) for e, kp in zip(edge_clients, keypairs)}
 
     global_model = zeros(trainer.model_dim(dataset.n_features))
-    score_weights: dict[int, ScoreWeights | None] = {e: None for e in edge_clients}
+    score_weights: list[ScoreWeights | None] = [None] * len(edge_clients)
 
     rounds: list[RoundRecord] = []
     events: list[dict] = []
@@ -342,7 +321,7 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
 
     for round_no in range(1, config.rounds_max + 1):
         failed = failures.get(round_no, set())
-        alive = [e for e in sorted(edge_clients) if e not in failed]
+        alive = [e for e in edge_clients if e not in failed]
         for e in sorted(failed):
             events.append({"type": "edge_failure", "round": round_no, "edge": e})
         if not alive:
@@ -413,7 +392,10 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
                 int_weights = None
                 divisor = len(selected_ids)
             try:
-                mean_update = aggregators[e].mean_update(
+                mean_update = _edge_mean_update(
+                    config.secagg,
+                    codec,
+                    keypairs[e],
                     reports.weights[rows] - global_model.values,
                     int_weights,
                     divisor,
@@ -473,7 +455,7 @@ def _select_for_mode(
     config: SimulationConfig,
     reports: ClientReports,
     edge_model: ParamVector,
-    score_weights: dict[int, ScoreWeights | None],
+    score_weights: list[ScoreWeights | None],
     edge_id: int,
     round_no: int,
 ) -> tuple[list[int], list[selection.ClientEvaluation]]:

@@ -21,7 +21,6 @@ from fedmesh.orchestrator import (
     SimulationConfig,
     derive_seed,
     evaluate,
-    inject_edge_failure,
     prepare_data,
     run,
 )
@@ -233,7 +232,7 @@ def test_criterion_07_fault_tolerance():
     )
     dataset = generate_synthetic(3000, 10, 0.5, seed=55)
     clean = run(base, dataset)
-    failed = run(inject_edge_failure(base, 2, 3), dataset)
+    failed = run(dataclasses.replace(base, edge_failures=((2, 3),)), dataset)
     assert len(failed.rounds) == 10
     assert np.all(np.isfinite(failed.final_global.values))
     acc_clean = clean.rounds[-1].global_test[1]
@@ -339,23 +338,21 @@ def test_criterion_11_fedavg_baseline_equivalence():
     dataset = generate_synthetic(600, 10, 0.5, seed=99)
     prep = prepare_data(base, dataset)
     spec = base.trainer
-    total = sum(len(rows) for rows in prep.client_train.values())
+    total = sum(len(rows) for rows in prep.client_train)
 
     oracle_model = zeros(dataset.n_features + 1)
     for rounds_max in (1, 2, 3):
         sim = run(dataclasses.replace(base, rounds_max=rounds_max), dataset)
         # advance the oracle by one round: plain sample-weighted client-model mean
-        cids = sorted(prep.client_train)
         models = train_clients(
             oracle_model,
             spec,
             prep.d_train,
-            [prep.client_train[cid] for cid in cids],
-            [derive_seed(base.seed, "train", rounds_max, cid) for cid in cids],
+            prep.client_train,
+            [derive_seed(base.seed, "train", rounds_max, cid) for cid in range(base.n_clients)],
         )
-        trained = dict(zip(cids, models))
         oracle_model = weighted_sum(
-            [(len(prep.client_train[cid]) / total, w) for cid, w in sorted(trained.items())]
+            [(len(rows) / total, w) for rows, w in zip(prep.client_train, models, strict=True)]
         )
         deviation = np.max(np.abs(sim.final_global.values - oracle_model.values))
         assert deviation <= 4 * 0.5 / scale, f"round {rounds_max}: deviation {deviation}"

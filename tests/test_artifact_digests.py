@@ -61,6 +61,28 @@ CONFIGS = {
         "data": {"n_samples": 600},
         "secagg": {"key_bits": 256},
     },
+    # a feature-shifted unknown edge, a failed edge in round 2 and per-client security indices
+    "regions": {
+        "n_edges": 3,
+        "clients_per_edge": 3,
+        "rounds_max": 3,
+        "patience": 3,
+        "data": {"n_samples": 900, "unknown_edge": 1, "unknown_shift": 1.5},
+        "secagg": {"enabled": False},
+        "edge_failures": [[2, 2]],
+        "security_overrides": {"4": 0.9, "0": 0.1},
+    },
+    # the unknown region is a physical edge's clients, though fedavg_single trains them on one virtual edge
+    "regions_fedavg_secure": {
+        "n_edges": 3,
+        "clients_per_edge": 3,
+        "rounds_max": 2,
+        "patience": 2,
+        "baseline_mode": "fedavg_single",
+        "data": {"n_samples": 900, "unknown_edge": 2},
+        "selection": {"capacity_k": 5},
+        "secagg": {"key_bits": 256},
+    },
 }
 
 # (rounds.csv, events.jsonl) sha256 prefixes per (config, seed)
@@ -77,6 +99,12 @@ DIGESTS = {
     ("fedselect_me_secure", 1): ("cbbab430f22e3655", "de1c28ab925c6a25"),
     ("fedselect_me_secure", 2): ("28d92e9c152dbcef", "e0afdedb49343d1d"),
     ("fedselect_me_secure", 23): ("c39838ca1e30b268", "025d255eeb887edc"),
+    ("regions", 1): ("d2efdc8f137ddf2c", "c329e146f52e94d7"),
+    ("regions", 2): ("51e026b736e10e25", "797481e4d47cad90"),
+    ("regions", 23): ("a3e5d30c6c5ed047", "515f1ec10e6fb312"),
+    ("regions_fedavg_secure", 1): ("3cce18d28e42329c", "03ada4484a11356a"),
+    ("regions_fedavg_secure", 2): ("0220fe91559dc982", "4cc6118d426ca766"),
+    ("regions_fedavg_secure", 23): ("52607bb1914730d4", "8be5c4214804eba2"),
 }
 
 # config_hash prefixes per (config, seed); a schema change that moves them stops old manifests from replaying
@@ -93,6 +121,12 @@ CONFIG_HASHES = {
     ("fedselect_me_secure", 1): "aab2c234ad79717d",
     ("fedselect_me_secure", 2): "6f3ac5000eb2f1d4",
     ("fedselect_me_secure", 23): "c63837551e524ba2",
+    ("regions", 1): "66cd914ae058f43a",
+    ("regions", 2): "e75b38b67a218e02",
+    ("regions", 23): "c8efe063c4a1cb90",
+    ("regions_fedavg_secure", 1): "1e78dcfb013b8b92",
+    ("regions_fedavg_secure", 2): "67c69d1d0a22410d",
+    ("regions_fedavg_secure", 23): "927c20f41a71411a",
 }
 
 # sha256 prefix of the 11 ciphertexts of encryption_sequence under keygen(256, seed)

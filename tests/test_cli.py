@@ -162,6 +162,14 @@ class TestCmdRun:
             (None, ["data.edge_test_fraction=-1"], "data: edge_test_fraction"),
             (None, ["data.csv_path=TMP/missing.csv", "data.label_column=y"], "data.csv_path: [Errno 2]"),
             (None, ["data.csv_path=TMP/rows.csv", "data.label_column=y"], "data.csv_path: label column 'y' not found"),
+            (
+                None,
+                [
+                    'adversaries=[{"client_id": 1, "kind": "inflate_utility", "factor": 3.0},'
+                    ' {"client_id": 1, "kind": "deflate_energy", "factor": 3.0}]'
+                ],
+                "config error: adversaries: client_id 1 is given twice",
+            ),
         ],
     )
     def test_bad_input_is_a_config_error(self, config_file, tmp_path, monkeypatch, capsys, env_seed, overrides, field):

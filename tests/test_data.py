@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from fedmesh.data import (
     Dataset,
-    Partition,
     _largest_remainder_counts,
     generate_synthetic,
     ingest_csv,
@@ -49,21 +48,6 @@ def partition_oracle(d, n_edges, clients_per_edge, dirichlet_alpha, seed):
         if not filled:
             return None, repairs
     return [sorted(h[0] + h[1]) for h in holdings], repairs
-
-
-def validate_oracle(assignments):
-    """The first duplicate or shared row, found with Python sets, as validate words it."""
-    seen = set()
-    for clients in assignments.values():
-        for cid, rows in clients.items():
-            rows_list = [int(r) for r in rows]
-            if len(set(rows_list)) != len(rows_list):
-                return f"client {cid} holds duplicate sample indices"
-            overlap = seen.intersection(rows_list)
-            if overlap:
-                return f"sample indices assigned to two clients: {sorted(overlap)[:5]}"
-            seen.update(rows_list)
-    return None
 
 
 def positive_fraction(labels):
@@ -134,38 +118,23 @@ class TestPartitionNonIID:
         d = generate_synthetic(4000, 5, 0.4, seed=2)
         part = partition_noniid(d, n_edges=3, clients_per_edge=4, dirichlet_alpha=1e6, seed=5)
         global_frac = positive_fraction(d.labels)
-        for clients in part.assignments.values():
-            for rows in clients.values():
-                assert abs(positive_fraction(d.labels[rows]) - global_frac) < 0.05
+        assert len(part) == 12
+        for rows in part:
+            assert abs(positive_fraction(d.labels[rows]) - global_frac) < 0.05
 
     def test_skewed_alpha_starves_a_client(self):
         d = generate_synthetic(4000, 5, 0.4, seed=2)
         part = partition_noniid(d, n_edges=5, clients_per_edge=4, dirichlet_alpha=0.1, seed=11)
         global_frac = positive_fraction(d.labels)
-        fractions = [
-            positive_fraction(d.labels[rows])
-            for clients in part.assignments.values()
-            for rows in clients.values()
-        ]
+        fractions = [positive_fraction(d.labels[rows]) for rows in part]
         assert min(fractions) < global_frac / 2
 
     def test_disjoint_and_bookkeeping(self):
         d = generate_synthetic(1500, 5, 0.3, seed=4)
         part = partition_noniid(d, n_edges=4, clients_per_edge=3, dirichlet_alpha=0.5, seed=6)
-        part.validate()  # raises on a row held twice
-        all_rows = [
-            int(r)
-            for clients in part.assignments.values()
-            for rows in clients.values()
-            for r in rows
-        ]
+        assert len(part) == 12
+        all_rows = [int(r) for rows in part for r in rows]
         assert len(all_rows) == len(set(all_rows)) == d.n_samples
-
-    def test_validate_rejects_shared_rows(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            Partition({0: {0: np.array([3, 3])}}).validate()
-        with pytest.raises(ValueError, match="two clients"):
-            Partition({0: {0: np.array([1, 2])}, 1: {1: np.array([2, 5])}}).validate()
 
     @given(
         st.integers(1, 3), st.integers(1, 5), st.sampled_from([0.005, 0.05, 0.5, 5.0]),
@@ -181,38 +150,28 @@ class TestPartitionNonIID:
                 partition_noniid(d, n_edges, clients_per_edge, alpha, seed)
             return
         part = partition_noniid(d, n_edges, clients_per_edge, alpha, seed)
-        got = [part.assignments[e][c].tolist() for e in sorted(part.assignments) for c in sorted(part.assignments[e])]
+        got = [rows.tolist() for rows in part]
         assert got == want
-
-    @given(st.lists(st.lists(st.integers(0, 30), max_size=8), min_size=1, max_size=6), st.integers(1, 3))
-    @settings(max_examples=300, deadline=None)
-    def test_validate_matches_set_oracle(self, holdings, per_edge):
-        assignments = {}
-        for cid, rows in enumerate(holdings):
-            assignments.setdefault(cid // per_edge, {})[cid] = np.array(rows, dtype=np.int64)
-        expected = validate_oracle(assignments)
-        if expected is None:
-            Partition(assignments).validate()
-        else:
-            with pytest.raises(ValueError) as info:
-                Partition(assignments).validate()
-            assert str(info.value) == expected
+        # each client's rows are sorted, no two clients share a row, and together they hold every row once
+        assert all(rows == sorted(rows) for rows in got)
+        held = [r for rows in got for r in rows]
+        assert len(held) == len(set(held))
+        assert sorted(held) == list(range(d.n_samples))
 
     def test_every_client_has_two_of_a_class(self):
         d = generate_synthetic(900, 5, 0.25, seed=8)
         part = partition_noniid(d, n_edges=3, clients_per_edge=3, dirichlet_alpha=0.3, seed=3)
-        for clients in part.assignments.values():
-            for rows in clients.values():
-                counts = np.bincount(d.labels[rows], minlength=2)
-                assert counts.max() >= 2
+        for rows in part:
+            counts = np.bincount(d.labels[rows], minlength=2)
+            assert counts.max() >= 2
 
     def test_deterministic(self):
         d = generate_synthetic(1000, 5, 0.5, seed=1)
         p1 = partition_noniid(d, 2, 3, 0.5, seed=9)
         p2 = partition_noniid(d, 2, 3, 0.5, seed=9)
-        for e in p1.assignments:
-            for c in p1.assignments[e]:
-                assert np.array_equal(p1.assignments[e][c], p2.assignments[e][c])
+        assert len(p1) == len(p2) == 6
+        for rows1, rows2 in zip(p1, p2):
+            assert np.array_equal(rows1, rows2)
 
     def test_infeasible_sizes_rejected(self):
         d = generate_synthetic(100, 5, 0.5, seed=1)

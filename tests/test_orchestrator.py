@@ -12,7 +12,7 @@ import fedmesh.orchestrator
 import fedmesh.secagg
 import fedmesh.trainer
 from fedmesh.aggregation import CrossEdgeConfig, EdgeUpdate
-from fedmesh.data import generate_synthetic
+from fedmesh.data import generate_synthetic, partition_noniid
 from fedmesh.metrics import BinaryMetrics
 from fedmesh.orchestrator import (
     AdversaryAssignment,
@@ -24,7 +24,6 @@ from fedmesh.orchestrator import (
     _central_step,
     derive_seed,
     evaluate,
-    inject_edge_failure,
     prepare_data,
     run,
 )
@@ -300,7 +299,7 @@ class TestEdgeFailures:
             n_edges=5, clients_per_edge=2, rounds_max=4, data=DataConfig(n_samples=1600)
         )
         clean = run(base, big_dataset)
-        failed = run(inject_edge_failure(base, 2, 3), big_dataset)
+        failed = run(dataclasses.replace(base, edge_failures=((2, 3),)), big_dataset)
         for r_clean, r_failed in zip(clean.rounds[:2], failed.rounds[:2]):
             assert r_clean.global_val == r_failed.global_val
             assert r_clean.global_test == r_failed.global_test
@@ -322,7 +321,7 @@ class TestEdgeFailures:
         base = make_config(n_edges=3, clients_per_edge=4, rounds_max=2, data=DataConfig(n_samples=1600))
         clean = run(base, big_dataset)
         clean_calls, calls = calls, []
-        failed = run(inject_edge_failure(base, 1, 2), big_dataset)
+        failed = run(dataclasses.replace(base, edge_failures=((1, 2),)), big_dataset)
 
         def round_one(result):
             return (
@@ -333,8 +332,7 @@ class TestEdgeFailures:
 
         assert repr(round_one(clean)) == repr(round_one(failed))
         assert clean_calls[0] == calls[0]
-        edge_clients = prepare_data(base, big_dataset).edge_clients
-        survivors = {derive_seed(base.seed, "train", 2, cid) for e in (0, 2) for cid in edge_clients[e]}
+        survivors = {derive_seed(base.seed, "train", 2, cid) for e in (0, 2) for cid in base.edge_clients[e]}
         assert set(calls[1]) == survivors
         assert len(clean_calls[1]) == 12
         assert calls[1] == {seed: clean_calls[1][seed] for seed in survivors}
@@ -359,11 +357,15 @@ class TestEdgeFailures:
 
     def test_inject_edge_failure_validates(self, dataset):
         config = make_config()
+
+        def inject(edge_id, round_no):
+            return dataclasses.replace(config, edge_failures=config.edge_failures + ((edge_id, round_no),))
+
         with pytest.raises(ValueError):
-            inject_edge_failure(config, 9, 1)
+            inject(9, 1)
         with pytest.raises(ValueError):
-            inject_edge_failure(config, 0, 0)
-        augmented = inject_edge_failure(config, 1, 2)
+            inject(0, 0)
+        augmented = inject(1, 2)
         assert augmented.edge_failures == ((1, 2),)
 
 
@@ -382,23 +384,22 @@ class TestBaselines:
         spec = config.trainer
         global_model = zeros(dataset.n_features + 1)
         for round_no in range(1, 4):
-            cids = sorted(prep.client_train)
             models = train_clients(
                 global_model,
                 spec,
                 prep.d_train,
-                [prep.client_train[cid] for cid in cids],
-                [derive_seed(config.seed, "train", round_no, cid) for cid in cids],
+                prep.client_train,
+                [derive_seed(config.seed, "train", round_no, cid) for cid in range(config.n_clients)],
             )
-            trained = dict(zip(cids, models))
-            total = sum(len(rows) for rows in prep.client_train.values())
+            total = sum(len(rows) for rows in prep.client_train)
             global_model = weighted_sum(
-                [(len(prep.client_train[cid]) / total, w) for cid, w in sorted(trained.items())]
+                [(len(rows) / total, w) for rows, w in zip(prep.client_train, models, strict=True)]
             )
         assert np.allclose(sim.final_global.values, global_model.values, atol=4 * 0.5 / 2**20)
 
     def test_fedavg_single_has_one_edge(self, dataset):
         config = make_config(baseline_mode="fedavg_single", rounds_max=1)
+        assert config.edge_clients == {0: range(6)}
         result = run(config, dataset)
         edges = {e["edge"] for e in result.events if e["type"] == "selection"}
         assert edges == {0}
@@ -451,12 +452,14 @@ class TestUnknownRegion:
         )
         prep = prepare_data(config, dataset)
         base = prepare_data(make_config(rounds_max=1), dataset)
-        shifted_rows = np.concatenate(
-            [base.partition.assignments[1][c] for c in base.partition.assignments[1]]
+        client_rows = partition_noniid(
+            base.d_train, config.n_edges, config.clients_per_edge, config.data.dirichlet_alpha,
+            derive_seed(config.seed, "partition"),
         )
-        unshifted_rows = np.concatenate(
-            [base.partition.assignments[0][c] for c in base.partition.assignments[0]]
-        )
+        assert config.edge_clients == {0: range(0, 3), 1: range(3, 6)}
+        # every row of edge 1's clients, training and test rows alike
+        shifted_rows = np.concatenate([client_rows[c] for c in config.edge_clients[1]])
+        unshifted_rows = np.concatenate([client_rows[c] for c in config.edge_clients[0]])
         assert np.allclose(
             prep.d_train.features[shifted_rows], base.d_train.features[shifted_rows] + 2.0
         )

@@ -13,7 +13,6 @@ PUBLIC_API = [
     "FixedPointCodec",
     "MODES",
     "ParamVector",
-    "Partition",
     "RoundRecord",
     "ScoreWeights",
     "SecAggConfig",
@@ -35,7 +34,6 @@ PUBLIC_API = [
     "generate_synthetic",
     "grid_search_init",
     "ingest_csv",
-    "inject_edge_failure",
     "jain_fairness",
     "keygen",
     "partition_noniid",

@@ -66,7 +66,7 @@ def shard_sizes(draw):
 
 @pytest.fixture
 def two_point_dataset():
-    return Dataset(np.array([[1.0], [-1.0]]), np.array([1, 0]), name="two-point")
+    return Dataset(np.array([[1.0], [-1.0]]), np.array([1, 0]))
 
 
 @pytest.fixture
@@ -259,7 +259,7 @@ class TestCohort:
         # only the second member's rows are huge, so only it overflows; any member's call reports it
         features = small_dataset.features.copy()
         features[self.SHARDS[1]] *= 1e200
-        data = Dataset(features, small_dataset.labels, name="one huge shard")
+        data = Dataset(features, small_dataset.labels)
         spec = TrainerConfig(learning_rate=1e200, local_epochs=2)
         start = ParamVector(np.zeros(11))
         cohort = Cohort(start, spec, data, self.SHARDS, self.SEEDS)
