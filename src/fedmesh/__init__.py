@@ -8,7 +8,7 @@ from .aggregation import CrossEdgeConfig, EdgeUpdate, central_aggregate, cross_e
 from .data import Dataset, generate_synthetic, ingest_csv, partition_noniid, split
 from .metrics import BinaryMetrics, RoundRecord, binary_metrics, jain_fairness
 from .orchestrator import MODES, DataConfig, SecAggConfig, SimulationConfig, SimulationResult, run
-from .params import ParamVector, clip_elementwise, clip_l2, weighted_sum, zeros
+from .params import ParamVector
 from .secagg import (
     CipherVector,
     FixedPointCodec,
@@ -54,8 +54,6 @@ __all__ = [
     "binary_metrics",
     "build_report",
     "central_aggregate",
-    "clip_elementwise",
-    "clip_l2",
     "consistency_check",
     "cross_edge_exchange",
     "encrypt_update",
@@ -74,6 +72,4 @@ __all__ = [
     "train_clients",
     "train_local",
     "update_weights",
-    "weighted_sum",
-    "zeros",
 ]

@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .params import ParamVector, clip_elementwise, weighted_sum
+import numpy as np
+
+from .params import ParamVector
 
 DEFAULT_SELF_WEIGHT = 0.5
 DEFAULT_CLIP_VAL = 5.0
@@ -32,20 +34,14 @@ class EdgeUpdate:
 
 @dataclass(frozen=True)
 class CrossEdgeConfig:
-    """Blend settings for the exchange step.
+    """Blend settings for the exchange step: the self-weight alpha and the clamp bound.
 
-    With literal_total_normalization=False (default) the peer coefficients
-    n_j / sum_{j != i} n_j form a convex combination, preserving model scale.
-    The literal alternative divides by the global sample total instead, which
-    shrinks the mixed model by (1 - alpha) * n_i / N; it is kept selectable
-    for comparison. delta_mode subtracts a reference model from the peers'
-    contributions, treating them as round deltas rather than full models.
+    The peer coefficients n_j / sum_{j != i} n_j form a convex combination, so
+    the blend preserves model scale.
     """
 
     alpha: float = DEFAULT_SELF_WEIGHT
     clip_val: float = DEFAULT_CLIP_VAL
-    literal_total_normalization: bool = False
-    delta_mode: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
@@ -54,16 +50,14 @@ class CrossEdgeConfig:
             raise ValueError(f"clip_val must be positive, got {self.clip_val}")
 
 
-def cross_edge_exchange(
-    updates: Sequence[EdgeUpdate],
-    config: CrossEdgeConfig,
-    reference: ParamVector | None = None,
-) -> list[tuple[int, ParamVector]]:
-    """Blend every edge's model with its peers'; returns (edge_id, model) sorted by id.
+def cross_edge_exchange(updates: Sequence[EdgeUpdate], config: CrossEdgeConfig) -> np.ndarray:
+    """Blend every edge's model with its peers'; row i of the (E, P) result is
+    the blend of the edge with the i-th smallest id.
 
-    For edge i: clip( alpha * w_i + (1 - alpha) * sum_{j != i} c_j * w_j )
-    with c_j = n_j over the peers' (or the global) sample total. A single
-    edge simply gets its own model clipped.
+    For edge i: clip( alpha * w_i + (1 - alpha) * sum_{j != i} c_ij * w_j )
+    with c_ij = n_j / sum_{k != i} n_k. Every row starts from zeros, adds its
+    own term, then one term per peer in ascending id; that order fixes every
+    output bit. A single edge simply gets its own model clipped.
     """
     if not updates:
         raise ValueError("cross_edge_exchange requires at least one edge")
@@ -73,33 +67,31 @@ def cross_edge_exchange(
     dim = ordered[0].local_model.dim
     if any(u.local_model.dim != dim for u in ordered):
         raise ValueError("all edge models must share one dimension")
-    if config.delta_mode and reference is None:
-        raise ValueError("delta_mode requires a reference model")
-    total = sum(u.sample_count for u in ordered)
+    models = np.stack([u.local_model.values for u in ordered])
+    if len(ordered) == 1:
+        return np.clip(models, -config.clip_val, config.clip_val)
+
+    counts = np.array([u.sample_count for u in ordered], dtype=np.int64)
+    peer_totals = counts.sum() - counts
+    blended = np.zeros_like(models)
+    blended += config.alpha * models
+    for j, (n_j, w_j) in enumerate(zip(counts.tolist(), models)):
+        peers = np.arange(len(ordered)) != j
+        term = ((1.0 - config.alpha) * n_j / peer_totals)[:, None] * w_j
+        np.add(blended, term, out=blended, where=peers[:, None])
+    return np.clip(blended, -config.clip_val, config.clip_val)
+
+
+def central_aggregate(models: np.ndarray, sample_counts: Sequence[int]) -> np.ndarray:
+    """Sample-weighted mean of the edges' models, one per row: starting from
+    zeros, the rows are added in the order given."""
+    models = np.asarray(models, dtype=np.float64)
+    if models.ndim != 2 or len(models) == 0 or len(models) != len(sample_counts):
+        raise ValueError(f"one sample count per model row required, got {len(sample_counts)} for {models.shape}")
+    total = sum(sample_counts)
     if total <= 0:
         raise ValueError("zero total samples across edges")
-
-    results = []
-    for u in ordered:
-        if len(ordered) == 1:
-            results.append((u.edge_id, clip_elementwise(u.local_model, config.clip_val)))
-            continue
-        peers = [v for v in ordered if v.edge_id != u.edge_id]
-        denom = total if config.literal_total_normalization else total - u.sample_count
-        terms: list[tuple[float, ParamVector]] = [(config.alpha, u.local_model)]
-        for v in peers:
-            contribution = v.local_model - reference if config.delta_mode else v.local_model
-            terms.append(((1.0 - config.alpha) * v.sample_count / denom, contribution))
-        results.append((u.edge_id, clip_elementwise(weighted_sum(terms), config.clip_val)))
-    return results
-
-
-def central_aggregate(cross_models: Sequence[tuple[int, ParamVector, int]]) -> ParamVector:
-    """Sample-weighted mean of the edges' cross-aggregated models."""
-    if not cross_models:
-        raise ValueError("central_aggregate requires at least one edge model")
-    ordered = sorted(cross_models, key=lambda t: t[0])
-    total = sum(n for _, _, n in ordered)
-    if total <= 0:
-        raise ValueError("zero total samples across edges")
-    return weighted_sum([(n / total, model) for _, model, n in ordered])
+    acc = np.zeros(models.shape[1])
+    for n, row in zip(sample_counts, models):
+        acc += n / total * row
+    return acc

@@ -96,12 +96,11 @@ def generate_synthetic(
 
 def partition_noniid(
     d: Dataset,
-    n_edges: int,
-    clients_per_edge: int,
+    n_clients: int,
     dirichlet_alpha: float,
     seed: int,
 ) -> list[np.ndarray]:
-    """Dirichlet label-skew partition of all samples across the clients of all edges.
+    """Dirichlet label-skew partition of all samples across n_clients clients.
 
     For each class, the class's rows are split across all clients with
     proportions drawn from Dirichlet(alpha); small alpha gives strongly skewed
@@ -110,11 +109,10 @@ def partition_noniid(
     clients are topped up until every client holds at least 2 samples of some
     class.
     """
-    if n_edges < 1 or clients_per_edge < 1:
-        raise ValueError("n_edges and clients_per_edge must be positive")
+    if n_clients < 1:
+        raise ValueError(f"n_clients must be positive, got {n_clients}")
     if not dirichlet_alpha > 0:
         raise ValueError(f"dirichlet_alpha must be positive, got {dirichlet_alpha}")
-    n_clients = n_edges * clients_per_edge
     if d.n_samples < 2 * n_clients:
         raise ValueError(
             f"{d.n_samples} samples cannot give {n_clients} clients >= 2 samples each"

@@ -22,7 +22,7 @@ from . import secagg, selection, trainer
 from .aggregation import CrossEdgeConfig, EdgeUpdate, central_aggregate, cross_edge_exchange
 from .data import Dataset, partition_noniid, shift_features, split
 from .metrics import BinaryMetrics, RoundRecord, binary_metrics, jain_fairness
-from .params import ParamVector, zeros
+from .params import ParamVector
 from .secagg import FixedPointCodec
 from .selection import ScoreWeights, SelectionConfig
 from .trainer import AdversaryAssignment, ClientReports, TrainerConfig
@@ -80,7 +80,6 @@ class SecAggConfig:
     scale: int = secagg.DEFAULT_SCALE
     clip_val: float | None = 1.0  # None disables update clipping
     noise_multiplier: float = 0.1
-    mechanism: str = "gaussian"
 
     def __post_init__(self) -> None:
         if self.key_bits < 16:
@@ -89,8 +88,6 @@ class SecAggConfig:
             raise ValueError("secagg.scale must be a positive integer")
         if self.noise_multiplier < 0:
             raise ValueError("secagg.noise_multiplier must be nonnegative")
-        if self.mechanism not in secagg.MECHANISMS:
-            raise ValueError(f"secagg.mechanism must be one of {secagg.MECHANISMS}")
         if self.clip_val is not None and not self.clip_val > 0:
             raise ValueError("secagg.clip_val must be positive or null")
         if self.noise_multiplier > 0 and self.clip_val is None:
@@ -169,12 +166,12 @@ class SimulationConfig:
 @dataclass
 class SimulationResult:
     rounds: list[RoundRecord]
-    final_global: ParamVector
+    final_global: np.ndarray
     stopped_early: bool
     events: list[dict]
 
 
-def evaluate(weights: ParamVector, features: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> BinaryMetrics:
+def evaluate(weights: np.ndarray, features: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> BinaryMetrics:
     """Evaluate a parameter vector as the reference model on a labeled set."""
     return binary_metrics(trainer.predict_proba(weights, features), labels, threshold)
 
@@ -187,7 +184,7 @@ def _edge_mean_update(
     weights: Sequence[int] | None,
     divisor: int,
     noise_seed: int,
-) -> ParamVector:
+) -> np.ndarray:
     """Release the (weighted) mean of the deltas, one client update per row,
     encrypted under the edge's keypair; with secagg off (keypair None) the
     same quantized ints are summed in plaintext. A secagg.HeadroomError names
@@ -195,7 +192,7 @@ def _edge_mean_update(
     clip_val = math.inf if cfg.clip_val is None else cfg.clip_val
     if keypair is None:
         total = secagg.sum_quantized(deltas, codec, cfg.key_bits, weights)
-        return secagg.release(total, divisor, clip_val, cfg.noise_multiplier, cfg.mechanism, noise_seed)
+        return secagg.release(total, divisor, clip_val, cfg.noise_multiplier, noise_seed)
     public_key, private_key = keypair
     slots, _ = codec.layout(public_key.n.bit_length())
     public_key.precompute_randomizers(len(deltas) * -(-deltas.shape[1] // slots))
@@ -206,25 +203,21 @@ def _edge_mean_update(
         except secagg.HeadroomError as exc:
             raise secagg.HeadroomError(str(exc), row) from exc
     agg = secagg.aggregate_encrypted(ciphers, public_key, weights, codec.max_participants)
-    return secagg.finalize_edge_update(
-        agg, private_key, codec, divisor, clip_val, cfg.noise_multiplier, cfg.mechanism, noise_seed
-    )
+    return secagg.finalize_edge_update(agg, private_key, codec, divisor, clip_val, cfg.noise_multiplier, noise_seed)
 
 
 def _central_step(
-    edge_updates: Sequence[EdgeUpdate],
-    cross_config: CrossEdgeConfig,
-    reference: ParamVector,
-) -> tuple[ParamVector, list[tuple[int, ParamVector]]]:
-    """Cross-edge exchange plus central aggregation.
+    edge_updates: Sequence[EdgeUpdate], cross_config: CrossEdgeConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-edge exchange plus central aggregation: the global model and the
+    edges' blended models, one row each in ascending edge id.
 
     This is the only path to the global model; it accepts edge-level updates
     exclusively, which is what keeps client reports out of the central tier.
     """
-    cross = cross_edge_exchange(edge_updates, cross_config, reference=reference)
-    counts = {u.edge_id: u.sample_count for u in edge_updates}
-    new_global = central_aggregate([(eid, model, counts[eid]) for eid, model in cross])
-    return new_global, cross
+    cross = cross_edge_exchange(edge_updates, cross_config)
+    counts = [u.sample_count for u in sorted(edge_updates, key=lambda u: u.edge_id)]
+    return central_aggregate(cross, counts), cross
 
 
 @dataclass
@@ -239,6 +232,19 @@ class PreparedData:
     edge_test_rows: list[np.ndarray]
 
 
+def hold_out(rows: np.ndarray, fraction: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One client's (training, test) rows, each sorted, from its rows shuffled by `rng`.
+
+    A fraction of 0, or a client with fewer than 2 rows, holds nothing out;
+    any other fraction holds out round(fraction * n) rows, but at least one
+    and never all n.
+    """
+    perm = rng.permutation(rows)
+    n = len(perm)
+    test_n = 0 if n < 2 or fraction == 0 else min(n - 1, max(1, round(fraction * n)))
+    return np.sort(perm[test_n:]), np.sort(perm[:test_n])
+
+
 def prepare_data(config: SimulationConfig, dataset: Dataset) -> PreparedData:
     """Split, partition, and shard the dataset exactly as run() will."""
     seed = config.seed
@@ -250,7 +256,7 @@ def prepare_data(config: SimulationConfig, dataset: Dataset) -> PreparedData:
         derive_seed(seed, "split"),
     )
     client_rows = partition_noniid(
-        d_train, config.n_edges, config.clients_per_edge, config.data.dirichlet_alpha, derive_seed(seed, "partition")
+        d_train, config.n_clients, config.data.dirichlet_alpha, derive_seed(seed, "partition")
     )
     if config.data.unknown_edge is not None:
         # the unknown region is one physical edge's clients, also under fedavg_single
@@ -259,21 +265,16 @@ def prepare_data(config: SimulationConfig, dataset: Dataset) -> PreparedData:
         d_train = shift_features(d_train, np.concatenate(client_rows[first : first + k]), config.data.unknown_shift)
 
     # per-client holdout feeding the edge-level test shards
-    client_train: list[np.ndarray] = []
-    client_test: list[np.ndarray] = []
-    for cid, rows in enumerate(client_rows):
-        rng = np.random.default_rng(derive_seed(seed, "shard", cid))
-        perm = rng.permutation(rows)
-        n = len(perm)
-        test_n = 0 if n < 2 else min(n - 1, max(1, round(config.data.edge_test_fraction * n)))
-        client_test.append(np.sort(perm[:test_n]))
-        client_train.append(np.sort(perm[test_n:]))
-    edge_test_rows = [np.concatenate([client_test[c] for c in clients]) for clients in config.edge_clients.values()]
+    holdouts = [
+        hold_out(rows, config.data.edge_test_fraction, np.random.default_rng(derive_seed(seed, "shard", cid)))
+        for cid, rows in enumerate(client_rows)
+    ]
+    edge_test_rows = [np.concatenate([holdouts[c][1] for c in clients]) for clients in config.edge_clients.values()]
     return PreparedData(
         d_train=d_train,
         d_val=d_val,
         d_test=d_test,
-        client_train=client_train,
+        client_train=[train for train, _ in holdouts],
         edge_test_rows=edge_test_rows,
     )
 
@@ -310,7 +311,7 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
             lambda key_seed: secagg.keygen(key_bits, key_seed), [derive_seed(seed, "keys", e) for e in edge_clients]
         )
 
-    global_model = zeros(trainer.model_dim(dataset.n_features))
+    global_model = np.zeros(trainer.model_dim(dataset.n_features))
     score_weights: list[ScoreWeights | None] = [None] * len(edge_clients)
 
     rounds: list[RoundRecord] = []
@@ -334,7 +335,7 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
         try:
             trained = np.stack(
                 [
-                    trainer.train_local(global_model, spec, d_train, client_train[cid], s, cohort).values
+                    trainer.train_local(global_model, spec, d_train, client_train[cid], s, cohort)
                     for cid, s in zip(cids, train_seeds)
                 ]
             )
@@ -396,23 +397,22 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
                     config.secagg,
                     codec,
                     keypairs[e],
-                    reports.weights[rows] - global_model.values,
+                    reports.weights[rows] - global_model,
                     int_weights,
                     divisor,
                     derive_seed(seed, "dp", round_no, e),
                 )
             except secagg.HeadroomError as exc:
                 raise OverflowError(f"round {round_no}, edge {e}, client {selected_ids[exc.row]}: {exc}") from exc
-            edge_updates.append(
-                EdgeUpdate(edge_id=e, local_model=global_model + mean_update, sample_count=int(counts.sum()))
-            )
+            local_model = ParamVector(global_model + mean_update)
+            edge_updates.append(EdgeUpdate(edge_id=e, local_model=local_model, sample_count=int(counts.sum())))
 
         if not edge_updates:
             raise RuntimeError(f"no edge produced an update in round {round_no}")
-        new_global, cross = _central_step(edge_updates, config.aggregation, global_model)
+        new_global, cross = _central_step(edge_updates, config.aggregation)
 
         per_edge: dict[int, tuple[float, float]] = {}
-        for eid, model in cross:
+        for eid, model in zip(sorted(u.edge_id for u in edge_updates), cross):
             rows = edge_test_rows[eid]
             if len(rows) == 0:
                 continue
@@ -454,7 +454,7 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
 def _select_for_mode(
     config: SimulationConfig,
     reports: ClientReports,
-    edge_model: ParamVector,
+    edge_model: np.ndarray,
     score_weights: list[ScoreWeights | None],
     edge_id: int,
     round_no: int,

@@ -56,12 +56,11 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .params import ParamVector, clip_l2
+from .params import ParamVector
 
 DEFAULT_KEY_BITS = 1024
 DEFAULT_SCALE = 2**20
 DEFAULT_MAX_PARTICIPANTS = 64
-MECHANISMS = ("gaussian", "laplace")
 
 _MILLER_RABIN_ROUNDS = 40
 _KEYGEN_RETRIES = 10_000
@@ -450,15 +449,8 @@ def sum_quantized(
     return codec.decode(totals)
 
 
-def release(
-    total: np.ndarray,
-    divisor: int,
-    clip_val: float,
-    noise_multiplier: float,
-    mechanism: str,
-    seed: int,
-) -> ParamVector:
-    """Average an aggregate, clip its L2 norm, then add noise.
+def release(total: np.ndarray, divisor: int, clip_val: float, noise_multiplier: float, seed: int) -> np.ndarray:
+    """Average an aggregate, clip its L2 norm to clip_val, then add Gaussian noise.
 
     The noise std per element is noise_multiplier * clip_val / divisor;
     clipping happens strictly before the noise so a noiseless release's norm
@@ -466,19 +458,17 @@ def release(
     """
     if divisor < 1:
         raise ValueError("divisor must be >= 1")
-    if mechanism not in MECHANISMS:
-        raise ValueError(f"unknown mechanism {mechanism!r}")
-    clipped = clip_l2(ParamVector(total / divisor), clip_val)
+    if not clip_val > 0:
+        raise ValueError(f"clip_val must be positive, got {clip_val}")
+    mean = total / divisor
+    norm = float(np.linalg.norm(mean))
+    if norm > clip_val:
+        mean = mean * (clip_val / norm)
     if noise_multiplier == 0.0:  # also guards clip_val = inf
-        noise = np.zeros(clipped.dim)
+        noise = np.zeros(len(mean))
     else:
-        std = noise_multiplier * clip_val / divisor
-        rng = np.random.default_rng(seed)
-        if mechanism == "gaussian":
-            noise = rng.normal(0.0, std, clipped.dim)
-        else:  # laplace calibrated by std: Var(Laplace(b)) = 2 b^2
-            noise = rng.laplace(0.0, std / np.sqrt(2.0), clipped.dim)
-    return ParamVector(clipped.values + noise)
+        noise = np.random.default_rng(seed).normal(0.0, noise_multiplier * clip_val / divisor, len(mean))
+    return mean + noise
 
 
 def finalize_edge_update(
@@ -488,8 +478,7 @@ def finalize_edge_update(
     divisor: int,
     clip_val: float,
     noise_multiplier: float,
-    mechanism: str,
     seed: int,
-) -> ParamVector:
+) -> np.ndarray:
     """Decrypt the aggregate and release it (see release)."""
-    return release(decrypt_vector(agg, private_key, codec), divisor, clip_val, noise_multiplier, mechanism, seed)
+    return release(decrypt_vector(agg, private_key, codec), divisor, clip_val, noise_multiplier, seed)

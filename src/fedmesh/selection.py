@@ -16,8 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import ParamVector, l2_diff_norm
-from .trainer import DEFAULT_ENERGY_ALPHA, DEFAULT_ENERGY_BETA, ClientReports
+from .trainer import DEFAULT_ENERGY_ALPHA, DEFAULT_ENERGY_BETA, ClientReports, l2_diff_norm
 
 logger = logging.getLogger(__name__)
 
@@ -108,7 +107,7 @@ def _require_finite(client_ids: np.ndarray, quantity: str, values: np.ndarray, s
 
 def estimate_metrics(
     reports: ClientReports,
-    edge_weights: ParamVector,
+    edge_weights: np.ndarray,
     alpha: float = DEFAULT_ENERGY_ALPHA,
     beta: float = DEFAULT_ENERGY_BETA,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -120,7 +119,7 @@ def estimate_metrics(
     edge's clients too (NonFiniteMetric names the client otherwise).
     """
     utility = l2_diff_norm(reports.weights, edge_weights)
-    energy = alpha * reports.sample_count + beta * edge_weights.dim
+    energy = alpha * reports.sample_count + beta * len(edge_weights)
     _require_finite(reports.client_ids, "estimated utility", utility, summed=True)
     _require_finite(reports.client_ids, "estimated energy", energy, summed=True)
     return utility, energy
@@ -218,7 +217,7 @@ def update_weights(
 
 def select_clients(
     reports: ClientReports,
-    edge_weights: ParamVector,
+    edge_weights: np.ndarray,
     weights: ScoreWeights,
     config: SelectionConfig,
     alpha: float = DEFAULT_ENERGY_ALPHA,

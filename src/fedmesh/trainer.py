@@ -15,7 +15,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import Dataset
-from .params import ParamVector, l2_diff_norm
 
 DEFAULT_ENERGY_ALPHA = 0.01
 DEFAULT_ENERGY_BETA = 0.001
@@ -110,12 +109,24 @@ def _with_bias(features: np.ndarray) -> np.ndarray:
     return np.hstack([features, np.ones((features.shape[0], 1))])
 
 
-def predict_proba(weights: ParamVector, features: np.ndarray) -> np.ndarray:
+def predict_proba(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
     """Positive-class probability for each feature row."""
     width = model_dim(features.shape[1])
-    if weights.dim != width:
-        raise ValueError(f"expected {width} parameters, got {weights.dim}")
-    return sigmoid(_with_bias(features) @ weights.values)
+    if np.shape(weights) != (width,):
+        raise ValueError(f"expected {width} parameters, got shape {np.shape(weights)}")
+    return sigmoid(_with_bias(features) @ weights)
+
+
+def l2_diff_norm(rows: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Summed per-parameter norm of each row's difference from `reference`.
+
+    Every scalar entry counts as its own parameter, so row i gives
+    sum_k |rows[i, k] - reference_k|: the same float as summing that row alone.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or np.shape(reference) != rows.shape[1:]:
+        raise ValueError(f"dimension mismatch: rows of shape {rows.shape}, reference of shape {np.shape(reference)}")
+    return np.abs(rows - reference).sum(axis=1)
 
 
 def gradient(weights: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -142,16 +153,17 @@ class DivergedError(ValueError):
 
 
 def train_clients(
-    start: ParamVector,
+    start: np.ndarray,
     spec: TrainerConfig,
     dataset: Dataset,
     shards: Sequence[np.ndarray | list[int]],
     seeds: Sequence[int],
-) -> list[ParamVector]:
+) -> np.ndarray:
     """Mini-batch gradient descent on BCE from `start` for every shard; deterministic per seed.
 
-    Client i trains on the rows `shards[i]` of `dataset`, shuffled each epoch
-    by its own `default_rng(seeds[i])`, and the result does not depend on which
+    Row i of the (len(shards), P) result is client i's weights. Client i
+    trains on the rows `shards[i]` of `dataset`, shuffled each epoch by its
+    own `default_rng(seeds[i])`, and the result does not depend on which
     other clients are trained with it. All clients take their k-th full batch
     in one stacked step, then their final partial batches in one stacked step
     per distinct length. Each epoch's rows are gathered step after step, a
@@ -161,13 +173,13 @@ def train_clients(
     if len(shards) != len(seeds):
         raise ValueError(f"{len(shards)} shards but {len(seeds)} seeds")
     width = model_dim(dataset.n_features)
-    if start.dim != width:
-        raise ValueError(f"start has dim {start.dim}, model needs {width}")
+    if np.shape(start) != (width,):
+        raise ValueError(f"start has dim {np.size(start)}, model needs {width}")
     idx = [np.asarray(shard, dtype=np.int64) for shard in shards]
     if any(shard.size == 0 for shard in idx):
         raise ValueError("client has no training samples")
     if not idx:
-        return []
+        return np.empty((0, width))
     step, lr = spec.batch_size, spec.learning_rate
     sizes = np.array([shard.size for shard in idx], dtype=np.int64)
     # clients ordered by full-batch count, descending: those with a k-th full batch are a prefix
@@ -201,7 +213,7 @@ def train_clients(
         hi += s[1] * s[2]
     chunks.append((lo, hi, group))
     rngs = [np.random.default_rng(seeds[i]) for i in order]
-    w = np.tile(start.values, (len(idx), 1))
+    w = np.tile(start, (len(idx), 1))
     rows = np.ones((max(hi - lo for lo, hi, _ in chunks), width))  # last column stays the bias input
     epoch = np.empty(int(sizes.sum()), dtype=np.int64)  # dataset row ids, each client's in its shuffled order
     for _ in range(spec.local_epochs):
@@ -222,7 +234,7 @@ def train_clients(
     diverged = np.flatnonzero(~np.isfinite(trained).all(axis=1))
     if diverged.size:
         raise DivergedError(int(diverged[0]))
-    return [ParamVector(v) for v in trained]
+    return trained
 
 
 class Cohort:
@@ -235,7 +247,7 @@ class Cohort:
 
     def __init__(
         self,
-        start: ParamVector,
+        start: np.ndarray,
         spec: TrainerConfig,
         dataset: Dataset,
         shards: Sequence[np.ndarray | list[int]],
@@ -248,16 +260,16 @@ class Cohort:
         self._start, self._spec, self._dataset = start, spec, dataset
         self._shards, self._seeds = list(shards), list(seeds)
         self._member = {s: k for k, s in enumerate(seeds)}
-        self._trained: list[ParamVector] | None = None
+        self._trained: np.ndarray | None = None
 
     def trained(
         self,
-        start: ParamVector,
+        start: np.ndarray,
         spec: TrainerConfig,
         dataset: Dataset,
         indices: np.ndarray | list[int],
         seed: int,
-    ) -> ParamVector:
+    ) -> np.ndarray:
         k = self._member.get(seed)
         if (
             k is None
@@ -269,17 +281,18 @@ class Cohort:
             raise ValueError(f"the client with seed {seed} is not a member of this cohort")
         if self._trained is None:
             self._trained = train_clients(self._start, self._spec, self._dataset, self._shards, self._seeds)
+            self._trained.setflags(write=False)  # members share it, each reading its own row
         return self._trained[k]
 
 
 def train_local(
-    start: ParamVector,
+    start: np.ndarray,
     spec: TrainerConfig,
     dataset: Dataset,
     indices: np.ndarray | list[int],
     seed: int,
     cohort: Cohort | None = None,
-) -> ParamVector:
+) -> np.ndarray:
     """One client's weights after mini-batch descent from `start` on the rows `indices`.
 
     Without `cohort` the client trains alone. As a member of `cohort` it trains
@@ -294,7 +307,7 @@ def train_local(
 def build_report(
     client_ids: Sequence[int],
     trained: np.ndarray,
-    received: ParamVector,
+    received: np.ndarray,
     spec: TrainerConfig,
     sample_counts: Sequence[int],
     security_indices: Sequence[float],
@@ -312,7 +325,7 @@ def build_report(
     """
     trained = np.asarray(trained, dtype=np.float64)
     utility = l2_diff_norm(trained, received)
-    energy = spec.energy_alpha * np.asarray(sample_counts, dtype=np.int64) + spec.energy_beta * received.dim
+    energy = spec.energy_alpha * np.asarray(sample_counts, dtype=np.int64) + spec.energy_beta * len(received)
     weights = trained
     behaviors = {a.client_id: a for a in adversaries}
     for row, cid in enumerate(client_ids):
@@ -328,7 +341,7 @@ def build_report(
                 raise ValueError("noise_weights behavior requires an rng")
             if weights is trained:
                 weights = trained.copy()
-            weights[row] += rng_for(cid).normal(0.0, behavior.factor, received.dim)
+            weights[row] += rng_for(cid).normal(0.0, behavior.factor, len(received))
     return ClientReports(
         client_ids=np.asarray(client_ids, dtype=np.int64),
         weights=weights,

@@ -25,10 +25,10 @@ from fedmesh.orchestrator import (
     run,
 )
 from fedmesh.aggregation import CrossEdgeConfig, EdgeUpdate, central_aggregate, cross_edge_exchange
-from fedmesh.params import ParamVector, l2_diff_norm, weighted_sum, zeros
+from fedmesh.params import ParamVector
 from fedmesh.secagg import FixedPointCodec, aggregate_encrypted, decrypt_vector, encrypt_update, keygen, release
 from fedmesh.selection import ScoreWeights, consistency_check, estimate_metrics, score, update_weights
-from fedmesh.trainer import TrainerConfig, build_report, train_clients
+from fedmesh.trainer import TrainerConfig, build_report, l2_diff_norm, train_clients
 
 
 def report_pass(criterion: int, message: str) -> None:
@@ -51,14 +51,14 @@ def test_criterion_02_equation_oracles():
         dim = int(rng.integers(1, 21))
         a, b = rng.normal(size=dim), rng.normal(size=dim)
         expected = sum(abs(a[k] - b[k]) for k in range(dim))
-        assert abs(l2_diff_norm(a[None], ParamVector(b))[0] - expected) <= 1e-9
+        assert abs(l2_diff_norm(a[None], b)[0] - expected) <= 1e-9
 
     # energy surrogate: alpha * N + beta * P
     for _ in range(100):
         n_i = int(rng.integers(1, 1000))
         alpha, beta = rng.uniform(0.001, 0.1, size=2)
-        w = ParamVector(rng.normal(size=11))
-        rep = build_report([0], w.values[None], w, spec, [n_i], [0.5])
+        w = rng.normal(size=11)
+        rep = build_report([0], w[None], w, spec, [n_i], [0.5])
         _, energy = estimate_metrics(rep, w, alpha, beta)
         assert abs(energy[0] - (alpha * n_i + beta * 11)) <= 1e-9
 
@@ -106,7 +106,7 @@ def test_criterion_02_equation_oracles():
             CrossEdgeConfig(alpha=alpha, clip_val=clip_val),
         )
         total = sum(counts)
-        for i, (eid, model) in enumerate(out):
+        for i, model in enumerate(out):
             for k in range(dim):
                 if n_edges == 1:
                     acc = models[i][k]
@@ -117,7 +117,7 @@ def test_criterion_02_equation_oracles():
                         if j != i
                     )
                 acc = min(clip_val, max(-clip_val, acc))
-                assert abs(model.values[k] - acc) <= 1e-12
+                assert abs(model[k] - acc) <= 1e-12
 
     # central sample-weighted mean (pure aggregation: 1e-12)
     for _ in range(100):
@@ -125,13 +125,11 @@ def test_criterion_02_equation_oracles():
         dim = int(rng.integers(1, 21))
         models = [rng.normal(size=dim) for _ in range(n_edges)]
         counts = [int(c) for c in rng.integers(1, 500, size=n_edges)]
-        got = central_aggregate(
-            [(i, ParamVector(m), n) for i, (m, n) in enumerate(zip(models, counts))]
-        )
+        got = central_aggregate(np.stack(models), counts)
         total = sum(counts)
         for k in range(dim):
             expected = sum(counts[i] * models[i][k] for i in range(n_edges)) / total
-            assert abs(got.values[k] - expected) <= 1e-12
+            assert abs(got[k] - expected) <= 1e-12
 
     report_pass(2, "metric, scoring, and aggregation formulas match brute-force loop oracles on 100+ instances each")
 
@@ -176,7 +174,7 @@ def test_criterion_04_secure_aggregation_homomorphism():
 def test_criterion_05_dp_noise_calibration():
     sigma, clip_norm, count = 1.3, 0.7, 9
     # a zero total never reaches the clip, so the released vector is the noise itself
-    draws = release(np.zeros(10_000), count, clip_norm, sigma, "gaussian", seed=55).values
+    draws = release(np.zeros(10_000), count, clip_norm, sigma, seed=55)
     target_std = sigma * clip_norm / count
     _, p_value = stats.kstest(draws, "norm", args=(0.0, target_std))
     assert p_value > 0.001
@@ -234,7 +232,7 @@ def test_criterion_07_fault_tolerance():
     clean = run(base, dataset)
     failed = run(dataclasses.replace(base, edge_failures=((2, 3),)), dataset)
     assert len(failed.rounds) == 10
-    assert np.all(np.isfinite(failed.final_global.values))
+    assert np.all(np.isfinite(failed.final_global))
     acc_clean = clean.rounds[-1].global_test[1]
     acc_failed = failed.rounds[-1].global_test[1]
     assert abs(acc_clean - acc_failed) <= 0.05
@@ -259,7 +257,7 @@ def test_criterion_08_convergence_sanity():
     dataset = generate_synthetic(4000, 10, 0.5, seed=777)
     result = run(config, dataset)
     prep = prepare_data(config, dataset)
-    init = evaluate(zeros(dataset.n_features + 1), prep.d_test.features, prep.d_test.labels)
+    init = evaluate(np.zeros(dataset.n_features + 1), prep.d_test.features, prep.d_test.labels)
     final_acc = result.rounds[-1].global_test[1]
     final_auroc = result.rounds[-1].global_test[4]
     assert final_acc - init.accuracy >= 0.15
@@ -340,7 +338,7 @@ def test_criterion_11_fedavg_baseline_equivalence():
     spec = base.trainer
     total = sum(len(rows) for rows in prep.client_train)
 
-    oracle_model = zeros(dataset.n_features + 1)
+    oracle_model = np.zeros(dataset.n_features + 1)
     for rounds_max in (1, 2, 3):
         sim = run(dataclasses.replace(base, rounds_max=rounds_max), dataset)
         # advance the oracle by one round: plain sample-weighted client-model mean
@@ -351,9 +349,7 @@ def test_criterion_11_fedavg_baseline_equivalence():
             prep.client_train,
             [derive_seed(base.seed, "train", rounds_max, cid) for cid in range(base.n_clients)],
         )
-        oracle_model = weighted_sum(
-            [(len(rows) / total, w) for rows, w in zip(prep.client_train, models, strict=True)]
-        )
-        deviation = np.max(np.abs(sim.final_global.values - oracle_model.values))
+        oracle_model = sum(len(rows) / total * w for rows, w in zip(prep.client_train, models, strict=True))
+        deviation = np.max(np.abs(sim.final_global - oracle_model))
         assert deviation <= 4 * 0.5 / scale, f"round {rounds_max}: deviation {deviation}"
     report_pass(11, "fedavg_single equals the plaintext sample-weighted client mean for rounds 1-3 within quantization tolerance")

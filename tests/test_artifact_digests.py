@@ -109,24 +109,24 @@ DIGESTS = {
 
 # config_hash prefixes per (config, seed); a schema change that moves them stops old manifests from replaying
 CONFIG_HASHES = {
-    ("fedselect_me", 1): "12ff260cf3e82596",
-    ("fedselect_me", 2): "bcaaa310800e5fd5",
-    ("fedselect_me", 23): "ab19808ad479f25d",
-    ("no_selection", 1): "09fd0cc1a7bb737f",
-    ("no_selection", 2): "03ac231631292e47",
-    ("no_selection", 23): "358267cf60a5b639",
-    ("fedavg_single_secure", 1): "6a41cb31ed0d46a1",
-    ("fedavg_single_secure", 2): "abb865b16227ffc3",
-    ("fedavg_single_secure", 23): "3316526764d49604",
-    ("fedselect_me_secure", 1): "aab2c234ad79717d",
-    ("fedselect_me_secure", 2): "6f3ac5000eb2f1d4",
-    ("fedselect_me_secure", 23): "c63837551e524ba2",
-    ("regions", 1): "66cd914ae058f43a",
-    ("regions", 2): "e75b38b67a218e02",
-    ("regions", 23): "c8efe063c4a1cb90",
-    ("regions_fedavg_secure", 1): "1e78dcfb013b8b92",
-    ("regions_fedavg_secure", 2): "67c69d1d0a22410d",
-    ("regions_fedavg_secure", 23): "927c20f41a71411a",
+    ("fedselect_me", 1): "e55212c7cdbfeab5",
+    ("fedselect_me", 2): "535ba7399647fffb",
+    ("fedselect_me", 23): "907805fd942108f8",
+    ("no_selection", 1): "e8cd310e2d37124f",
+    ("no_selection", 2): "264de5c1ae03b18a",
+    ("no_selection", 23): "d183d288d1ae42ff",
+    ("fedavg_single_secure", 1): "65deb5300e16e6c3",
+    ("fedavg_single_secure", 2): "39b9818e413e69bc",
+    ("fedavg_single_secure", 23): "c8d99de1d53feb68",
+    ("fedselect_me_secure", 1): "b91c72af44818557",
+    ("fedselect_me_secure", 2): "1c92a55585884b17",
+    ("fedselect_me_secure", 23): "aa24711c5a6f0f0a",
+    ("regions", 1): "1af7650b4509213e",
+    ("regions", 2): "9d46a55d1b6d8e54",
+    ("regions", 23): "8762bc89cfeb6489",
+    ("regions_fedavg_secure", 1): "dc8e17b09754c8bc",
+    ("regions_fedavg_secure", 2): "ca3d76a5b64bb8a8",
+    ("regions_fedavg_secure", 23): "1e012544cc562867",
 }
 
 # sha256 prefix of the 11 ciphertexts of encryption_sequence under keygen(256, seed)

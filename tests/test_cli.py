@@ -170,6 +170,8 @@ class TestCmdRun:
                 ],
                 "config error: adversaries: client_id 1 is given twice",
             ),
+            (None, ["aggregation.literal_total_normalization=true"], "aggregation.literal_total_normalization"),
+            (None, ["aggregation.delta_mode=true"], "aggregation.delta_mode"),
         ],
     )
     def test_bad_input_is_a_config_error(self, config_file, tmp_path, monkeypatch, capsys, env_seed, overrides, field):

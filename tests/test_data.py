@@ -14,10 +14,9 @@ from fedmesh.data import (
 )
 
 
-def partition_oracle(d, n_edges, clients_per_edge, dirichlet_alpha, seed):
+def partition_oracle(d, n_clients, dirichlet_alpha, seed):
     """Dirichlet label-skew partition dealt one Python int at a time; starved
     clients take the richest donor's last row of a class, one row at a time."""
-    n_clients = n_edges * clients_per_edge
     rng = np.random.default_rng(seed)
     holdings = [[[], []] for _ in range(n_clients)]
     for cls in (0, 1):
@@ -116,7 +115,7 @@ class TestDataset:
 class TestPartitionNonIID:
     def test_near_iid_limit(self):
         d = generate_synthetic(4000, 5, 0.4, seed=2)
-        part = partition_noniid(d, n_edges=3, clients_per_edge=4, dirichlet_alpha=1e6, seed=5)
+        part = partition_noniid(d, n_clients=12, dirichlet_alpha=1e6, seed=5)
         global_frac = positive_fraction(d.labels)
         assert len(part) == 12
         for rows in part:
@@ -124,32 +123,32 @@ class TestPartitionNonIID:
 
     def test_skewed_alpha_starves_a_client(self):
         d = generate_synthetic(4000, 5, 0.4, seed=2)
-        part = partition_noniid(d, n_edges=5, clients_per_edge=4, dirichlet_alpha=0.1, seed=11)
+        part = partition_noniid(d, n_clients=20, dirichlet_alpha=0.1, seed=11)
         global_frac = positive_fraction(d.labels)
         fractions = [positive_fraction(d.labels[rows]) for rows in part]
         assert min(fractions) < global_frac / 2
 
     def test_disjoint_and_bookkeeping(self):
         d = generate_synthetic(1500, 5, 0.3, seed=4)
-        part = partition_noniid(d, n_edges=4, clients_per_edge=3, dirichlet_alpha=0.5, seed=6)
+        part = partition_noniid(d, n_clients=12, dirichlet_alpha=0.5, seed=6)
         assert len(part) == 12
         all_rows = [int(r) for rows in part for r in rows]
         assert len(all_rows) == len(set(all_rows)) == d.n_samples
 
     @given(
-        st.integers(1, 3), st.integers(1, 5), st.sampled_from([0.005, 0.05, 0.5, 5.0]),
+        st.integers(1, 15), st.sampled_from([0.005, 0.05, 0.5, 5.0]),
         st.integers(100, 400), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=150, deadline=None)
-    def test_matches_per_row_oracle(self, n_edges, clients_per_edge, alpha, n_samples, imbalance, seed):
+    def test_matches_per_row_oracle(self, n_clients, alpha, n_samples, imbalance, seed):
         # the same rows per client, including which rows a starved client takes from which donor
         d = generate_synthetic(n_samples, 3, imbalance, seed=seed % 1000)
-        want, _ = partition_oracle(d, n_edges, clients_per_edge, alpha, seed)
+        want, _ = partition_oracle(d, n_clients, alpha, seed)
         if want is None:
             with pytest.raises(ValueError, match="could not give every client"):
-                partition_noniid(d, n_edges, clients_per_edge, alpha, seed)
+                partition_noniid(d, n_clients, alpha, seed)
             return
-        part = partition_noniid(d, n_edges, clients_per_edge, alpha, seed)
+        part = partition_noniid(d, n_clients, alpha, seed)
         got = [rows.tolist() for rows in part]
         assert got == want
         # each client's rows are sorted, no two clients share a row, and together they hold every row once
@@ -160,15 +159,15 @@ class TestPartitionNonIID:
 
     def test_every_client_has_two_of_a_class(self):
         d = generate_synthetic(900, 5, 0.25, seed=8)
-        part = partition_noniid(d, n_edges=3, clients_per_edge=3, dirichlet_alpha=0.3, seed=3)
+        part = partition_noniid(d, n_clients=9, dirichlet_alpha=0.3, seed=3)
         for rows in part:
             counts = np.bincount(d.labels[rows], minlength=2)
             assert counts.max() >= 2
 
     def test_deterministic(self):
         d = generate_synthetic(1000, 5, 0.5, seed=1)
-        p1 = partition_noniid(d, 2, 3, 0.5, seed=9)
-        p2 = partition_noniid(d, 2, 3, 0.5, seed=9)
+        p1 = partition_noniid(d, 6, 0.5, seed=9)
+        p2 = partition_noniid(d, 6, 0.5, seed=9)
         assert len(p1) == len(p2) == 6
         for rows1, rows2 in zip(p1, p2):
             assert np.array_equal(rows1, rows2)
@@ -176,7 +175,7 @@ class TestPartitionNonIID:
     def test_infeasible_sizes_rejected(self):
         d = generate_synthetic(100, 5, 0.5, seed=1)
         with pytest.raises(ValueError):
-            partition_noniid(d, n_edges=10, clients_per_edge=10, dirichlet_alpha=0.5, seed=0)
+            partition_noniid(d, n_clients=100, dirichlet_alpha=0.5, seed=0)
 
 
 class TestShiftFeatures:

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedmesh.aggregation
 import fedmesh.orchestrator
@@ -24,10 +26,10 @@ from fedmesh.orchestrator import (
     _central_step,
     derive_seed,
     evaluate,
+    hold_out,
     prepare_data,
     run,
 )
-from fedmesh.params import weighted_sum, zeros
 from fedmesh.trainer import train_clients
 
 
@@ -88,7 +90,7 @@ def result_fingerprint(result):
             }
             for r in result.rounds
         ],
-        "final": result.final_global.values.tolist(),
+        "final": result.final_global.tolist(),
         "events": result.events,
     }
     return json.dumps(payload, sort_keys=True)
@@ -100,7 +102,7 @@ class TestRunBasics:
         assert len(result.rounds) == 1
         assert not result.stopped_early
         assert excluded(result) == [{"round": 1, "inconsistent": [], "score_outlier": []}]
-        assert np.all(np.isfinite(result.final_global.values))
+        assert np.all(np.isfinite(result.final_global))
 
     def test_round_record_contents(self, dataset):
         result = run(make_config(rounds_max=2), dataset)
@@ -130,7 +132,7 @@ class TestRunBasics:
         a = run(config, dataset)
         b = run(config, dataset)
         assert result_fingerprint(a) == result_fingerprint(b)
-        assert a.final_global.values.tobytes() == b.final_global.values.tobytes()
+        assert a.final_global.tobytes() == b.final_global.tobytes()
 
     def test_seed_changes_results(self, dataset):
         a = run(make_config(seed=1), dataset)
@@ -141,7 +143,7 @@ class TestRunBasics:
         config = make_config(rounds_max=5)
         result = run(config, dataset)
         prep = prepare_data(config, dataset)
-        init = evaluate(zeros(dataset.n_features + 1), prep.d_test.features, prep.d_test.labels)
+        init = evaluate(np.zeros(dataset.n_features + 1), prep.d_test.features, prep.d_test.labels)
         final = evaluate(result.final_global, prep.d_test.features, prep.d_test.labels)
         assert final.accuracy > init.accuracy
 
@@ -186,7 +188,7 @@ class TestSecureAggregationPath:
         plain = dataclasses.replace(with_he, secagg=dataclasses.replace(secure, enabled=False))
         encrypted = run(with_he, dataset)
         plaintext = run(plain, dataset)
-        assert plaintext.final_global.values.tobytes() == encrypted.final_global.values.tobytes()
+        assert plaintext.final_global.tobytes() == encrypted.final_global.tobytes()
         assert plaintext.rounds == encrypted.rounds
         assert plaintext.events == encrypted.events
 
@@ -225,7 +227,7 @@ class TestSecureAggregationPath:
         )
         a = run(quiet, dataset)
         b = run(noisy, dataset)
-        assert not np.allclose(a.final_global.values, b.final_global.values, atol=1e-6)
+        assert not np.allclose(a.final_global, b.final_global, atol=1e-6)
 
 
 class TestAdversaries:
@@ -292,7 +294,7 @@ class TestEdgeFailures:
         for r in (1, 2, 4, 5):
             assert by_round[r] == {0, 1, 2, 3, 4}
         assert 2 not in result.rounds[2].per_edge
-        assert np.all(np.isfinite(result.final_global.values))
+        assert np.all(np.isfinite(result.final_global))
 
     def test_prefix_identical_until_failure(self, big_dataset):
         base = make_config(
@@ -314,7 +316,7 @@ class TestEdgeFailures:
 
         def recording(start, spec, data, shards, seeds):
             models = train_clients_(start, spec, data, shards, seeds)
-            calls.append({seed: m.values.tobytes() for seed, m in zip(seeds, models)})
+            calls.append({seed: m.tobytes() for seed, m in zip(seeds, models)})
             return models
 
         monkeypatch.setattr(fedmesh.trainer, "train_clients", recording)
@@ -348,7 +350,7 @@ class TestEdgeFailures:
         result = run(config, big_dataset)
         assert len(result.rounds) == 2
         assert set(result.rounds[1].per_edge) == {4}
-        assert np.all(np.isfinite(result.final_global.values))
+        assert np.all(np.isfinite(result.final_global))
 
     def test_failing_every_edge_errors(self, dataset):
         config = make_config(edge_failures=((0, 1), (1, 1)))
@@ -382,7 +384,7 @@ class TestBaselines:
         sim = run(config, dataset)
         prep = prepare_data(config, dataset)
         spec = config.trainer
-        global_model = zeros(dataset.n_features + 1)
+        global_model = np.zeros(dataset.n_features + 1)
         for round_no in range(1, 4):
             models = train_clients(
                 global_model,
@@ -392,10 +394,8 @@ class TestBaselines:
                 [derive_seed(config.seed, "train", round_no, cid) for cid in range(config.n_clients)],
             )
             total = sum(len(rows) for rows in prep.client_train)
-            global_model = weighted_sum(
-                [(len(rows) / total, w) for rows, w in zip(prep.client_train, models, strict=True)]
-            )
-        assert np.allclose(sim.final_global.values, global_model.values, atol=4 * 0.5 / 2**20)
+            global_model = sum(len(rows) / total * w for rows, w in zip(prep.client_train, models, strict=True))
+        assert np.allclose(sim.final_global, global_model, atol=4 * 0.5 / 2**20)
 
     def test_fedavg_single_has_one_edge(self, dataset):
         config = make_config(baseline_mode="fedavg_single", rounds_max=1)
@@ -438,11 +438,31 @@ class TestPrivacyBoundary:
         assert "ClientReport" not in source
         assert "trainer" not in source
         params = inspect.signature(fedmesh.aggregation.central_aggregate).parameters
-        assert list(params) == ["cross_models"]
+        assert list(params) == ["models", "sample_counts"]
 
     def test_edge_update_carries_only_aggregate_state(self):
         fields = {f.name for f in dataclasses.fields(EdgeUpdate)}
         assert fields == {"edge_id", "local_model", "sample_count"}
+
+
+class TestEdgeHoldout:
+    @given(st.integers(0, 40), st.one_of(st.just(0.0), st.floats(0.0, 1.0)), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_train_and_test_partition_each_clients_rows(self, n, fraction, seed):
+        rows = np.sort(np.random.default_rng(seed).choice(10_000, size=n, replace=False))
+        train, test = hold_out(rows, fraction, np.random.default_rng(seed))
+        assert np.array_equal(np.sort(np.concatenate([train, test])), rows)
+        assert np.array_equal(train, np.sort(train)) and np.array_equal(test, np.sort(test))
+        assert (len(test) == 0) == (fraction == 0 or n < 2)
+        if len(test):  # a positive fraction holds out round(fraction * n) rows, at least one and never all
+            assert len(test) == min(n - 1, max(1, round(fraction * n)))
+
+    def test_zero_fraction_holds_out_nothing(self, dataset):
+        config = make_config(rounds_max=1, data=DataConfig(n_samples=600, edge_test_fraction=0.0))
+        prep = prepare_data(config, dataset)
+        assert [len(rows) for rows in prep.edge_test_rows] == [0, 0]
+        assert sum(len(rows) for rows in prep.client_train) == prep.d_train.n_samples
+        assert run(config, dataset).rounds[0].per_edge == {}
 
 
 class TestUnknownRegion:
@@ -453,8 +473,7 @@ class TestUnknownRegion:
         prep = prepare_data(config, dataset)
         base = prepare_data(make_config(rounds_max=1), dataset)
         client_rows = partition_noniid(
-            base.d_train, config.n_edges, config.clients_per_edge, config.data.dirichlet_alpha,
-            derive_seed(config.seed, "partition"),
+            base.d_train, config.n_clients, config.data.dirichlet_alpha, derive_seed(config.seed, "partition")
         )
         assert config.edge_clients == {0: range(0, 3), 1: range(3, 6)}
         # every row of edge 1's clients, training and test rows alike

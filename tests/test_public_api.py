@@ -24,8 +24,6 @@ PUBLIC_API = [
     "binary_metrics",
     "build_report",
     "central_aggregate",
-    "clip_elementwise",
-    "clip_l2",
     "consistency_check",
     "cross_edge_exchange",
     "encrypt_update",
@@ -44,8 +42,6 @@ PUBLIC_API = [
     "train_clients",
     "train_local",
     "update_weights",
-    "weighted_sum",
-    "zeros",
 ]
 
 

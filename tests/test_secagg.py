@@ -466,9 +466,9 @@ class TestFinalize:
         v = ParamVector(rng.uniform(-0.3, 0.3, size=8))
         agg = aggregate_encrypted([encrypt_update(v, codec, public)], public)
         out = finalize_edge_update(
-            agg, private, codec, divisor=1, clip_val=10.0, noise_multiplier=0.0, mechanism="gaussian", seed=0
+            agg, private, codec, divisor=1, clip_val=10.0, noise_multiplier=0.0, seed=0
         )
-        assert np.max(np.abs(out.values - v.values)) <= 0.5 / codec.scale
+        assert np.max(np.abs(out - v.values)) <= 0.5 / codec.scale
 
     def test_mean_of_participants(self, keypair, codec):
         public, private = keypair
@@ -476,9 +476,9 @@ class TestFinalize:
         cvs = [encrypt_update(ParamVector(v), codec, public) for v in vs]
         out = finalize_edge_update(
             aggregate_encrypted(cvs, public), private, codec, divisor=3,
-            clip_val=100.0, noise_multiplier=0.0, mechanism="gaussian", seed=0,
+            clip_val=100.0, noise_multiplier=0.0, seed=0,
         )
-        assert np.allclose(out.values, [3.0, 3.0, 3.0], atol=0.5 / codec.scale)
+        assert np.allclose(out, [3.0, 3.0, 3.0], atol=0.5 / codec.scale)
 
     def test_clipping_precedes_noise(self, keypair, codec):
         # sigma=0 on a large aggregate: output norm must already be clipped
@@ -486,9 +486,9 @@ class TestFinalize:
         v = ParamVector(np.full(4, 5.0))  # norm 10
         agg = aggregate_encrypted([encrypt_update(v, codec, public)], public)
         out = finalize_edge_update(
-            agg, private, codec, divisor=1, clip_val=1.0, noise_multiplier=0.0, mechanism="gaussian", seed=0
+            agg, private, codec, divisor=1, clip_val=1.0, noise_multiplier=0.0, seed=0
         )
-        assert np.linalg.norm(out.values) <= 1.0 + 1e-9
+        assert np.linalg.norm(out) <= 1.0 + 1e-9
 
     def test_noise_std_monte_carlo(self, keypair, codec):
         # 10 draws of a 1000-dim zero aggregate give 10k noise samples
@@ -499,8 +499,8 @@ class TestFinalize:
             [
                 finalize_edge_update(
                     agg, private, codec, divisor=count, clip_val=clip_val,
-                    noise_multiplier=sigma, mechanism="gaussian", seed=seed,
-                ).values
+                    noise_multiplier=sigma, seed=seed,
+                )
                 for seed in range(10)
             ]
         )
@@ -511,27 +511,51 @@ class TestFinalize:
         public, private = keypair
         v = ParamVector(np.full(5, 0.2))
         agg = aggregate_encrypted([encrypt_update(v, codec, public)], public)
-        a = finalize_edge_update(agg, private, codec, 1, 1.0, 0.5, "gaussian", seed=42)
-        b = finalize_edge_update(agg, private, codec, 1, 1.0, 0.5, "gaussian", seed=42)
-        assert np.array_equal(a.values, b.values)
+        a = finalize_edge_update(agg, private, codec, 1, 1.0, 0.5, seed=42)
+        b = finalize_edge_update(agg, private, codec, 1, 1.0, 0.5, seed=42)
+        assert np.array_equal(a, b)
+
+
+class TestClipL2:
+    # noiseless releases of divisor 1: the release is the L2 clip of the total alone
+    def test_under_norm_identity(self):
+        total = np.array([0.18, 0.24])  # norm 0.3
+        assert release(total, 1, clip_val=1.0, noise_multiplier=0.0, seed=0).tobytes() == total.tobytes()
+
+    def test_scaling_formula(self):
+        out = release(np.array([3.0, 4.0]), 1, clip_val=1.0, noise_multiplier=0.0, seed=0)
+        assert np.allclose(out, [0.6, 0.8], atol=1e-12)
+
+    def test_norm_bound_property(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            total = rng.normal(scale=3.0, size=5)
+            max_norm = float(rng.uniform(0.1, 2.0))
+            assert np.linalg.norm(release(total, 1, max_norm, noise_multiplier=0.0, seed=0)) <= max_norm + 1e-9
+
+    def test_preserves_direction(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            raw = rng.normal(size=6)
+            out = release(raw, 1, clip_val=0.5, noise_multiplier=0.0, seed=0)
+            cos = float(np.dot(raw, out) / (np.linalg.norm(raw) * np.linalg.norm(out)))
+            assert cos == pytest.approx(1.0, abs=1e-9)
+
+    def test_nonpositive_norm_rejected(self):
+        with pytest.raises(ValueError):
+            release(np.ones(1), 1, clip_val=-1.0, noise_multiplier=0.0, seed=0)
 
 
 class TestDpNoise:
     # a zero total never reaches the clip, so release returns the noise draws themselves
     def test_gaussian_passes_ks(self):
-        noise = release(np.zeros(10_000), 10, clip_val=1.0, noise_multiplier=1.0, mechanism="gaussian", seed=3)
-        _, p_value = stats.kstest(noise.values, "norm", args=(0.0, 1.0 / 10))
-        assert p_value > 0.001
-
-    def test_laplace_passes_ks(self):
-        noise = release(np.zeros(10_000), 4, clip_val=2.0, noise_multiplier=1.0, mechanism="laplace", seed=4)
-        scale = 1.0 * 2.0 / 4 / np.sqrt(2.0)  # std matched to the gaussian calibration
-        _, p_value = stats.kstest(noise.values, "laplace", args=(0.0, scale))
+        noise = release(np.zeros(10_000), 10, clip_val=1.0, noise_multiplier=1.0, seed=3)
+        _, p_value = stats.kstest(noise, "norm", args=(0.0, 1.0 / 10))
         assert p_value > 0.001
 
     def test_zero_multiplier_is_silent(self):
-        out = release(np.zeros(100), 5, clip_val=1.0, noise_multiplier=0.0, mechanism="gaussian", seed=0)
-        assert np.array_equal(out.values, np.zeros(100))
+        out = release(np.zeros(100), 5, clip_val=1.0, noise_multiplier=0.0, seed=0)
+        assert np.array_equal(out, np.zeros(100))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -539,8 +563,4 @@ class TestDpNoise:
         with pytest.raises(ValueError):
             SecAggConfig(noise_multiplier=-1.0)
         with pytest.raises(ValueError):
-            SecAggConfig(mechanism="uniform")
-        with pytest.raises(ValueError):
-            release(np.zeros(3), 1, clip_val=1.0, noise_multiplier=0.0, mechanism="uniform", seed=0)
-        with pytest.raises(ValueError):
-            release(np.zeros(3), 0, clip_val=1.0, noise_multiplier=0.0, mechanism="gaussian", seed=0)
+            release(np.zeros(3), 0, clip_val=1.0, noise_multiplier=0.0, seed=0)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedmesh.params import ParamVector, zeros
 from fedmesh.selection import (
     FLAG_INCONSISTENT,
     FLAG_SCORE_OUTLIER,
@@ -46,13 +45,13 @@ def select(reports, edge, weights, config):
 
 class TestEstimateMetrics:
     def test_identity_utility(self):
-        edge = ParamVector(np.ones(11))
+        edge = np.ones(11)
         report = honest_report(0, np.ones(11), edge)
         u, _ = estimate_metrics(report, edge)
         assert u.tolist() == [0.0]
 
     def test_energy_substitution(self):
-        edge = zeros(11)
+        edge = np.zeros(11)
         report = honest_report(0, np.zeros(11), edge, sample_count=200)
         _, e = estimate_metrics(report, edge, alpha=0.01, beta=0.001)
         assert e[0] == pytest.approx(2.011, abs=1e-12)
@@ -62,8 +61,8 @@ class TestEstimateMetrics:
         for _ in range(100):
             w_client = rng.normal(size=11)
             w_edge = rng.normal(size=11)
-            report = honest_report(0, w_client, ParamVector(w_edge))
-            u, _ = estimate_metrics(report, ParamVector(w_edge))
+            report = honest_report(0, w_client, w_edge)
+            u, _ = estimate_metrics(report, w_edge)
             expected = sum(abs(w_client[k] - w_edge[k]) for k in range(11))
             assert u[0] == pytest.approx(expected, abs=1e-9)
 
@@ -206,7 +205,7 @@ class TestSelectClients:
         return ScoreWeights(0.4, 0.3, 0.3)
 
     def test_all_honest_all_selected(self):
-        edge = zeros(11)
+        edge = np.zeros(11)
         rng = np.random.default_rng(0)
         reports = [honest_report(c, rng.normal(size=11), edge) for c in range(3)]
         selected, evals = select(reports, edge, self.weights(), self.config(capacity_k=3))
@@ -214,14 +213,14 @@ class TestSelectClients:
         assert all(not ev.flags for ev in evals)
 
     def test_metric_liar_flagged_and_excluded(self):
-        edge = zeros(11)
+        edge = np.zeros(11)
         rng = np.random.default_rng(1)
         reports = [honest_report(c, 0.1 * rng.normal(size=11), edge) for c in range(5)]
         liar = honest_report(
             5, 0.1 * rng.normal(size=11), edge, behavior=("inflate_utility", 10.0)
         )
         # sanity: a 10x lie at this utility level exceeds the 0.15 threshold
-        honest_u = sum(abs(x) for x in liar.weights[0] - edge.values)
+        honest_u = sum(abs(x) for x in liar.weights[0] - edge)
         assert consistency_check(10 * honest_u, honest_u) > 0.15
         selected, evals = select(reports + [liar], edge, self.weights(), self.config())
         flagged = [ev.client_id for ev in evals if FLAG_INCONSISTENT in ev.flags]
@@ -239,7 +238,7 @@ class TestSelectClients:
 
     def test_score_outlier_flagged(self):
         # utilities 1.0 x9 and 100.0; with weights (1,0,0) the score is the utility
-        edge = zeros(2)
+        edge = np.zeros(2)
         reports = [honest_report(c, [1.0, 0.0], edge) for c in range(9)]
         reports.append(honest_report(9, [100.0, 0.0], edge))
         selected, evals = select(
@@ -251,27 +250,27 @@ class TestSelectClients:
         assert len(selected) == 9
 
     def test_outlier_step_skipped_for_tiny_pools(self):
-        edge = zeros(2)
+        edge = np.zeros(2)
         reports = [honest_report(c, [v, 0.0], edge) for c, v in enumerate([1.0, 1.0, 50.0])]
         selected, evals = select(reports, edge, ScoreWeights(1.0, 0.0, 0.0), self.config())
         assert sorted(selected) == [0, 1, 2]
         assert all(not ev.flags for ev in evals)
 
     def test_capacity_limits_and_ranking(self):
-        edge = zeros(2)
+        edge = np.zeros(2)
         utilities = [0.5, 2.0, 1.0, 3.0]
         reports = [honest_report(c, [u, 0.0], edge) for c, u in enumerate(utilities)]
         selected, _ = select(reports, edge, ScoreWeights(1.0, 0.0, 0.0), self.config(capacity_k=2))
         assert selected == [3, 1]  # by score descending
 
     def test_tie_broken_by_client_id(self):
-        edge = zeros(2)
+        edge = np.zeros(2)
         reports = [honest_report(c, [1.5, 0.0], edge) for c in (4, 2, 7)]
         selected, _ = select(reports, edge, ScoreWeights(1.0, 0.0, 0.0), self.config(capacity_k=2))
         assert selected == [2, 4]
 
     def test_monotone_in_utility(self):
-        edge = zeros(2)
+        edge = np.zeros(2)
         rng = np.random.default_rng(7)
         base = [float(u) for u in rng.uniform(0.5, 2.0, size=6)]
         cfg = self.config(capacity_k=3)
@@ -293,7 +292,7 @@ class TestSelectClients:
         assert target in selected_after
 
     def test_honest_clients_have_zero_deltas(self):
-        edge = ParamVector(np.random.default_rng(3).normal(size=11))
+        edge = np.random.default_rng(3).normal(size=11)
         rng = np.random.default_rng(4)
         reports = [honest_report(c, rng.normal(size=11), edge) for c in range(8)]
         _, evals = select(reports, edge, self.weights(), self.config())
@@ -304,14 +303,14 @@ class TestSelectClients:
 
     def test_negative_scores_still_eligible(self):
         # heavy energy weight drives scores negative; clients rank last but stay in
-        edge = zeros(2)
+        edge = np.zeros(2)
         reports = [honest_report(c, [0.1, 0.0], edge, sample_count=1000) for c in range(2)]
         selected, evals = select(reports, edge, ScoreWeights(0.0, 1.0, 0.0), self.config())
         assert all(ev.score < 0 for ev in evals)
         assert sorted(selected) == [0, 1]
 
     def test_deterministic(self):
-        edge = zeros(11)
+        edge = np.zeros(11)
         rng = np.random.default_rng(11)
         reports = [honest_report(c, rng.normal(size=11), edge) for c in range(10)]
         first = select(reports, edge, self.weights(), self.config(capacity_k=4))
@@ -319,7 +318,7 @@ class TestSelectClients:
         assert first[0] == second[0]
 
     def test_non_finite_metrics_name_the_client(self):
-        edge = zeros(2)
+        edge = np.zeros(2)
         cases = [
             # one client's utility overflows by itself
             ([[1.0, 0.0], [1e308, -1e308], [2.0, 0.0]], [None] * 3, "client 1: estimated utility inf is not finite"),
@@ -343,4 +342,4 @@ class TestSelectClients:
         none = np.zeros(0, dtype=np.int64)
         empty = ClientReports(none, np.zeros((0, 2)), np.zeros(0), np.zeros(0), np.zeros(0), none)
         with pytest.raises(ValueError, match="at least one report"):
-            select_clients(empty, zeros(2), self.weights(), self.config())
+            select_clients(empty, np.zeros(2), self.weights(), self.config())

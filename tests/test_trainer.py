@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 import fedmesh.trainer
 from fedmesh.data import Dataset, generate_synthetic
 from fedmesh.metrics import binary_metrics
-from fedmesh.params import ParamVector
 from fedmesh.selection import estimate_metrics
 from fedmesh.trainer import (
     AdversaryAssignment,
@@ -35,7 +34,7 @@ def train_local_oracle(start, spec, dataset, indices, seed):
     feats = dataset.features[idx]
     labs = dataset.labels[idx].astype(np.float64)
     rng = np.random.default_rng(seed)
-    w = np.array(start.values, copy=True)
+    w = np.array(start, copy=True)
     for _ in range(spec.local_epochs):
         order = rng.permutation(len(idx))
         for lo in range(0, len(idx), spec.batch_size):
@@ -77,14 +76,14 @@ def small_dataset():
 class TestTrainLocal:
     def test_zero_learning_rate_is_identity(self, small_dataset):
         spec = TrainerConfig(learning_rate=0.0, local_epochs=3)
-        start = ParamVector(np.random.default_rng(1).normal(size=11))
+        start = np.random.default_rng(1).normal(size=11)
         out = train_clients(start, spec, small_dataset, [np.arange(50), np.arange(7)], [5, 6])
         for trained in out:
-            assert np.array_equal(trained.values, start.values)
+            assert np.array_equal(trained, start)
 
     def test_loss_strictly_decreases_per_epoch(self, two_point_dataset):
         # full-batch descent on a separable pair: per-epoch loss is monotone
-        start = ParamVector(np.zeros(2))
+        start = np.zeros(2)
         idx = np.array([0, 1])
         feats, labs = two_point_dataset.features, two_point_dataset.labels.astype(float)
         losses = []
@@ -113,7 +112,7 @@ class TestTrainLocal:
                     up[k] += eps
                     down[k] -= eps
                     numeric[k] = (
-                        bce_loss(ParamVector(up), feats[j], labs[j]) - bce_loss(ParamVector(down), feats[j], labs[j])
+                        bce_loss(up, feats[j], labs[j]) - bce_loss(down, feats[j], labs[j])
                     ) / (2 * eps)
                 denom = np.maximum(np.abs(numeric), 1e-8)
                 assert np.max(np.abs(analytic[j] - numeric) / denom) < 1e-5
@@ -134,16 +133,16 @@ class TestTrainLocal:
         rng = np.random.default_rng(seed)
         indices = [rng.permutation(len(ORACLE_DATASET.labels))[:n] for n in sizes]
         seeds = [int(s) for s in rng.integers(0, 2**63, len(sizes))]
-        start = ParamVector(np.array(start))
+        start = np.array(start)
         got = train_clients(start, spec, ORACLE_DATASET, indices, seeds)
         assert len(got) == len(sizes)
         for trained, rows, client_seed in zip(got, indices, seeds):
             want = train_local_oracle(start, spec, ORACLE_DATASET, rows, client_seed)
-            assert trained.values.tobytes() == want.tobytes()
+            assert trained.tobytes() == want.tobytes()
         perm = data.draw(st.permutations(range(len(sizes))))
         shuffled = train_clients(start, spec, ORACLE_DATASET, [indices[i] for i in perm], [seeds[i] for i in perm])
         for trained, i in zip(shuffled, perm):
-            assert trained.values.tobytes() == got[i].values.tobytes()
+            assert trained.tobytes() == got[i].tobytes()
 
     @given(
         shards=shard_sizes(),
@@ -159,27 +158,27 @@ class TestTrainLocal:
         rng = np.random.default_rng(seed)
         indices = [rng.permutation(len(ORACLE_DATASET.labels))[:n] for n in sizes]
         seeds = [int(s) for s in rng.integers(0, 2**63, len(sizes))]
-        start = ParamVector(rng.normal(size=11))
+        start = rng.normal(size=11)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(fedmesh.trainer, "_GATHER_ROWS", gather_rows)
             got = train_clients(start, spec, ORACLE_DATASET, indices, seeds)
         for trained, rows, client_seed in zip(got, indices, seeds):
             alone = train_local(start, spec, ORACLE_DATASET, rows, client_seed)
             want = train_local_oracle(start, spec, ORACLE_DATASET, rows, client_seed)
-            assert trained.values.tobytes() == alone.values.tobytes() == want.tobytes()
+            assert trained.tobytes() == alone.tobytes() == want.tobytes()
 
     def test_deterministic_given_seed(self, small_dataset):
         spec = TrainerConfig(learning_rate=0.2, local_epochs=5, batch_size=16)
-        start = ParamVector(np.zeros(11))
+        start = np.zeros(11)
         a = train_local(start, spec, small_dataset, np.arange(80), seed=9)
         b = train_local(start, spec, small_dataset, np.arange(80), seed=9)
-        assert a.values.tobytes() == b.values.tobytes()
+        assert a.tobytes() == b.tobytes()
         c = train_local(start, spec, small_dataset, np.arange(80), seed=10)
-        assert a.values.tobytes() != c.values.tobytes()
+        assert a.tobytes() != c.tobytes()
 
     def test_empty_client_rejected(self, small_dataset):
         spec = TrainerConfig()
-        start = ParamVector(np.zeros(11))
+        start = np.zeros(11)
         with pytest.raises(ValueError, match="no training samples"):
             train_clients(start, spec, small_dataset, [[]], [0])
         with pytest.raises(ValueError, match="no training samples"):
@@ -191,21 +190,21 @@ class TestTrainLocal:
         # ten features and the bias: 11 parameters
         for dim in (10, 12):
             with pytest.raises(ValueError, match=f"start has dim {dim}, model needs 11"):
-                train_clients(ParamVector(np.zeros(dim)), TrainerConfig(), small_dataset, [np.arange(5)], [0])
+                train_clients(np.zeros(dim), TrainerConfig(), small_dataset, [np.arange(5)], [0])
 
     def test_batch_size_far_above_shard_sizes(self, small_dataset):
         # full-batch descent: the step buffers are sized by the shards, not by batch_size
         spec = TrainerConfig(learning_rate=0.3, local_epochs=4, batch_size=10**7)
-        start = ParamVector(np.random.default_rng(2).normal(size=11))
+        start = np.random.default_rng(2).normal(size=11)
         shards = [np.arange(3), np.arange(40, 200), np.arange(7, 47)]
         got = train_clients(start, spec, small_dataset, shards, [11, 12, 13])
         for trained, rows, seed in zip(got, shards, [11, 12, 13]):
             want = train_local_oracle(start, spec, small_dataset, rows, seed)
-            assert trained.values.tobytes() == want.tobytes()
+            assert trained.tobytes() == want.tobytes()
 
     def test_training_actually_fits(self, small_dataset):
         spec = TrainerConfig(learning_rate=0.5, local_epochs=30)
-        w = train_local(ParamVector(np.zeros(11)), spec, small_dataset, np.arange(200), seed=4)
+        w = train_local(np.zeros(11), spec, small_dataset, np.arange(200), seed=4)
         probs = predict_proba(w, small_dataset.features)
         acc = np.mean((probs >= 0.5) == small_dataset.labels)
         assert acc > 0.8
@@ -217,7 +216,7 @@ class TestCohort:
 
     def test_members_train_once_and_match_training_alone(self, small_dataset, monkeypatch):
         spec = TrainerConfig(learning_rate=0.4, local_epochs=3, batch_size=16)
-        start = ParamVector(np.random.default_rng(3).normal(size=11))
+        start = np.random.default_rng(3).normal(size=11)
         alone = [train_local(start, spec, small_dataset, i, s) for i, s in zip(self.SHARDS, self.SEEDS)]
         runs = []
         train_clients_ = fedmesh.trainer.train_clients
@@ -233,17 +232,17 @@ class TestCohort:
         for k in (2, 0, 1, 2):
             got = train_local(start, spec, small_dataset, self.SHARDS[k].copy(), self.SEEDS[k], cohort)
             want = train_local_oracle(start, spec, small_dataset, self.SHARDS[k], self.SEEDS[k])
-            assert got.values.tobytes() == alone[k].values.tobytes() == want.tobytes()
+            assert got.tobytes() == alone[k].tobytes() == want.tobytes()
         assert len(runs) == 1
 
     def test_non_members_rejected(self, small_dataset):
         spec = TrainerConfig()
-        start = ParamVector(np.zeros(11))
+        start = np.zeros(11)
         cohort = Cohort(start, spec, small_dataset, self.SHARDS, self.SEEDS)
         calls = [
             (start, spec, small_dataset, self.SHARDS[0], 99),
             (start, spec, small_dataset, self.SHARDS[1], self.SEEDS[0]),
-            (ParamVector(np.zeros(11)), spec, small_dataset, self.SHARDS[0], self.SEEDS[0]),
+            (np.zeros(11), spec, small_dataset, self.SHARDS[0], self.SEEDS[0]),
             (start, TrainerConfig(batch_size=8), small_dataset, self.SHARDS[0], self.SEEDS[0]),
             (start, spec, generate_synthetic(200, 10, 0.5, seed=21), self.SHARDS[0], self.SEEDS[0]),
         ]
@@ -261,7 +260,7 @@ class TestCohort:
         features[self.SHARDS[1]] *= 1e200
         data = Dataset(features, small_dataset.labels)
         spec = TrainerConfig(learning_rate=1e200, local_epochs=2)
-        start = ParamVector(np.zeros(11))
+        start = np.zeros(11)
         cohort = Cohort(start, spec, data, self.SHARDS, self.SEEDS)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(fedmesh.trainer.DivergedError) as info:
@@ -273,7 +272,7 @@ class TestCohort:
 def report(client_id, trained, received, spec, sample_count, security, behavior=None, rng=None):
     """build_report for one client; `behavior` is an adversary's (kind, factor)."""
     return build_report(
-        [client_id], trained.values[None], received, spec, [sample_count], [security],
+        [client_id], trained[None], received, spec, [sample_count], [security],
         [AdversaryAssignment(client_id, *behavior)] if behavior else (), None if rng is None else lambda cid: rng,
     )
 
@@ -283,18 +282,18 @@ class TestBuildReport:
         return TrainerConfig()
 
     def test_honest_report_zero_utility_when_unchanged(self):
-        w = ParamVector(np.ones(11))
+        w = np.ones(11)
         assert report(0, w, w, self.spec(), sample_count=10, security=0.5).reported_utility.tolist() == [0.0]
 
     def test_energy_formula(self):
-        w = ParamVector(np.ones(11))
+        w = np.ones(11)
         got = report(0, w, w, self.spec(), sample_count=100, security=0.5)
         assert got.reported_energy[0] == pytest.approx(1.011, abs=1e-12)
 
     def test_honest_report_matches_edge_estimate(self):
         # the edge recomputing the same quantities must land on the same numbers
         rng = np.random.default_rng(8)
-        received = ParamVector(rng.normal(size=11))
+        received = rng.normal(size=11)
         trained = rng.normal(size=(5, 11))
         reports = build_report([3, 4, 6, 7, 9], trained, received, self.spec(), [57, 1, 8, 300, 12], [0.4] * 5)
         est_u, est_e = estimate_metrics(reports, received, 0.01, 0.001)
@@ -303,21 +302,21 @@ class TestBuildReport:
 
     def test_inflate_utility(self):
         rng = np.random.default_rng(9)
-        received = ParamVector(rng.normal(size=11))
-        trained = ParamVector(rng.normal(size=11))
+        received = rng.normal(size=11)
+        trained = rng.normal(size=11)
         honest = report(1, trained, received, self.spec(), 20, 0.5)
         liar = report(1, trained, received, self.spec(), 20, 0.5, behavior=("inflate_utility", 10.0))
         assert liar.reported_utility[0] == pytest.approx(10 * honest.reported_utility[0], rel=1e-12)
         assert np.array_equal(liar.weights, honest.weights)
 
     def test_deflate_energy(self):
-        w = ParamVector(np.ones(11))
+        w = np.ones(11)
         got = report(2, w, w, self.spec(), 100, 0.5, behavior=("deflate_energy", 4.0))
         assert got.reported_energy[0] == pytest.approx(1.011 / 4.0, rel=1e-12)
 
     def test_noise_weights_masks_tamper(self):
         rng = np.random.default_rng(10)
-        received = ParamVector(rng.normal(size=11))
+        received = rng.normal(size=11)
         trained = rng.normal(size=(3, 11))
         drawn = []
 
@@ -337,13 +336,13 @@ class TestBuildReport:
         assert np.array_equal(honest.weights, trained)
 
     def test_noise_weights_requires_rng(self):
-        w = ParamVector(np.ones(3))
+        w = np.ones(3)
         with pytest.raises(ValueError):
             report(0, w, w, TrainerConfig(), 5, 0.5, behavior=("noise_weights", 1.0))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            report(0, ParamVector(np.ones(3)), ParamVector(np.ones(4)), TrainerConfig(), 5, 0.5)
+            report(0, np.ones(3), np.ones(4), TrainerConfig(), 5, 0.5)
 
 
 class TestValidation:
