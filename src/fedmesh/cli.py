@@ -49,6 +49,10 @@ def load_config_dict(path: str) -> dict:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:  # a directory, say
+        raise ConfigError(f"{path}: cannot read: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}")
     if not isinstance(raw, dict):
@@ -145,13 +149,17 @@ def build_config(raw: dict) -> SimulationConfig:
 
 
 def _apply_env_seed(config: SimulationConfig) -> SimulationConfig:
-    """Override the config seed with FEDMESH_SEED when it is set; raises ConfigError."""
+    """Override the config seed with FEDMESH_SEED when it is set; raises ConfigError.
+
+    The value must be a JSON integer, as the config file's `seed` must."""
     value = os.environ.get("FEDMESH_SEED")
     if value is None:
         return config
     try:
-        seed = int(value)
-    except ValueError:
+        seed = json.loads(value)
+    except ValueError:  # not JSON, or an integer too long to parse
+        seed = None
+    if not _has_type(seed, int):
         raise ConfigError(f"FEDMESH_SEED: expected an integer, got {value!r}")
     return dataclasses.replace(config, seed=seed)
 
@@ -189,45 +197,34 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else repr(float(value))
 
 
-def rounds_csv_header(edge_ids: Sequence[int]) -> list[str]:
-    header = [
-        "round",
-        "val_loss",
-        "val_accuracy",
-        "test_loss",
-        "test_accuracy",
-        "test_f1_macro",
-        "test_f1_weighted",
-        "test_auroc",
-        "jfi",
-    ]
-    for e in edge_ids:
-        header += [f"edge{e}_accuracy", f"edge{e}_loss"]
-    return header
+# The global columns of rounds.csv and compare.csv, in order: a RoundRecord
+# split and the BinaryMetrics field written as the column `{split}_{field}`,
+# then `jfi`.
+_GLOBAL_METRICS = [
+    ("val", "loss"),
+    ("val", "accuracy"),
+    ("test", "loss"),
+    ("test", "accuracy"),
+    ("test", "f1_macro"),
+    ("test", "f1_weighted"),
+    ("test", "auroc"),
+]
+_GLOBAL_COLUMNS = [f"{split}_{name}" for split, name in _GLOBAL_METRICS] + ["jfi"]
+
+
+def _global_cells(rec: RoundRecord) -> list[str]:
+    return [_fmt(getattr(getattr(rec, split), name)) for split, name in _GLOBAL_METRICS] + [_fmt(rec.jfi)]
 
 
 def write_rounds_csv(path: Path, records: Sequence[RoundRecord], edge_ids: Sequence[int]) -> None:
-    lines = [",".join(rounds_csv_header(edge_ids))]
+    """One row per round; an edge's cells are blank in a round without its metrics."""
+    header = ["round", *_GLOBAL_COLUMNS] + [f"edge{e}_{name}" for e in edge_ids for name in ("accuracy", "loss")]
+    lines = [",".join(header)]
     for rec in records:
-        val_loss, val_acc = rec.global_val
-        test_loss, test_acc, f1m, f1w, auroc = rec.global_test
-        cells = [
-            str(rec.round),
-            _fmt(val_loss),
-            _fmt(val_acc),
-            _fmt(test_loss),
-            _fmt(test_acc),
-            _fmt(f1m),
-            _fmt(f1w),
-            _fmt(auroc),
-            _fmt(rec.jfi),
-        ]
+        cells = [str(rec.round), *_global_cells(rec)]
         for e in edge_ids:
-            if e in rec.per_edge:
-                acc, loss = rec.per_edge[e]
-                cells += [_fmt(acc), _fmt(loss)]
-            else:
-                cells += ["", ""]
+            m = rec.per_edge.get(e)
+            cells += ["", ""] if m is None else [_fmt(m.accuracy), _fmt(m.loss)]
         lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -287,24 +284,9 @@ def cmd_run(config_path: str, output_dir: str, overrides: Sequence[str] = ()) ->
     print(
         f"completed {len(result.rounds)} rounds"
         f"{' (early stop)' if result.stopped_early else ''}; "
-        f"final test accuracy {last.global_test[1]:.4f}, jfi {last.jfi:.6f}"
+        f"final test accuracy {last.test.accuracy:.4f}, jfi {last.jfi:.6f}"
     )
     return 0
-
-
-_COMPARE_COLUMNS = [
-    "mode",
-    "rounds",
-    "val_loss",
-    "val_accuracy",
-    "test_loss",
-    "test_accuracy",
-    "test_f1_macro",
-    "test_f1_weighted",
-    "test_auroc",
-    "jfi",
-    "delta_test_accuracy_vs_first",
-]
 
 
 def cmd_compare(config_path: str, modes: Sequence[str], output_dir: str, overrides: Sequence[str] = ()) -> int:
@@ -331,32 +313,17 @@ def cmd_compare(config_path: str, modes: Sequence[str], output_dir: str, overrid
 
 
 def _compare_to_dir(configs: Sequence[SimulationConfig], dataset: Dataset, out: Path) -> Path:
-    rows = []
+    lines = [",".join(["mode", "rounds", *_GLOBAL_COLUMNS, "delta_test_accuracy_vs_first"])]
     first_acc: float | None = None
     for config in configs:
         mode = config.baseline_mode
         result = _run_to_dir(config, dataset, out / mode)
         last = result.rounds[-1]
-        test_loss, test_acc, f1m, f1w, auroc = last.global_test
         if first_acc is None:
-            first_acc = test_acc
-        rows.append(
-            [
-                mode,
-                str(len(result.rounds)),
-                _fmt(last.global_val[0]),
-                _fmt(last.global_val[1]),
-                _fmt(test_loss),
-                _fmt(test_acc),
-                _fmt(f1m),
-                _fmt(f1w),
-                _fmt(auroc),
-                _fmt(last.jfi),
-                _fmt(test_acc - first_acc),
-            ]
-        )
+            first_acc = last.test.accuracy
+        cells = [mode, str(len(result.rounds)), *_global_cells(last), _fmt(last.test.accuracy - first_acc)]
+        lines.append(",".join(cells))
     out.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(_COMPARE_COLUMNS)] + [",".join(r) for r in rows]
     (out / "compare.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return out / "compare.csv"
 

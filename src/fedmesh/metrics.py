@@ -30,12 +30,14 @@ class BinaryMetrics:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """Per-round evaluation snapshot used for logs and early stopping."""
+    """Per-round evaluation snapshot used for logs and early stopping: the
+    global model on the validation and test sets, and each edge's blended
+    model on its test shard."""
 
     round: int
-    per_edge: Mapping[int, tuple[float, float]]  # edge_id -> (accuracy, loss)
-    global_val: tuple[float, float]  # (loss, accuracy)
-    global_test: tuple[float, float, float, float, float | None]  # (loss, acc, f1m, f1w, auroc)
+    val: BinaryMetrics
+    test: BinaryMetrics
+    per_edge: Mapping[int, BinaryMetrics]
     jfi: float
 
 

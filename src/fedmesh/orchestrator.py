@@ -155,7 +155,9 @@ class SimulationConfig:
         if self.edge_failures and self.baseline_mode == "fedavg_single":
             raise ValueError("edge_failures: not applicable with a single virtual edge")
         for cid, s in self.security_overrides.items():
-            if not 0 <= int(cid) < self.n_clients:
+            if isinstance(cid, bool) or not isinstance(cid, int):
+                raise ValueError(f"security_overrides: client_id {cid!r} must be an integer")
+            if not 0 <= cid < self.n_clients:
                 raise ValueError(f"security_overrides: client_id {cid} out of range")
             if not 0.0 <= s <= 1.0:
                 raise ValueError("security_overrides: values must lie in [0, 1]")
@@ -411,31 +413,20 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
             raise RuntimeError(f"no edge produced an update in round {round_no}")
         new_global, cross = _central_step(edge_updates, config.aggregation)
 
-        per_edge: dict[int, tuple[float, float]] = {}
+        per_edge: dict[int, BinaryMetrics] = {}
         for eid, model in zip(sorted(u.edge_id for u in edge_updates), cross):
             rows = edge_test_rows[eid]
-            if len(rows) == 0:
-                continue
-            m = evaluate(model, d_train.features[rows], d_train.labels[rows], threshold)
-            per_edge[eid] = (m.accuracy, m.loss)
-        val_m = evaluate(new_global, d_val.features, d_val.labels, threshold)
-        test_m = evaluate(new_global, d_test.features, d_test.labels, threshold)
-        accuracies = [acc for acc, _ in per_edge.values()]
+            if len(rows) > 0:
+                per_edge[eid] = evaluate(model, d_train.features[rows], d_train.labels[rows], threshold)
+        val = evaluate(new_global, d_val.features, d_val.labels, threshold)
+        test = evaluate(new_global, d_test.features, d_test.labels, threshold)
+        accuracies = [m.accuracy for m in per_edge.values()]
         jfi = 1.0 if not any(accuracies) else jain_fairness(accuracies)
-
-        rounds.append(
-            RoundRecord(
-                round=round_no,
-                per_edge=per_edge,
-                global_val=(val_m.loss, val_m.accuracy),
-                global_test=(test_m.loss, test_m.accuracy, test_m.f1_macro, test_m.f1_weighted, test_m.auroc),
-                jfi=jfi,
-            )
-        )
+        rounds.append(RoundRecord(round=round_no, val=val, test=test, per_edge=per_edge, jfi=jfi))
         global_model = new_global
 
-        if val_m.loss < best_val - config.min_delta:
-            best_val = val_m.loss
+        if val.loss < best_val - config.min_delta:
+            best_val = val.loss
             non_improving = 0
         else:
             non_improving += 1

@@ -233,8 +233,8 @@ def test_criterion_07_fault_tolerance():
     failed = run(dataclasses.replace(base, edge_failures=((2, 3),)), dataset)
     assert len(failed.rounds) == 10
     assert np.all(np.isfinite(failed.final_global))
-    acc_clean = clean.rounds[-1].global_test[1]
-    acc_failed = failed.rounds[-1].global_test[1]
+    acc_clean = clean.rounds[-1].test.accuracy
+    acc_failed = failed.rounds[-1].test.accuracy
     assert abs(acc_clean - acc_failed) <= 0.05
     assert 2 not in failed.rounds[2].per_edge  # the failed round ran without edge 2
     report_pass(
@@ -258,8 +258,8 @@ def test_criterion_08_convergence_sanity():
     result = run(config, dataset)
     prep = prepare_data(config, dataset)
     init = evaluate(np.zeros(dataset.n_features + 1), prep.d_test.features, prep.d_test.labels)
-    final_acc = result.rounds[-1].global_test[1]
-    final_auroc = result.rounds[-1].global_test[4]
+    final_acc = result.rounds[-1].test.accuracy
+    final_auroc = result.rounds[-1].test.auroc
     assert final_acc - init.accuracy >= 0.15
     assert final_acc >= 0.80
     assert final_auroc is not None and final_auroc >= 0.85
@@ -288,7 +288,7 @@ def test_criterion_09_robustness_comparison():
         accs = {}
         for mode in ("fedselect_me", "no_selection"):
             config = SimulationConfig(seed=seed, baseline_mode=mode, **shared)
-            accs[mode] = run(config, dataset).rounds[-1].global_test[1]
+            accs[mode] = run(config, dataset).rounds[-1].test.accuracy
         outcomes.append((seed, accs["fedselect_me"], accs["no_selection"]))
         assert accs["fedselect_me"] >= accs["no_selection"], f"seed {seed}: {accs}"
     summary = "; ".join(f"seed {s}: {a:.3f} vs {b:.3f}" for s, a, b in outcomes)

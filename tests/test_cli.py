@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -22,11 +23,16 @@ from fedmesh.cli import (
     cmd_run,
     config_hash,
     main,
+    write_rounds_csv,
 )
 
 GOLDEN_HEADER = (
     "round,val_loss,val_accuracy,test_loss,test_accuracy,test_f1_macro,"
     "test_f1_weighted,test_auroc,jfi,edge0_accuracy,edge0_loss,edge1_accuracy,edge1_loss"
+)
+COMPARE_HEADER = (
+    "mode,rounds,val_loss,val_accuracy,test_loss,test_accuracy,test_f1_macro,"
+    "test_f1_weighted,test_auroc,jfi,delta_test_accuracy_vs_first"
 )
 
 
@@ -121,6 +127,17 @@ class TestCmdRun:
     def test_missing_config_exits_2(self, tmp_path):
         assert cmd_run(str(tmp_path / "nope.json"), str(tmp_path / "o")) == 2
 
+    @pytest.mark.parametrize("content, message", [(None, "cannot read"), (b'{"seed": "\xff"}', "not UTF-8 text")])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, content, message):
+        path = tmp_path / "config.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        assert cmd_run(str(path), str(tmp_path / "o")) == 2
+        assert cmd_compare(str(path), ["fedselect_me", "no_selection"], str(tmp_path / "c")) == 2
+        assert capsys.readouterr().err.count(f"config error: {path}: {message}") == 2
+
     @pytest.mark.parametrize(
         "env_seed, overrides, field",
         [
@@ -172,6 +189,11 @@ class TestCmdRun:
             ),
             (None, ["aggregation.literal_total_normalization=true"], "aggregation.literal_total_normalization"),
             (None, ["aggregation.delta_mode=true"], "aggregation.delta_mode"),
+            ("1_0", [], "FEDMESH_SEED: expected an integer, got '1_0'"),
+            ("\u0663", [], "FEDMESH_SEED: expected an integer, got '\u0663'"),
+            ("+4", [], "FEDMESH_SEED: expected an integer, got '+4'"),
+            ("1e3", [], "FEDMESH_SEED: expected an integer, got '1e3'"),
+            ("true", [], "FEDMESH_SEED: expected an integer, got 'true'"),
         ],
     )
     def test_bad_input_is_a_config_error(self, config_file, tmp_path, monkeypatch, capsys, env_seed, overrides, field):
@@ -295,9 +317,16 @@ class TestCmdCompare:
         assert code == 0
         lines = (out / "compare.csv").read_text().splitlines()
         assert len(lines) == 3
-        assert lines[0].startswith("mode,rounds,val_loss")
-        assert lines[1].split(",")[0] == "fedselect_me"
-        assert lines[2].split(",")[0] == "no_selection"
+        assert lines[0] == COMPARE_HEADER
+        header = lines[0].split(",")
+        for line, mode in zip(lines[1:], ["fedselect_me", "no_selection"]):
+            row = dict(zip(header, line.split(",")))
+            rounds_header, *round_rows = [r.split(",") for r in (out / mode / "rounds.csv").read_text().splitlines()]
+            last = dict(zip(rounds_header, round_rows[-1]))
+            assert row["mode"] == mode and row["rounds"] == str(len(round_rows))
+            # the global cells of the mode's last round, cell by cell
+            for column in header[2:-1]:
+                assert row[column] == last[column], column
 
     def test_rerun_gives_identical_rows(self, config_file, tmp_path):
         outs = [tmp_path / "a", tmp_path / "b"]
@@ -360,6 +389,18 @@ class TestCmdCompare:
         assert cmd_compare(config_file, ["fedselect_me", "fedavg_single"], str(out), ["edge_failures=[[0,1]]"]) == 2
         assert "config error: edge_failures" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_readme_states_the_csv_headers(config_file, tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    fixed, per_edge = re.search(r"`(round,[^`]*)`\s+followed by\s+`(edge\{i\}_[^`]*)`", readme).groups()
+    write_rounds_csv(tmp_path / "rounds.csv", [], [0, 3])
+    header = (tmp_path / "rounds.csv").read_text().splitlines()[0]
+    assert header == ",".join([fixed, per_edge.replace("{i}", "0"), per_edge.replace("{i}", "3")])
+    out = tmp_path / "cmp"
+    assert cmd_compare(config_file, ["fedselect_me", "no_selection"], str(out), ["rounds_max=1"]) == 0
+    header = (out / "compare.csv").read_text().splitlines()[0]
+    assert header == re.search(r"`(mode,rounds,[^`]*)`", readme).group(1)
 
 
 class TestCmdPlot:

@@ -83,9 +83,9 @@ def result_fingerprint(result):
         "rounds": [
             {
                 "round": r.round,
-                "per_edge": {str(k): v for k, v in r.per_edge.items()},
-                "val": r.global_val,
-                "test": r.global_test,
+                "per_edge": {str(k): dataclasses.asdict(m) for k, m in r.per_edge.items()},
+                "val": dataclasses.asdict(r.val),
+                "test": dataclasses.asdict(r.test),
                 "jfi": r.jfi,
             }
             for r in result.rounds
@@ -110,9 +110,8 @@ class TestRunBasics:
         assert rec.round == 2
         assert set(rec.per_edge) == {0, 1}
         assert 0.0 < rec.jfi <= 1.0
-        val_loss, val_acc = rec.global_val
-        assert val_loss > 0.0 and 0.0 <= val_acc <= 1.0
-        assert rec.global_test[4] is None or 0.0 <= rec.global_test[4] <= 1.0
+        assert rec.val.loss > 0.0 and 0.0 <= rec.val.accuracy <= 1.0
+        assert rec.test.auroc is None or 0.0 <= rec.test.auroc <= 1.0
 
     def test_early_stopping_with_frozen_loss(self, dataset, monkeypatch):
         monkeypatch.setattr(fedmesh.orchestrator, "evaluate", frozen_evaluate)
@@ -171,6 +170,24 @@ class TestRunBasics:
             run(make_config(min_delta=float("nan")), dataset)
         with pytest.raises(ValueError, match="decision_threshold"):
             run(make_config(decision_threshold=float("nan")), dataset)
+
+    @pytest.mark.parametrize("key", ["3", "x", True, 3.0])
+    def test_security_override_needs_an_integer_client_id(self, key):
+        # run looks a client's override up by its integer id, so any other key would be ignored
+        with pytest.raises(ValueError, match=re.escape(f"security_overrides: client_id {key!r} must be an integer")):
+            make_config(security_overrides={key: 1.0})
+
+    def test_security_override_reaches_selection(self, dataset):
+        result = run(make_config(rounds_max=1, security_overrides={3: 1.0}), dataset)
+        indices = {
+            ev["client"]: ev["security_index"]
+            for event in result.events
+            if event["type"] == "selection"
+            for ev in event["evaluations"]
+        }
+        assert set(indices) == set(range(6))
+        assert indices[3] == 1.0
+        assert all(index == 0.5 for cid, index in indices.items() if cid != 3)
 
     def test_diverged_training_names_round_and_client(self, dataset):
         # clients 0-3 stay finite at this step size; client 4 is the first to overflow
@@ -303,10 +320,10 @@ class TestEdgeFailures:
         clean = run(base, big_dataset)
         failed = run(dataclasses.replace(base, edge_failures=((2, 3),)), big_dataset)
         for r_clean, r_failed in zip(clean.rounds[:2], failed.rounds[:2]):
-            assert r_clean.global_val == r_failed.global_val
-            assert r_clean.global_test == r_failed.global_test
+            assert r_clean.val == r_failed.val
+            assert r_clean.test == r_failed.test
             assert dict(r_clean.per_edge) == dict(r_failed.per_edge)
-        assert clean.rounds[2].global_val != failed.rounds[2].global_val
+        assert clean.rounds[2].val.loss != failed.rounds[2].val.loss
 
     def test_training_does_not_depend_on_who_else_trains(self, big_dataset, monkeypatch):
         # all clients of a round train in stacked steps; a failed edge changes that batch's
