@@ -5,13 +5,14 @@ sample-weighted global model updates."""
 __version__ = "0.1.0"
 
 from .aggregation import CrossEdgeConfig, EdgeUpdate, central_aggregate, cross_edge_exchange
-from .data import Dataset, generate_synthetic, ingest_csv, partition_noniid, split
+from .data import DataConfig, Dataset, generate_synthetic, ingest_csv, partition_noniid, split
 from .metrics import BinaryMetrics, RoundRecord, binary_metrics, jain_fairness
-from .orchestrator import MODES, DataConfig, SecAggConfig, SimulationConfig, SimulationResult, run
+from .orchestrator import MODES, SimulationConfig, SimulationResult, run
 from .params import ParamVector
 from .secagg import (
     CipherVector,
     FixedPointCodec,
+    SecAggConfig,
     aggregate_encrypted,
     encrypt_update,
     finalize_edge_update,

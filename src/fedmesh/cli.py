@@ -84,15 +84,18 @@ def apply_overrides(raw: dict, assignments: Sequence[str]) -> dict:
 def _has_type(value: Any, kind: Any) -> bool:
     """`value` is a `kind` without coercion.
 
-    A bool is only a bool; an int is also a float; a float must be finite; a
-    union such as `float | None` admits a value of any of its members.
+    A bool is only a bool; a float, or an int that converts to one, must be
+    finite; a union such as `float | None` admits a value of any of its members.
     """
     if isinstance(kind, types.UnionType):
         return any(_has_type(value, member) for member in typing.get_args(kind))
     if isinstance(value, bool):
         return kind is bool
     if kind is float:
-        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+        try:
+            return isinstance(value, (int, float)) and math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            return False
     return isinstance(value, kind)
 
 
@@ -184,9 +187,7 @@ def make_dataset(config: SimulationConfig) -> Dataset:
         if dropped:
             print(f"dropped {dropped} incomplete rows from {d.csv_path}", file=sys.stderr)
         return dataset
-    return generate_synthetic(
-        d.n_samples, d.n_features, d.class_imbalance, derive_seed(config.seed, "data"), d.label_noise
-    )
+    return generate_synthetic(d, derive_seed(config.seed, "data"))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,8 +19,40 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-# label noise as a fraction of the latent score's standard deviation
-DEFAULT_LABEL_NOISE = 0.35
+
+@dataclass(frozen=True)
+class DataConfig:
+    n_samples: int = 2000
+    n_features: int = 10
+    class_imbalance: float = 0.5
+    label_noise: float = 0.35  # a fraction of the latent score's standard deviation
+    dirichlet_alpha: float = 0.5
+    train_fraction: float = 0.7
+    val_fraction: float = 0.15
+    test_fraction: float = 0.15
+    edge_test_fraction: float = 0.2
+    unknown_edge: int | None = None
+    unknown_shift: float = 1.0
+    csv_path: str | None = None
+    label_column: str | None = None
+
+    def __post_init__(self) -> None:
+        fractions = (self.train_fraction, self.val_fraction, self.test_fraction)
+        checks = {
+            "n_samples must be >= 100": self.n_samples >= 100,
+            "n_features must be >= 1": self.n_features >= 1,
+            "class_imbalance must lie in (0, 1)": 0 < self.class_imbalance < 1,
+            "label_noise must be >= 0": self.label_noise >= 0,
+            "dirichlet_alpha must be > 0": self.dirichlet_alpha > 0,
+            "train/val/test fractions must be positive and sum to 1": (
+                min(fractions) > 0 and abs(sum(fractions) - 1.0) <= 1e-9
+            ),
+            "edge_test_fraction must lie in [0, 1]": 0 <= self.edge_test_fraction <= 1,
+            "label_column is required when csv_path is set": self.csv_path is None or self.label_column is not None,
+        }
+        for message, holds in checks.items():
+            if not holds:
+                raise ValueError(message)
 
 
 @dataclass(frozen=True)
@@ -60,32 +93,19 @@ class Dataset:
         return Dataset(self.features[idx], self.labels[idx])
 
 
-def generate_synthetic(
-    n_samples: int,
-    n_features: int,
-    class_imbalance: float,
-    seed: int,
-    label_noise: float = DEFAULT_LABEL_NOISE,
-) -> Dataset:
+def generate_synthetic(config: DataConfig, seed: int) -> Dataset:
     """Linearly separable binary data with label noise and a target positive fraction.
 
     Labels come from thresholding a noisy linear score of the features at the
     (1 - class_imbalance) quantile, so the positive fraction matches
     class_imbalance up to 1/n_samples. Deterministic for a fixed seed.
     """
-    if n_samples < 100:
-        raise ValueError(f"n_samples must be >= 100, got {n_samples}")
-    if n_features < 1:
-        raise ValueError(f"n_features must be positive, got {n_features}")
-    if not 0.0 < class_imbalance < 1.0:
-        raise ValueError(f"class_imbalance must lie in (0, 1), got {class_imbalance}")
-
     rng = np.random.default_rng(seed)
-    direction = rng.normal(size=n_features)
+    direction = rng.normal(size=config.n_features)
     direction /= np.linalg.norm(direction)
-    feats = rng.normal(size=(n_samples, n_features))
-    score = feats @ direction + rng.normal(0.0, label_noise, size=n_samples)
-    cutoff = np.quantile(score, 1.0 - class_imbalance)
+    feats = rng.normal(size=(config.n_samples, config.n_features))
+    score = feats @ direction + rng.normal(0.0, config.label_noise, size=config.n_samples)
+    cutoff = np.quantile(score, 1.0 - config.class_imbalance)
     labels = (score > cutoff).astype(np.int64)
 
     mean = feats.mean(axis=0)
@@ -191,8 +211,8 @@ def ingest_csv(path: str, label_column: str) -> tuple[Dataset, int]:
     """Load a header-first CSV, z-score the feature columns, drop incomplete rows.
 
     Returns the dataset together with the number of dropped rows. A row is
-    dropped when any cell is empty or fails to parse as a number. The label
-    column must contain only 0/1 values.
+    dropped when any cell, the label's included, is empty or not a finite
+    number (nan and inf count as missing). Every kept label must be 0 or 1.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -206,9 +226,10 @@ def ingest_csv(path: str, label_column: str) -> tuple[Dataset, int]:
         dropped = 0
         for record in reader:
             try:
-                feats = [float(record[c]) for c in feature_cols]
-                label = float(record[label_column])
-            except (TypeError, ValueError):
+                *feats, label = [float(record[c]) for c in (*feature_cols, label_column)]
+            except (TypeError, ValueError):  # an empty or non-numeric cell
+                feats, label = [], math.nan
+            if not (math.isfinite(label) and all(map(math.isfinite, feats))):
                 dropped += 1
                 continue
             if label not in (0.0, 1.0):
@@ -229,21 +250,15 @@ def ingest_csv(path: str, label_column: str) -> tuple[Dataset, int]:
     return d, dropped
 
 
-def split(
-    d: Dataset,
-    train: float,
-    val: float,
-    test: float,
-    seed: int,
-) -> tuple[Dataset, Dataset, Dataset]:
-    """Stratified disjoint train/val/test split; fractions must be nonnegative and sum to 1."""
-    if min(train, val, test) < 0 or abs(train + val + test - 1.0) > 1e-9:
-        raise ValueError(f"fractions must be nonnegative and sum to 1, got {(train, val, test)}")
+def split(d: Dataset, config: DataConfig, seed: int) -> tuple[Dataset, Dataset, Dataset]:
+    """Stratified disjoint train/val/test split by the config's fractions; each
+    class's rows are dealt by largest remainders, and an empty part is an error."""
+    fractions = np.array([config.train_fraction, config.val_fraction, config.test_fraction])
     rng = np.random.default_rng(seed)
     per_class = []
     for c in (0, 1):
         rows = rng.permutation(np.flatnonzero(d.labels == c))
-        counts = _largest_remainder_counts(np.array([train, val, test]), len(rows))
+        counts = _largest_remainder_counts(fractions, len(rows))
         per_class.append(np.split(rows, np.cumsum(counts)[:-1]))
     out = []
     for chunks, tag in zip(zip(*per_class), ("train", "val", "test")):

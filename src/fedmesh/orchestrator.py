@@ -20,10 +20,10 @@ import numpy as np
 
 from . import secagg, selection, trainer
 from .aggregation import CrossEdgeConfig, EdgeUpdate, central_aggregate, cross_edge_exchange
-from .data import Dataset, partition_noniid, shift_features, split
+from .data import DataConfig, Dataset, partition_noniid, shift_features, split
 from .metrics import BinaryMetrics, RoundRecord, binary_metrics, jain_fairness
 from .params import ParamVector
-from .secagg import FixedPointCodec
+from .secagg import FixedPointCodec, SecAggConfig
 from .selection import ScoreWeights, SelectionConfig
 from .trainer import AdversaryAssignment, ClientReports, TrainerConfig
 
@@ -36,62 +36,6 @@ def derive_seed(master: int, *parts) -> int:
     """Stable 63-bit seed for one purpose, independent of call order."""
     digest = hashlib.sha256(repr((master,) + parts).encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
-
-
-@dataclass(frozen=True)
-class DataConfig:
-    n_samples: int = 2000
-    n_features: int = 10
-    class_imbalance: float = 0.5
-    label_noise: float = 0.35
-    dirichlet_alpha: float = 0.5
-    train_fraction: float = 0.7
-    val_fraction: float = 0.15
-    test_fraction: float = 0.15
-    edge_test_fraction: float = 0.2
-    unknown_edge: int | None = None
-    unknown_shift: float = 1.0
-    csv_path: str | None = None
-    label_column: str | None = None
-
-    def __post_init__(self) -> None:
-        fractions = (self.train_fraction, self.val_fraction, self.test_fraction)
-        checks = {
-            "n_samples must be >= 100": self.n_samples >= 100,
-            "n_features must be >= 1": self.n_features >= 1,
-            "class_imbalance must lie in (0, 1)": 0 < self.class_imbalance < 1,
-            "label_noise must be >= 0": self.label_noise >= 0,
-            "dirichlet_alpha must be > 0": self.dirichlet_alpha > 0,
-            "train/val/test fractions must be nonnegative and sum to 1": (
-                min(fractions) >= 0 and abs(sum(fractions) - 1.0) <= 1e-9
-            ),
-            "edge_test_fraction must lie in [0, 1]": 0 <= self.edge_test_fraction <= 1,
-            "label_column is required when csv_path is set": self.csv_path is None or self.label_column is not None,
-        }
-        for message, holds in checks.items():
-            if not holds:
-                raise ValueError(message)
-
-
-@dataclass(frozen=True)
-class SecAggConfig:
-    enabled: bool = True
-    key_bits: int = secagg.DEFAULT_KEY_BITS
-    scale: int = secagg.DEFAULT_SCALE
-    clip_val: float | None = 1.0  # None disables update clipping
-    noise_multiplier: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.key_bits < 16:
-            raise ValueError("secagg.key_bits too small")
-        if self.scale < 1:
-            raise ValueError("secagg.scale must be a positive integer")
-        if self.noise_multiplier < 0:
-            raise ValueError("secagg.noise_multiplier must be nonnegative")
-        if self.clip_val is not None and not self.clip_val > 0:
-            raise ValueError("secagg.clip_val must be positive or null")
-        if self.noise_multiplier > 0 and self.clip_val is None:
-            raise ValueError("secagg.noise_multiplier > 0 requires a finite clip_val")
 
 
 @dataclass(frozen=True)
@@ -191,10 +135,9 @@ def _edge_mean_update(
     encrypted under the edge's keypair; with secagg off (keypair None) the
     same quantized ints are summed in plaintext. A secagg.HeadroomError names
     the refused row."""
-    clip_val = math.inf if cfg.clip_val is None else cfg.clip_val
     if keypair is None:
         total = secagg.sum_quantized(deltas, codec, cfg.key_bits, weights)
-        return secagg.release(total, divisor, clip_val, cfg.noise_multiplier, noise_seed)
+        return secagg.release(total, divisor, cfg, noise_seed)
     public_key, private_key = keypair
     slots, _ = codec.layout(public_key.n.bit_length())
     public_key.precompute_randomizers(len(deltas) * -(-deltas.shape[1] // slots))
@@ -205,7 +148,7 @@ def _edge_mean_update(
         except secagg.HeadroomError as exc:
             raise secagg.HeadroomError(str(exc), row) from exc
     agg = secagg.aggregate_encrypted(ciphers, public_key, weights, codec.max_participants)
-    return secagg.finalize_edge_update(agg, private_key, codec, divisor, clip_val, cfg.noise_multiplier, noise_seed)
+    return secagg.finalize_edge_update(agg, private_key, codec, divisor, cfg, noise_seed)
 
 
 def _central_step(
@@ -250,13 +193,7 @@ def hold_out(rows: np.ndarray, fraction: float, rng: np.random.Generator) -> tup
 def prepare_data(config: SimulationConfig, dataset: Dataset) -> PreparedData:
     """Split, partition, and shard the dataset exactly as run() will."""
     seed = config.seed
-    d_train, d_val, d_test = split(
-        dataset,
-        config.data.train_fraction,
-        config.data.val_fraction,
-        config.data.test_fraction,
-        derive_seed(seed, "split"),
-    )
+    d_train, d_val, d_test = split(dataset, config.data, derive_seed(seed, "split"))
     client_rows = partition_noniid(
         d_train, config.n_clients, config.data.dirichlet_alpha, derive_seed(seed, "partition")
     )
@@ -379,7 +316,7 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
                         float(np.mean([ev.estimated_energy for ev in evaluations])),
                         float(np.mean([ev.security_index for ev in evaluations])),
                     ),
-                    config.selection.eta,
+                    config.selection,
                 )
             events.append(_selection_event(config, round_no, e, weights_now, selected_ids, evaluations))
 
@@ -461,14 +398,11 @@ def _select_for_mode(
     spec = config.trainer
     weights = score_weights[edge_id]
     if weights is None:
-        utility, energy = selection.estimate_metrics(reports, edge_model, spec.energy_alpha, spec.energy_beta)
-        weights = selection.grid_search_init(
-            np.column_stack([utility, energy, reports.security_index]), config.selection.grid_step
-        )
+        utility, energy = selection.estimate_metrics(reports, edge_model, spec)
+        triples = np.column_stack([utility, energy, reports.security_index])
+        weights = selection.grid_search_init(triples, config.selection)
         score_weights[edge_id] = weights
-    return selection.select_clients(
-        reports, edge_model, weights, config.selection, spec.energy_alpha, spec.energy_beta
-    )
+    return selection.select_clients(reports, edge_model, weights, config.selection, spec)
 
 
 def _selection_event(

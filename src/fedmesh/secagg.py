@@ -73,6 +73,27 @@ _T = TypeVar("_T")
 _R = TypeVar("_R")
 
 
+@dataclass(frozen=True)
+class SecAggConfig:
+    enabled: bool = True
+    key_bits: int = DEFAULT_KEY_BITS
+    scale: int = DEFAULT_SCALE
+    clip_val: float | None = 1.0  # None disables update clipping
+    noise_multiplier: float = 0.1
+
+    def __post_init__(self) -> None:
+        if self.key_bits < 16:
+            raise ValueError("secagg.key_bits too small")
+        if self.scale < 1:
+            raise ValueError("secagg.scale must be a positive integer")
+        if self.noise_multiplier < 0:
+            raise ValueError("secagg.noise_multiplier must be nonnegative")
+        if self.clip_val is not None and not self.clip_val > 0:
+            raise ValueError("secagg.clip_val must be positive or null")
+        if self.noise_multiplier > 0 and self.clip_val is None:
+            raise ValueError("secagg.noise_multiplier > 0 requires a finite clip_val")
+
+
 class KeyGenerationError(RuntimeError):
     pass
 
@@ -449,8 +470,9 @@ def sum_quantized(
     return codec.decode(totals)
 
 
-def release(total: np.ndarray, divisor: int, clip_val: float, noise_multiplier: float, seed: int) -> np.ndarray:
-    """Average an aggregate, clip its L2 norm to clip_val, then add Gaussian noise.
+def release(total: np.ndarray, divisor: int, config: SecAggConfig, seed: int) -> np.ndarray:
+    """Average an aggregate, clip its L2 norm to config.clip_val (None: no
+    clip), then add Gaussian noise.
 
     The noise std per element is noise_multiplier * clip_val / divisor;
     clipping happens strictly before the noise so a noiseless release's norm
@@ -458,16 +480,16 @@ def release(total: np.ndarray, divisor: int, clip_val: float, noise_multiplier: 
     """
     if divisor < 1:
         raise ValueError("divisor must be >= 1")
-    if not clip_val > 0:
-        raise ValueError(f"clip_val must be positive, got {clip_val}")
     mean = total / divisor
-    norm = float(np.linalg.norm(mean))
-    if norm > clip_val:
-        mean = mean * (clip_val / norm)
-    if noise_multiplier == 0.0:  # also guards clip_val = inf
+    clip_val = config.clip_val
+    if clip_val is not None:
+        norm = float(np.linalg.norm(mean))
+        if norm > clip_val:
+            mean = mean * (clip_val / norm)
+    if config.noise_multiplier == 0.0:  # always so without a clip_val
         noise = np.zeros(len(mean))
     else:
-        noise = np.random.default_rng(seed).normal(0.0, noise_multiplier * clip_val / divisor, len(mean))
+        noise = np.random.default_rng(seed).normal(0.0, config.noise_multiplier * clip_val / divisor, len(mean))
     return mean + noise
 
 
@@ -476,9 +498,8 @@ def finalize_edge_update(
     private_key: PaillierPrivateKey,
     codec: FixedPointCodec,
     divisor: int,
-    clip_val: float,
-    noise_multiplier: float,
+    config: SecAggConfig,
     seed: int,
 ) -> np.ndarray:
     """Decrypt the aggregate and release it (see release)."""
-    return release(decrypt_vector(agg, private_key, codec), divisor, clip_val, noise_multiplier, seed)
+    return release(decrypt_vector(agg, private_key, codec), divisor, config, seed)

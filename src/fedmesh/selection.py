@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .trainer import DEFAULT_ENERGY_ALPHA, DEFAULT_ENERGY_BETA, ClientReports, l2_diff_norm
+from .trainer import ClientReports, TrainerConfig, l2_diff_norm
 
 logger = logging.getLogger(__name__)
 
@@ -79,7 +79,7 @@ class SelectionConfig:
             raise ValueError("outlier_z_threshold must be positive")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError("eta must lie in [0, 1]")
-        if self.grid_step <= 0 or abs(1.0 / self.grid_step - round(1.0 / self.grid_step)) > 1e-9:
+        if not 0 < self.grid_step <= 1 or abs(1.0 / self.grid_step - round(1.0 / self.grid_step)) > 1e-9:
             raise ValueError(f"grid_step must evenly divide 1, got {self.grid_step}")
         if not 0.0 <= self.default_security_index <= 1.0:
             raise ValueError("default_security_index must lie in [0, 1]")
@@ -106,20 +106,18 @@ def _require_finite(client_ids: np.ndarray, quantity: str, values: np.ndarray, s
 
 
 def estimate_metrics(
-    reports: ClientReports,
-    edge_weights: np.ndarray,
-    alpha: float = DEFAULT_ENERGY_ALPHA,
-    beta: float = DEFAULT_ENERGY_BETA,
+    reports: ClientReports, edge_weights: np.ndarray, spec: TrainerConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Edge's own estimate of each client's utility and energy, row by row.
 
     Utility is the summed per-parameter norm between the uploaded weights and
     the edge model the client trained from; energy is the sample/model-size
-    surrogate alpha * N_i + beta * P. Both must stay finite, summed over the
-    edge's clients too (NonFiniteMetric names the client otherwise).
+    surrogate energy_alpha * N_i + energy_beta * P, with the constants of the
+    trainer `spec` the clients report with. Both must stay finite, summed over
+    the edge's clients too (NonFiniteMetric names the client otherwise).
     """
     utility = l2_diff_norm(reports.weights, edge_weights)
-    energy = alpha * reports.sample_count + beta * len(edge_weights)
+    energy = spec.energy_alpha * reports.sample_count + spec.energy_beta * len(edge_weights)
     _require_finite(reports.client_ids, "estimated utility", utility, summed=True)
     _require_finite(reports.client_ids, "estimated energy", energy, summed=True)
     return utility, energy
@@ -144,12 +142,9 @@ def score(eval_metrics, weights: ScoreWeights):
     return weights.w_utility * u - weights.w_energy * e + weights.w_security * s
 
 
-def simplex_grid(grid_step: float) -> list[ScoreWeights]:
-    """All (w1, w2, w3) on the simplex with components multiples of grid_step."""
-    steps = 1.0 / grid_step
-    m = round(steps)
-    if m < 1 or abs(steps - m) > 1e-9:
-        raise ValueError(f"grid_step must evenly divide 1, got {grid_step}")
+def simplex_grid(config: SelectionConfig) -> list[ScoreWeights]:
+    """All (w1, w2, w3) on the simplex with components multiples of config.grid_step."""
+    m = round(1.0 / config.grid_step)
     points = []
     for i in range(m + 1):
         for j in range(m - i + 1):
@@ -158,10 +153,7 @@ def simplex_grid(grid_step: float) -> list[ScoreWeights]:
     return points
 
 
-def grid_search_init(
-    evaluations: Sequence[tuple[float, float, float]],
-    grid_step: float = 0.1,
-) -> ScoreWeights:
+def grid_search_init(evaluations: Sequence[tuple[float, float, float]], config: SelectionConfig) -> ScoreWeights:
     """Pick initial score weights by exhaustive search over the simplex lattice.
 
     The objective is mean(score) - std(score) across clients: reward overall
@@ -174,7 +166,7 @@ def grid_search_init(
     u, e, s = triples.T
     best: ScoreWeights | None = None
     best_objective = -math.inf
-    for candidate in simplex_grid(grid_step):  # enumeration order is lexicographic
+    for candidate in simplex_grid(config):  # enumeration order is lexicographic
         scores = score((u, e, s), candidate)
         objective = float(scores.mean() - scores.std())
         if objective > best_objective:
@@ -186,17 +178,14 @@ def grid_search_init(
 
 
 def update_weights(
-    prev: ScoreWeights,
-    round_means: tuple[float, float, float],
-    eta: float,
+    prev: ScoreWeights, round_means: tuple[float, float, float], config: SelectionConfig
 ) -> ScoreWeights:
-    """Move the weights toward the normalized metric means at rate eta.
+    """Move the weights toward the normalized metric means at rate config.eta.
 
     w_j <- (1 - eta) * w_j + eta * mean_j / (mean_U + mean_E + mean_S), which
     keeps the output on the simplex for any input on it.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+    eta = config.eta
     mu, me, ms = round_means
     if mu < 0 or me < 0 or ms < 0:
         raise ValueError("round means must be nonnegative")
@@ -220,16 +209,15 @@ def select_clients(
     edge_weights: np.ndarray,
     weights: ScoreWeights,
     config: SelectionConfig,
-    alpha: float = DEFAULT_ENERGY_ALPHA,
-    beta: float = DEFAULT_ENERGY_BETA,
+    spec: TrainerConfig,
 ) -> tuple[list[int], list[ClientEvaluation]]:
     """Two-step filtering then top-k ranking of the edge's clients.
 
     Step 1 drops clients whose reported metrics disagree with the edge's own
     estimates beyond the consistency threshold; the energy estimate uses the
-    constants alpha and beta that the clients report with (see
-    estimate_metrics). Step 2 drops clients whose score is a two-sided
-    z-outlier among the remaining pool (skipped for pools smaller than 4).
+    trainer `spec` that the clients report with (see estimate_metrics).
+    Step 2 drops clients whose score is a two-sided z-outlier among the
+    remaining pool (skipped for pools smaller than 4).
     Survivors are ranked by score descending with client id as the
     tie-break; all evaluations, in client id order, are returned for
     auditing. Every metric must be finite (NonFiniteMetric names the client
@@ -239,7 +227,7 @@ def select_clients(
         raise ValueError("select_clients requires at least one report")
     by_id = np.argsort(reports.client_ids, kind="stable")
     ids = reports.client_ids[by_id]
-    est_u, est_e = estimate_metrics(reports, edge_weights, alpha, beta)
+    est_u, est_e = estimate_metrics(reports, edge_weights, spec)
     est_u, est_e = est_u[by_id], est_e[by_id]
     reported_u, reported_e = reports.reported_utility[by_id], reports.reported_energy[by_id]
     _require_finite(ids, "reported utility", reported_u)

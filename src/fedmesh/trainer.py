@@ -16,9 +16,6 @@ import numpy as np
 
 from .data import Dataset
 
-DEFAULT_ENERGY_ALPHA = 0.01
-DEFAULT_ENERGY_BETA = 0.001
-
 # rows gathered into the stacked-step buffer at once (more when one step needs more); larger
 # buffers trained no faster and raised the peak memory of small cohorts, whose whole epoch they held
 _GATHER_ROWS = 512
@@ -31,8 +28,8 @@ class TrainerConfig:
     local_epochs: int = 5
     learning_rate: float = 0.1
     batch_size: int = 32
-    energy_alpha: float = DEFAULT_ENERGY_ALPHA
-    energy_beta: float = DEFAULT_ENERGY_BETA
+    energy_alpha: float = 0.01
+    energy_beta: float = 0.001
 
     def __post_init__(self) -> None:
         if self.local_epochs < 0 or self.batch_size < 1:

@@ -11,12 +11,10 @@ import numpy as np
 from scipy import stats
 
 from fedmesh.cli import cmd_run
-from fedmesh.data import generate_synthetic
+from fedmesh.data import DataConfig, generate_synthetic
 from fedmesh.metrics import jain_fairness
 from fedmesh.orchestrator import (
     AdversaryAssignment,
-    DataConfig,
-    SecAggConfig,
     SelectionConfig,
     SimulationConfig,
     derive_seed,
@@ -26,7 +24,15 @@ from fedmesh.orchestrator import (
 )
 from fedmesh.aggregation import CrossEdgeConfig, EdgeUpdate, central_aggregate, cross_edge_exchange
 from fedmesh.params import ParamVector
-from fedmesh.secagg import FixedPointCodec, aggregate_encrypted, decrypt_vector, encrypt_update, keygen, release
+from fedmesh.secagg import (
+    FixedPointCodec,
+    SecAggConfig,
+    aggregate_encrypted,
+    decrypt_vector,
+    encrypt_update,
+    keygen,
+    release,
+)
 from fedmesh.selection import ScoreWeights, consistency_check, estimate_metrics, score, update_weights
 from fedmesh.trainer import TrainerConfig, build_report, l2_diff_norm, train_clients
 
@@ -59,7 +65,7 @@ def test_criterion_02_equation_oracles():
         alpha, beta = rng.uniform(0.001, 0.1, size=2)
         w = rng.normal(size=11)
         rep = build_report([0], w[None], w, spec, [n_i], [0.5])
-        _, energy = estimate_metrics(rep, w, alpha, beta)
+        _, energy = estimate_metrics(rep, w, TrainerConfig(energy_alpha=alpha, energy_beta=beta))
         assert abs(energy[0] - (alpha * n_i + beta * 11)) <= 1e-9
 
     # consistency deltas for utility and energy
@@ -86,7 +92,7 @@ def test_criterion_02_equation_oracles():
         raw = rng.uniform(0.01, 1, size=3)
         prev = ScoreWeights(*(raw / raw.sum()))
         eta = float(rng.uniform(0, 1))
-        got = update_weights(prev, means_loop, eta)
+        got = update_weights(prev, means_loop, SelectionConfig(eta=eta))
         total = sum(means_loop)
         expected = tuple(
             (1 - eta) * p + eta * m / total for p, m in zip(prev.as_tuple(), means_loop)
@@ -142,7 +148,7 @@ def test_criterion_03_simplex_preservation():
         prev = ScoreWeights(*(raw / raw.sum()))
         means = tuple(rng.uniform(0.0, 100.0, size=3) + 1e-12)
         eta = float(rng.uniform(0.0, 1.0))
-        out = update_weights(prev, means, eta)
+        out = update_weights(prev, means, SelectionConfig(eta=eta))
         worst = max(worst, abs(sum(out.as_tuple()) - 1.0))
     assert worst <= 1e-9
     report_pass(3, f"10000 weight updates stay on the simplex (worst drift {worst:.2e})")
@@ -174,7 +180,7 @@ def test_criterion_04_secure_aggregation_homomorphism():
 def test_criterion_05_dp_noise_calibration():
     sigma, clip_norm, count = 1.3, 0.7, 9
     # a zero total never reaches the clip, so the released vector is the noise itself
-    draws = release(np.zeros(10_000), count, clip_norm, sigma, seed=55)
+    draws = release(np.zeros(10_000), count, SecAggConfig(clip_val=clip_norm, noise_multiplier=sigma), seed=55)
     target_std = sigma * clip_norm / count
     _, p_value = stats.kstest(draws, "norm", args=(0.0, target_std))
     assert p_value > 0.001
@@ -193,7 +199,7 @@ def test_criterion_06_adversary_exclusion():
         secagg=SecAggConfig(enabled=True, key_bits=512, noise_multiplier=0.1, clip_val=1.0),
         adversaries=tuple(AdversaryAssignment(c, "inflate_utility", 5.0) for c in liars),
     )
-    dataset = generate_synthetic(2000, 10, 0.5, seed=66)
+    dataset = generate_synthetic(config.data, seed=66)
     result = run(config, dataset)
     assert len(result.rounds) == 5
     for round_no in range(1, 6):
@@ -228,7 +234,7 @@ def test_criterion_07_fault_tolerance():
         data=DataConfig(n_samples=3000, dirichlet_alpha=0.5),
         secagg=SecAggConfig(enabled=True, key_bits=512, noise_multiplier=0.1, clip_val=1.0),
     )
-    dataset = generate_synthetic(3000, 10, 0.5, seed=55)
+    dataset = generate_synthetic(base.data, seed=55)
     clean = run(base, dataset)
     failed = run(dataclasses.replace(base, edge_failures=((2, 3),)), dataset)
     assert len(failed.rounds) == 10
@@ -254,7 +260,7 @@ def test_criterion_08_convergence_sanity():
         selection=SelectionConfig(capacity_k=50),
         secagg=SecAggConfig(enabled=True, key_bits=512, noise_multiplier=0.1, clip_val=1.0),
     )
-    dataset = generate_synthetic(4000, 10, 0.5, seed=777)
+    dataset = generate_synthetic(config.data, seed=777)
     result = run(config, dataset)
     prep = prepare_data(config, dataset)
     init = evaluate(np.zeros(dataset.n_features + 1), prep.d_test.features, prep.d_test.labels)
@@ -284,7 +290,7 @@ def test_criterion_09_robustness_comparison():
     )
     outcomes = []
     for seed in (1, 2, 3):
-        dataset = generate_synthetic(1500, 10, 0.5, seed=1000 + seed)
+        dataset = generate_synthetic(shared["data"], seed=1000 + seed)
         accs = {}
         for mode in ("fedselect_me", "no_selection"):
             config = SimulationConfig(seed=seed, baseline_mode=mode, **shared)
@@ -333,7 +339,7 @@ def test_criterion_11_fedavg_baseline_equivalence():
         secagg=SecAggConfig(enabled=True, key_bits=512, scale=scale, noise_multiplier=0.0, clip_val=None),
         aggregation=CrossEdgeConfig(alpha=0.5, clip_val=1e6),
     )
-    dataset = generate_synthetic(600, 10, 0.5, seed=99)
+    dataset = generate_synthetic(base.data, seed=99)
     prep = prepare_data(base, dataset)
     spec = base.trainer
     total = sum(len(rows) for rows in prep.client_train)

@@ -26,6 +26,8 @@ from fedmesh.cli import (
     write_rounds_csv,
 )
 
+BEYOND_FLOAT = "1" + "0" * 400  # an integer that no float can hold
+
 GOLDEN_HEADER = (
     "round,val_loss,val_accuracy,test_loss,test_accuracy,test_f1_macro,"
     "test_f1_weighted,test_auroc,jfi,edge0_accuracy,edge0_loss,edge1_accuracy,edge1_loss"
@@ -194,6 +196,21 @@ class TestCmdRun:
             ("+4", [], "FEDMESH_SEED: expected an integer, got '+4'"),
             ("1e3", [], "FEDMESH_SEED: expected an integer, got '1e3'"),
             ("true", [], "FEDMESH_SEED: expected an integer, got 'true'"),
+            # an integer beyond the float range is not a float
+            (None, [f"data.label_noise={BEYOND_FLOAT}"], "data.label_noise: expected finite float"),
+            (None, [f"decision_threshold={BEYOND_FLOAT}"], "decision_threshold: expected finite float"),
+            (None, [f"min_delta={BEYOND_FLOAT}"], "min_delta: expected finite float"),
+            (None, [f"secagg.clip_val={BEYOND_FLOAT}"], "secagg.clip_val: expected"),
+            (None, [f"aggregation.clip_val={BEYOND_FLOAT}"], "aggregation.clip_val: expected finite float"),
+            (None, [f"data.dirichlet_alpha={BEYOND_FLOAT}"], "data.dirichlet_alpha: expected finite float"),
+            (None, [f"trainer.energy_alpha={BEYOND_FLOAT}"], "trainer.energy_alpha: expected finite float"),
+            (None, [f"data.unknown_shift=-{BEYOND_FLOAT}"], "data.unknown_shift: expected finite float"),
+            # a zero fraction can never give its split a row
+            (None, ["data.train_fraction=0.85", "data.val_fraction=0"], "fractions must be positive"),
+            (None, ["data.val_fraction=0.3", "data.test_fraction=0"], "fractions must be positive"),
+            (None, ["data.train_fraction=0", "data.val_fraction=0.85"], "fractions must be positive"),
+            # 1 / 1e12 is within the divisibility tolerance of 0 lattice steps
+            (None, ["selection.grid_step=1e12"], "selection: grid_step must evenly divide 1"),
         ],
     )
     def test_bad_input_is_a_config_error(self, config_file, tmp_path, monkeypatch, capsys, env_seed, overrides, field):
@@ -401,6 +418,18 @@ def test_readme_states_the_csv_headers(config_file, tmp_path):
     assert cmd_compare(config_file, ["fedselect_me", "no_selection"], str(out), ["rounds_max=1"]) == 0
     header = (out / "compare.csv").read_text().splitlines()[0]
     assert header == re.search(r"`(mode,rounds,[^`]*)`", readme).group(1)
+
+
+def test_readme_library_example_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"## Library use\s+```python\n(.*?)```", readme, re.S).group(1)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", example],
+        capture_output=True, text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "BinaryMetrics(" in proc.stdout  # it printed the last round's test metrics
 
 
 class TestCmdPlot:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fedmesh.data import (
+    DataConfig,
     Dataset,
     _largest_remainder_counts,
     generate_synthetic,
@@ -49,6 +50,16 @@ def partition_oracle(d, n_clients, dirichlet_alpha, seed):
     return [sorted(h[0] + h[1]) for h in holdings], repairs
 
 
+def synthetic(n_samples, n_features, class_imbalance, seed):
+    return generate_synthetic(
+        DataConfig(n_samples=n_samples, n_features=n_features, class_imbalance=class_imbalance), seed
+    )
+
+
+def split_config(train, val, test):
+    return DataConfig(train_fraction=train, val_fraction=val, test_fraction=test)
+
+
 def positive_fraction(labels):
     return float(np.mean(labels))
 
@@ -71,33 +82,34 @@ def split_oracle(d, train, val, test, seed):
 
 class TestGenerateSynthetic:
     def test_deterministic_bytes(self):
-        a = generate_synthetic(1000, 10, 0.1, seed=7)
-        b = generate_synthetic(1000, 10, 0.1, seed=7)
+        a = synthetic(1000, 10, 0.1, seed=7)
+        b = synthetic(1000, 10, 0.1, seed=7)
         assert a.features.tobytes() == b.features.tobytes()
         assert a.labels.tobytes() == b.labels.tobytes()
 
     def test_seed_changes_output(self):
-        a = generate_synthetic(500, 5, 0.3, seed=1)
-        b = generate_synthetic(500, 5, 0.3, seed=2)
+        a = synthetic(500, 5, 0.3, seed=1)
+        b = synthetic(500, 5, 0.3, seed=2)
         assert a.features.tobytes() != b.features.tobytes()
 
     @pytest.mark.parametrize("imbalance,lo,hi", [(0.1, 0.08, 0.12), (0.5, 0.48, 0.52)])
     def test_positive_fraction(self, imbalance, lo, hi):
-        d = generate_synthetic(1000, 10, imbalance, seed=7 if imbalance == 0.1 else 1)
+        d = synthetic(1000, 10, imbalance, seed=7 if imbalance == 0.1 else 1)
         assert lo <= positive_fraction(d.labels) <= hi
 
     def test_columns_normalized(self):
-        d = generate_synthetic(800, 6, 0.4, seed=3)
+        d = synthetic(800, 6, 0.4, seed=3)
         assert np.all(np.abs(d.features.mean(axis=0)) < 0.1)
         assert np.all(np.abs(d.features.std(axis=0) - 1.0) < 0.1)
 
     def test_size_validation(self):
-        with pytest.raises(ValueError):
-            generate_synthetic(50, 10, 0.5, seed=0)
-        with pytest.raises(ValueError):
-            generate_synthetic(200, 0, 0.5, seed=0)
-        with pytest.raises(ValueError):
-            generate_synthetic(200, 5, 1.0, seed=0)
+        # the config that generate_synthetic takes refuses these shapes
+        with pytest.raises(ValueError, match="n_samples"):
+            DataConfig(n_samples=50)
+        with pytest.raises(ValueError, match="n_features"):
+            DataConfig(n_features=0)
+        with pytest.raises(ValueError, match="class_imbalance"):
+            DataConfig(class_imbalance=1.0)
 
 
 class TestDataset:
@@ -106,7 +118,7 @@ class TestDataset:
             Dataset(np.zeros((3, 2)), np.array([0, 1, 2]))
 
     def test_subset(self):
-        d = generate_synthetic(200, 4, 0.5, seed=9)
+        d = synthetic(200, 4, 0.5, seed=9)
         sub = d.subset([0, 5, 7])
         assert sub.n_samples == 3
         assert np.array_equal(sub.features[1], d.features[5])
@@ -114,7 +126,7 @@ class TestDataset:
 
 class TestPartitionNonIID:
     def test_near_iid_limit(self):
-        d = generate_synthetic(4000, 5, 0.4, seed=2)
+        d = synthetic(4000, 5, 0.4, seed=2)
         part = partition_noniid(d, n_clients=12, dirichlet_alpha=1e6, seed=5)
         global_frac = positive_fraction(d.labels)
         assert len(part) == 12
@@ -122,14 +134,14 @@ class TestPartitionNonIID:
             assert abs(positive_fraction(d.labels[rows]) - global_frac) < 0.05
 
     def test_skewed_alpha_starves_a_client(self):
-        d = generate_synthetic(4000, 5, 0.4, seed=2)
+        d = synthetic(4000, 5, 0.4, seed=2)
         part = partition_noniid(d, n_clients=20, dirichlet_alpha=0.1, seed=11)
         global_frac = positive_fraction(d.labels)
         fractions = [positive_fraction(d.labels[rows]) for rows in part]
         assert min(fractions) < global_frac / 2
 
     def test_disjoint_and_bookkeeping(self):
-        d = generate_synthetic(1500, 5, 0.3, seed=4)
+        d = synthetic(1500, 5, 0.3, seed=4)
         part = partition_noniid(d, n_clients=12, dirichlet_alpha=0.5, seed=6)
         assert len(part) == 12
         all_rows = [int(r) for rows in part for r in rows]
@@ -142,7 +154,7 @@ class TestPartitionNonIID:
     @settings(max_examples=150, deadline=None)
     def test_matches_per_row_oracle(self, n_clients, alpha, n_samples, imbalance, seed):
         # the same rows per client, including which rows a starved client takes from which donor
-        d = generate_synthetic(n_samples, 3, imbalance, seed=seed % 1000)
+        d = synthetic(n_samples, 3, imbalance, seed=seed % 1000)
         want, _ = partition_oracle(d, n_clients, alpha, seed)
         if want is None:
             with pytest.raises(ValueError, match="could not give every client"):
@@ -158,14 +170,14 @@ class TestPartitionNonIID:
         assert sorted(held) == list(range(d.n_samples))
 
     def test_every_client_has_two_of_a_class(self):
-        d = generate_synthetic(900, 5, 0.25, seed=8)
+        d = synthetic(900, 5, 0.25, seed=8)
         part = partition_noniid(d, n_clients=9, dirichlet_alpha=0.3, seed=3)
         for rows in part:
             counts = np.bincount(d.labels[rows], minlength=2)
             assert counts.max() >= 2
 
     def test_deterministic(self):
-        d = generate_synthetic(1000, 5, 0.5, seed=1)
+        d = synthetic(1000, 5, 0.5, seed=1)
         p1 = partition_noniid(d, 6, 0.5, seed=9)
         p2 = partition_noniid(d, 6, 0.5, seed=9)
         assert len(p1) == len(p2) == 6
@@ -173,14 +185,14 @@ class TestPartitionNonIID:
             assert np.array_equal(rows1, rows2)
 
     def test_infeasible_sizes_rejected(self):
-        d = generate_synthetic(100, 5, 0.5, seed=1)
+        d = synthetic(100, 5, 0.5, seed=1)
         with pytest.raises(ValueError):
             partition_noniid(d, n_clients=100, dirichlet_alpha=0.5, seed=0)
 
 
 class TestShiftFeatures:
     def test_only_selected_rows_move(self):
-        d = generate_synthetic(200, 4, 0.5, seed=10)
+        d = synthetic(200, 4, 0.5, seed=10)
         shifted = shift_features(d, [0, 1], 2.5)
         assert np.allclose(shifted.features[0], d.features[0] + 2.5)
         assert np.array_equal(shifted.features[2], d.features[2])
@@ -202,6 +214,19 @@ class TestIngestCsv:
         )
         assert np.allclose(d.features, expected, atol=1e-9)
         assert np.array_equal(d.labels, [0, 1, 0])
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-Infinity"])
+    @pytest.mark.parametrize("column", ["a", "y"])
+    def test_non_finite_cell_dropped(self, tmp_path, cell, column):
+        # a non-finite cell is a missing value: its row is dropped and counted, the others are kept as read
+        path = tmp_path / "nonfinite.csv"
+        bad = {"a": f"{cell},20,1", "y": f"2,20,{cell}"}[column]
+        path.write_text(f"a,b,y\n1,10,0\n{bad}\n3,60,0\n2,20,1\n")
+        d, dropped = ingest_csv(str(path), "y")
+        assert dropped == 1
+        assert np.isfinite(d.features).all()
+        assert np.array_equal(d.labels, [0, 0, 1])
+        assert d.features[:, 0].tolist() == pytest.approx([-1.224744871391589, 1.224744871391589, 0.0])
 
     def test_missing_row_dropped(self, tmp_path):
         path = tmp_path / "gaps.csv"
@@ -235,29 +260,29 @@ class TestIngestCsv:
 
 class TestSplit:
     def test_sizes(self):
-        d = generate_synthetic(1000, 5, 0.3, seed=4)
-        tr, va, te = split(d, 0.8, 0.1, 0.1, seed=2)
+        d = synthetic(1000, 5, 0.3, seed=4)
+        tr, va, te = split(d, split_config(0.8, 0.1, 0.1), seed=2)
         assert abs(tr.n_samples - 800) <= 1
         assert abs(va.n_samples - 100) <= 1
         assert abs(te.n_samples - 100) <= 1
         assert tr.n_samples + va.n_samples + te.n_samples == 1000
 
     def test_deterministic(self):
-        d = generate_synthetic(500, 5, 0.5, seed=4)
-        s1 = split(d, 0.7, 0.15, 0.15, seed=3)
-        s2 = split(d, 0.7, 0.15, 0.15, seed=3)
+        d = synthetic(500, 5, 0.5, seed=4)
+        s1 = split(d, split_config(0.7, 0.15, 0.15), seed=3)
+        s2 = split(d, split_config(0.7, 0.15, 0.15), seed=3)
         for a, b in zip(s1, s2):
             assert a.features.tobytes() == b.features.tobytes()
 
     def test_stratification(self):
-        d = generate_synthetic(1000, 5, 0.3, seed=4)
+        d = synthetic(1000, 5, 0.3, seed=4)
         whole = positive_fraction(d.labels)
-        for part in split(d, 0.8, 0.1, 0.1, seed=2):
+        for part in split(d, split_config(0.8, 0.1, 0.1), seed=2):
             assert abs(positive_fraction(part.labels) - whole) < 0.03
 
     def test_disjoint_union(self):
-        d = generate_synthetic(300, 4, 0.5, seed=6)
-        tr, va, te = split(d, 0.6, 0.2, 0.2, seed=1)
+        d = synthetic(300, 4, 0.5, seed=6)
+        tr, va, te = split(d, split_config(0.6, 0.2, 0.2), seed=1)
         # feature rows are unique with probability 1, so match rows by bytes
         seen = {row.tobytes() for part in (tr, va, te) for row in part.features}
         assert len(seen) == 300
@@ -265,8 +290,8 @@ class TestSplit:
     @given(
         n=st.integers(1, 300),
         positive=st.floats(0.0, 1.0),
-        train=st.floats(0.0, 1.0),
-        val_share=st.floats(0.0, 1.0),
+        train=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        val_share=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=200, deadline=None)
@@ -274,19 +299,24 @@ class TestSplit:
         rng = np.random.default_rng(seed)
         d = Dataset(rng.normal(size=(n, 3)), (rng.random(n) < positive).astype(int))
         val = val_share * (1.0 - train)
-        test = max(0.0, 1.0 - train - val)
+        test = 1.0 - train - val
+        assume(val > 0 and test > 0)  # DataConfig takes positive fractions only
         want = split_oracle(d, train, val, test, seed)
         if want is None:
             with pytest.raises(ValueError, match="split is empty"):
-                split(d, train, val, test, seed)
+                split(d, split_config(train, val, test), seed)
             return
-        for got, ref in zip(split(d, train, val, test, seed), want):
+        for got, ref in zip(split(d, split_config(train, val, test), seed), want):
             assert got.features.tobytes() == ref.features.tobytes()
             assert got.labels.tobytes() == ref.labels.tobytes()
 
     def test_fraction_sum_validated(self):
-        d = generate_synthetic(300, 4, 0.5, seed=6)
-        with pytest.raises(ValueError):
-            split(d, 0.8, 0.1, 0.2, seed=1)
-        with pytest.raises(ValueError, match="nonnegative"):
-            split(d, 1.1, -0.1, 0.0, seed=1)
+        # the config that split takes refuses these fractions
+        with pytest.raises(ValueError, match="sum to 1"):
+            split_config(0.8, 0.1, 0.2)
+        with pytest.raises(ValueError, match="positive"):
+            split_config(1.1, -0.1, 0.0)
+        # a zero fraction gets no row by largest remainders, so every split with it would be empty
+        for parts in [(0.0, 0.85, 0.15), (0.85, 0.0, 0.15), (0.85, 0.15, 0.0)]:
+            with pytest.raises(ValueError, match="positive"):
+                split_config(*parts)

@@ -14,12 +14,10 @@ import fedmesh.orchestrator
 import fedmesh.secagg
 import fedmesh.trainer
 from fedmesh.aggregation import CrossEdgeConfig, EdgeUpdate
-from fedmesh.data import generate_synthetic, partition_noniid
+from fedmesh.data import DataConfig, generate_synthetic, partition_noniid
 from fedmesh.metrics import BinaryMetrics
 from fedmesh.orchestrator import (
     AdversaryAssignment,
-    DataConfig,
-    SecAggConfig,
     SelectionConfig,
     SimulationConfig,
     TrainerConfig,
@@ -30,6 +28,7 @@ from fedmesh.orchestrator import (
     prepare_data,
     run,
 )
+from fedmesh.secagg import SecAggConfig
 from fedmesh.trainer import train_clients
 
 
@@ -49,12 +48,12 @@ def make_config(**overrides) -> SimulationConfig:
 
 @pytest.fixture(scope="module")
 def dataset():
-    return generate_synthetic(600, 10, 0.5, seed=99)
+    return generate_synthetic(DataConfig(n_samples=600), seed=99)
 
 
 @pytest.fixture(scope="module")
 def big_dataset():
-    return generate_synthetic(1600, 10, 0.5, seed=100)
+    return generate_synthetic(DataConfig(n_samples=1600), seed=100)
 
 
 def frozen_evaluate(weights, features, labels, threshold=0.5):

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import fedmesh.secagg
-from fedmesh.orchestrator import SecAggConfig
 from fedmesh.params import ParamVector
 from fedmesh.secagg import (
     FixedPointCodec,
     KeyGenerationError,
+    SecAggConfig,
     _fork_map,
     aggregate_encrypted,
     decrypt_vector,
@@ -466,7 +466,7 @@ class TestFinalize:
         v = ParamVector(rng.uniform(-0.3, 0.3, size=8))
         agg = aggregate_encrypted([encrypt_update(v, codec, public)], public)
         out = finalize_edge_update(
-            agg, private, codec, divisor=1, clip_val=10.0, noise_multiplier=0.0, seed=0
+            agg, private, codec, divisor=1, config=SecAggConfig(clip_val=10.0, noise_multiplier=0.0), seed=0
         )
         assert np.max(np.abs(out - v.values)) <= 0.5 / codec.scale
 
@@ -476,7 +476,7 @@ class TestFinalize:
         cvs = [encrypt_update(ParamVector(v), codec, public) for v in vs]
         out = finalize_edge_update(
             aggregate_encrypted(cvs, public), private, codec, divisor=3,
-            clip_val=100.0, noise_multiplier=0.0, seed=0,
+            config=SecAggConfig(clip_val=100.0, noise_multiplier=0.0), seed=0,
         )
         assert np.allclose(out, [3.0, 3.0, 3.0], atol=0.5 / codec.scale)
 
@@ -486,7 +486,7 @@ class TestFinalize:
         v = ParamVector(np.full(4, 5.0))  # norm 10
         agg = aggregate_encrypted([encrypt_update(v, codec, public)], public)
         out = finalize_edge_update(
-            agg, private, codec, divisor=1, clip_val=1.0, noise_multiplier=0.0, seed=0
+            agg, private, codec, divisor=1, config=SecAggConfig(clip_val=1.0, noise_multiplier=0.0), seed=0
         )
         assert np.linalg.norm(out) <= 1.0 + 1e-9
 
@@ -498,8 +498,8 @@ class TestFinalize:
         samples = np.concatenate(
             [
                 finalize_edge_update(
-                    agg, private, codec, divisor=count, clip_val=clip_val,
-                    noise_multiplier=sigma, seed=seed,
+                    agg, private, codec, divisor=count,
+                    config=SecAggConfig(clip_val=clip_val, noise_multiplier=sigma), seed=seed,
                 )
                 for seed in range(10)
             ]
@@ -511,8 +511,9 @@ class TestFinalize:
         public, private = keypair
         v = ParamVector(np.full(5, 0.2))
         agg = aggregate_encrypted([encrypt_update(v, codec, public)], public)
-        a = finalize_edge_update(agg, private, codec, 1, 1.0, 0.5, seed=42)
-        b = finalize_edge_update(agg, private, codec, 1, 1.0, 0.5, seed=42)
+        config = SecAggConfig(clip_val=1.0, noise_multiplier=0.5)
+        a = finalize_edge_update(agg, private, codec, 1, config, seed=42)
+        b = finalize_edge_update(agg, private, codec, 1, config, seed=42)
         assert np.array_equal(a, b)
 
 
@@ -520,10 +521,11 @@ class TestClipL2:
     # noiseless releases of divisor 1: the release is the L2 clip of the total alone
     def test_under_norm_identity(self):
         total = np.array([0.18, 0.24])  # norm 0.3
-        assert release(total, 1, clip_val=1.0, noise_multiplier=0.0, seed=0).tobytes() == total.tobytes()
+        out = release(total, 1, SecAggConfig(clip_val=1.0, noise_multiplier=0.0), seed=0)
+        assert out.tobytes() == total.tobytes()
 
     def test_scaling_formula(self):
-        out = release(np.array([3.0, 4.0]), 1, clip_val=1.0, noise_multiplier=0.0, seed=0)
+        out = release(np.array([3.0, 4.0]), 1, SecAggConfig(clip_val=1.0, noise_multiplier=0.0), seed=0)
         assert np.allclose(out, [0.6, 0.8], atol=1e-12)
 
     def test_norm_bound_property(self):
@@ -531,30 +533,36 @@ class TestClipL2:
         for _ in range(100):
             total = rng.normal(scale=3.0, size=5)
             max_norm = float(rng.uniform(0.1, 2.0))
-            assert np.linalg.norm(release(total, 1, max_norm, noise_multiplier=0.0, seed=0)) <= max_norm + 1e-9
+            out = release(total, 1, SecAggConfig(clip_val=max_norm, noise_multiplier=0.0), seed=0)
+            assert np.linalg.norm(out) <= max_norm + 1e-9
 
     def test_preserves_direction(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
             raw = rng.normal(size=6)
-            out = release(raw, 1, clip_val=0.5, noise_multiplier=0.0, seed=0)
+            out = release(raw, 1, SecAggConfig(clip_val=0.5, noise_multiplier=0.0), seed=0)
             cos = float(np.dot(raw, out) / (np.linalg.norm(raw) * np.linalg.norm(out)))
             assert cos == pytest.approx(1.0, abs=1e-9)
 
     def test_nonpositive_norm_rejected(self):
-        with pytest.raises(ValueError):
-            release(np.ones(1), 1, clip_val=-1.0, noise_multiplier=0.0, seed=0)
+        with pytest.raises(ValueError, match="clip_val"):
+            SecAggConfig(clip_val=-1.0, noise_multiplier=0.0)
+
+    def test_null_clip_val_releases_the_mean(self):
+        total = np.array([30.0, -40.0, 0.5])  # norm above any default clip
+        out = release(total, 2, SecAggConfig(clip_val=None, noise_multiplier=0.0), seed=0)
+        assert out.tobytes() == (total / 2).tobytes()
 
 
 class TestDpNoise:
     # a zero total never reaches the clip, so release returns the noise draws themselves
     def test_gaussian_passes_ks(self):
-        noise = release(np.zeros(10_000), 10, clip_val=1.0, noise_multiplier=1.0, seed=3)
+        noise = release(np.zeros(10_000), 10, SecAggConfig(clip_val=1.0, noise_multiplier=1.0), seed=3)
         _, p_value = stats.kstest(noise, "norm", args=(0.0, 1.0 / 10))
         assert p_value > 0.001
 
     def test_zero_multiplier_is_silent(self):
-        out = release(np.zeros(100), 5, clip_val=1.0, noise_multiplier=0.0, seed=0)
+        out = release(np.zeros(100), 5, SecAggConfig(clip_val=1.0, noise_multiplier=0.0), seed=0)
         assert np.array_equal(out, np.zeros(100))
 
     def test_config_validation(self):
@@ -563,4 +571,4 @@ class TestDpNoise:
         with pytest.raises(ValueError):
             SecAggConfig(noise_multiplier=-1.0)
         with pytest.raises(ValueError):
-            release(np.zeros(3), 0, clip_val=1.0, noise_multiplier=0.0, seed=0)
+            release(np.zeros(3), 0, SecAggConfig(clip_val=1.0, noise_multiplier=0.0), seed=0)

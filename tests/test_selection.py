@@ -40,20 +40,20 @@ def stacked(reports):
 
 
 def select(reports, edge, weights, config):
-    return select_clients(stacked(reports), edge, weights, config)
+    return select_clients(stacked(reports), edge, weights, config, TrainerConfig())
 
 
 class TestEstimateMetrics:
     def test_identity_utility(self):
         edge = np.ones(11)
         report = honest_report(0, np.ones(11), edge)
-        u, _ = estimate_metrics(report, edge)
+        u, _ = estimate_metrics(report, edge, TrainerConfig())
         assert u.tolist() == [0.0]
 
     def test_energy_substitution(self):
         edge = np.zeros(11)
         report = honest_report(0, np.zeros(11), edge, sample_count=200)
-        _, e = estimate_metrics(report, edge, alpha=0.01, beta=0.001)
+        _, e = estimate_metrics(report, edge, TrainerConfig(energy_alpha=0.01, energy_beta=0.001))
         assert e[0] == pytest.approx(2.011, abs=1e-12)
 
     def test_matches_scalar_loop_oracle(self):
@@ -62,7 +62,7 @@ class TestEstimateMetrics:
             w_client = rng.normal(size=11)
             w_edge = rng.normal(size=11)
             report = honest_report(0, w_client, w_edge)
-            u, _ = estimate_metrics(report, w_edge)
+            u, _ = estimate_metrics(report, w_edge, TrainerConfig())
             expected = sum(abs(w_client[k] - w_edge[k]) for k in range(11))
             assert u[0] == pytest.approx(expected, abs=1e-9)
 
@@ -108,18 +108,21 @@ class TestScore:
 
 class TestSimplexGrid:
     def test_half_step_lattice(self):
-        pts = {w.as_tuple() for w in simplex_grid(0.5)}
+        pts = {w.as_tuple() for w in simplex_grid(SelectionConfig(grid_step=0.5))}
         assert pts == {
             (0.0, 0.0, 1.0), (0.0, 0.5, 0.5), (0.0, 1.0, 0.0),
             (0.5, 0.0, 0.5), (0.5, 0.5, 0.0), (1.0, 0.0, 0.0),
         }
 
     def test_tenth_step_count(self):
-        assert len(simplex_grid(0.1)) == 66  # C(12, 2)
+        assert len(simplex_grid(SelectionConfig(grid_step=0.1))) == 66  # C(12, 2)
 
     def test_uneven_step_rejected(self):
-        with pytest.raises(ValueError):
-            simplex_grid(0.3)
+        # the config that simplex_grid takes refuses a step that is not 1/m for a whole m >= 1;
+        # 1 / 1e12 lies within the divisibility tolerance of m = 0, an empty lattice
+        for grid_step in (0.3, 1e12, 2.0, 0.0, -0.5, math.nan):
+            with pytest.raises(ValueError, match="grid_step"):
+                SelectionConfig(grid_step=grid_step)
 
 
 class TestGridSearchInit:
@@ -127,7 +130,7 @@ class TestGridSearchInit:
         rng = np.random.default_rng(5)
         for _ in range(20):
             evals = [tuple(rng.uniform(0, 3, size=3)) for _ in range(6)]
-            got = grid_search_init(evals, grid_step=0.25)
+            got = grid_search_init(evals, SelectionConfig(grid_step=0.25))
             best, best_obj = None, -np.inf
             m = 4
             for i in range(m + 1):  # lexicographic enumeration, first strict max wins
@@ -141,44 +144,51 @@ class TestGridSearchInit:
 
     def test_single_client_prefers_max_mean(self):
         # one client: std is 0, objective is the score itself
-        got = grid_search_init([(5.0, 0.1, 0.5)], grid_step=0.5)
+        got = grid_search_init([(5.0, 0.1, 0.5)], SelectionConfig(grid_step=0.5))
         assert got.as_tuple() == (1.0, 0.0, 0.0)
 
     def test_tie_break_lexicographic(self):
         # all-equal metrics make many candidates tie; smallest (w1, w2, w3) wins
-        got = grid_search_init([(1.0, 1.0, 1.0)], grid_step=0.5)
+        got = grid_search_init([(1.0, 1.0, 1.0)], SelectionConfig(grid_step=0.5))
         assert got.as_tuple() == (0.0, 0.0, 1.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            grid_search_init([], grid_step=0.5)
+            grid_search_init([], SelectionConfig(grid_step=0.5))
 
     def test_no_finite_objective_is_an_error(self):
         # every candidate scores the two clients +-1e308, whose spread overflows: no weights can be chosen
+        half_step = SelectionConfig(grid_step=0.5)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="no score weights give a finite objective"):
-                grid_search_init([(1e308, -1e308, 1e308), (-1e308, 1e308, -1e308)], grid_step=0.5)
+                grid_search_init([(1e308, -1e308, 1e308), (-1e308, 1e308, -1e308)], half_step)
             with pytest.raises(ValueError, match="no score weights give a finite objective"):
-                grid_search_init([(math.inf, 0.0, 0.5)], grid_step=0.5)
+                grid_search_init([(math.inf, 0.0, 0.5)], half_step)
 
 
 class TestUpdateWeights:
     def test_eta_zero_keeps_prev(self):
         prev = ScoreWeights(0.2, 0.3, 0.5)
-        assert update_weights(prev, (5.0, 1.0, 2.0), eta=0.0) == prev
+        assert update_weights(prev, (5.0, 1.0, 2.0), SelectionConfig(eta=0.0)) == prev
 
     def test_eta_one_normalizes_means(self):
-        out = update_weights(ScoreWeights(0.2, 0.3, 0.5), (2.0, 1.0, 1.0), eta=1.0)
+        out = update_weights(ScoreWeights(0.2, 0.3, 0.5), (2.0, 1.0, 1.0), SelectionConfig(eta=1.0))
         assert out.as_tuple() == pytest.approx((0.5, 0.25, 0.25), abs=1e-12)
 
     def test_half_step_substitution(self):
-        out = update_weights(ScoreWeights(1 / 3, 1 / 3, 1 / 3), (2.0, 1.0, 1.0), eta=0.5)
+        out = update_weights(ScoreWeights(1 / 3, 1 / 3, 1 / 3), (2.0, 1.0, 1.0), SelectionConfig(eta=0.5))
         assert out.as_tuple() == pytest.approx((5 / 12, 7 / 24, 7 / 24), abs=1e-12)
+
+    @pytest.mark.parametrize("eta", [-0.1, 1.5, math.nan])
+    def test_eta_outside_unit_interval_rejected(self, eta):
+        # the config that update_weights takes refuses the rate
+        with pytest.raises(ValueError, match="eta"):
+            SelectionConfig(eta=eta)
 
     def test_all_zero_means_returns_prev(self, caplog):
         prev = ScoreWeights(0.2, 0.3, 0.5)
         with caplog.at_level("WARNING"):
-            assert update_weights(prev, (0.0, 0.0, 0.0), eta=0.5) == prev
+            assert update_weights(prev, (0.0, 0.0, 0.0), SelectionConfig(eta=0.5)) == prev
         assert any("all-zero" in r.message for r in caplog.records)
 
     @given(
@@ -191,7 +201,7 @@ class TestUpdateWeights:
     def test_simplex_preserved(self, prev_pair, means, eta):
         w1, w2 = prev_pair
         prev = ScoreWeights(w1, w2, max(0.0, 1.0 - w1 - w2))
-        out = update_weights(prev, means, eta)
+        out = update_weights(prev, means, SelectionConfig(eta=eta))
         assert abs(sum(out.as_tuple()) - 1.0) <= 1e-9
 
 
@@ -335,11 +345,11 @@ class TestSelectClients:
                     [honest_report(c, row, edge, behavior=b) for c, (row, b) in enumerate(zip(rows, behaviors))]
                 )
                 with pytest.raises(NonFiniteMetric, match=f"^{re.escape(message)}$") as info:
-                    select_clients(reports, edge, self.weights(), self.config())
+                    select_clients(reports, edge, self.weights(), self.config(), TrainerConfig())
             assert info.value.client_id == int(message.split(":")[0].split()[1])
 
     def test_empty_reports_rejected(self):
         none = np.zeros(0, dtype=np.int64)
         empty = ClientReports(none, np.zeros((0, 2)), np.zeros(0), np.zeros(0), np.zeros(0), none)
         with pytest.raises(ValueError, match="at least one report"):
-            select_clients(empty, np.zeros(2), self.weights(), self.config())
+            select_clients(empty, np.zeros(2), self.weights(), self.config(), TrainerConfig())

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedmesh.trainer
-from fedmesh.data import Dataset, generate_synthetic
+from fedmesh.data import DataConfig, Dataset, generate_synthetic
 from fedmesh.metrics import binary_metrics
 from fedmesh.selection import estimate_metrics
 from fedmesh.trainer import (
@@ -46,7 +46,7 @@ def train_local_oracle(start, spec, dataset, indices, seed):
     return w
 
 
-ORACLE_DATASET = generate_synthetic(160, 10, 0.5, seed=12)
+ORACLE_DATASET = generate_synthetic(DataConfig(n_samples=160), seed=12)
 
 
 @st.composite
@@ -70,7 +70,7 @@ def two_point_dataset():
 
 @pytest.fixture
 def small_dataset():
-    return generate_synthetic(200, 10, 0.5, seed=21)
+    return generate_synthetic(DataConfig(n_samples=200), seed=21)
 
 
 class TestTrainLocal:
@@ -244,7 +244,7 @@ class TestCohort:
             (start, spec, small_dataset, self.SHARDS[1], self.SEEDS[0]),
             (np.zeros(11), spec, small_dataset, self.SHARDS[0], self.SEEDS[0]),
             (start, TrainerConfig(batch_size=8), small_dataset, self.SHARDS[0], self.SEEDS[0]),
-            (start, spec, generate_synthetic(200, 10, 0.5, seed=21), self.SHARDS[0], self.SEEDS[0]),
+            (start, spec, generate_synthetic(DataConfig(n_samples=200), seed=21), self.SHARDS[0], self.SEEDS[0]),
         ]
         for args in calls:
             with pytest.raises(ValueError, match="not a member"):
@@ -296,7 +296,7 @@ class TestBuildReport:
         received = rng.normal(size=11)
         trained = rng.normal(size=(5, 11))
         reports = build_report([3, 4, 6, 7, 9], trained, received, self.spec(), [57, 1, 8, 300, 12], [0.4] * 5)
-        est_u, est_e = estimate_metrics(reports, received, 0.01, 0.001)
+        est_u, est_e = estimate_metrics(reports, received, self.spec())
         assert reports.reported_utility.tobytes() == est_u.tobytes()
         assert reports.reported_energy.tobytes() == est_e.tobytes()
 
