@@ -17,6 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .params import refuse_float_overflow
+
 logger = logging.getLogger(__name__)
 
 
@@ -37,6 +39,7 @@ class DataConfig:
     label_column: str | None = None
 
     def __post_init__(self) -> None:
+        refuse_float_overflow(self)
         fractions = (self.train_fraction, self.val_fraction, self.test_fraction)
         checks = {
             "n_samples must be >= 100": self.n_samples >= 100,

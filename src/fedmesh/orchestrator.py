@@ -22,7 +22,7 @@ from . import secagg, selection, trainer
 from .aggregation import CrossEdgeConfig, EdgeUpdate, central_aggregate, cross_edge_exchange
 from .data import DataConfig, Dataset, partition_noniid, shift_features, split
 from .metrics import BinaryMetrics, RoundRecord, binary_metrics, jain_fairness
-from .params import ParamVector
+from .params import ParamVector, refuse_float_overflow
 from .secagg import FixedPointCodec, SecAggConfig
 from .selection import ScoreWeights, SelectionConfig
 from .trainer import AdversaryAssignment, ClientReports, TrainerConfig
@@ -71,6 +71,7 @@ class SimulationConfig:
         return {e: range(e * k, (e + 1) * k) for e in range(self.n_edges)}
 
     def __post_init__(self) -> None:
+        refuse_float_overflow(self)
         if self.n_edges < 1:
             raise ValueError("n_edges: must be >= 1")
         if self.clients_per_edge < 1:

@@ -3,14 +3,35 @@ additively homomorphic encryption, ciphertext-space summation, and clipped
 noisy release.
 
 The cryptosystem is Paillier with g = n + 1, implemented over Python big
-integers: Enc(m) = (1 + m*n) * r^n mod n^2, so the product of ciphertexts
-decrypts to the sum of plaintexts. Key generation draws p and q with their top
-two bits set, (bits+1)//2 and bits//2 bits long, so n always has exactly
-key_bits bits. Decryption uses the CRT split over p and q for speed;
-encryption does not, because an encrypting client does not hold the
-factorization. Randomness is drawn from a seeded PRNG so simulations reproduce
-bit-for-bit; this trades cryptographic-grade randomness for determinism, which
-is the point of the simulator, not a deployment posture.
+integers: Enc(m) = (1 + m*n) * R mod n^2 with R an n-th residue, so the
+product of ciphertexts decrypts to the sum of plaintexts. Key generation draws
+p and q with their top two bits set, (bits+1)//2 and bits//2 bits long, so n
+always has exactly key_bits bits. Each prime passes the least number t of
+Miller-Rabin rounds (at most 40) whose Damgard-Landrock-Pomerance average-case
+bound p_{k,t} on a k-bit candidate is at most 2^-102; drawing only candidates
+with their top two bits set can raise that chance by at most a factor of 4, so
+each accepted prime is composite with probability at most 2^-100. That is 31
+rounds for 128-bit primes, 18 for 256-bit, 8 for 512-bit and 4 for 1024-bit;
+below about 96 bits no bound reaches 2^-102 within 40 rounds, and all 40 run.
+Decryption uses the CRT split over p and q for speed; encryption does not,
+because an encrypting client does not hold the factorization. Randomness is
+drawn from a seeded PRNG so simulations reproduce bit-for-bit; this trades
+cryptographic-grade randomness for determinism, which is the point of the
+simulator, not a deployment posture.
+
+The randomizer is fixed-base, after Damgard, Jurik and Nielsen: keygen draws x
+prime to n, sets h = -x^2 mod n and publishes h_s = h^n mod n^2 with the key,
+and each encryption takes R = h_s^a for an exponent a of key_bits + 128 bits
+drawn from the key's PRNG. The order of h_s divides lambda(n) < n <
+2^key_bits, so a full-length a leaves h_s^a within 2^-128 of uniform on the
+subgroup h_s generates, and hiding m still rests on the decisional composite
+residuosity assumption alone, with no short-exponent assumption. Since the
+base is fixed, h_s^a is computed with a Lim-Lee comb: the exponent's bits are
+cut into 8 blocks of d = ceil((key_bits + 128) / 8) bits, and a 256-entry
+table, built with the key, holds the product of h_s^(2^(j*d)) over each subset
+of the 8 blocks; one power is then d squarings and d table multiplications,
+where r^n for a random r would take about key_bits squarings (about 74 KiB of table
+per 1024-bit key).
 
 Real-valued updates are quantized by a fixed-point codec, q = x * scale
 rounded half to even, and packed BatchCrypt-style into signed fixed-width
@@ -26,13 +47,13 @@ next under max_participants unit-weight additions (and no packed sum wraps the
 ring). Encrypted and plaintext sums apply the same bound and share one release
 step.
 
-The modular exponentiations run on every usable core. Keys depend only on
-their seeds, so several keys are generated in forked processes at once. The
-randomizer r^n mod n^2 depends only on the key and on r, never on the
-message, so precompute_randomizers draws the next values of r from the key's
-seeded PRNG, in the order raw_encrypt would, and computes their powers in
-forked processes ahead of the encryptions; every key and ciphertext is
-byte-identical to a serial run. The encrypting side still works from n
+The modular exponentiations run on every usable core. Keys, comb tables
+included, depend only on their seeds, so several keys are generated in forked
+processes at once. The randomizer h_s^a depends only on the key and on a,
+never on the message, so precompute_randomizers draws the next exponents from
+the key's seeded PRNG, in the order raw_encrypt would, and computes their
+powers in forked processes ahead of the encryptions; every key and ciphertext
+is byte-identical to a serial run. The encrypting side works from n and h_s
 alone and never uses the factorization. The workers are plain os.fork
 children that run only pure-Python big-integer code and pickle, write their
 results into a pipe and leave through os._exit. Python 3.12 and later warn
@@ -56,13 +77,16 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .params import ParamVector
+from .params import ParamVector, refuse_float_overflow
 
 DEFAULT_KEY_BITS = 1024
 DEFAULT_SCALE = 2**20
 DEFAULT_MAX_PARTICIPANTS = 64
 
-_MILLER_RABIN_ROUNDS = 40
+_MAX_MILLER_RABIN_ROUNDS = 40
+_PRIME_ERROR_LOG2 = -102  # 2^-100 for a prime, less a factor 4 for its top two bits being set
+_EXPONENT_MARGIN_BITS = 128
+_COMB_TEETH = 8
 _KEYGEN_RETRIES = 10_000
 _SIEVE_LIMIT = 4096
 _SLOT_HEADROOM_BITS = 12
@@ -82,6 +106,7 @@ class SecAggConfig:
     noise_multiplier: float = 0.1
 
     def __post_init__(self) -> None:
+        refuse_float_overflow(self)
         if self.key_bits < 16:
             raise ValueError("secagg.key_bits too small")
         if self.scale < 1:
@@ -184,6 +209,34 @@ def _small_odd_primes() -> tuple[tuple[int, ...], int]:
     return primes, math.prod(primes)
 
 
+def _dlp_log2_bound(k: int, t: int) -> float:
+    """log2 of the least Damgard-Landrock-Pomerance (Math. Comp. 1993) bound
+    on p_{k,t}, the chance that a random odd k-bit integer that passes t
+    Miller-Rabin rounds is composite; 0 where none of the bounds applies."""
+    bounds = [0.0]
+    if t == 1 and k >= 2:  # p_{k,1} < k^2 4^(2 - sqrt(k))
+        bounds.append(2 * math.log2(k) + 2 * (2 - math.sqrt(k)))
+    if (t == 2 and k >= 88) or (k >= 21 and 3 <= t <= k / 9):  # k^(3/2) 2^t t^(-1/2) 4^(2 - sqrt(tk))
+        bounds.append(1.5 * math.log2(k) + t - 0.5 * math.log2(t) + 2 * (2 - math.sqrt(t * k)))
+    if k >= 21 and k / 9 <= t <= k / 4:  # 7/20 k 2^(-5t) + 1/7 k^(15/4) 2^(-k/2-2t) + 12 k 2^(-k/4-3t)
+        bounds.append(
+            math.log2(7 / 20 * k * 2 ** (-5 * t) + k**3.75 / 7 * 2 ** (-k / 2 - 2 * t) + 12 * k * 2 ** (-k / 4 - 3 * t))
+        )
+    if k >= 21 and t >= k / 4:  # 1/7 k^(15/4) 2^(-k/2-2t)
+        bounds.append(3.75 * math.log2(k) - math.log2(7) - k / 2 - 2 * t)
+    return min(bounds)
+
+
+@functools.cache
+def _miller_rabin_rounds(bits: int) -> int:
+    """The least t whose bound on p_{bits,t} is at most 2^_PRIME_ERROR_LOG2,
+    capped at _MAX_MILLER_RABIN_ROUNDS."""
+    return next(
+        (t for t in range(1, _MAX_MILLER_RABIN_ROUNDS + 1) if _dlp_log2_bound(bits, t) <= _PRIME_ERROR_LOG2),
+        _MAX_MILLER_RABIN_ROUNDS,
+    )
+
+
 def _is_probable_prime(n: int, rng: random.Random) -> bool:
     primes, product = _small_odd_primes()
     if n < _SIEVE_LIMIT:
@@ -195,7 +248,7 @@ def _is_probable_prime(n: int, rng: random.Random) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for _ in range(_MILLER_RABIN_ROUNDS):
+    for _ in range(_miller_rabin_rounds(n.bit_length())):
         a = rng.randrange(2, n - 1)
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -218,12 +271,47 @@ def _gen_prime(bits: int, rng: random.Random) -> int:
     raise KeyGenerationError(f"no {bits}-bit prime found after {_KEYGEN_RETRIES} candidates")
 
 
+class _FixedBaseComb:
+    """Lim-Lee comb for base^e mod `mod` with 0 <= e < 2^bits, _COMB_TEETH teeth.
+
+    e is cut into _COMB_TEETH blocks of width = ceil(bits / _COMB_TEETH) bits,
+    block j holding bits j*width .. (j+1)*width - 1; table[i] is the product
+    of base^(2^(j*width)) over the set bits j of i. Column c of the blocks
+    (bit c of each) indexes the table, so base^e is width squarings and width
+    multiplications, from the top column down.
+    """
+
+    def __init__(self, base: int, bits: int, mod: int):
+        self.width = -(-bits // _COMB_TEETH)
+        self.mod = mod
+        tooth = [base]
+        for _ in range(1, _COMB_TEETH):
+            tooth.append(pow(tooth[-1], 1 << self.width, mod))
+        self.table = [1]
+        for i in range(1, 1 << _COMB_TEETH):
+            low = i & -i
+            self.table.append(self.table[i ^ low] * tooth[low.bit_length() - 1] % mod)
+
+    def pow(self, exponent: int) -> int:
+        width, table, mod = self.width, self.table, self.mod
+        bits = format(exponent, f"0{_COMB_TEETH * width}b")
+        # most significant first: blocks[0] is the top block, so a column read left to right is its table index
+        blocks = [bits[j * width : (j + 1) * width] for j in range(_COMB_TEETH)]
+        acc = 1
+        for column in zip(*blocks):
+            acc = acc * acc % mod * table[int("".join(column), 2)] % mod
+        return acc
+
+
 @dataclass
 class PaillierPublicKey:
     n: int
+    h_s: int  # h^n mod n^2 with h = -x^2 mod n for a secret x: every randomizer is a power of it
 
     def __post_init__(self) -> None:
         self.n_sq = self.n * self.n
+        self._exponent_bits = self.n.bit_length() + _EXPONENT_MARGIN_BITS
+        self._comb = _FixedBaseComb(self.h_s, self._exponent_bits, self.n_sq)
         self._rng = random.Random()
         self._randomizers: collections.deque[int] = collections.deque()
 
@@ -231,10 +319,10 @@ class PaillierPublicKey:
         self._rng.seed(seed)
 
     def precompute_randomizers(self, count: int) -> None:
-        """Queue r^n mod n^2 for the next `count` encryptions, computed on every
-        usable core; r is drawn from the key's PRNG in encryption order."""
-        rs = [self._rng.randrange(1, self.n) for _ in range(count)]
-        self._randomizers.extend(_fork_map(functools.partial(pow, exp=self.n, mod=self.n_sq), rs))
+        """Queue h_s^a mod n^2 for the next `count` encryptions, computed on
+        every usable core; a is drawn from the key's PRNG in encryption order."""
+        exponents = [self._rng.getrandbits(self._exponent_bits) for _ in range(count)]
+        self._randomizers.extend(_fork_map(self._comb.pow, exponents))
 
     def raw_encrypt(self, m: int) -> int:
         """Encrypt an integer already mapped into [0, n), with the oldest
@@ -244,7 +332,7 @@ class PaillierPublicKey:
         if self._randomizers:
             rn = self._randomizers.popleft()
         else:
-            rn = pow(self._rng.randrange(1, self.n), self.n, self.n_sq)
+            rn = self._comb.pow(self._rng.getrandbits(self._exponent_bits))
         # (1+n)^m mod n^2 collapses to 1 + m*n by the binomial theorem
         return (1 + m * self.n) % self.n_sq * rn % self.n_sq
 
@@ -285,6 +373,8 @@ def keygen(key_bits: int = DEFAULT_KEY_BITS, seed: int = 0) -> tuple[PaillierPub
 
     p has (key_bits+1)//2 bits and q has key_bits//2, both with their top two
     bits set, so 2^(key_bits-1) < p*q < 2^key_bits for the first pair drawn.
+    The randomizer base h_s = (-x^2)^n mod n^2 takes an x prime to n, and the
+    public key builds its comb table here, so forked keygen builds it too.
     """
     if key_bits < 16:
         raise ValueError(f"key_bits too small: {key_bits}")
@@ -293,7 +383,11 @@ def keygen(key_bits: int = DEFAULT_KEY_BITS, seed: int = 0) -> tuple[PaillierPub
     q = p
     while q == p:
         q = _gen_prime(key_bits // 2, rng)
-    public = PaillierPublicKey(p * q)
+    n = p * q
+    x = rng.randrange(1, n)
+    while math.gcd(x, n) != 1:
+        x = rng.randrange(1, n)
+    public = PaillierPublicKey(n, pow(-x * x % n, n, n * n))
     public.seed_obfuscation(rng.getrandbits(64))
     return public, PaillierPrivateKey(public, p, q)
 

@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import Dataset
+from .params import refuse_float_overflow
 
 # rows gathered into the stacked-step buffer at once (more when one step needs more); larger
 # buffers trained no faster and raised the peak memory of small cohorts, whose whole epoch they held
@@ -32,6 +33,7 @@ class TrainerConfig:
     energy_beta: float = 0.001
 
     def __post_init__(self) -> None:
+        refuse_float_overflow(self)
         if self.local_epochs < 0 or self.batch_size < 1:
             raise ValueError("batch_size must be positive, local_epochs nonnegative")
         for name in ("learning_rate", "energy_alpha", "energy_beta"):
@@ -54,6 +56,7 @@ class AdversaryAssignment:
     factor: float = 1.0
 
     def __post_init__(self) -> None:
+        refuse_float_overflow(self)
         if self.kind not in ("inflate_utility", "deflate_energy", "noise_weights"):
             raise ValueError(f"unknown adversary behavior {self.kind!r}")
         if not self.factor > 0:

@@ -130,7 +130,7 @@ CONFIG_HASHES = {
 }
 
 # sha256 prefix of the 11 ciphertexts of encryption_sequence under keygen(256, seed)
-CIPHERTEXT_DIGESTS = {1: "3258f0f2f6130203", 2: "aace347ab922a73c", 23: "eaea163c2d5a20c4"}
+CIPHERTEXT_DIGESTS = {1: "3ab30f558a908ec1", 2: "367d9b710b0865fe", 23: "c7e7225e30aa9329"}
 
 
 @pytest.mark.parametrize("name,seed", sorted(DIGESTS))

@@ -170,6 +170,48 @@ class TestRunBasics:
         with pytest.raises(ValueError, match="decision_threshold"):
             run(make_config(decision_threshold=float("nan")), dataset)
 
+    FLOAT_FIELDS = {
+        SimulationConfig: ("min_delta", "decision_threshold"),
+        DataConfig: (
+            "class_imbalance",
+            "label_noise",
+            "dirichlet_alpha",
+            "train_fraction",
+            "val_fraction",
+            "test_fraction",
+            "edge_test_fraction",
+            "unknown_shift",
+        ),
+        TrainerConfig: ("learning_rate", "energy_alpha", "energy_beta"),
+        AdversaryAssignment: ("factor",),
+        SelectionConfig: (
+            "consistency_threshold",
+            "outlier_z_threshold",
+            "eta",
+            "grid_step",
+            "default_security_index",
+        ),
+        SecAggConfig: ("clip_val", "noise_multiplier"),
+        CrossEdgeConfig: ("alpha", "clip_val"),
+    }
+
+    def test_float_fields_are_listed(self):
+        for section, names in self.FLOAT_FIELDS.items():
+            annotated = {f.name for f in dataclasses.fields(section) if f.type in ("float", "float | None")}
+            assert annotated == set(names), section.__name__
+
+    @given(
+        st.sampled_from([(section, name) for section, names in FLOAT_FIELDS.items() for name in names]),
+        st.integers(min_value=2**1024) | st.integers(max_value=-(2**1024)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_integer_beyond_float_range_rejected(self, field, value):
+        # a range check alone compares such an int exactly and lets it through
+        section, name = field
+        required = {"client_id": 0, "kind": "inflate_utility"} if section is AdversaryAssignment else {}
+        with pytest.raises(ValueError, match=f"^{name} is an integer beyond the float range$"):
+            section(**required, **{name: value})
+
     @pytest.mark.parametrize("key", ["3", "x", True, 3.0])
     def test_security_override_needs_an_integer_client_id(self, key):
         # run looks a client's override up by its integer id, so any other key would be ignored

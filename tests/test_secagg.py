@@ -1,6 +1,7 @@
 import functools
 import math
 import os
+import random
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from fedmesh.secagg import (
     KeyGenerationError,
     SecAggConfig,
     _fork_map,
+    _gen_prime,
+    _miller_rabin_rounds,
     aggregate_encrypted,
     decrypt_vector,
     encrypt_update,
@@ -83,6 +86,80 @@ class TestPaillierCore:
         assert public.n.bit_length() == bits
         assert private.p != private.q and private.p * private.q == public.n
         assert keygen(bits, seed=bits)[0].n == public.n
+
+
+def dlp_bound(k, t):
+    """The least of Damgard, Landrock and Pomerance's bounds on p_{k,t}, the
+    chance that a random odd k-bit integer passing t Miller-Rabin rounds is
+    composite (Math. Comp. 61, 1993); 1 where none of them applies."""
+    bounds = [1.0]
+    if t == 1 and k >= 2:
+        bounds.append(k**2 * 4 ** (2 - math.sqrt(k)))
+    if (t == 2 and k >= 88) or (3 <= t <= k / 9 and k >= 21):
+        bounds.append(k**1.5 * 2**t / math.sqrt(t) * 4 ** (2 - math.sqrt(t * k)))
+    if k / 9 <= t <= k / 4 and k >= 21:
+        bounds.append(
+            7 / 20 * k * 2 ** (-5 * t) + 1 / 7 * k ** (15 / 4) * 2 ** (-k / 2 - 2 * t) + 12 * k * 2 ** (-k / 4 - 3 * t)
+        )
+    if t >= k / 4 and k >= 21:
+        bounds.append(1 / 7 * k ** (15 / 4) * 2 ** (-k / 2 - 2 * t))
+    return min(bounds)
+
+
+class TestMillerRabinRounds:
+    @pytest.mark.parametrize("bits,rounds", [(128, 31), (256, 18), (512, 8), (1024, 4)])
+    def test_least_rounds_within_the_bound(self, bits, rounds):
+        assert _miller_rabin_rounds(bits) == rounds
+        assert dlp_bound(bits, rounds) <= 2**-102
+        assert all(dlp_bound(bits, t) > 2**-102 for t in range(1, rounds))
+
+    @pytest.mark.parametrize("bits", [8, 32])
+    def test_tiny_primes_keep_forty(self, bits):
+        assert _miller_rabin_rounds(bits) == 40
+        assert all(dlp_bound(bits, t) > 2**-102 for t in range(1, 41))
+
+    def test_every_size_matches_the_oracle(self):
+        for bits in range(2, 1100):
+            least = next((t for t in range(1, 41) if dlp_bound(bits, t) <= 2**-102), 40)
+            assert _miller_rabin_rounds(bits) == least, bits
+
+    @pytest.mark.parametrize("bits", [32, 128, 256, 512])
+    def test_a_prime_runs_every_round(self, bits):
+        draws = []
+
+        class CountingRandom(random.Random):
+            def randrange(self, *args):
+                draws.append(args)
+                return super().randrange(*args)
+
+        prime = _gen_prime(bits, random.Random(bits))
+        assert fedmesh.secagg._is_probable_prime(prime, CountingRandom(0))
+        assert len(draws) == _miller_rabin_rounds(bits)
+
+
+_comb_keys = functools.cache(lambda bits: keygen(bits, seed=3)[0])
+
+
+class TestFixedBaseComb:
+    @pytest.mark.parametrize("bits", [256, 1024])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_pow(self, bits, data):
+        public = _comb_keys(bits)
+        top = 2 ** (bits + 128) - 1
+        a = data.draw(st.sampled_from([0, 1, top]) | st.integers(0, top))
+        assert public._comb.pow(a) == pow(public.h_s, a, public.n_sq)
+
+    @pytest.mark.parametrize("bits", [17, 256])
+    def test_randomizers_are_powers_of_h_s(self, bits):
+        public, private = keygen(bits, seed=bits)
+        shadow = random.Random()
+        shadow.setstate(public._rng.getstate())
+        for m in (0, 1, public.n - 1):
+            a = shadow.getrandbits(bits + 128)
+            c = public.raw_encrypt(m)
+            assert c == (1 + m * public.n) * pow(public.h_s, a, public.n_sq) % public.n_sq
+            assert private.decrypt(c) == m
 
 
 def _square_or_raise(x):
@@ -154,7 +231,7 @@ class TestForkMap:
         forked = _fork_map(functools.partial(keygen, 256), seeds)
         for (pub, priv), seed in zip(forked, seeds):
             serial_pub, serial_priv = keygen(256, seed)
-            assert (pub.n, priv.p, priv.q) == (serial_pub.n, serial_priv.p, serial_priv.q)
+            assert (pub.n, pub.h_s, priv.p, priv.q) == (serial_pub.n, serial_pub.h_s, serial_priv.p, serial_priv.q)
             assert pub._rng.getstate() == serial_pub._rng.getstate()
             assert priv.public_key is pub
             assert priv.decrypt(pub.raw_encrypt(42)) == 42
