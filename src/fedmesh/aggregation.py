@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import ParamVector, refuse_float_overflow
+from .params import ParamVector, check_field_types
 
 DEFAULT_SELF_WEIGHT = 0.5
 DEFAULT_CLIP_VAL = 5.0
@@ -44,7 +44,7 @@ class CrossEdgeConfig:
     clip_val: float = DEFAULT_CLIP_VAL
 
     def __post_init__(self) -> None:
-        refuse_float_overflow(self)
+        check_field_types(self)
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not self.clip_val > 0:

@@ -24,7 +24,6 @@ import json
 import math
 import os
 import sys
-import types
 import typing
 from datetime import datetime, timezone
 from pathlib import Path
@@ -34,6 +33,7 @@ from . import __version__
 from .data import Dataset, generate_synthetic, ingest_csv
 from .metrics import RoundRecord
 from .orchestrator import SimulationConfig, SimulationResult, derive_seed, run
+from .params import FieldTypeError
 
 
 _T = TypeVar("_T")
@@ -81,30 +81,12 @@ def apply_overrides(raw: dict, assignments: Sequence[str]) -> dict:
     return out
 
 
-def _has_type(value: Any, kind: Any) -> bool:
-    """`value` is a `kind` without coercion.
-
-    A bool is only a bool; a float, or an int that converts to one, must be
-    finite; a union such as `float | None` admits a value of any of its members.
-    """
-    if isinstance(kind, types.UnionType):
-        return any(_has_type(value, member) for member in typing.get_args(kind))
-    if isinstance(value, bool):
-        return kind is bool
-    if kind is float:
-        try:
-            return isinstance(value, (int, float)) and math.isfinite(value)
-        except OverflowError:  # an int beyond the float range
-            return False
-    return isinstance(value, kind)
-
-
 def _build(kind: Any, raw: Any, path: str) -> Any:
-    """Build a value of the annotated `kind` from parsed JSON; a ConfigError names `path`.
+    """Convert parsed JSON at `path` into the shape of the annotated `kind`; raises ConfigError.
 
-    A dataclass is built from an object that holds only its fields, and
-    validates itself; a tuple is built from a list, a mapping from an object
-    keyed by client id, and any other value must already be a `kind`.
+    An object becomes a dataclass, which checks its fields' types and ranges;
+    a list becomes a tuple, and an object keyed by client id ("3") a mapping
+    keyed by int. Any other value is passed as it is, for its section to check.
     """
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if dataclasses.is_dataclass(kind):
@@ -118,14 +100,15 @@ def _build(kind: Any, raw: Any, path: str) -> Any:
         fields = {name: _build(kinds[name], value, prefix + name) for name, value in raw.items()}
         try:
             return kind(**fields)
+        except FieldTypeError as exc:  # its message starts with the field's path in the section
+            raise ConfigError(prefix + str(exc))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: {exc}" if path else str(exc))
     if origin is tuple:
         if not isinstance(raw, (list, tuple)):
             raise ConfigError(f"{path}: expected a list")
-        kinds = [args[0]] * len(raw) if args[-1] is Ellipsis else args
-        if len(raw) != len(kinds):
-            raise ConfigError(f"{path}: expected a list of {len(kinds)}")
+        # entries beyond a fixed length pass as they are; the section refuses the length
+        kinds = [args[0]] * len(raw) if args[-1] is Ellipsis else [*args, *[Any] * len(raw)]
         return tuple(_build(k, value, f"{path}[{i}]") for i, (k, value) in enumerate(zip(kinds, raw)))
     if origin is collections.abc.Mapping:
         if not isinstance(raw, dict):
@@ -134,15 +117,10 @@ def _build(kind: Any, raw: Any, path: str) -> Any:
         for key, value in raw.items():
             # JSON object keys are strings, so a client id arrives as "3"
             cid = int(key) if isinstance(key, str) and key.isascii() and key.isdigit() else key
-            if not _has_type(cid, args[0]):
-                raise ConfigError(f"{path}[{key!r}]: client id must be an integer")
             if cid in built:
                 raise ConfigError(f"{path}[{key!r}]: client id {cid} is given twice")
-            built[cid] = _build(args[1], value, f"{path}[{cid}]")
+            built[cid] = _build(args[1], value, f"{path}[{cid!r}]")
         return built
-    if not _has_type(raw, kind):
-        expected = "finite float" if kind is float else getattr(kind, "__name__", kind)
-        raise ConfigError(f"{path}: expected {expected}, got {raw!r}")
     return raw
 
 
@@ -159,12 +137,9 @@ def _apply_env_seed(config: SimulationConfig) -> SimulationConfig:
     if value is None:
         return config
     try:
-        seed = json.loads(value)
-    except ValueError:  # not JSON, or an integer too long to parse
-        seed = None
-    if not _has_type(seed, int):
-        raise ConfigError(f"FEDMESH_SEED: expected an integer, got {value!r}")
-    return dataclasses.replace(config, seed=seed)
+        return dataclasses.replace(config, seed=json.loads(value))
+    except ValueError:  # not JSON, an integer too long to parse, or not an int
+        raise ConfigError(f"FEDMESH_SEED: expected an integer, got {value!r}") from None
 
 
 def canonical_config(config: SimulationConfig) -> dict:

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import refuse_float_overflow
+from .params import check_field_types
 
 logger = logging.getLogger(__name__)
 
@@ -39,7 +39,7 @@ class DataConfig:
     label_column: str | None = None
 
     def __post_init__(self) -> None:
-        refuse_float_overflow(self)
+        check_field_types(self)
         fractions = (self.train_fraction, self.val_fraction, self.test_fraction)
         checks = {
             "n_samples must be >= 100": self.n_samples >= 100,

@@ -8,16 +8,24 @@ to the exchange (aggregation.EdgeUpdate). Construction copies the array,
 refuses anything but a nonempty, finite 1-D vector and freezes it, so NaN/Inf
 can never cross those boundaries.
 
-refuse_float_overflow is the one range rule every config section applies to
-its float fields before its own checks.
+check_field_types is the type rule every config section applies first, so
+constructors and dataclasses.replace refuse what a config file refuses. It
+coerces nothing: a bool is only a bool; an int is a Python int, not a bool or
+a numpy integer (which would hash to another seed); a float is an int or a
+float (np.float64 too) within the float range, not NaN or +-inf; a union
+admits any member's values; a tuple or mapping is checked entry by entry, and
+a refusal names the path, such as edge_failures[0][0].
 """
 
 from __future__ import annotations
 
+import collections.abc
 import functools
+import math
 import types
 import typing
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -45,24 +53,49 @@ class ParamVector:
         return f"ParamVector(dim={self.dim})"
 
 
-@functools.cache
-def _float_fields(section_type: type) -> tuple[str, ...]:
-    """The fields of a dataclass annotated float or a union with float."""
-    return tuple(
-        name
-        for name, kind in typing.get_type_hints(section_type).items()
-        if kind is float or (isinstance(kind, types.UnionType) and float in typing.get_args(kind))
-    )
+class FieldTypeError(ValueError):
+    """A config field holds a value that is not of its declared type; the
+    message starts with the field's path, such as `edge_failures[0][0]`."""
 
 
-def refuse_float_overflow(section: object) -> None:
-    """Raise ValueError if a float field of the config dataclass `section`
-    holds an int beyond the float range. Such an int compares exactly
-    (10**400 > 0 holds), so a range check alone would let it through."""
-    for name in _float_fields(type(section)):
-        value = getattr(section, name)
-        if isinstance(value, int):
-            try:
-                float(value)
-            except OverflowError:
-                raise ValueError(f"{name} is an integer beyond the float range") from None
+def _is(value: Any, kind: Any) -> bool:
+    """`value` is a `kind` without coercion (see the module docstring)."""
+    if isinstance(kind, types.UnionType):
+        return any(_is(value, member) for member in typing.get_args(kind))
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        try:
+            return isinstance(value, (int, float)) and math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            return False
+    return isinstance(value, typing.get_origin(kind) or kind)
+
+
+def _check(value: Any, kind: Any, path: str) -> None:
+    """Raise FieldTypeError unless `value`, found at `path`, is a `kind`."""
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is tuple and isinstance(value, tuple):
+        kinds = [args[0]] * len(value) if args[-1] is Ellipsis else args
+        if len(value) != len(kinds):
+            raise FieldTypeError(f"{path}: expected {len(kinds)} entries, got {len(value)}")
+        for i, (entry, entry_kind) in enumerate(zip(value, kinds)):
+            _check(entry, entry_kind, f"{path}[{i}]")
+    elif origin is collections.abc.Mapping and isinstance(value, origin):
+        for key, entry in value.items():
+            if not _is(key, args[0]):  # the one mapping, security_overrides, is keyed by client id
+                raise FieldTypeError(f"{path}[{key!r}]: client id must be an integer")
+            _check(entry, args[1], f"{path}[{key!r}]")
+    elif not _is(value, kind):
+        expected = "finite float" if kind is float else getattr(kind, "__name__", kind)
+        raise FieldTypeError(f"{path}: expected {expected}, got {value!r}")
+
+
+_field_types = functools.cache(typing.get_type_hints)
+
+
+def check_field_types(section: object) -> None:
+    """Raise FieldTypeError for the first field of the config dataclass
+    `section` whose value is not of its annotated type."""
+    for name, kind in _field_types(type(section)).items():
+        _check(getattr(section, name), kind, name)

@@ -77,7 +77,7 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .params import ParamVector, refuse_float_overflow
+from .params import ParamVector, check_field_types
 
 DEFAULT_KEY_BITS = 1024
 DEFAULT_SCALE = 2**20
@@ -106,7 +106,7 @@ class SecAggConfig:
     noise_multiplier: float = 0.1
 
     def __post_init__(self) -> None:
-        refuse_float_overflow(self)
+        check_field_types(self)
         if self.key_bits < 16:
             raise ValueError("secagg.key_bits too small")
         if self.scale < 1:
@@ -315,9 +315,6 @@ class PaillierPublicKey:
         self._rng = random.Random()
         self._randomizers: collections.deque[int] = collections.deque()
 
-    def seed_obfuscation(self, seed: int) -> None:
-        self._rng.seed(seed)
-
     def precompute_randomizers(self, count: int) -> None:
         """Queue h_s^a mod n^2 for the next `count` encryptions, computed on
         every usable core; a is drawn from the key's PRNG in encryption order."""
@@ -325,16 +322,14 @@ class PaillierPublicKey:
         self._randomizers.extend(_fork_map(self._comb.pow, exponents))
 
     def raw_encrypt(self, m: int) -> int:
-        """Encrypt an integer already mapped into [0, n), with the oldest
-        precomputed randomizer or, when none is queued, a fresh one."""
+        """Encrypt an integer already mapped into [0, n) with the oldest queued
+        randomizer, queueing one first when none is."""
         if not 0 <= m < self.n:
             raise ValueError("plaintext out of ring range")
-        if self._randomizers:
-            rn = self._randomizers.popleft()
-        else:
-            rn = self._comb.pow(self._rng.getrandbits(self._exponent_bits))
+        if not self._randomizers:
+            self.precompute_randomizers(1)  # one item never forks
         # (1+n)^m mod n^2 collapses to 1 + m*n by the binomial theorem
-        return (1 + m * self.n) % self.n_sq * rn % self.n_sq
+        return (1 + m * self.n) % self.n_sq * self._randomizers.popleft() % self.n_sq
 
     def add(self, c1: int, c2: int) -> int:
         return c1 * c2 % self.n_sq
@@ -388,7 +383,7 @@ def keygen(key_bits: int = DEFAULT_KEY_BITS, seed: int = 0) -> tuple[PaillierPub
     while math.gcd(x, n) != 1:
         x = rng.randrange(1, n)
     public = PaillierPublicKey(n, pow(-x * x % n, n, n * n))
-    public.seed_obfuscation(rng.getrandbits(64))
+    public._rng.seed(rng.getrandbits(64))
     return public, PaillierPrivateKey(public, p, q)
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import refuse_float_overflow
+from .params import check_field_types
 from .trainer import ClientReports, TrainerConfig, l2_diff_norm
 
 logger = logging.getLogger(__name__)
@@ -72,7 +72,7 @@ class SelectionConfig:
     default_security_index: float = 0.5
 
     def __post_init__(self) -> None:
-        refuse_float_overflow(self)
+        check_field_types(self)
         if self.capacity_k < 1:
             raise ValueError(f"capacity_k must be >= 1, got {self.capacity_k}")
         if not 0.0 < self.consistency_threshold < 1.0:

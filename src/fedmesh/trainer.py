@@ -8,14 +8,13 @@ different model kind does not touch selection or aggregation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .data import Dataset
-from .params import refuse_float_overflow
+from .params import check_field_types
 
 # rows gathered into the stacked-step buffer at once (more when one step needs more); larger
 # buffers trained no faster and raised the peak memory of small cohorts, whose whole epoch they held
@@ -33,11 +32,11 @@ class TrainerConfig:
     energy_beta: float = 0.001
 
     def __post_init__(self) -> None:
-        refuse_float_overflow(self)
+        check_field_types(self)
         if self.local_epochs < 0 or self.batch_size < 1:
             raise ValueError("batch_size must be positive, local_epochs nonnegative")
         for name in ("learning_rate", "energy_alpha", "energy_beta"):
-            if not 0 <= getattr(self, name) < math.inf:
+            if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be finite and nonnegative")
 
 
@@ -56,7 +55,7 @@ class AdversaryAssignment:
     factor: float = 1.0
 
     def __post_init__(self) -> None:
-        refuse_float_overflow(self)
+        check_field_types(self)
         if self.kind not in ("inflate_utility", "deflate_energy", "noise_weights"):
             raise ValueError(f"unknown adversary behavior {self.kind!r}")
         if not self.factor > 0:

@@ -1,3 +1,7 @@
+import collections.abc
+import contextlib
+import dataclasses
+import io
 import json
 import math
 import os
@@ -5,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import typing
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -13,6 +18,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedmesh import (
+    MODES,
+    AdversaryAssignment,
+    CrossEdgeConfig,
+    DataConfig,
+    SecAggConfig,
+    SelectionConfig,
+    SimulationConfig,
+    TrainerConfig,
+)
 from fedmesh.cli import (
     ConfigError,
     apply_overrides,
@@ -211,6 +226,9 @@ class TestCmdRun:
             (None, ["data.train_fraction=0", "data.val_fraction=0.85"], "fractions must be positive"),
             # 1 / 1e12 is within the divisibility tolerance of 0 lattice steps
             (None, ["selection.grid_step=1e12"], "selection: grid_step must evenly divide 1"),
+            # 0 would stop at the first round without improvement, as 1 does
+            (None, ["patience=0"], "config error: patience: must be >= 1\n"),
+            (None, ["edge_failures=[[1]]"], "config error: edge_failures[0]: expected 2 entries, got 1\n"),
         ],
     )
     def test_bad_input_is_a_config_error(self, config_file, tmp_path, monkeypatch, capsys, env_seed, overrides, field):
@@ -575,3 +593,152 @@ class TestConfigProperties:
                 config = manifest["config"]  # the replay runs from the embedded config alone
             assert runs[1] == runs[0]
             assert config_hash(build_config(config)) == runs[0][0]
+
+
+# each config section and the path of its fields in a config file
+_SECTIONS = [
+    ("", SimulationConfig),
+    ("data.", DataConfig),
+    ("trainer.", TrainerConfig),
+    ("adversaries[0].", AdversaryAssignment),
+    ("selection.", SelectionConfig),
+    ("secagg.", SecAggConfig),
+    ("aggregation.", CrossEdgeConfig),
+]
+_FIELDS = [(prefix, section, f.name) for prefix, section in _SECTIONS for f in dataclasses.fields(section)]
+
+
+@st.composite
+def _valid_configs(draw):
+    n_edges, per_edge = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    clients = st.integers(0, n_edges * per_edge - 1)
+    mode = draw(st.sampled_from(MODES))
+    unit = st.floats(0.0, 1.0)
+    positive = st.floats(1e-3, 1e3)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    fractions = draw(st.sampled_from([(0.7, 0.15, 0.15), (0.5, 0.25, 0.25), (0.8, 0.1, 0.1)]))
+    csv_path, label_column = draw(st.sampled_from([(None, None), (None, "y"), ("rows.csv", "y")]))
+    clip_val = draw(st.none() | positive)
+    return SimulationConfig(
+        n_edges=n_edges,
+        clients_per_edge=per_edge,
+        rounds_max=draw(st.integers(1, 50)),
+        patience=draw(st.integers(1, 10)),
+        min_delta=draw(st.integers(0, 5) | unit),  # an int is a float
+        seed=draw(st.integers(0, 2**70)),
+        baseline_mode=mode,
+        decision_threshold=draw(finite),
+        adversaries=tuple(
+            AdversaryAssignment(
+                cid,
+                draw(st.sampled_from(["inflate_utility", "deflate_energy", "noise_weights"])),
+                draw(positive),
+            )
+            for cid in draw(st.lists(clients, unique=True, max_size=3))
+        ),
+        edge_failures=()
+        if mode == "fedavg_single"
+        else tuple(draw(st.lists(st.tuples(st.integers(0, n_edges - 1), st.integers(1, 20)), max_size=3))),
+        security_overrides=draw(st.dictionaries(clients, unit, max_size=3)),
+        data=DataConfig(
+            n_samples=draw(st.integers(100, 10**6)),
+            n_features=draw(st.integers(1, 50)),
+            class_imbalance=draw(st.floats(0.01, 0.99)),
+            label_noise=draw(st.floats(0.0, 10.0)),
+            dirichlet_alpha=draw(positive),
+            train_fraction=fractions[0],
+            val_fraction=fractions[1],
+            test_fraction=fractions[2],
+            edge_test_fraction=draw(unit),
+            unknown_edge=draw(st.none() | st.integers(0, n_edges - 1)),
+            unknown_shift=draw(finite),
+            csv_path=csv_path,
+            label_column=label_column,
+        ),
+        trainer=TrainerConfig(
+            local_epochs=draw(st.integers(0, 10)),
+            learning_rate=draw(st.floats(0.0, 10.0).map(np.float64)),  # np.float64 is a float
+            batch_size=draw(st.integers(1, 512)),
+            energy_alpha=draw(unit),
+            energy_beta=draw(unit),
+        ),
+        selection=SelectionConfig(
+            capacity_k=draw(st.integers(1, 100)),
+            consistency_threshold=draw(st.floats(0.01, 0.99)),
+            outlier_z_threshold=draw(positive),
+            eta=draw(unit),
+            grid_step=draw(st.sampled_from([0.05, 0.1, 0.2, 0.25, 0.5, 1.0])),
+            default_security_index=draw(unit),
+        ),
+        secagg=SecAggConfig(
+            enabled=draw(st.booleans()),
+            key_bits=draw(st.integers(16, 4096)),
+            scale=draw(st.integers(1, 2**40)),
+            clip_val=clip_val,
+            noise_multiplier=0.0 if clip_val is None else draw(st.floats(0.0, 10.0)),
+        ),
+        aggregation=CrossEdgeConfig(alpha=draw(unit), clip_val=draw(positive)),
+    )
+
+
+def _wrong_values(annotation: str):
+    """The values a field so annotated refuses: a string, a bool, a float in an int
+    field, a numpy integer, NaN, +-inf, 10**400, and a list where a tuple belongs."""
+    members = annotation.split(" | ")
+    wrong = [st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(-(2**63), 2**63 - 1).map(np.int64)]
+    if "str" not in members:
+        wrong.append(st.text(max_size=5))
+    if "bool" not in members:
+        wrong.append(st.booleans())
+    if "int" in members:
+        wrong.append(st.floats(allow_nan=False, allow_infinity=False))
+    else:
+        wrong.append(st.just(10**400))
+    if annotation.startswith("tuple["):
+        wrong.append(st.lists(st.integers(0, 3), max_size=2))
+    return st.one_of(wrong)
+
+
+def _refusal(call) -> str:
+    with pytest.raises(ValueError) as refused:
+        call()
+    return str(refused.value)
+
+
+class TestLibraryAndConfigFilesAgree:
+    @given(_valid_configs())
+    @settings(max_examples=150, deadline=None)
+    def test_a_library_config_survives_its_config_file(self, config):
+        rebuilt = build_config(json.loads(json.dumps(canonical_config(config))))
+        assert rebuilt == config
+        assert config_hash(rebuilt) == config_hash(config)
+
+    @pytest.mark.parametrize("prefix, section, name", _FIELDS, ids=[f"{p}{n}" for p, _, n in _FIELDS])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_a_wrongly_typed_field_is_refused_three_ways(self, prefix, section, name, data):
+        kind = typing.get_type_hints(section)[name]
+        value = data.draw(_wrong_values(next(f.type for f in dataclasses.fields(section) if f.name == name)))
+        required = {"client_id": 0, "kind": "inflate_utility"} if section is AdversaryAssignment else {}
+        message = _refusal(lambda: section(**{**required, name: value}))
+        assert message.startswith(f"{name}: ")
+        assert _refusal(lambda: dataclasses.replace(section(**required), **{name: value})) == message
+        if isinstance(value, (np.integer, list)):
+            return  # JSON holds neither
+        raw = json.loads(json.dumps(_SMALL))
+        if prefix == "adversaries[0].":
+            raw["adversaries"][0][name] = value
+        elif prefix:
+            raw.setdefault(prefix[:-1], {})[name] = value
+        else:
+            raw[name] = value
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+            config_path = Path(tmp) / "config.json"
+            config_path.write_text(json.dumps(raw))
+            assert cmd_run(str(config_path), str(Path(tmp) / "run")) == 2
+        if dataclasses.is_dataclass(kind) or typing.get_origin(kind) in (tuple, collections.abc.Mapping):
+            # the config file's own shape check names the field first
+            assert err.getvalue().startswith(f"config error: {prefix}{name}: ")
+        else:
+            assert err.getvalue() == f"config error: {prefix}{message}\n"

@@ -120,6 +120,35 @@ class TestRunBasics:
         assert len(result.rounds) == config.patience + 1
         assert result.stopped_early
 
+    @pytest.mark.parametrize("patience, rounds_run", [(1, 3), (2, 6), (3, 10)])
+    def test_patience_counts_consecutive_rounds_without_improvement(
+        self, dataset, monkeypatch, patience, rounds_run
+    ):
+        # validation loss per round: shorter runs without improvement end before the one of `patience`
+        val_losses = iter([5.0, 4.0, 4.0, 3.0, 3.0, 3.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0])
+        prepared = []
+
+        def recording_prepare_data(config, data):
+            prepared.append(prepare_data(config, data))
+            return prepared[-1]
+
+        def scripted_evaluate(weights, features, labels, threshold=0.5):
+            metrics = frozen_evaluate(weights, features, labels, threshold)
+            if labels is prepared[-1].d_val.labels:
+                return dataclasses.replace(metrics, loss=next(val_losses))
+            return metrics
+
+        monkeypatch.setattr(fedmesh.orchestrator, "prepare_data", recording_prepare_data)
+        monkeypatch.setattr(fedmesh.orchestrator, "evaluate", scripted_evaluate)
+        result = run(make_config(rounds_max=12, patience=patience, min_delta=0.0), dataset)
+        assert [r.val.loss for r in result.rounds] == [5.0, 4.0, 4.0, 3.0, 3.0, 3.0, 2.0, 2.0, 2.0, 2.0][:rounds_run]
+        assert result.stopped_early
+
+    def test_zero_patience_is_refused(self):
+        # 0 would stop at the first round without improvement, exactly as 1 does
+        with pytest.raises(ValueError, match=r"^patience: must be >= 1$"):
+            make_config(patience=0)
+
     def test_runs_all_rounds_without_stop(self, dataset):
         result = run(make_config(rounds_max=3, patience=10), dataset)
         assert len(result.rounds) == 3
@@ -209,14 +238,44 @@ class TestRunBasics:
         # a range check alone compares such an int exactly and lets it through
         section, name = field
         required = {"client_id": 0, "kind": "inflate_utility"} if section is AdversaryAssignment else {}
-        with pytest.raises(ValueError, match=f"^{name} is an integer beyond the float range$"):
+        annotation = {f.name: f.type for f in dataclasses.fields(section)}[name]
+        expected = "finite float" if annotation == "float" else annotation
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{name}: expected {expected}, got {value!r}')}$"):
             section(**required, **{name: value})
 
     @pytest.mark.parametrize("key", ["3", "x", True, 3.0])
     def test_security_override_needs_an_integer_client_id(self, key):
         # run looks a client's override up by its integer id, so any other key would be ignored
-        with pytest.raises(ValueError, match=re.escape(f"security_overrides: client_id {key!r} must be an integer")):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'security_overrides[{key!r}]: client id must be an integer')}$"):
             make_config(security_overrides={key: 1.0})
+
+    @pytest.mark.parametrize(
+        "section, field, value, expected",
+        [
+            (SimulationConfig, "seed", "3", "expected int, got '3'"),
+            (SimulationConfig, "seed", 3.0, "expected int, got 3.0"),
+            (SimulationConfig, "seed", np.int64(3), "expected int, got np.int64(3)"),
+            (SimulationConfig, "n_edges", 2.5, "expected int, got 2.5"),
+            (SimulationConfig, "adversaries", [], "expected tuple, got []"),
+            (SecAggConfig, "enabled", "no", "expected bool, got 'no'"),
+            (SecAggConfig, "noise_multiplier", float("nan"), "expected finite float, got nan"),
+            (DataConfig, "unknown_shift", float("nan"), "expected finite float, got nan"),
+            (DataConfig, "label_noise", float("inf"), "expected finite float, got inf"),
+            (CrossEdgeConfig, "clip_val", float("inf"), "expected finite float, got inf"),
+            (SelectionConfig, "capacity_k", True, "expected int, got True"),
+        ],
+    )
+    def test_wrongly_typed_field_is_refused(self, section, field, value, expected):
+        # a seed of "3", 3.0 or np.int64(3) would hash to a different run than 3
+        message = f"^{re.escape(f'{field}: {expected}')}$"
+        with pytest.raises(ValueError, match=message):
+            section(**{field: value})
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(section(), **{field: value})
+
+    def test_numpy_floats_are_floats(self):
+        config = make_config(min_delta=np.float64(0.5), secagg=SecAggConfig(clip_val=np.float64(2.0)))
+        assert config.min_delta == 0.5 and config.secagg.clip_val == 2.0
 
     def test_security_override_reaches_selection(self, dataset):
         result = run(make_config(rounds_max=1, security_overrides={3: 1.0}), dataset)

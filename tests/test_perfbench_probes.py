@@ -1,17 +1,24 @@
-"""The fedmesh functions that perfbench/child.py wraps or calls still exist, and each
-wrapped function still has the parameters its hook reads.
+"""The fedmesh functions that perfbench/child.py wraps or calls still exist, each
+wrapped function still has the parameters its hook reads, and a run still
+calls each one where its hook expects.
 
 perfbench wraps functions from outside and records a renamed target as absent
 rather than failing, so without this check a rename would only show up as a
-missing span in a benchmark run. child.py is read as source, not imported.
+missing span in a benchmark run, and a call that bypasses a wrapped module
+attribute only as a zero or a failed check in a traced one. child.py is read
+as source, not imported.
 """
 
 import ast
 import importlib
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import fedmesh
+from fedmesh import cli
 
 CHILD = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "child.py").read_text(encoding="utf-8"))
 
@@ -59,3 +66,41 @@ def test_functions_child_calls_exist():
     assert ("fedmesh", "run") in used and ("cli", "make_dataset") in used
     for alias, attr in sorted(used):
         assert callable(getattr(importlib.import_module(modules[alias]), attr, None)), f"{alias}.{attr} is gone"
+
+
+@pytest.mark.parametrize("secure", [True, False], ids=["secure", "plaintext"])
+def test_every_probe_counts_the_runs_own_work(secure, monkeypatch):
+    calls = Counter()
+    for module, attr, name in TARGETS:
+        owner = importlib.import_module(module)
+
+        def counted(*args, _target=getattr(owner, attr), _name=name, **kwargs):
+            calls[_name] += 1
+            return _target(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+    config = cli.build_config(
+        {
+            "n_edges": 2,
+            "clients_per_edge": 3,
+            "rounds_max": 2,
+            "patience": 2,
+            "seed": 3,
+            "data": {"n_samples": 400},
+            "secagg": {"enabled": secure, "key_bits": 256},
+        }
+    )
+    result = fedmesh.run(config, cli.make_dataset(config))
+    selections = [event for event in result.events if event["type"] == "selection"]
+    assert len(result.rounds) == 2 and len(selections) == 4  # no early stop, no failed edge
+    assert calls["trainer.train_local"] == config.n_clients * len(result.rounds)
+    assert calls["selection.select_clients"] == len(selections)
+    if secure:
+        assert calls["secagg.encrypt_update"] == sum(len(event["selected"]) for event in selections)
+        edge_rounds_with_updates = sum(1 for event in selections if event["selected"])
+        assert calls["secagg.aggregate_encrypted"] == edge_rounds_with_updates
+        assert calls["secagg.finalize_edge_update"] == edge_rounds_with_updates
+    # every probe fires (keygen at least in this process; forked keys count in their own),
+    # and none of the secure path's on a plaintext run
+    expected = {name for _, _, name in TARGETS if secure or not name.startswith("secagg.")}
+    assert {name for name, count in calls.items() if count} == expected
