@@ -32,7 +32,7 @@ from typing import Any, Callable, Sequence, TypeVar
 from . import __version__
 from .data import Dataset, generate_synthetic, ingest_csv
 from .metrics import RoundRecord
-from .orchestrator import SimulationConfig, SimulationResult, derive_seed, run
+from .orchestrator import EdgeFailureEvent, SelectionEvent, SimulationConfig, SimulationResult, derive_seed, run
 from .params import FieldTypeError
 
 
@@ -205,10 +205,11 @@ def write_rounds_csv(path: Path, records: Sequence[RoundRecord], edge_ids: Seque
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_events_jsonl(path: Path, events: Sequence[dict]) -> None:
+def write_events_jsonl(path: Path, events: Sequence[SelectionEvent | EdgeFailureEvent]) -> None:
+    """One JSON line per event, keyed by field name; vars() skips dataclasses.asdict's deep copy."""
     with open(path, "w", encoding="utf-8") as fh:
         for event in events:
-            fh.write(json.dumps(event, sort_keys=True) + "\n")
+            fh.write(json.dumps(event, default=vars, sort_keys=True) + "\n")
 
 
 def _run_to_dir(config: SimulationConfig, dataset: Dataset, out: Path) -> SimulationResult:

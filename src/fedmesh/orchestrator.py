@@ -14,7 +14,7 @@ import hashlib
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Literal, Mapping, Sequence
 
 import numpy as np
 
@@ -106,12 +106,42 @@ class SimulationConfig:
             raise ValueError("data.unknown_edge: out of range")
 
 
+@dataclass(frozen=True)
+class SelectionEvent:
+    """One edge's selection decision in one round. The field names are the
+    line's JSON keys; the flagged clients are read off the evaluations."""
+
+    round: int
+    edge: int
+    mode: str
+    score_weights: tuple[float, float, float] | None  # the weights the scores used
+    selected: tuple[int, ...]  # best score first under fedselect_me, else in id order
+    evaluations: tuple[selection.ClientEvaluation, ...]
+    type: Literal["selection"] = "selection"  # an instance attribute, so vars() writes it
+    flagged_inconsistent: tuple[int, ...] = field(init=False)
+    flagged_score_outlier: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        for flag in (selection.FLAG_INCONSISTENT, selection.FLAG_SCORE_OUTLIER):
+            flagged = tuple(ev.client for ev in self.evaluations if flag in ev.flags)
+            object.__setattr__(self, f"flagged_{flag}", flagged)
+
+
+@dataclass(frozen=True)
+class EdgeFailureEvent:
+    """An edge that failed in a round and contributed nothing to it."""
+
+    round: int
+    edge: int
+    type: Literal["edge_failure"] = "edge_failure"
+
+
 @dataclass
 class SimulationResult:
     rounds: list[RoundRecord]
     final_global: np.ndarray
     stopped_early: bool
-    events: list[dict]
+    events: list[SelectionEvent | EdgeFailureEvent]
 
 
 def evaluate(weights: np.ndarray, features: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> BinaryMetrics:
@@ -144,7 +174,7 @@ def _edge_mean_update(
             ciphers.append(secagg.encrypt_update(ParamVector(d), codec, public_key))
         except secagg.HeadroomError as exc:
             raise secagg.HeadroomError(str(exc), row) from exc
-    agg = secagg.aggregate_encrypted(ciphers, public_key, weights, codec.max_participants)
+    agg = secagg.aggregate_encrypted(ciphers, public_key, codec, weights)
     return secagg.finalize_edge_update(agg, private_key, codec, divisor, cfg, noise_seed)
 
 
@@ -251,7 +281,7 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
     score_weights: list[ScoreWeights | None] = [None] * len(edge_clients)
 
     rounds: list[RoundRecord] = []
-    events: list[dict] = []
+    events: list[SelectionEvent | EdgeFailureEvent] = []
     best_val = math.inf
     non_improving = 0
     stopped_early = False
@@ -260,7 +290,7 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
         failed = failures.get(round_no, set())
         alive = [e for e in edge_clients if e not in failed]
         for e in sorted(failed):
-            events.append({"type": "edge_failure", "round": round_no, "edge": e})
+            events.append(EdgeFailureEvent(round_no, e))
         if not alive:
             raise RuntimeError(f"all edges failed in round {round_no}")
 
@@ -315,7 +345,10 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
                     ),
                     config.selection,
                 )
-            events.append(_selection_event(config, round_no, e, weights_now, selected_ids, evaluations))
+            weights_used = None if weights_now is None else weights_now.as_tuple()
+            events.append(
+                SelectionEvent(round_no, e, config.baseline_mode, weights_used, tuple(selected_ids), evaluations)
+            )
 
             if not selected_ids:
                 logger.warning("round %d edge %d: no clients selected, edge skipped", round_no, e)
@@ -383,14 +416,14 @@ def _select_for_mode(
     score_weights: list[ScoreWeights | None],
     edge_id: int,
     round_no: int,
-) -> tuple[list[int], list[selection.ClientEvaluation]]:
+) -> tuple[list[int], tuple[selection.ClientEvaluation, ...]]:
     ids = sorted(reports.client_ids.tolist())
     if config.baseline_mode == "no_selection":
-        return ids, []
+        return ids, ()
     if config.baseline_mode == "fedavg_single":
         k = min(config.selection.capacity_k, len(ids))
         rng = np.random.default_rng(derive_seed(config.seed, "sample", round_no))
-        return sorted(int(c) for c in rng.choice(ids, size=k, replace=False)), []
+        return sorted(int(c) for c in rng.choice(ids, size=k, replace=False)), ()
 
     spec = config.trainer
     weights = score_weights[edge_id]
@@ -400,41 +433,3 @@ def _select_for_mode(
         weights = selection.grid_search_init(triples, config.selection)
         score_weights[edge_id] = weights
     return selection.select_clients(reports, edge_model, weights, config.selection, spec)
-
-
-def _selection_event(
-    config: SimulationConfig,
-    round_no: int,
-    edge_id: int,
-    weights: ScoreWeights | None,
-    selected: list[int],
-    evaluations: list[selection.ClientEvaluation],
-) -> dict:
-    return {
-        "type": "selection",
-        "round": round_no,
-        "edge": edge_id,
-        "mode": config.baseline_mode,
-        "score_weights": list(weights.as_tuple()) if weights is not None else None,
-        "selected": list(selected),
-        "flagged_inconsistent": sorted(
-            ev.client_id for ev in evaluations if selection.FLAG_INCONSISTENT in ev.flags
-        ),
-        "flagged_score_outlier": sorted(
-            ev.client_id for ev in evaluations if selection.FLAG_SCORE_OUTLIER in ev.flags
-        ),
-        "evaluations": [
-            {
-                "client": ev.client_id,
-                "estimated_utility": ev.estimated_utility,
-                "estimated_energy": ev.estimated_energy,
-                "security_index": ev.security_index,
-                "delta_u": ev.delta_u,
-                "delta_e": ev.delta_e,
-                "score": ev.score,
-                "flags": sorted(ev.flags),
-                "selected": ev.client_id in selected,
-            }
-            for ev in evaluations
-        ],
-    }

@@ -87,8 +87,8 @@ def _check(value: Any, kind: Any, path: str) -> None:
                 raise FieldTypeError(f"{path}[{key!r}]: client id must be an integer")
             _check(entry, args[1], f"{path}[{key!r}]")
     elif not _is(value, kind):
-        expected = "finite float" if kind is float else getattr(kind, "__name__", kind)
-        raise FieldTypeError(f"{path}: expected {expected}, got {value!r}")
+        expected = getattr(kind, "__name__", str(kind))  # a union reads "float | None"
+        raise FieldTypeError(f"{path}: expected {expected.replace('float', 'finite float')}, got {value!r}")
 
 
 _field_types = functools.cache(typing.get_type_hints)

@@ -108,15 +108,15 @@ class SecAggConfig:
     def __post_init__(self) -> None:
         check_field_types(self)
         if self.key_bits < 16:
-            raise ValueError("secagg.key_bits too small")
+            raise ValueError("key_bits too small")
         if self.scale < 1:
-            raise ValueError("secagg.scale must be a positive integer")
+            raise ValueError("scale must be a positive integer")
         if self.noise_multiplier < 0:
-            raise ValueError("secagg.noise_multiplier must be nonnegative")
+            raise ValueError("noise_multiplier must be nonnegative")
         if self.clip_val is not None and not self.clip_val > 0:
-            raise ValueError("secagg.clip_val must be positive or null")
+            raise ValueError("clip_val must be positive or null")
         if self.noise_multiplier > 0 and self.clip_val is None:
-            raise ValueError("secagg.noise_multiplier > 0 requires a finite clip_val")
+            raise ValueError("noise_multiplier > 0 requires a finite clip_val")
 
 
 class KeyGenerationError(RuntimeError):
@@ -486,16 +486,16 @@ def encrypt_update(v: ParamVector, codec: FixedPointCodec, public_key: PaillierP
 def aggregate_encrypted(
     updates: Sequence[CipherVector],
     public_key: PaillierPublicKey,
+    codec: FixedPointCodec,
     weights: Sequence[int] | None = None,
-    max_participants: int = DEFAULT_MAX_PARTICIPANTS,
 ) -> CipherVector:
-    """Homomorphic slotwise sum, optionally with nonnegative integer weights.
+    """Homomorphic slotwise sum under `codec`, optionally with nonnegative integer weights.
 
     Nothing is decrypted here. With weights w_i the result encrypts
-    sum_i w_i * v_i; sum(w_i) may not exceed max_participants, the weight the
-    codec's headroom covers.
+    sum_i w_i * v_i; sum(w_i) may not exceed codec.max_participants, the
+    weight the codec's headroom covers, so a sum that could wrap is refused.
     """
-    coeffs = _coefficients(len(updates), weights, max_participants)
+    coeffs = _coefficients(len(updates), weights, codec.max_participants)
     elements = updates[0].elements
     if any(u.elements != elements for u in updates):
         raise ValueError("all cipher vectors must share one dimension")

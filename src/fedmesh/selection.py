@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .params import check_field_types
-from .trainer import ClientReports, TrainerConfig, l2_diff_norm
+from .trainer import ClientReports, TrainerConfig, l1_distance
 
 logger = logging.getLogger(__name__)
 
@@ -48,18 +48,20 @@ class ScoreWeights:
         return (self.w_utility, self.w_energy, self.w_security)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClientEvaluation:
-    """Audit record of one client's evaluation, kept even when excluded."""
+    """Audit record of one client's evaluation, kept even when excluded; an
+    entry of a selection event's `evaluations`, whose field names are its JSON keys."""
 
-    client_id: int
+    client: int
     estimated_utility: float
     estimated_energy: float
     security_index: float
     delta_u: float
     delta_e: float
     score: float
-    flags: set[str] = field(default_factory=set)
+    flags: tuple[str, ...]  # sorted
+    selected: bool
 
 
 @dataclass(frozen=True)
@@ -112,13 +114,13 @@ def estimate_metrics(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Edge's own estimate of each client's utility and energy, row by row.
 
-    Utility is the summed per-parameter norm between the uploaded weights and
-    the edge model the client trained from; energy is the sample/model-size
-    surrogate energy_alpha * N_i + energy_beta * P, with the constants of the
-    trainer `spec` the clients report with. Both must stay finite, summed over
+    Utility is the L1 distance between the uploaded weights and the edge
+    model the client trained from; energy is the sample/model-size surrogate
+    energy_alpha * N_i + energy_beta * P, with the constants of the trainer
+    `spec` the clients report with. Both must stay finite, summed over
     the edge's clients too (NonFiniteMetric names the client otherwise).
     """
-    utility = l2_diff_norm(reports.weights, edge_weights)
+    utility = l1_distance(reports.weights, edge_weights)
     energy = spec.energy_alpha * reports.sample_count + spec.energy_beta * len(edge_weights)
     _require_finite(reports.client_ids, "estimated utility", utility, summed=True)
     _require_finite(reports.client_ids, "estimated energy", energy, summed=True)
@@ -212,7 +214,7 @@ def select_clients(
     weights: ScoreWeights,
     config: SelectionConfig,
     spec: TrainerConfig,
-) -> tuple[list[int], list[ClientEvaluation]]:
+) -> tuple[list[int], tuple[ClientEvaluation, ...]]:
     """Two-step filtering then top-k ranking of the edge's clients.
 
     Step 1 drops clients whose reported metrics disagree with the edge's own
@@ -221,9 +223,10 @@ def select_clients(
     Step 2 drops clients whose score is a two-sided z-outlier among the
     remaining pool (skipped for pools smaller than 4).
     Survivors are ranked by score descending with client id as the
-    tie-break; all evaluations, in client id order, are returned for
-    auditing. Every metric must be finite (NonFiniteMetric names the client
-    otherwise); finite utility and energy keep the score finite.
+    tie-break; all evaluations, in client id order and each marking whether
+    its client was selected, are returned for auditing. Every metric must be
+    finite (NonFiniteMetric names the client otherwise); finite utility and
+    energy keep the score finite.
     """
     if not len(reports.client_ids):
         raise ValueError("select_clients requires at least one report")
@@ -247,23 +250,25 @@ def select_clients(
         if std > 0.0:
             outlier[pool] = np.abs(scores[pool] - float(scores[pool].mean())) / std > config.outlier_z_threshold
 
-    evaluations = [
+    survivors = np.flatnonzero(~inconsistent & ~outlier)
+    ranked = survivors[np.lexsort((ids[survivors], -scores[survivors]))]
+    selected = ids[ranked[: config.capacity_k]]
+    evaluations = tuple(
         ClientEvaluation(
-            client_id=cid,
+            client=cid,
             estimated_utility=u,
             estimated_energy=e,
             security_index=sec,
             delta_u=du,
             delta_e=de,
             score=sc,
-            flags={FLAG_INCONSISTENT} if bad else {FLAG_SCORE_OUTLIER} if out else set(),
+            flags=(FLAG_INCONSISTENT,) if bad else (FLAG_SCORE_OUTLIER,) if out else (),
+            selected=sel,
         )
-        for cid, u, e, sec, du, de, sc, bad, out in zip(
+        for cid, u, e, sec, du, de, sc, bad, out, sel in zip(
             ids.tolist(), est_u.tolist(), est_e.tolist(), security.tolist(), delta_u.tolist(),
             delta_e.tolist(), scores.tolist(), inconsistent.tolist(), outlier.tolist(),
+            np.isin(ids, selected).tolist(),
         )
-    ]
-    survivors = np.flatnonzero(~inconsistent & ~outlier)
-    ranked = survivors[np.lexsort((ids[survivors], -scores[survivors]))]
-    selected = ids[ranked[: config.capacity_k]].tolist()
-    return selected, evaluations
+    )
+    return selected.tolist(), evaluations

@@ -116,12 +116,9 @@ def predict_proba(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
     return sigmoid(_with_bias(features) @ weights)
 
 
-def l2_diff_norm(rows: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Summed per-parameter norm of each row's difference from `reference`.
-
-    Every scalar entry counts as its own parameter, so row i gives
-    sum_k |rows[i, k] - reference_k|: the same float as summing that row alone.
-    """
+def l1_distance(rows: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """L1 norm of each row's difference from `reference`: row i gives
+    sum_k |rows[i, k] - reference_k|, the same float as summing that row alone."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or np.shape(reference) != rows.shape[1:]:
         raise ValueError(f"dimension mismatch: rows of shape {rows.shape}, reference of shape {np.shape(reference)}")
@@ -315,15 +312,15 @@ def build_report(
 ) -> ClientReports:
     """Assemble the uploads of clients that trained from `received`, one row each.
 
-    An honest client reports utility as the summed per-parameter norm of its
-    weight change, sum_k |trained_k - received_k|, and energy as
+    An honest client reports utility as the L1 norm of its weight change,
+    sum_k |trained_k - received_k|, and energy as
     alpha * sample_count + beta * param_count, which the edge can reproduce
     exactly from the same inputs. A client named in `adversaries` distorts its
     report (or weights) as assigned; a noise_weights client draws its noise
     from `rng_for(client_id)`.
     """
     trained = np.asarray(trained, dtype=np.float64)
-    utility = l2_diff_norm(trained, received)
+    utility = l1_distance(trained, received)
     energy = spec.energy_alpha * np.asarray(sample_counts, dtype=np.int64) + spec.energy_beta * len(received)
     weights = trained
     behaviors = {a.client_id: a for a in adversaries}

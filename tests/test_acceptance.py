@@ -34,7 +34,7 @@ from fedmesh.secagg import (
     release,
 )
 from fedmesh.selection import ScoreWeights, consistency_check, estimate_metrics, score, update_weights
-from fedmesh.trainer import TrainerConfig, build_report, l2_diff_norm, train_clients
+from fedmesh.trainer import TrainerConfig, build_report, l1_distance, train_clients
 
 
 def report_pass(criterion: int, message: str) -> None:
@@ -52,12 +52,12 @@ def test_criterion_02_equation_oracles():
     rng = np.random.default_rng(2024)
     spec = TrainerConfig()
 
-    # utility norm: summed per-parameter distance vs scalar loop
+    # utility: L1 distance vs scalar loop
     for _ in range(100):
         dim = int(rng.integers(1, 21))
         a, b = rng.normal(size=dim), rng.normal(size=dim)
         expected = sum(abs(a[k] - b[k]) for k in range(dim))
-        assert abs(l2_diff_norm(a[None], b)[0] - expected) <= 1e-9
+        assert abs(l1_distance(a[None], b)[0] - expected) <= 1e-9
 
     # energy surrogate: alpha * N + beta * P
     for _ in range(100):
@@ -165,7 +165,7 @@ def test_criterion_04_secure_aggregation_homomorphism():
         dim = int(rng.integers(1, 51))
         vectors = [rng.uniform(-5, 5, size=dim) for _ in range(count)]
         ciphers = [encrypt_update(ParamVector(v), codec, public) for v in vectors]
-        agg = aggregate_encrypted(ciphers, public, max_participants=16)
+        agg = aggregate_encrypted(ciphers, public, codec)
         decrypted = decrypt_vector(agg, private, codec)
         plain_sum = np.sum(vectors, axis=0)
         assert np.max(np.abs(decrypted - plain_sum)) <= count * 0.5 / scale
@@ -206,21 +206,21 @@ def test_criterion_06_adversary_exclusion():
         flagged = {
             c
             for event in result.events
-            if event["type"] == "selection" and event["round"] == round_no
-            for c in event["flagged_inconsistent"]
+            if event.type == "selection" and event.round == round_no
+            for c in event.flagged_inconsistent
         }
         assert flagged >= set(liars), f"round {round_no} missed a liar"
     liar_utilities = [
-        ev["estimated_utility"]
+        ev.estimated_utility
         for event in result.events
-        if event["type"] == "selection"
-        for ev in event["evaluations"]
-        if ev["client"] in liars
+        if event.type == "selection"
+        for ev in event.evaluations
+        if ev.client in liars
     ]
     assert min(liar_utilities) >= 0.1  # premise of the detection guarantee
     for event in result.events:
-        if event["type"] == "selection":
-            assert not set(liars) & set(event["selected"])
+        if event.type == "selection":
+            assert not set(liars) & set(event.selected)
     report_pass(6, "3/3 utility-inflating clients flagged inconsistent and excluded in all 5 rounds")
 
 

@@ -40,6 +40,8 @@ from fedmesh.cli import (
     main,
     write_rounds_csv,
 )
+from fedmesh.orchestrator import EdgeFailureEvent, SelectionEvent
+from fedmesh.selection import ClientEvaluation
 
 BEYOND_FLOAT = "1" + "0" * 400  # an integer that no float can hold
 
@@ -215,7 +217,7 @@ class TestCmdRun:
             (None, [f"data.label_noise={BEYOND_FLOAT}"], "data.label_noise: expected finite float"),
             (None, [f"decision_threshold={BEYOND_FLOAT}"], "decision_threshold: expected finite float"),
             (None, [f"min_delta={BEYOND_FLOAT}"], "min_delta: expected finite float"),
-            (None, [f"secagg.clip_val={BEYOND_FLOAT}"], "secagg.clip_val: expected"),
+            (None, [f"secagg.clip_val={BEYOND_FLOAT}"], "secagg.clip_val: expected finite float | None, got"),
             (None, [f"aggregation.clip_val={BEYOND_FLOAT}"], "aggregation.clip_val: expected finite float"),
             (None, [f"data.dirichlet_alpha={BEYOND_FLOAT}"], "data.dirichlet_alpha: expected finite float"),
             (None, [f"trainer.energy_alpha={BEYOND_FLOAT}"], "trainer.energy_alpha: expected finite float"),
@@ -229,6 +231,10 @@ class TestCmdRun:
             # 0 would stop at the first round without improvement, as 1 does
             (None, ["patience=0"], "config error: patience: must be >= 1\n"),
             (None, ["edge_failures=[[1]]"], "config error: edge_failures[0]: expected 2 entries, got 1\n"),
+            # a float in a union must be finite too, and a section's range message names the bare field
+            (None, ["secagg.clip_val=Infinity"], "config error: secagg.clip_val: expected finite float | None, got inf\n"),
+            (None, ["secagg.key_bits=8"], "config error: secagg: key_bits too small\n"),
+            (None, ["secagg.noise_multiplier=-1.0"], "config error: secagg: noise_multiplier must be nonnegative\n"),
         ],
     )
     def test_bad_input_is_a_config_error(self, config_file, tmp_path, monkeypatch, capsys, env_seed, overrides, field):
@@ -436,6 +442,32 @@ def test_readme_states_the_csv_headers(config_file, tmp_path):
     assert cmd_compare(config_file, ["fedselect_me", "no_selection"], str(out), ["rounds_max=1"]) == 0
     header = (out / "compare.csv").read_text().splitlines()[0]
     assert header == re.search(r"`(mode,rounds,[^`]*)`", readme).group(1)
+
+
+def test_readme_states_the_event_keys(config_file, tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Output artifacts")[1].split("\n## ")[0]
+    table = re.findall(r"^\| `(\w+)` \| ([^|]*) \| ([^|]*) \|$", section, re.M)
+    rows = {name: (tag, keys) for name, tag, keys in table}
+    kinds = {kind.__name__: kind for kind in (SelectionEvent, EdgeFailureEvent, ClientEvaluation)}
+    assert set(rows) == set(kinds)
+    keys = {}
+    for name, kind in kinds.items():
+        tag, listed = rows[name]
+        fields = dataclasses.fields(kind)
+        keys[name] = re.findall(r"`(\w+)`", listed)
+        assert keys[name] == [f.name for f in fields]
+        assert re.findall(r"`(\w+)`", tag) == [f.default for f in fields if f.name == "type"]
+    # and a run writes exactly those keys
+    out = tmp_path / "run"
+    assert cmd_run(config_file, str(out), ["edge_failures=[[1,2]]"]) == 0
+    events = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
+    by_type = {"selection": "SelectionEvent", "edge_failure": "EdgeFailureEvent"}
+    assert {event["type"] for event in events} == set(by_type)
+    for event in events:
+        assert sorted(event) == sorted(keys[by_type[event["type"]]])
+        for entry in event.get("evaluations", []):
+            assert sorted(entry) == sorted(keys["ClientEvaluation"])
 
 
 def test_readme_library_example_runs(tmp_path):

@@ -62,10 +62,10 @@ def frozen_evaluate(weights, features, labels, threshold=0.5):
 
 def excluded(result):
     """Per round, the clients that any edge flagged, as the selection events record them."""
-    selections = [e for e in result.events if e["type"] == "selection"]
+    selections = [e for e in result.events if e.type == "selection"]
 
     def flagged(round_no, key):
-        return sorted({c for e in selections if e["round"] == round_no for c in e[key]})
+        return sorted({c for e in selections if e.round == round_no for c in getattr(e, key)})
 
     return [
         {
@@ -92,7 +92,7 @@ def result_fingerprint(result):
         "final": result.final_global.tolist(),
         "events": result.events,
     }
-    return json.dumps(payload, sort_keys=True)
+    return json.dumps(payload, default=vars, sort_keys=True)
 
 
 class TestRunBasics:
@@ -177,16 +177,16 @@ class TestRunBasics:
     def test_score_weights_initialized_then_adapted(self, dataset):
         config = make_config(rounds_max=3, selection=SelectionConfig(capacity_k=3, grid_step=0.1))
         result = run(config, dataset)
-        round1 = [e for e in result.events if e["type"] == "selection" and e["round"] == 1]
+        round1 = [e for e in result.events if e.type == "selection" and e.round == 1]
         for event in round1:
-            weights = event["score_weights"]
+            weights = event.score_weights
             assert all(abs(round(w * 10) - w * 10) < 1e-9 for w in weights)  # grid lattice
             assert abs(sum(weights) - 1.0) < 1e-9
-        round3 = [e for e in result.events if e["type"] == "selection" and e["round"] == 3]
+        round3 = [e for e in result.events if e.type == "selection" and e.round == 3]
         for event in round3:
-            assert abs(sum(event["score_weights"]) - 1.0) < 1e-9
+            assert abs(sum(event.score_weights) - 1.0) < 1e-9
         assert any(
-            r1["score_weights"] != r3["score_weights"] for r1, r3 in zip(round1, round3)
+            r1.score_weights != r3.score_weights for r1, r3 in zip(round1, round3)
         )
 
     def test_invalid_config_rejected(self, dataset):
@@ -239,7 +239,7 @@ class TestRunBasics:
         section, name = field
         required = {"client_id": 0, "kind": "inflate_utility"} if section is AdversaryAssignment else {}
         annotation = {f.name: f.type for f in dataclasses.fields(section)}[name]
-        expected = "finite float" if annotation == "float" else annotation
+        expected = annotation.replace("float", "finite float")  # "finite float | None" for clip_val
         with pytest.raises(ValueError, match=f"^{re.escape(f'{name}: expected {expected}, got {value!r}')}$"):
             section(**required, **{name: value})
 
@@ -280,10 +280,10 @@ class TestRunBasics:
     def test_security_override_reaches_selection(self, dataset):
         result = run(make_config(rounds_max=1, security_overrides={3: 1.0}), dataset)
         indices = {
-            ev["client"]: ev["security_index"]
+            ev.client: ev.security_index
             for event in result.events
-            if event["type"] == "selection"
-            for ev in event["evaluations"]
+            if event.type == "selection"
+            for ev in event.evaluations
         }
         assert set(indices) == set(range(6))
         assert indices[3] == 1.0
@@ -365,9 +365,9 @@ class TestAdversaries:
         for entry in excluded(result):
             assert set(entry["inconsistent"]) >= {0, 7, 13}
         for event in result.events:
-            if event["type"] == "selection":
-                for liar in {0, 7, 13} & set(ev["client"] for ev in event["evaluations"]):
-                    assert liar not in event["selected"]
+            if event.type == "selection":
+                for liar in {0, 7, 13} & set(ev.client for ev in event.evaluations):
+                    assert liar not in event.selected
 
     def test_no_selection_lets_liars_through(self, big_dataset):
         config = make_config(
@@ -382,9 +382,9 @@ class TestAdversaries:
         for entry in excluded(result):
             assert entry["inconsistent"] == [] and entry["score_outlier"] == []
         liar_edge_events = [
-            e for e in result.events if e["type"] == "selection" and e["edge"] == 0
+            e for e in result.events if e.type == "selection" and e.edge == 0
         ]
-        assert liar_edge_events and all(0 in e["selected"] for e in liar_edge_events)
+        assert liar_edge_events and all(0 in e.selected for e in liar_edge_events)
 
     def test_honest_runs_have_no_flags(self, dataset):
         result = run(make_config(rounds_max=3), dataset)
@@ -405,8 +405,8 @@ class TestEdgeFailures:
         assert len(result.rounds) == 5
         by_round = {}
         for event in result.events:
-            if event["type"] == "selection":
-                by_round.setdefault(event["round"], set()).add(event["edge"])
+            if event.type == "selection":
+                by_round.setdefault(event.round, set()).add(event.edge)
         assert by_round[3] == {0, 1, 3, 4}
         for r in (1, 2, 4, 5):
             assert by_round[r] == {0, 1, 2, 3, 4}
@@ -445,7 +445,7 @@ class TestEdgeFailures:
         def round_one(result):
             return (
                 result.rounds[0],
-                [e for e in result.events if e["round"] == 1],
+                [e for e in result.events if e.round == 1],
                 excluded(result)[0],
             )
 
@@ -518,7 +518,7 @@ class TestBaselines:
         config = make_config(baseline_mode="fedavg_single", rounds_max=1)
         assert config.edge_clients == {0: range(6)}
         result = run(config, dataset)
-        edges = {e["edge"] for e in result.events if e["type"] == "selection"}
+        edges = {e.edge for e in result.events if e.type == "selection"}
         assert edges == {0}
         assert set(result.rounds[0].per_edge) == {0}
 
@@ -527,15 +527,15 @@ class TestBaselines:
             baseline_mode="fedavg_single", rounds_max=1, selection=SelectionConfig(capacity_k=4)
         )
         result = run(config, dataset)
-        event = next(e for e in result.events if e["type"] == "selection")
-        assert len(event["selected"]) == 4
+        event = next(e for e in result.events if e.type == "selection")
+        assert len(event.selected) == 4
 
     def test_no_selection_takes_everyone(self, dataset):
         config = make_config(baseline_mode="no_selection", rounds_max=1)
         result = run(config, dataset)
         for event in result.events:
-            if event["type"] == "selection":
-                assert len(event["selected"]) == config.clients_per_edge
+            if event.type == "selection":
+                assert len(event.selected) == config.clients_per_edge
 
     def test_baselines_deterministic(self, dataset):
         for mode in ("fedavg_single", "no_selection"):

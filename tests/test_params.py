@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fedmesh.aggregation import CrossEdgeConfig, EdgeUpdate, central_aggregate, cross_edge_exchange
 from fedmesh.params import ParamVector
-from fedmesh.trainer import l2_diff_norm
+from fedmesh.trainer import l1_distance
 
 
 def pv(*values):
@@ -44,17 +44,17 @@ def finite_vectors(min_dim=1, max_dim=12):
 
 
 def distance(a, b):
-    """l2_diff_norm of the single row a against b."""
-    return l2_diff_norm(a[None], b)[0]
+    """l1_distance of the single row a from b."""
+    return l1_distance(a[None], b)[0]
 
 
-class TestL2DiffNorm:
+class TestL1Distance:
     def test_identical_vectors_give_zero(self):
         a = pv(0.5, -1.5, 2.0)
         assert distance(a, a) == 0.0
 
     def test_per_parameter_reading(self):
-        # |3-0| + |0-4| = 7 when every scalar is its own parameter
+        # |3-0| + |0-4| = 7, where the L2 norm would give 5
         assert distance(pv(3.0, 0.0), pv(0.0, 4.0)) == 7.0
 
     def test_matches_scalar_loop_oracle(self):
@@ -69,7 +69,7 @@ class TestL2DiffNorm:
         with pytest.raises(ValueError):
             distance(pv(1.0), pv(1.0, 2.0))
         with pytest.raises(ValueError):
-            l2_diff_norm(np.ones(2), pv(1.0, 2.0))
+            l1_distance(np.ones(2), pv(1.0, 2.0))
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(13)
@@ -85,7 +85,7 @@ class TestL2DiffNorm:
         rows = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-8, 9, size=(n, dim))
         reference = rng.normal(size=dim) * 10.0 ** rng.integers(-8, 9, size=dim)
         rows = np.where(rng.random(size=(n, dim)) < 0.1, reference, rows)  # some exact zero differences
-        got = l2_diff_norm(rows, reference)
+        got = l1_distance(rows, reference)
         assert got.shape == (n,)
         for row, norm in zip(rows, got):
             assert np.float64(np.sum(np.abs(row - reference))).tobytes() == norm.tobytes()

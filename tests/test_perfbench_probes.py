@@ -91,13 +91,13 @@ def test_every_probe_counts_the_runs_own_work(secure, monkeypatch):
         }
     )
     result = fedmesh.run(config, cli.make_dataset(config))
-    selections = [event for event in result.events if event["type"] == "selection"]
+    selections = [event for event in result.events if event.type == "selection"]
     assert len(result.rounds) == 2 and len(selections) == 4  # no early stop, no failed edge
     assert calls["trainer.train_local"] == config.n_clients * len(result.rounds)
     assert calls["selection.select_clients"] == len(selections)
     if secure:
-        assert calls["secagg.encrypt_update"] == sum(len(event["selected"]) for event in selections)
-        edge_rounds_with_updates = sum(1 for event in selections if event["selected"])
+        assert calls["secagg.encrypt_update"] == sum(len(event.selected) for event in selections)
+        edge_rounds_with_updates = sum(1 for event in selections if event.selected)
         assert calls["secagg.aggregate_encrypted"] == edge_rounds_with_updates
         assert calls["secagg.finalize_edge_update"] == edge_rounds_with_updates
     # every probe fires (keygen at least in this process; forked keys count in their own),

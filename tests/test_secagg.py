@@ -327,7 +327,7 @@ class TestAggregateEncrypted:
     def test_single_update_identity(self, keypair, codec):
         public, private = keypair
         v = ParamVector(np.array([1.25, -2.5]))
-        agg = aggregate_encrypted([encrypt_update(v, codec, public)], public)
+        agg = aggregate_encrypted([encrypt_update(v, codec, public)], public, codec)
         assert np.allclose(decrypt_vector(agg, private, codec), v.values, atol=0.5 / codec.scale)
 
     def test_three_constant_vectors(self, keypair):
@@ -337,7 +337,7 @@ class TestAggregateEncrypted:
             encrypt_update(ParamVector(np.array([float(k), float(k)])), codec, public)
             for k in (1, 2, 3)
         ]
-        agg = aggregate_encrypted(cvs, public)
+        agg = aggregate_encrypted(cvs, public, codec)
         assert np.allclose(decrypt_vector(agg, private, codec), [6.0, 6.0], atol=3 * 0.5 / 100)
 
     def test_matches_plaintext_sum_oracle(self, keypair, codec):
@@ -348,7 +348,7 @@ class TestAggregateEncrypted:
             dim = int(rng.integers(1, 10))
             vs = [rng.uniform(-3, 3, size=dim) for _ in range(k)]
             cvs = [encrypt_update(ParamVector(v), codec, public) for v in vs]
-            got = decrypt_vector(aggregate_encrypted(cvs, public), private, codec)
+            got = decrypt_vector(aggregate_encrypted(cvs, public, codec), private, codec)
             expected = [sum(v[i] for v in vs) for i in range(dim)]
             assert np.max(np.abs(got - expected)) <= k * 0.5 / codec.scale
 
@@ -358,7 +358,7 @@ class TestAggregateEncrypted:
         vs = [np.array([1.0, -0.5]), np.array([0.25, 2.0])]
         weights = [3, 7]
         cvs = [encrypt_update(ParamVector(v), codec, public) for v in vs]
-        got = decrypt_vector(aggregate_encrypted(cvs, public, weights=weights), private, codec)
+        got = decrypt_vector(aggregate_encrypted(cvs, public, codec, weights=weights), private, codec)
         expected = 3 * vs[0] + 7 * vs[1]
         assert np.max(np.abs(got - expected)) <= sum(weights) * 0.5 / codec.scale
 
@@ -366,8 +366,8 @@ class TestAggregateEncrypted:
         public, _ = keypair
         rng = np.random.default_rng(4)
         cvs = [encrypt_update(ParamVector(rng.uniform(-1, 1, 4)), codec, public) for _ in range(5)]
-        forward = aggregate_encrypted(cvs, public)
-        backward = aggregate_encrypted(list(reversed(cvs)), public)
+        forward = aggregate_encrypted(cvs, public, codec)
+        backward = aggregate_encrypted(list(reversed(cvs)), public, codec)
         assert forward.ciphertexts == backward.ciphertexts
 
     def test_validation(self, keypair, codec):
@@ -375,17 +375,29 @@ class TestAggregateEncrypted:
         a = encrypt_update(ParamVector(np.zeros(2)), codec, public)
         b = encrypt_update(ParamVector(np.zeros(3)), codec, public)
         with pytest.raises(ValueError):
-            aggregate_encrypted([], public)
+            aggregate_encrypted([], public, codec)
         with pytest.raises(ValueError):
-            aggregate_encrypted([a, b], public)
+            aggregate_encrypted([a, b], public, codec)
         with pytest.raises(ValueError):
-            aggregate_encrypted([a, a], public, max_participants=1)
+            aggregate_encrypted([a, a], public, FixedPointCodec(scale=2**20, max_participants=1))
         with pytest.raises(ValueError):
-            aggregate_encrypted([a, a], public, weights=[1])
+            aggregate_encrypted([a, a], public, codec, weights=[1])
         with pytest.raises(ValueError):
-            aggregate_encrypted([a, a], public, weights=[1, -2])
+            aggregate_encrypted([a, a], public, codec, weights=[1, -2])
         with pytest.raises(ValueError):
-            aggregate_encrypted([a, a], public, weights=[60, 5])
+            aggregate_encrypted([a, a], public, codec, weights=[60, 5])
+
+    def test_refuses_more_updates_than_the_codec_bounds(self, keypair):
+        # the codec packed each slot for two addends, so a third could carry out of it and wrap
+        public, private = keypair
+        codec = FixedPointCodec(scale=2**20, max_participants=2)
+        _, width = codec.layout(public.n.bit_length())
+        peak = (2 ** (width - 2) - 1) / codec.scale  # the largest value the headroom admits
+        cvs = [encrypt_update(ParamVector(np.array([peak, -peak])), codec, public) for _ in range(5)]
+        pair = decrypt_vector(aggregate_encrypted(cvs[:2], public, codec), private, codec)
+        assert pair.tolist() == [2 * peak, -2 * peak]
+        with pytest.raises(ValueError, match="^5 updates exceed max participants 2$"):
+            aggregate_encrypted(cvs, public, codec)
 
 
 class TestSumQuantized:
@@ -396,7 +408,7 @@ class TestSumQuantized:
         for weights in (None, [3, 7, 1]):
             vs = [ParamVector(rng.uniform(-3, 3, size=6)) for _ in range(3)]
             cvs = [encrypt_update(v, codec, public) for v in vs]
-            decrypted = decrypt_vector(aggregate_encrypted(cvs, public, weights=weights), private, codec)
+            decrypted = decrypt_vector(aggregate_encrypted(cvs, public, codec, weights=weights), private, codec)
             assert sum_quantized(stacked(vs), codec, KEY_BITS, weights).tobytes() == decrypted.tobytes()
 
     def test_validation(self, codec):
@@ -436,7 +448,7 @@ class TestPackedProperties:
         codec = PROPERTY_CODEC
         vs = [ParamVector(np.array(row, dtype=float) / codec.scale) for row in rows]
         cvs = [encrypt_update(v, codec, public) for v in vs]
-        agg = aggregate_encrypted(cvs, public, weights, codec.max_participants)
+        agg = aggregate_encrypted(cvs, public, codec, weights)
         decrypted = decrypt_vector(agg, private, codec)
         assert decrypted.tobytes() == sum_quantized(stacked(vs), codec, KEY_BITS, weights).tobytes()
         coeffs = [1] * len(rows) if weights is None else weights
@@ -541,7 +553,7 @@ class TestFinalize:
         public, private = keypair
         rng = np.random.default_rng(5)
         v = ParamVector(rng.uniform(-0.3, 0.3, size=8))
-        agg = aggregate_encrypted([encrypt_update(v, codec, public)], public)
+        agg = aggregate_encrypted([encrypt_update(v, codec, public)], public, codec)
         out = finalize_edge_update(
             agg, private, codec, divisor=1, config=SecAggConfig(clip_val=10.0, noise_multiplier=0.0), seed=0
         )
@@ -552,7 +564,7 @@ class TestFinalize:
         vs = [np.full(3, 1.0), np.full(3, 2.0), np.full(3, 6.0)]
         cvs = [encrypt_update(ParamVector(v), codec, public) for v in vs]
         out = finalize_edge_update(
-            aggregate_encrypted(cvs, public), private, codec, divisor=3,
+            aggregate_encrypted(cvs, public, codec), private, codec, divisor=3,
             config=SecAggConfig(clip_val=100.0, noise_multiplier=0.0), seed=0,
         )
         assert np.allclose(out, [3.0, 3.0, 3.0], atol=0.5 / codec.scale)
@@ -561,7 +573,7 @@ class TestFinalize:
         # sigma=0 on a large aggregate: output norm must already be clipped
         public, private = keypair
         v = ParamVector(np.full(4, 5.0))  # norm 10
-        agg = aggregate_encrypted([encrypt_update(v, codec, public)], public)
+        agg = aggregate_encrypted([encrypt_update(v, codec, public)], public, codec)
         out = finalize_edge_update(
             agg, private, codec, divisor=1, config=SecAggConfig(clip_val=1.0, noise_multiplier=0.0), seed=0
         )
@@ -571,7 +583,7 @@ class TestFinalize:
         # 10 draws of a 1000-dim zero aggregate give 10k noise samples
         public, private = keypair
         dim, count, sigma, clip_val = 1000, 10, 1.0, 1.0
-        agg = aggregate_encrypted([encrypt_update(ParamVector(np.zeros(dim)), codec, public)], public)
+        agg = aggregate_encrypted([encrypt_update(ParamVector(np.zeros(dim)), codec, public)], public, codec)
         samples = np.concatenate(
             [
                 finalize_edge_update(
@@ -587,7 +599,7 @@ class TestFinalize:
     def test_deterministic_given_seed(self, keypair, codec):
         public, private = keypair
         v = ParamVector(np.full(5, 0.2))
-        agg = aggregate_encrypted([encrypt_update(v, codec, public)], public)
+        agg = aggregate_encrypted([encrypt_update(v, codec, public)], public, codec)
         config = SecAggConfig(clip_val=1.0, noise_multiplier=0.5)
         a = finalize_edge_update(agg, private, codec, 1, config, seed=42)
         b = finalize_edge_update(agg, private, codec, 1, config, seed=42)

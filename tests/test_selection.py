@@ -233,7 +233,7 @@ class TestSelectClients:
         honest_u = sum(abs(x) for x in liar.weights[0] - edge)
         assert consistency_check(10 * honest_u, honest_u) > 0.15
         selected, evals = select(reports + [liar], edge, self.weights(), self.config())
-        flagged = [ev.client_id for ev in evals if FLAG_INCONSISTENT in ev.flags]
+        flagged = [ev.client for ev in evals if FLAG_INCONSISTENT in ev.flags]
         assert flagged == [5]
         assert 5 not in selected
         assert sorted(selected) == [0, 1, 2, 3, 4]
@@ -254,7 +254,7 @@ class TestSelectClients:
         selected, evals = select(
             reports, edge, ScoreWeights(1.0, 0.0, 0.0), self.config(outlier_z_threshold=2.5)
         )
-        outliers = [ev.client_id for ev in evals if FLAG_SCORE_OUTLIER in ev.flags]
+        outliers = [ev.client for ev in evals if FLAG_SCORE_OUTLIER in ev.flags]
         assert outliers == [9]
         assert 9 not in selected
         assert len(selected) == 9
