@@ -258,8 +258,7 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
 
     spec = config.trainer
     security = [
-        float(config.security_overrides.get(cid, config.selection.default_security_index))
-        for cid in range(config.n_clients)
+        config.security_overrides.get(cid, config.selection.default_security_index) for cid in range(config.n_clients)
     ]
     failures: dict[int, set[int]] = {}
     for edge_id, round_no in config.edge_failures:

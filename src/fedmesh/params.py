@@ -14,7 +14,9 @@ coerces nothing: a bool is only a bool; an int is a Python int, not a bool or
 a numpy integer (which would hash to another seed); a float is an int or a
 float (np.float64 too) within the float range, not NaN or +-inf; a union
 admits any member's values; a tuple or mapping is checked entry by entry, and
-a refusal names the path, such as edge_failures[0][0].
+a refusal names the path, such as edge_failures[0][0]. The one conversion: a
+value in a float position is stored as a Python float, so 1 and 1.0
+configure the same run.
 """
 
 from __future__ import annotations
@@ -72,23 +74,28 @@ def _is(value: Any, kind: Any) -> bool:
     return isinstance(value, typing.get_origin(kind) or kind)
 
 
-def _check(value: Any, kind: Any, path: str) -> None:
-    """Raise FieldTypeError unless `value`, found at `path`, is a `kind`."""
+def _check(value: Any, kind: Any, path: str) -> Any:
+    """Return `value`, found at `path`, as its field stores it (a number in a
+    float position as a float); raise FieldTypeError unless it is a `kind`."""
     origin, args = typing.get_origin(kind), typing.get_args(kind)
     if origin is tuple and isinstance(value, tuple):
         kinds = [args[0]] * len(value) if args[-1] is Ellipsis else args
         if len(value) != len(kinds):
             raise FieldTypeError(f"{path}: expected {len(kinds)} entries, got {len(value)}")
-        for i, (entry, entry_kind) in enumerate(zip(value, kinds)):
-            _check(entry, entry_kind, f"{path}[{i}]")
-    elif origin is collections.abc.Mapping and isinstance(value, origin):
+        return tuple(_check(entry, kinds[i], f"{path}[{i}]") for i, entry in enumerate(value))
+    if origin is collections.abc.Mapping and isinstance(value, origin):
+        stored = {}
         for key, entry in value.items():
             if not _is(key, args[0]):  # the one mapping, security_overrides, is keyed by client id
                 raise FieldTypeError(f"{path}[{key!r}]: client id must be an integer")
-            _check(entry, args[1], f"{path}[{key!r}]")
-    elif not _is(value, kind):
+            stored[key] = _check(entry, args[1], f"{path}[{key!r}]")
+        return stored
+    if not _is(value, kind):
         expected = getattr(kind, "__name__", str(kind))  # a union reads "float | None"
         raise FieldTypeError(f"{path}: expected {expected.replace('float', 'finite float')}, got {value!r}")
+    if isinstance(kind, types.UnionType):
+        kind = next(member for member in typing.get_args(kind) if _is(value, member))
+    return float(value) if kind is float else value
 
 
 _field_types = functools.cache(typing.get_type_hints)
@@ -96,6 +103,7 @@ _field_types = functools.cache(typing.get_type_hints)
 
 def check_field_types(section: object) -> None:
     """Raise FieldTypeError for the first field of the config dataclass
-    `section` whose value is not of its annotated type."""
+    `section` whose value is not of its annotated type; store each value as
+    _check returns it."""
     for name, kind in _field_types(type(section)).items():
-        _check(getattr(section, name), kind, name)
+        object.__setattr__(section, name, _check(getattr(section, name), kind, name))

@@ -2,6 +2,13 @@
 additively homomorphic encryption, ciphertext-space summation, and clipped
 noisy release.
 
+Secure mode reproduces the cost of homomorphic aggregation and checks the
+fixed-point arithmetic exactly: the encrypted sum decrypts to the plaintext
+path's sum, so both write the same bytes. It is not a confidentiality
+boundary against the edge, which holds the private key for its clients'
+ciphertexts and reads their plaintext weights for its utility estimate
+(selection.estimate_metrics).
+
 The cryptosystem is Paillier with g = n + 1, implemented over Python big
 integers: Enc(m) = (1 + m*n) * R mod n^2 with R an n-th residue, so the
 product of ciphertexts decrypts to the sum of plaintexts. Key generation draws
@@ -79,10 +86,6 @@ import numpy as np
 
 from .params import ParamVector, check_field_types
 
-DEFAULT_KEY_BITS = 1024
-DEFAULT_SCALE = 2**20
-DEFAULT_MAX_PARTICIPANTS = 64
-
 _MAX_MILLER_RABIN_ROUNDS = 40
 _PRIME_ERROR_LOG2 = -102  # 2^-100 for a prime, less a factor 4 for its top two bits being set
 _EXPONENT_MARGIN_BITS = 128
@@ -100,8 +103,8 @@ _R = TypeVar("_R")
 @dataclass(frozen=True)
 class SecAggConfig:
     enabled: bool = True
-    key_bits: int = DEFAULT_KEY_BITS
-    scale: int = DEFAULT_SCALE
+    key_bits: int = 1024
+    scale: int = 2**20
     clip_val: float | None = 1.0  # None disables update clipping
     noise_multiplier: float = 0.1
 
@@ -363,7 +366,7 @@ class PaillierPrivateKey:
         return (mp - mq) * self._q_inv_p % self.p * self.q + mq
 
 
-def keygen(key_bits: int = DEFAULT_KEY_BITS, seed: int = 0) -> tuple[PaillierPublicKey, PaillierPrivateKey]:
+def keygen(key_bits: int, seed: int) -> tuple[PaillierPublicKey, PaillierPrivateKey]:
     """Deterministic Paillier keypair whose modulus has exactly key_bits bits (>= 16).
 
     p has (key_bits+1)//2 bits and q has key_bits//2, both with their top two
@@ -396,8 +399,8 @@ class FixedPointCodec:
     slot under that much weight.
     """
 
-    scale: int = DEFAULT_SCALE
-    max_participants: int = DEFAULT_MAX_PARTICIPANTS
+    scale: int
+    max_participants: int
 
     def __post_init__(self) -> None:
         if self.scale < 1 or self.max_participants < 1:

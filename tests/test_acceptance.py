@@ -13,15 +13,7 @@ from scipy import stats
 from fedmesh.cli import cmd_run
 from fedmesh.data import DataConfig, generate_synthetic
 from fedmesh.metrics import jain_fairness
-from fedmesh.orchestrator import (
-    AdversaryAssignment,
-    SelectionConfig,
-    SimulationConfig,
-    derive_seed,
-    evaluate,
-    prepare_data,
-    run,
-)
+from fedmesh.orchestrator import SimulationConfig, derive_seed, evaluate, prepare_data, run
 from fedmesh.aggregation import CrossEdgeConfig, EdgeUpdate, central_aggregate, cross_edge_exchange
 from fedmesh.params import ParamVector
 from fedmesh.secagg import (
@@ -33,8 +25,8 @@ from fedmesh.secagg import (
     keygen,
     release,
 )
-from fedmesh.selection import ScoreWeights, consistency_check, estimate_metrics, score, update_weights
-from fedmesh.trainer import TrainerConfig, build_report, l1_distance, train_clients
+from fedmesh.selection import ScoreWeights, SelectionConfig, consistency_check, estimate_metrics, score, update_weights
+from fedmesh.trainer import AdversaryAssignment, TrainerConfig, build_report, l1_distance, train_clients
 
 
 def report_pass(criterion: int, message: str) -> None:

@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmesh import (
-    MODES,
     AdversaryAssignment,
     CrossEdgeConfig,
     DataConfig,
@@ -40,7 +39,7 @@ from fedmesh.cli import (
     main,
     write_rounds_csv,
 )
-from fedmesh.orchestrator import EdgeFailureEvent, SelectionEvent
+from fedmesh.orchestrator import MODES, EdgeFailureEvent, SelectionEvent
 from fedmesh.selection import ClientEvaluation
 
 BEYOND_FLOAT = "1" + "0" * 400  # an integer that no float can hold
@@ -638,6 +637,24 @@ _SECTIONS = [
     ("aggregation.", CrossEdgeConfig),
 ]
 _FIELDS = [(prefix, section, f.name) for prefix, section in _SECTIONS for f in dataclasses.fields(section)]
+_FLOAT_FIELDS = [
+    (prefix, section, f.name) for prefix, section in _SECTIONS for f in dataclasses.fields(section) if "float" in f.type
+]
+# the float fields whose ranges admit no integer
+_NO_INTEGER = {"data.class_imbalance", "data.train_fraction", "data.val_fraction", "data.test_fraction",
+               "selection.consistency_threshold"}
+
+
+def _small_with(prefix, name, value):
+    """The small config file with the field `name` of the section at `prefix` set to `value`."""
+    raw = json.loads(json.dumps(_SMALL))
+    if prefix == "adversaries[0].":
+        raw["adversaries"][0][name] = value
+    elif prefix:
+        raw.setdefault(prefix[:-1], {})[name] = value
+    else:
+        raw[name] = value
+    return raw
 
 
 @st.composite
@@ -757,13 +774,7 @@ class TestLibraryAndConfigFilesAgree:
         assert _refusal(lambda: dataclasses.replace(section(**required), **{name: value})) == message
         if isinstance(value, (np.integer, list)):
             return  # JSON holds neither
-        raw = json.loads(json.dumps(_SMALL))
-        if prefix == "adversaries[0].":
-            raw["adversaries"][0][name] = value
-        elif prefix:
-            raw.setdefault(prefix[:-1], {})[name] = value
-        else:
-            raw[name] = value
+        raw = _small_with(prefix, name, value)
         err = io.StringIO()
         with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
             config_path = Path(tmp) / "config.json"
@@ -774,3 +785,40 @@ class TestLibraryAndConfigFilesAgree:
             assert err.getvalue().startswith(f"config error: {prefix}{name}: ")
         else:
             assert err.getvalue() == f"config error: {prefix}{message}\n"
+
+    @pytest.mark.parametrize("prefix, section, name", _FLOAT_FIELDS, ids=[f"{p}{n}" for p, _, n in _FLOAT_FIELDS])
+    def test_an_integer_in_a_float_field_configures_its_float_twin(self, prefix, section, name):
+        admitted = []
+        for number in (0, 1, 2):
+            as_int, as_float = number, float(number)
+            if name == "security_overrides":
+                as_int, as_float = {"2": as_int}, {"2": as_float}
+            try:
+                config = build_config(_small_with(prefix, name, as_int))
+            except ConfigError:
+                continue
+            twin = build_config(_small_with(prefix, name, as_float))
+            assert config == twin
+            assert config_hash(config) == config_hash(twin)
+            admitted.append(number)
+        assert bool(admitted) == (f"{prefix}{name}" not in _NO_INTEGER)
+
+    def test_integer_and_float_twins_write_identical_artifacts(self, tmp_path):
+        # energy_alpha 1 and energy_beta 0 once made an int64 energy array, which a deflate_energy liar truncated
+        twins = {
+            "int": {"min_delta": 0, "security_overrides": {"2": 1}, "trainer": {"energy_alpha": 1, "energy_beta": 0},
+                    "adversaries": [{"client_id": 1, "kind": "deflate_energy", "factor": 3}]},
+            "float": {"min_delta": 0.0, "security_overrides": {"2": 1.0},
+                      "trainer": {"energy_alpha": 1.0, "energy_beta": 0.0},
+                      "adversaries": [{"client_id": 1, "kind": "deflate_energy", "factor": 3.0}]},
+        }
+        written = {}
+        for name, fields in twins.items():
+            config_path = tmp_path / f"{name}.json"
+            config_path.write_text(json.dumps({**_SMALL, "rounds_max": 2, "patience": 2, **fields}))
+            assert cmd_run(str(config_path), str(tmp_path / name)) == 0
+            written[name] = [(tmp_path / name / f).read_bytes() for f in ("rounds.csv", "events.jsonl")]
+        assert written["int"] == written["float"]
+        events = [json.loads(line) for line in written["int"][1].splitlines()]
+        energies = [ev["estimated_energy"] for event in events for ev in event.get("evaluations", [])]
+        assert energies and all(type(energy) is float for energy in energies)

@@ -17,10 +17,7 @@ from fedmesh.aggregation import CrossEdgeConfig, EdgeUpdate
 from fedmesh.data import DataConfig, generate_synthetic, partition_noniid
 from fedmesh.metrics import BinaryMetrics
 from fedmesh.orchestrator import (
-    AdversaryAssignment,
-    SelectionConfig,
     SimulationConfig,
-    TrainerConfig,
     _central_step,
     derive_seed,
     evaluate,
@@ -29,7 +26,8 @@ from fedmesh.orchestrator import (
     run,
 )
 from fedmesh.secagg import SecAggConfig
-from fedmesh.trainer import train_clients
+from fedmesh.selection import SelectionConfig
+from fedmesh.trainer import AdversaryAssignment, TrainerConfig, train_clients
 
 
 def make_config(**overrides) -> SimulationConfig:
@@ -276,6 +274,7 @@ class TestRunBasics:
     def test_numpy_floats_are_floats(self):
         config = make_config(min_delta=np.float64(0.5), secagg=SecAggConfig(clip_val=np.float64(2.0)))
         assert config.min_delta == 0.5 and config.secagg.clip_val == 2.0
+        assert type(config.min_delta) is float and type(config.secagg.clip_val) is float  # stored as Python floats
 
     def test_security_override_reaches_selection(self, dataset):
         result = run(make_config(rounds_max=1, security_overrides={3: 1.0}), dataset)
@@ -560,6 +559,40 @@ class TestPrivacyBoundary:
     def test_edge_update_carries_only_aggregate_state(self):
         fields = {f.name for f in dataclasses.fields(EdgeUpdate)}
         assert fields == {"edge_id", "local_model", "sample_count"}
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["secure", "plaintext"])
+    def test_central_tier_receives_one_model_per_edge(self, dataset, monkeypatch, enabled):
+        exchanged, averaged = [], []
+        exchange, central = fedmesh.orchestrator.cross_edge_exchange, fedmesh.orchestrator.central_aggregate
+
+        def recording_exchange(updates, config):
+            exchanged.append(list(updates))
+            return exchange(updates, config)
+
+        def recording_central(models, sample_counts):
+            averaged.append((np.asarray(models), list(sample_counts)))
+            return central(models, sample_counts)
+
+        monkeypatch.setattr(fedmesh.orchestrator, "cross_edge_exchange", recording_exchange)
+        monkeypatch.setattr(fedmesh.orchestrator, "central_aggregate", recording_central)
+        # three clients per edge, so a stack of one edge's client arrays never has the shape of the edges' stack
+        secagg = SecAggConfig(key_bits=256) if enabled else SecAggConfig(enabled=False)
+        config = make_config(n_edges=3, clients_per_edge=3, edge_failures=((1, 2),), secagg=secagg)
+        result = run(config, dataset)
+        dim = result.final_global.shape[0]
+        assert len(exchanged) == len(averaged) == len(result.rounds) == 3
+        for round_no, updates, (models, counts) in zip((1, 2, 3), exchanged, averaged):
+            selecting = [
+                event.edge
+                for event in result.events
+                if event.round == round_no and event.type == "selection" and event.selected
+            ]
+            assert selecting == ([0, 2] if round_no == 2 else [0, 1, 2])
+            assert all(type(update) is EdgeUpdate for update in updates)
+            assert [update.edge_id for update in updates] == selecting
+            assert all(update.local_model.values.shape == (dim,) for update in updates)
+            assert models.shape == (len(selecting), dim)
+            assert counts == [update.sample_count for update in updates]
 
 
 class TestEdgeHoldout:

@@ -272,7 +272,7 @@ class TestCodec:
     def test_signed_encoding(self, keypair):
         # two signed slots in one plaintext: m = 500 + (-250) * 2^width mod n
         public, private = keypair
-        codec = FixedPointCodec(scale=1000)
+        codec = FixedPointCodec(scale=1000, max_participants=64)
         slots, width = codec.layout(public.n.bit_length())
         cv = encrypt_update(ParamVector(np.array([0.5, -0.25])), codec, public)
         assert cv.dim == 1 and slots >= 2
@@ -281,7 +281,7 @@ class TestCodec:
 
     def test_round_trip_error_bound(self, keypair):
         public, private = keypair
-        codec = FixedPointCodec(scale=2**20)
+        codec = FixedPointCodec(scale=2**20, max_participants=64)
         rng = np.random.default_rng(1)
         x = rng.uniform(-10, 10, size=200)
         decoded = decrypt_vector(encrypt_update(ParamVector(x), codec, public), private, codec)
@@ -332,7 +332,7 @@ class TestAggregateEncrypted:
 
     def test_three_constant_vectors(self, keypair):
         public, private = keypair
-        codec = FixedPointCodec(scale=100)
+        codec = FixedPointCodec(scale=100, max_participants=64)
         cvs = [
             encrypt_update(ParamVector(np.array([float(k), float(k)])), codec, public)
             for k in (1, 2, 3)
@@ -515,9 +515,9 @@ class TestArrayQuantization:
     def test_rint_equals_round(self, ks, shift, xs, scale):
         # exact .5 ties: (k + 0.5) / 2^shift times 2^shift is k + 0.5 exactly, and both round it to even
         ties = np.array([(k + 0.5) / 2**shift for k in ks])
-        got = FixedPointCodec(scale=2**shift).quantize(ties)
+        got = FixedPointCodec(scale=2**shift, max_participants=64).quantize(ties)
         assert [int(q) for q in got.tolist()] == [round(t * 2**shift) for t in ties.tolist()]
-        got = FixedPointCodec(scale=scale).quantize(np.array(xs))
+        got = FixedPointCodec(scale=scale, max_participants=64).quantize(np.array(xs))
         assert [int(q) for q in got.tolist()] == [round(x * scale) for x in xs]
 
     @given(int64_edge_sums())

@@ -314,6 +314,13 @@ class TestBuildReport:
         got = report(2, w, w, self.spec(), 100, 0.5, behavior=("deflate_energy", 4.0))
         assert got.reported_energy[0] == pytest.approx(1.011 / 4.0, rel=1e-12)
 
+    def test_deflate_energy_with_integer_constants(self):
+        # integers in float fields are stored as floats, so the energy array is not truncated to int64
+        w = np.ones(11)
+        spec = TrainerConfig(energy_alpha=1, energy_beta=0)
+        got = report(2, w, w, spec, 20, 0.5, behavior=("deflate_energy", 3))
+        assert got.reported_energy[0] == 20 / 3
+
     def test_noise_weights_masks_tamper(self):
         rng = np.random.default_rng(10)
         received = rng.normal(size=11)
