@@ -50,7 +50,7 @@ class SimulationConfig:
     decision_threshold: float = 0.5
     adversaries: tuple[AdversaryAssignment, ...] = ()
     edge_failures: tuple[tuple[int, int], ...] = ()  # (edge_id, round), rounds 1-based
-    security_overrides: Mapping[int, float] = field(default_factory=dict)
+    security_overrides: Mapping[int, float] = field(default_factory=dict, hash=False)  # a dict; == still compares it
     data: DataConfig = field(default_factory=DataConfig)
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
     selection: SelectionConfig = field(default_factory=SelectionConfig)
@@ -157,23 +157,24 @@ def _edge_mean_update(
     weights: Sequence[int] | None,
     divisor: int,
     noise_seed: int,
+    ahead: int,
 ) -> np.ndarray:
     """Release the (weighted) mean of the deltas, one client update per row,
     encrypted under the edge's keypair; with secagg off (keypair None) the
     same quantized ints are summed in plaintext. A secagg.HeadroomError names
-    the refused row."""
+    the refused row. Then a worker-fed key's worker computes the next `ahead`
+    randomizers while this process decrypts, evaluates and trains."""
     if keypair is None:
         total = secagg.sum_quantized(deltas, codec, cfg.key_bits, weights)
         return secagg.release(total, divisor, cfg, noise_seed)
     public_key, private_key = keypair
-    slots, _ = codec.layout(public_key.n.bit_length())
-    public_key.precompute_randomizers(len(deltas) * -(-deltas.shape[1] // slots))
     ciphers = []
     for row, d in enumerate(deltas):
         try:
             ciphers.append(secagg.encrypt_update(ParamVector(d), codec, public_key))
         except secagg.HeadroomError as exc:
             raise secagg.HeadroomError(str(exc), row) from exc
+    public_key.precompute_randomizers(ahead)
     agg = secagg.aggregate_encrypted(ciphers, public_key, codec, weights)
     return secagg.finalize_edge_update(agg, private_key, codec, divisor, cfg, noise_seed)
 
@@ -269,13 +270,6 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
         scale=config.secagg.scale,
         max_participants=total_train + len(client_train) + 2,
     )
-    keypairs = [None] * len(edge_clients)
-    if config.secagg.enabled:
-        key_bits = config.secagg.key_bits
-        keypairs = secagg._fork_map(
-            lambda key_seed: secagg.keygen(key_bits, key_seed), [derive_seed(seed, "keys", e) for e in edge_clients]
-        )
-
     global_model = np.zeros(trainer.model_dim(dataset.n_features))
     score_weights: list[ScoreWeights | None] = [None] * len(edge_clients)
 
@@ -285,120 +279,128 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
     non_improving = 0
     stopped_early = False
 
-    for round_no in range(1, config.rounds_max + 1):
-        failed = failures.get(round_no, set())
-        alive = [e for e in edge_clients if e not in failed]
-        for e in sorted(failed):
-            events.append(EdgeFailureEvent(round_no, e))
-        if not alive:
-            raise RuntimeError(f"all edges failed in round {round_no}")
+    # an edge encrypts at most one packed update per client in a round
+    slots, _ = codec.layout(config.secagg.key_bits)
+    ahead = max(map(len, edge_clients.values())) * -(-len(global_model) // slots)
+    key_seeds = [derive_seed(seed, "keys", e) for e in edge_clients] if config.secagg.enabled else []
+    with secagg.edge_keys(config.secagg.key_bits, key_seeds, ahead) as keypairs:
+        for round_no in range(1, config.rounds_max + 1):
+            failed = failures.get(round_no, set())
+            alive = [e for e in edge_clients if e not in failed]
+            for e in sorted(failed):
+                events.append(EdgeFailureEvent(round_no, e))
+            if not alive:
+                raise RuntimeError(f"all edges failed in round {round_no}")
 
-        # the clients of every alive edge train as one lockstep cohort, stacked one row each
-        cids = [cid for e in alive for cid in edge_clients[e]]
-        train_seeds = [derive_seed(seed, "train", round_no, cid) for cid in cids]
-        cohort = trainer.Cohort(global_model, spec, d_train, [client_train[cid] for cid in cids], train_seeds)
-        try:
-            trained = np.stack(
-                [
-                    trainer.train_local(global_model, spec, d_train, client_train[cid], s, cohort)
-                    for cid, s in zip(cids, train_seeds)
-                ]
-            )
-        except trainer.DivergedError as exc:
-            raise ValueError(
-                f"round {round_no}, client {cids[exc.index]}: trained weights are not finite"
-                f" (trainer.learning_rate={spec.learning_rate})"
-            ) from exc
-
-        edge_updates: list[EdgeUpdate] = []
-        first_row = 0
-        for e in alive:
-            ids = edge_clients[e]  # ascending, so a client's report row is found by searchsorted
-            reports = trainer.build_report(
-                ids,
-                trained[first_row : first_row + len(ids)],
-                global_model,
-                spec,
-                [len(client_train[cid]) for cid in ids],
-                [security[cid] for cid in ids],
-                config.adversaries,
-                lambda cid: np.random.default_rng(derive_seed(seed, "behavior", round_no, cid)),
-            )
-            first_row += len(ids)
-
+            # the clients of every alive edge train as one lockstep cohort, stacked one row each
+            cids = [cid for e in alive for cid in edge_clients[e]]
+            train_seeds = [derive_seed(seed, "train", round_no, cid) for cid in cids]
+            cohort = trainer.Cohort(global_model, spec, d_train, [client_train[cid] for cid in cids], train_seeds)
             try:
-                selected_ids, evaluations = _select_for_mode(config, reports, global_model, score_weights, e, round_no)
-            except selection.NonFiniteMetric as exc:
+                trained = np.stack(
+                    [
+                        trainer.train_local(global_model, spec, d_train, client_train[cid], s, cohort)
+                        for cid, s in zip(cids, train_seeds)
+                    ]
+                )
+            except trainer.DivergedError as exc:
                 raise ValueError(
-                    f"round {round_no}, client {exc.client_id}: {exc.detail}"
+                    f"round {round_no}, client {cids[exc.index]}: trained weights are not finite"
                     f" (trainer.learning_rate={spec.learning_rate})"
                 ) from exc
-            weights_now = score_weights[e]
-            if weights_now is not None:
-                score_weights[e] = selection.update_weights(
-                    weights_now,
-                    (
-                        float(np.mean([ev.estimated_utility for ev in evaluations])),
-                        float(np.mean([ev.estimated_energy for ev in evaluations])),
-                        float(np.mean([ev.security_index for ev in evaluations])),
-                    ),
-                    config.selection,
-                )
-            weights_used = None if weights_now is None else weights_now.as_tuple()
-            events.append(
-                SelectionEvent(round_no, e, config.baseline_mode, weights_used, tuple(selected_ids), evaluations)
-            )
 
-            if not selected_ids:
-                logger.warning("round %d edge %d: no clients selected, edge skipped", round_no, e)
-                continue
-            rows = np.searchsorted(reports.client_ids, selected_ids)
-            counts = reports.sample_count[rows]
-            if single_edge:
-                int_weights = counts.tolist()
-                divisor = sum(int_weights)
+            edge_updates: list[EdgeUpdate] = []
+            first_row = 0
+            for e in alive:
+                ids = edge_clients[e]  # ascending, so a client's report row is found by searchsorted
+                reports = trainer.build_report(
+                    ids,
+                    trained[first_row : first_row + len(ids)],
+                    global_model,
+                    spec,
+                    [len(client_train[cid]) for cid in ids],
+                    [security[cid] for cid in ids],
+                    config.adversaries,
+                    lambda cid: np.random.default_rng(derive_seed(seed, "behavior", round_no, cid)),
+                )
+                first_row += len(ids)
+
+                try:
+                    selected_ids, evaluations = _select_for_mode(
+                        config, reports, global_model, score_weights, e, round_no
+                    )
+                except selection.NonFiniteMetric as exc:
+                    raise ValueError(
+                        f"round {round_no}, client {exc.client_id}: {exc.detail}"
+                        f" (trainer.learning_rate={spec.learning_rate})"
+                    ) from exc
+                weights_now = score_weights[e]
+                if weights_now is not None:
+                    score_weights[e] = selection.update_weights(
+                        weights_now,
+                        (
+                            float(np.mean([ev.estimated_utility for ev in evaluations])),
+                            float(np.mean([ev.estimated_energy for ev in evaluations])),
+                            float(np.mean([ev.security_index for ev in evaluations])),
+                        ),
+                        config.selection,
+                    )
+                weights_used = None if weights_now is None else weights_now.as_tuple()
+                events.append(
+                    SelectionEvent(round_no, e, config.baseline_mode, weights_used, tuple(selected_ids), evaluations)
+                )
+
+                if not selected_ids:
+                    logger.warning("round %d edge %d: no clients selected, edge skipped", round_no, e)
+                    continue
+                rows = np.searchsorted(reports.client_ids, selected_ids)
+                counts = reports.sample_count[rows]
+                if single_edge:
+                    int_weights = counts.tolist()
+                    divisor = sum(int_weights)
+                else:
+                    int_weights = None
+                    divisor = len(selected_ids)
+                try:
+                    mean_update = _edge_mean_update(
+                        config.secagg,
+                        codec,
+                        keypairs[e]() if keypairs else None,
+                        reports.weights[rows] - global_model,
+                        int_weights,
+                        divisor,
+                        derive_seed(seed, "dp", round_no, e),
+                        ahead if round_no < config.rounds_max else 0,
+                    )
+                except secagg.HeadroomError as exc:
+                    raise OverflowError(f"round {round_no}, edge {e}, client {selected_ids[exc.row]}: {exc}") from exc
+                local_model = ParamVector(global_model + mean_update)
+                edge_updates.append(EdgeUpdate(edge_id=e, local_model=local_model, sample_count=int(counts.sum())))
+
+            if not edge_updates:
+                raise RuntimeError(f"no edge produced an update in round {round_no}")
+            new_global, cross = _central_step(edge_updates, config.aggregation)
+
+            per_edge: dict[int, BinaryMetrics] = {}
+            for eid, model in zip(sorted(u.edge_id for u in edge_updates), cross):
+                rows = edge_test_rows[eid]
+                if len(rows) > 0:
+                    per_edge[eid] = evaluate(model, d_train.features[rows], d_train.labels[rows], threshold)
+            val = evaluate(new_global, d_val.features, d_val.labels, threshold)
+            test = evaluate(new_global, d_test.features, d_test.labels, threshold)
+            accuracies = [m.accuracy for m in per_edge.values()]
+            jfi = 1.0 if not any(accuracies) else jain_fairness(accuracies)
+            rounds.append(RoundRecord(round=round_no, val=val, test=test, per_edge=per_edge, jfi=jfi))
+            global_model = new_global
+
+            if val.loss < best_val - config.min_delta:
+                best_val = val.loss
+                non_improving = 0
             else:
-                int_weights = None
-                divisor = len(selected_ids)
-            try:
-                mean_update = _edge_mean_update(
-                    config.secagg,
-                    codec,
-                    keypairs[e],
-                    reports.weights[rows] - global_model,
-                    int_weights,
-                    divisor,
-                    derive_seed(seed, "dp", round_no, e),
-                )
-            except secagg.HeadroomError as exc:
-                raise OverflowError(f"round {round_no}, edge {e}, client {selected_ids[exc.row]}: {exc}") from exc
-            local_model = ParamVector(global_model + mean_update)
-            edge_updates.append(EdgeUpdate(edge_id=e, local_model=local_model, sample_count=int(counts.sum())))
-
-        if not edge_updates:
-            raise RuntimeError(f"no edge produced an update in round {round_no}")
-        new_global, cross = _central_step(edge_updates, config.aggregation)
-
-        per_edge: dict[int, BinaryMetrics] = {}
-        for eid, model in zip(sorted(u.edge_id for u in edge_updates), cross):
-            rows = edge_test_rows[eid]
-            if len(rows) > 0:
-                per_edge[eid] = evaluate(model, d_train.features[rows], d_train.labels[rows], threshold)
-        val = evaluate(new_global, d_val.features, d_val.labels, threshold)
-        test = evaluate(new_global, d_test.features, d_test.labels, threshold)
-        accuracies = [m.accuracy for m in per_edge.values()]
-        jfi = 1.0 if not any(accuracies) else jain_fairness(accuracies)
-        rounds.append(RoundRecord(round=round_no, val=val, test=test, per_edge=per_edge, jfi=jfi))
-        global_model = new_global
-
-        if val.loss < best_val - config.min_delta:
-            best_val = val.loss
-            non_improving = 0
-        else:
-            non_improving += 1
-            if non_improving >= config.patience:
-                stopped_early = round_no < config.rounds_max
-                break
+                non_improving += 1
+                if non_improving >= config.patience:
+                    stopped_early = round_no < config.rounds_max
+                    break
 
     return SimulationResult(
         rounds=rounds,

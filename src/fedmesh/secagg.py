@@ -35,10 +35,10 @@ subgroup h_s generates, and hiding m still rests on the decisional composite
 residuosity assumption alone, with no short-exponent assumption. Since the
 base is fixed, h_s^a is computed with a Lim-Lee comb: the exponent's bits are
 cut into 8 blocks of d = ceil((key_bits + 128) / 8) bits, and a 256-entry
-table, built with the key, holds the product of h_s^(2^(j*d)) over each subset
-of the 8 blocks; one power is then d squarings and d table multiplications,
-where r^n for a random r would take about key_bits squarings (about 74 KiB of table
-per 1024-bit key).
+table, built for the key's first randomizer, holds the product of
+h_s^(2^(j*d)) over each subset of the 8 blocks; one power is then d squarings
+and d table multiplications, where r^n for a random r would take about
+key_bits squarings (about 74 KiB of table per 1024-bit key).
 
 Real-valued updates are quantized by a fixed-point codec, q = x * scale
 rounded half to even, and packed BatchCrypt-style into signed fixed-width
@@ -54,33 +54,35 @@ next under max_participants unit-weight additions (and no packed sum wraps the
 ring). Encrypted and plaintext sums apply the same bound and share one release
 step.
 
-The modular exponentiations run on every usable core. Keys, comb tables
-included, depend only on their seeds, so several keys are generated in forked
-processes at once. The randomizer h_s^a depends only on the key and on a,
-never on the message, so precompute_randomizers draws the next exponents from
-the key's seeded PRNG, in the order raw_encrypt would, and computes their
-powers in forked processes ahead of the encryptions; every key and ciphertext
-is byte-identical to a serial run. The encrypting side works from n and h_s
-alone and never uses the factorization. The workers are plain os.fork
-children that run only pure-Python big-integer code and pickle, write their
-results into a pipe and leave through os._exit. Python 3.12 and later warn
-when a process with other threads forks, because a child may inherit a lock
-that one of those threads held. The parent's other threads here are numpy's
-BLAS pool; a child never calls numpy, BLAS, logging or any other code that
-takes such a lock, and os._exit skips atexit handlers and the flushing of
-inherited buffers, so that hazard cannot arise.
+The modular exponentiations run beside the simulation: edge_keys forks one
+worker per key, which makes the key from its seed and sends n, h_s, p and q.
+The randomizer h_s^a depends only on the key and on a, never on the message,
+so the worker then draws the exponents from the key's seeded PRNG, in the
+order raw_encrypt would, and computes their powers ahead of the encryptions,
+as many as the main process asks for; the main process's copy of the key draws
+none, so keys and ciphertexts are byte-identical to a serial run, as they are
+with one usable core or without os.fork, where both are made in process. The
+encrypting side works from n and h_s alone and never uses the factorization.
+The workers are plain os.fork children that run only pure-Python big-integer
+code and pickle, and leave through os._exit; edge_keys kills and reaps them on
+every exit path. Python 3.12 and later warn when a process with other threads
+forks, because a child may inherit a lock that one of those threads held. The
+parent's other threads here are numpy's BLAS pool; a child never calls numpy,
+BLAS, logging or any other code that takes such a lock, and os._exit skips
+atexit handlers and inherited buffers, so that cannot happen.
 """
 
 from __future__ import annotations
 
-import collections
+import contextlib
 import functools
 import math
 import os
 import pickle
 import random
+import signal
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -94,10 +96,6 @@ _KEYGEN_RETRIES = 10_000
 _SIEVE_LIMIT = 4096
 _SLOT_HEADROOM_BITS = 12
 _INT64_SUM_MAX_WIDTH = 64
-
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
 
 
 @dataclass(frozen=True)
@@ -140,69 +138,6 @@ def _usable_cores() -> int:
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
-
-
-def _fork_worker(fn: Callable[[_T], _R], share: list[_T]) -> tuple[int, int]:
-    """Fork a child that pickles (True, [fn(x) for x in share]), or (False, the
-    exception fn raised), into a pipe and exits 0; returns (pid, read end)."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:  # the child: pure-Python work, then os._exit whatever happens
-        code = 1
-        try:
-            os.close(read_fd)
-            try:
-                payload = (True, [fn(x) for x in share])
-            except Exception as exc:
-                payload = (False, exc)
-            with open(write_fd, "wb") as pipe:
-                pickle.dump(payload, pipe)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _fork_map(fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
-    """[fn(x) for x in items], computed by k = min(usable cores, len(items)) processes.
-
-    Child j (1..k-1) computes items[j::k] and the caller items[0::k]; then the
-    caller reads and reaps every child. An exception in a child is raised
-    again here with its type and message. With k = 1 nothing forks. fn must
-    be pure-Python code (see the module docstring); its results must pickle.
-    """
-    items = list(items)
-    k = min(_usable_cores(), len(items))
-    if k <= 1:
-        return [fn(x) for x in items]
-    workers: list[tuple[int, int]] = []
-    outputs: list[tuple[bytes, int]] = []
-    try:
-        for j in range(1, k):
-            workers.append(_fork_worker(fn, items[j::k]))
-        shares = [[fn(x) for x in items[0::k]]]
-    finally:  # also when the caller's share raised: every child finishes its share and is reaped
-        for pid, read_fd in workers:
-            with open(read_fd, "rb") as pipe:
-                data = pipe.read()
-            outputs.append((data, os.waitpid(pid, 0)[1]))
-    for data, status in outputs:
-        if status != 0:
-            raise ChildProcessError(f"fork worker exited with code {os.waitstatus_to_exitcode(status)}")
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        shares.append(value)
-    out: list = [None] * len(items)
-    for j, share in enumerate(shares):
-        out[j::k] = share
-    return out
 
 
 @functools.cache
@@ -314,25 +249,32 @@ class PaillierPublicKey:
     def __post_init__(self) -> None:
         self.n_sq = self.n * self.n
         self._exponent_bits = self.n.bit_length() + _EXPONENT_MARGIN_BITS
-        self._comb = _FixedBaseComb(self.h_s, self._exponent_bits, self.n_sq)
-        self._rng = random.Random()
-        self._randomizers: collections.deque[int] = collections.deque()
+        self._rng: random.Random | None = random.Random()  # None: the key's worker alone draws its exponents
+        self._worker: _KeyWorker | None = None
+
+    @functools.cached_property
+    def _comb(self) -> _FixedBaseComb:
+        return _FixedBaseComb(self.h_s, self._exponent_bits, self.n_sq)
+
+    def _next_randomizer(self) -> int:
+        """h_s^a mod n^2 for the next exponent a of the key's PRNG."""
+        if self._rng is None:
+            raise RuntimeError("a worker-fed key draws its exponents in its worker alone")
+        return self._comb.pow(self._rng.getrandbits(self._exponent_bits))
 
     def precompute_randomizers(self, count: int) -> None:
-        """Queue h_s^a mod n^2 for the next `count` encryptions, computed on
-        every usable core; a is drawn from the key's PRNG in encryption order."""
-        exponents = [self._rng.getrandbits(self._exponent_bits) for _ in range(count)]
-        self._randomizers.extend(_fork_map(self._comb.pow, exponents))
+        """Have a worker-fed key's worker compute the next `count` randomizers
+        meanwhile; a key made in process computes each one as it encrypts."""
+        if self._worker is not None:
+            self._worker.ask(count)
 
     def raw_encrypt(self, m: int) -> int:
-        """Encrypt an integer already mapped into [0, n) with the oldest queued
-        randomizer, queueing one first when none is."""
+        """Encrypt an integer already mapped into [0, n) with the key's next randomizer."""
         if not 0 <= m < self.n:
             raise ValueError("plaintext out of ring range")
-        if not self._randomizers:
-            self.precompute_randomizers(1)  # one item never forks
+        randomizer = self._next_randomizer() if self._worker is None else self._worker.take()
         # (1+n)^m mod n^2 collapses to 1 + m*n by the binomial theorem
-        return (1 + m * self.n) % self.n_sq * self._randomizers.popleft() % self.n_sq
+        return (1 + m * self.n) % self.n_sq * randomizer % self.n_sq
 
     def add(self, c1: int, c2: int) -> int:
         return c1 * c2 % self.n_sq
@@ -366,13 +308,16 @@ class PaillierPrivateKey:
         return (mp - mq) * self._q_inv_p % self.p * self.q + mq
 
 
-def keygen(key_bits: int, seed: int) -> tuple[PaillierPublicKey, PaillierPrivateKey]:
+Keypair = tuple[PaillierPublicKey, PaillierPrivateKey]
+
+
+def keygen(key_bits: int, seed: int) -> Keypair:
     """Deterministic Paillier keypair whose modulus has exactly key_bits bits (>= 16).
 
     p has (key_bits+1)//2 bits and q has key_bits//2, both with their top two
     bits set, so 2^(key_bits-1) < p*q < 2^key_bits for the first pair drawn.
-    The randomizer base h_s = (-x^2)^n mod n^2 takes an x prime to n, and the
-    public key builds its comb table here, so forked keygen builds it too.
+    The randomizer base h_s = (-x^2)^n mod n^2 takes an x prime to n; the
+    public key builds its comb table on its first randomizer.
     """
     if key_bits < 16:
         raise ValueError(f"key_bits too small: {key_bits}")
@@ -388,6 +333,117 @@ def keygen(key_bits: int, seed: int) -> tuple[PaillierPublicKey, PaillierPrivate
     public = PaillierPublicKey(n, pow(-x * x % n, n, n * n))
     public._rng.seed(rng.getrandbits(64))
     return public, PaillierPrivateKey(public, p, q)
+
+
+class _KeyWorker:
+    """A forked child that sends keygen(key_bits, seed) as (n, h_s, p, q), or its
+    exception, then h_s^a mod n^2 in the key's exponent order: `ahead` at once,
+    then as many as each request asks for. It closes its copies of the `earlier`
+    workers' pipes, so that each worker alone holds its parent's pipe ends."""
+
+    def __init__(self, key_bits: int, seed: int, ahead: int, earlier: Sequence[_KeyWorker]):
+        request_r, self._requests = os.pipe()
+        result_r, result_w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            for fd in (request_r, self._requests, result_r, result_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:  # the child: pure-Python work, then os._exit whatever happens
+            code = 1
+            try:
+                for fd in (self._requests, result_r, *(fd for w in earlier for fd in w._fds)):
+                    os.close(fd)
+                with open(request_r, "rb") as requests, open(result_w, "wb") as results:
+                    _serve_key(key_bits, seed, ahead, requests, results)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(request_r)
+        os.close(result_w)
+        self._fds = self._requests, result_r
+        self._results = open(result_r, "rb")
+        self._asked = ahead  # randomizers asked for and not yet read
+        self._keypair: Keypair | None = None
+
+    def _read(self, size: int) -> bytes:
+        data = self._results.read(size)
+        if len(data) < size:
+            raise ChildProcessError(f"key worker {self.pid} exited early")
+        return data
+
+    def keypair(self) -> Keypair:
+        """The worker's keypair, whose public key takes its randomizers from the worker."""
+        if self._keypair is None:
+            ok, value = pickle.loads(self._read(int.from_bytes(self._read(8), "big")))
+            if not ok:
+                raise value
+            public = PaillierPublicKey(*value[:2])
+            public._rng, public._worker = None, self
+            self._width = (public.n_sq.bit_length() + 7) // 8
+            self._keypair = public, PaillierPrivateKey(public, *value[2:])
+        return self._keypair
+
+    def ask(self, count: int) -> None:
+        """Ask for randomizers until `count` are asked for and unread; a request
+        to a worker that is gone is dropped, and the next read fails."""
+        if count > self._asked:
+            with contextlib.suppress(BrokenPipeError):
+                os.write(self._requests, (count - self._asked).to_bytes(4, "big"))
+            self._asked = count
+
+    def take(self) -> int:
+        self.ask(1)
+        self._asked -= 1
+        return int.from_bytes(self._read(self._width), "big")
+
+    def close(self) -> None:
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+        os.close(self._requests)
+        self._results.close()
+        if self._keypair is not None:
+            self._keypair[0]._worker = None  # so a key that outlives its worker refuses to encrypt
+
+
+def _serve_key(key_bits: int, seed: int, ahead: int, requests, results) -> None:
+    """The child's side of a _KeyWorker, until its requests end."""
+    try:
+        public, private = keygen(key_bits, seed)
+        ok, value = True, (public.n, public.h_s, private.p, private.q)
+    except Exception as exc:
+        ok, value = False, exc
+    reply = pickle.dumps((ok, value))
+    results.write(len(reply).to_bytes(8, "big") + reply)
+    results.flush()
+    if not ok:
+        return
+    width = (public.n_sq.bit_length() + 7) // 8
+    header = ahead.to_bytes(4, "big")
+    while len(header) == 4:
+        for _ in range(int.from_bytes(header, "big")):
+            results.write(public._next_randomizer().to_bytes(width, "big"))
+            results.flush()
+        header = requests.read(4)
+
+
+@contextlib.contextmanager
+def edge_keys(key_bits: int, seeds: Sequence[int], ahead: int) -> Iterator[list[Callable[[], Keypair]]]:
+    """Yield a getter of each seed's keypair, made by a _KeyWorker started here
+    with two or more usable cores, else here on first use; on exit, kill and
+    reap every worker."""
+    workers: list[_KeyWorker] = []
+    try:
+        if _usable_cores() < 2:
+            yield [functools.cache(functools.partial(keygen, key_bits, seed)) for seed in seeds]
+            return
+        for seed in seeds:
+            workers.append(_KeyWorker(key_bits, seed, ahead, workers))
+        yield [worker.keypair for worker in workers]
+    finally:
+        for worker in workers:
+            worker.close()
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,15 @@ them in CHANGES.md.
 
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
+import fedmesh.secagg
 from fedmesh.cli import cmd_run
 from fedmesh.params import ParamVector
-from fedmesh.secagg import FixedPointCodec, encrypt_update, keygen
+from fedmesh.secagg import FixedPointCodec, edge_keys, encrypt_update, keygen
 
 CONFIGS = {
     # plaintext FedSelect-ME with one adversary of each kind
@@ -171,5 +173,17 @@ def encryption_sequence(public, precompute):
 def test_ciphertexts_are_byte_identical(seed, precompute):
     public, _ = keygen(256, seed)
     cts = encryption_sequence(public, precompute)
+    assert len(cts) == 11
+    assert hashlib.sha256(b"".join(c.to_bytes(64, "big") for c in cts)).hexdigest()[:16] == CIPHERTEXT_DIGESTS[seed]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.parametrize("precompute", [{}, {0: 11}, {1: 2, 4: 4, 7: 3}, {3: 20}], ids=["serial", "all", "mixed", "surplus"])
+@pytest.mark.parametrize("seed", sorted(CIPHERTEXT_DIGESTS))
+def test_worker_fed_ciphertexts_are_byte_identical(seed, precompute, monkeypatch):
+    # the key's worker draws the exponents, in the same order whatever it is asked for ahead
+    monkeypatch.setattr(fedmesh.secagg, "_usable_cores", lambda: 2)
+    with edge_keys(256, [seed], 3) as keypairs:
+        cts = encryption_sequence(keypairs[0]()[0], precompute)
     assert len(cts) == 11
     assert hashlib.sha256(b"".join(c.to_bytes(64, "big") for c in cts)).hexdigest()[:16] == CIPHERTEXT_DIGESTS[seed]

@@ -3,6 +3,8 @@ import inspect
 import json
 import os
 import re
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -28,6 +30,11 @@ from fedmesh.orchestrator import (
 from fedmesh.secagg import SecAggConfig
 from fedmesh.selection import SelectionConfig
 from fedmesh.trainer import AdversaryAssignment, TrainerConfig, train_clients
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def make_config(**overrides) -> SimulationConfig:
@@ -276,6 +283,12 @@ class TestRunBasics:
         assert config.min_delta == 0.5 and config.secagg.clip_val == 2.0
         assert type(config.min_delta) is float and type(config.secagg.clip_val) is float  # stored as Python floats
 
+    def test_equal_configs_hash_equal(self):
+        a, b = make_config(security_overrides={3: 0.5}), make_config(security_overrides={3: 0.5})
+        assert a == b and hash(a) == hash(b)
+        assert {a: "run"}[b] == "run"
+        assert a != make_config(security_overrides={3: 0.25})  # equality still covers the overrides
+
     def test_security_override_reaches_selection(self, dataset):
         result = run(make_config(rounds_max=1, security_overrides={3: 1.0}), dataset)
         indices = {
@@ -312,12 +325,42 @@ class TestSecureAggregationPath:
         def no_fork():
             raise AssertionError("os.fork called")
 
+        secure = make_config(rounds_max=2, secagg=SecAggConfig(enabled=True, key_bits=256))
         monkeypatch.setattr(fedmesh.secagg, "_usable_cores", lambda: 2)
+        forked = run(secure, dataset)
         monkeypatch.setattr(os, "fork", no_fork)
         assert len(run(make_config(rounds_max=2), dataset).rounds) == 2
         # the secure path forks for its keys, so the patch does intercept it
         with pytest.raises(AssertionError, match="os.fork called"):
-            run(make_config(rounds_max=1, secagg=SecAggConfig(enabled=True, key_bits=256)), dataset)
+            run(secure, dataset)
+        _assert_no_child_left()
+        # with one usable core the keys and randomizers are made in process, to the same bytes
+        monkeypatch.setattr(fedmesh.secagg, "_usable_cores", lambda: 1)
+        assert run(secure, dataset).final_global.tobytes() == forked.final_global.tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_no_worker_outlives_the_run(self, dataset, monkeypatch):
+        monkeypatch.setattr(fedmesh.secagg, "_usable_cores", lambda: 2)
+        secure = SecAggConfig(enabled=True, key_bits=256)
+        assert len(run(make_config(rounds_max=2, secagg=secure), dataset).rounds) == 2
+        _assert_no_child_left()
+
+        # a worker that exits before sending its key fails the run at once; the alarm ends a hang
+        def hung(signum, frame):
+            raise TimeoutError("the run waited on a worker that had exited")
+
+        monkeypatch.setattr(fedmesh.secagg, "keygen", lambda key_bits, seed: os._exit(0))
+        previous = signal.signal(signal.SIGALRM, hung)
+        started = time.monotonic()
+        try:
+            signal.alarm(30)
+            with pytest.raises(ChildProcessError, match="exited early"):
+                run(make_config(rounds_max=2, secagg=secure), dataset)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - started < 10
+        _assert_no_child_left()
 
     def test_headroom_refusal_names_round_edge_and_client(self, dataset):
         # only client 1's submitted weights are out of range; every client is aggregated
@@ -333,6 +376,7 @@ class TestSecureAggregationPath:
                 run(cfg, dataset)
             assert isinstance(refused.value.__cause__, fedmesh.secagg.HeadroomError)
             messages.append(str(refused.value))
+            _assert_no_child_left()
         assert re.fullmatch(r"round 1, edge 0, client 1: element \d+ \(\S+\) exceeds the 42-bit slot headroom .*", messages[0])
         assert messages[1] == messages[0]
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import fedmesh
-from fedmesh import cli
+from fedmesh import cli, secagg
 
 CHILD = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "child.py").read_text(encoding="utf-8"))
 
@@ -68,8 +68,11 @@ def test_functions_child_calls_exist():
         assert callable(getattr(importlib.import_module(modules[alias]), attr, None)), f"{alias}.{attr} is gone"
 
 
-@pytest.mark.parametrize("secure", [True, False], ids=["secure", "plaintext"])
-def test_every_probe_counts_the_runs_own_work(secure, monkeypatch):
+@pytest.mark.parametrize(
+    "secure,cores", [(True, 2), (True, 1), (False, 2)], ids=["secure", "secure_one_core", "plaintext"]
+)
+def test_every_probe_counts_the_runs_own_work(secure, cores, monkeypatch):
+    monkeypatch.setattr(secagg, "_usable_cores", lambda: cores)
     calls = Counter()
     for module, attr, name in TARGETS:
         owner = importlib.import_module(module)
@@ -100,7 +103,9 @@ def test_every_probe_counts_the_runs_own_work(secure, monkeypatch):
         edge_rounds_with_updates = sum(1 for event in selections if event.selected)
         assert calls["secagg.aggregate_encrypted"] == edge_rounds_with_updates
         assert calls["secagg.finalize_edge_update"] == edge_rounds_with_updates
-    # every probe fires (keygen at least in this process; forked keys count in their own),
-    # and none of the secure path's on a plaintext run
+    # every probe fires, and none of the secure path's on a plaintext run; with two cores
+    # each key is made in its own worker process, so keygen counts there, not here
     expected = {name for _, _, name in TARGETS if secure or not name.startswith("secagg.")}
+    if cores > 1:
+        expected.discard("secagg.keygen")
     assert {name for name, count in calls.items() if count} == expected

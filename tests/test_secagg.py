@@ -2,6 +2,8 @@ import functools
 import math
 import os
 import random
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -15,11 +17,12 @@ from fedmesh.secagg import (
     FixedPointCodec,
     KeyGenerationError,
     SecAggConfig,
-    _fork_map,
     _gen_prime,
+    _KeyWorker,
     _miller_rabin_rounds,
     aggregate_encrypted,
     decrypt_vector,
+    edge_keys,
     encrypt_update,
     finalize_edge_update,
     keygen,
@@ -162,14 +165,6 @@ class TestFixedBaseComb:
             assert private.decrypt(c) == m
 
 
-def _square_or_raise(x):
-    if x == 3:
-        raise KeyGenerationError("no 3-bit prime found after 7 candidates")
-    if x == 4:
-        raise ValueError("plaintext out of ring range")
-    return x * x
-
-
 def _open_fds():
     return sorted(os.listdir("/proc/self/fd"))
 
@@ -183,60 +178,109 @@ fork_only = pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/pr
 
 
 @fork_only
-class TestForkMap:
-    @pytest.mark.parametrize("cores", [1, 2, 3])
-    @pytest.mark.parametrize("count", [0, 1, 2, 5])
-    def test_equals_list_comprehension(self, monkeypatch, cores, count):
-        monkeypatch.setattr(fedmesh.secagg, "_usable_cores", lambda: cores)
-        items = [(i, 7 * i + 1) for i in range(count)]
-        assert _fork_map(lambda t: pow(t[1], 65537, 2**127 - 1) + t[0], items) == [
-            pow(b, 65537, 2**127 - 1) + a for a, b in items
-        ]
-        _assert_no_child_left()
+class TestKeyWorker:
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(fedmesh.secagg, "_usable_cores", lambda: 2)
 
     @pytest.mark.parametrize(
-        "item,error", [(3, KeyGenerationError), (4, ValueError)], ids=["keygen_error", "value_error"]
+        "error,message",
+        [(KeyGenerationError, "no 3-bit prime found after 7 candidates"), (ValueError, "key_bits too small: 8")],
+        ids=["keygen_error", "value_error"],
     )
-    @pytest.mark.parametrize("cores", [2, 3])
-    def test_child_exception_reaches_caller(self, monkeypatch, cores, item, error):
-        monkeypatch.setattr(fedmesh.secagg, "_usable_cores", lambda: cores)
-        items = [0, item] if cores == 2 else [0, 5, item]  # the failing item is the last worker's
+    def test_keygen_exception_reaches_caller(self, monkeypatch, error, message):
+        def failing_keygen(key_bits, seed):
+            if seed == 2:
+                raise error(message)
+            return keygen(key_bits, seed)
+
+        monkeypatch.setattr(fedmesh.secagg, "keygen", failing_keygen)
         before = _open_fds()
-        with pytest.raises(error) as raised:
-            _fork_map(_square_or_raise, items)
-        assert type(raised.value) is error
-        with pytest.raises(error) as serial:
-            _square_or_raise(item)
-        assert str(raised.value) == str(serial.value)
+        with edge_keys(256, [1, 2, 3], 2) as keypairs:
+            public, private = keypairs[0]()
+            assert private.decrypt(public.raw_encrypt(5)) == 5
+            with pytest.raises(error) as raised:
+                keypairs[1]()
+            assert type(raised.value) is error and str(raised.value) == message
+            public, private = keypairs[2]()
+            assert private.decrypt(public.raw_encrypt(6)) == 6
         assert _open_fds() == before
         _assert_no_child_left()
 
-    def test_parent_exception_reaps_every_child(self, monkeypatch):
-        monkeypatch.setattr(fedmesh.secagg, "_usable_cores", lambda: 3)
+    def test_main_process_exception_kills_and_reaps_every_worker(self):
         before = _open_fds()
-        with pytest.raises(ValueError, match="out of ring range"):
-            _fork_map(_square_or_raise, [4, 1, 2, 8, 9, 10])
+        with pytest.raises(ValueError, match="out of ring range"), edge_keys(256, [4, 5, 6], 3) as keypairs:
+            public, _ = keypairs[1]()
+            public.raw_encrypt(public.n)
         assert _open_fds() == before
         _assert_no_child_left()
 
-    def test_unpicklable_result_is_a_child_failure(self, monkeypatch):
-        monkeypatch.setattr(fedmesh.secagg, "_usable_cores", lambda: 2)
-        with pytest.raises(ChildProcessError, match="exited with code 1"):
-            _fork_map(lambda x: (lambda: x), [1, 2])
-        _assert_no_child_left()
-
-    def test_forked_keygen_equals_serial(self, monkeypatch):
-        monkeypatch.setattr(fedmesh.secagg, "_usable_cores", lambda: 2)
+    def test_worker_keypair_equals_serial(self):
         seeds = [11, 12, 13]
-        forked = _fork_map(functools.partial(keygen, 256), seeds)
-        for (pub, priv), seed in zip(forked, seeds):
-            serial_pub, serial_priv = keygen(256, seed)
-            assert (pub.n, pub.h_s, priv.p, priv.q) == (serial_pub.n, serial_pub.h_s, serial_priv.p, serial_priv.q)
-            assert pub._rng.getstate() == serial_pub._rng.getstate()
-            assert priv.public_key is pub
-            assert priv.decrypt(pub.raw_encrypt(42)) == 42
+        with edge_keys(256, seeds, 2) as keypairs:
+            for keypair, seed in zip(keypairs, seeds):
+                pub, priv = keypair()
+                serial_pub, serial_priv = keygen(256, seed)
+                assert (pub.n, pub.h_s, priv.p, priv.q) == (serial_pub.n, serial_pub.h_s, serial_priv.p, serial_priv.q)
+                assert priv.public_key is pub and keypair() == (pub, priv)
+                assert [pub.raw_encrypt(m) for m in range(4)] == [serial_pub.raw_encrypt(m) for m in range(4)]
+        _assert_no_child_left()
+
+    def test_main_copy_draws_no_exponent(self):
+        with edge_keys(256, [7], 1) as keypairs:
+            public, private = keypairs[0]()
+            assert private.decrypt(public.raw_encrypt(3)) == 3
+            assert public._rng is None and "_comb" not in vars(public)  # no PRNG, and no comb table built here
+        # the worker is gone, and its key refuses to draw the exponents the worker drew
+        with pytest.raises(RuntimeError, match="draws its exponents in its worker alone"):
+            public.raw_encrypt(3)
+        _assert_no_child_left()
+
+    def test_each_worker_alone_holds_its_pipe_ends(self):
+        # a worker sees EOF on its requests once its parent's end closes, which needs
+        # every later worker to have closed the copy of that end it inherited
+        first = _KeyWorker(256, 1, 0, [])
+        second = _KeyWorker(256, 2, 0, [first])
+        reaped = False
+        try:
+            first.keypair()
+            os.close(first._requests)
+            deadline = time.monotonic() + 10
+            while not reaped:
+                assert time.monotonic() < deadline, "the first worker never saw the end of its requests"
+                reaped = os.waitpid(first.pid, os.WNOHANG)[0] == first.pid
+                time.sleep(0.01)
+        finally:
+            if not reaped:
+                os.kill(first.pid, signal.SIGKILL)
+                os.waitpid(first.pid, 0)
+            first._results.close()
+            second.close()
+        _assert_no_child_left()
+
+    def test_gone_worker_is_a_child_process_error(self):
+        with edge_keys(256, [8], 0) as keypairs:
+            public, _ = keypairs[0]()
+            os.kill(public._worker.pid, signal.SIGKILL)
+            with pytest.raises(ChildProcessError, match="exited early"):
+                public.raw_encrypt(1)
+        _assert_no_child_left()
+
+    def test_one_core_makes_keys_in_process(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(fedmesh.secagg, "_usable_cores", lambda: 1)
+        monkeypatch.setattr(os, "fork", no_fork)
+        serial, _ = keygen(256, 9)
+        with edge_keys(256, [9], 4) as keypairs:
+            public, _ = keypairs[0]()
+            public.precompute_randomizers(4)  # nothing to ask of: each randomizer is computed as it encrypts
+            assert public._worker is None and keypairs[0]()[0] is public
+            assert [public.raw_encrypt(m) for m in (2, 3)] == [serial.raw_encrypt(m) for m in (2, 3)]
 
 
+@fork_only
 class TestPrecomputedRandomizers:
     @given(
         st.lists(
@@ -245,27 +289,32 @@ class TestPrecomputedRandomizers:
                 st.tuples(st.just("encrypt"), st.integers(0, 2**200)),
             ),
             max_size=12,
-        )
+        ),
+        st.integers(0, 3),
     )
     @settings(max_examples=30, deadline=None)
-    def test_ciphertexts_equal_serial_ones(self, ops):
+    def test_ciphertexts_equal_serial_ones(self, ops, ahead):
         serial, _ = keygen(256, seed=5)
-        batched, _ = keygen(256, seed=5)
-        for op, value in ops:
-            if op == "precompute":
-                batched.precompute_randomizers(value)
-            else:
-                assert batched.raw_encrypt(value) == serial.raw_encrypt(value)
-        queued = len(batched._randomizers)
-        assert [batched.raw_encrypt(1) for _ in range(queued + 1)] == [serial.raw_encrypt(1) for _ in range(queued + 1)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fedmesh.secagg, "_usable_cores", lambda: 2)
+            with edge_keys(256, [5], ahead) as keypairs:
+                batched, _ = keypairs[0]()
+                for op, value in ops:
+                    if op == "precompute":
+                        batched.precompute_randomizers(value)
+                    else:
+                        assert batched.raw_encrypt(value) == serial.raw_encrypt(value)
+                assert [batched.raw_encrypt(1) for _ in range(5)] == [serial.raw_encrypt(1) for _ in range(5)]
 
-    def test_refused_plaintext_keeps_the_queue(self):
-        public, private = keygen(256, seed=5)
-        public.precompute_randomizers(1)
-        with pytest.raises(ValueError, match="out of ring range"):
-            public.raw_encrypt(public.n)
-        assert len(public._randomizers) == 1
-        assert private.decrypt(public.raw_encrypt(9)) == 9
+    def test_refused_plaintext_keeps_the_randomizer(self, monkeypatch):
+        monkeypatch.setattr(fedmesh.secagg, "_usable_cores", lambda: 2)
+        serial, _ = keygen(256, seed=5)
+        with edge_keys(256, [5], 1) as keypairs:
+            public, private = keypairs[0]()
+            with pytest.raises(ValueError, match="out of ring range"):
+                public.raw_encrypt(public.n)
+            assert public.raw_encrypt(9) == serial.raw_encrypt(9)
+            assert private.decrypt(public.raw_encrypt(9)) == 9
 
 
 class TestCodec:
