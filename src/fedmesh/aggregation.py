@@ -15,10 +15,6 @@ import numpy as np
 
 from .params import ParamVector, check_field_types
 
-DEFAULT_SELF_WEIGHT = 0.5
-DEFAULT_CLIP_VAL = 5.0
-
-
 @dataclass(frozen=True)
 class EdgeUpdate:
     """An edge's locally aggregated model and the sample mass behind it."""
@@ -40,8 +36,8 @@ class CrossEdgeConfig:
     the blend preserves model scale.
     """
 
-    alpha: float = DEFAULT_SELF_WEIGHT
-    clip_val: float = DEFAULT_CLIP_VAL
+    alpha: float = 0.5
+    clip_val: float = 5.0
 
     def __post_init__(self) -> None:
         check_field_types(self)

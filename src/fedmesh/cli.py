@@ -142,12 +142,8 @@ def _apply_env_seed(config: SimulationConfig) -> SimulationConfig:
         raise ConfigError(f"FEDMESH_SEED: expected an integer, got {value!r}") from None
 
 
-def canonical_config(config: SimulationConfig) -> dict:
-    return dataclasses.asdict(config)
-
-
 def config_hash(config: SimulationConfig) -> str:
-    blob = json.dumps(canonical_config(config), sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(dataclasses.asdict(config), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -225,7 +221,7 @@ def _run_to_dir(config: SimulationConfig, dataset: Dataset, out: Path) -> Simula
         "finished_at": datetime.now(timezone.utc).isoformat(),
         "artifacts": {"rounds": "rounds.csv", "events": "events.jsonl"},
         "code_version": __version__,
-        "config": canonical_config(config),
+        "config": dataclasses.asdict(config),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return result

@@ -54,14 +54,15 @@ next under max_participants unit-weight additions (and no packed sum wraps the
 ring). Encrypted and plaintext sums apply the same bound and share one release
 step.
 
-The modular exponentiations run beside the simulation: edge_keys forks one
-worker per key, which makes the key from its seed and sends n, h_s, p and q.
-The randomizer h_s^a depends only on the key and on a, never on the message,
-so the worker then draws the exponents from the key's seeded PRNG, in the
-order raw_encrypt would, and computes their powers ahead of the encryptions,
-as many as the main process asks for; the main process's copy of the key draws
-none, so keys and ciphertexts are byte-identical to a serial run, as they are
-with one usable core or without os.fork, where both are made in process. The
+A public key is n, h_s and the source of its randomizers: keygen's draws
+each exponent a from a PRNG seeded by the key seed and returns h_s^a, which
+depends on the key and a alone, never on the message. So the exponentiations
+run beside the simulation: edge_keys forks one worker per key, which makes
+the key from its seed, sends n, h_s, p and q, and then computes that source's
+randomizers ahead of the encryptions, as many as the main process asks for;
+the main process's copy takes them from the worker. With one usable core,
+without os.fork, or from the first worker that cannot start (out of fds,
+processes or memory), keys are made in process, to the same bytes. The
 encrypting side works from n and h_s alone and never uses the factorization.
 The workers are plain os.fork children that run only pure-Python big-integer
 code and pickle, and leave through os._exit; edge_keys kills and reaps them on
@@ -81,7 +82,7 @@ import os
 import pickle
 import random
 import signal
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -245,36 +246,19 @@ class _FixedBaseComb:
 class PaillierPublicKey:
     n: int
     h_s: int  # h^n mod n^2 with h = -x^2 mod n for a secret x: every randomizer is a power of it
+    randomizer: Callable[[], int] = field(repr=False, compare=False)  # each call gives the next h_s^a mod n^2
+    # precompute_randomizers(count): a worker-fed key's worker computes the next `count` meanwhile
+    precompute_randomizers: Callable[[int], None] = field(default=lambda count: None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.n_sq = self.n * self.n
-        self._exponent_bits = self.n.bit_length() + _EXPONENT_MARGIN_BITS
-        self._rng: random.Random | None = random.Random()  # None: the key's worker alone draws its exponents
-        self._worker: _KeyWorker | None = None
-
-    @functools.cached_property
-    def _comb(self) -> _FixedBaseComb:
-        return _FixedBaseComb(self.h_s, self._exponent_bits, self.n_sq)
-
-    def _next_randomizer(self) -> int:
-        """h_s^a mod n^2 for the next exponent a of the key's PRNG."""
-        if self._rng is None:
-            raise RuntimeError("a worker-fed key draws its exponents in its worker alone")
-        return self._comb.pow(self._rng.getrandbits(self._exponent_bits))
-
-    def precompute_randomizers(self, count: int) -> None:
-        """Have a worker-fed key's worker compute the next `count` randomizers
-        meanwhile; a key made in process computes each one as it encrypts."""
-        if self._worker is not None:
-            self._worker.ask(count)
 
     def raw_encrypt(self, m: int) -> int:
         """Encrypt an integer already mapped into [0, n) with the key's next randomizer."""
         if not 0 <= m < self.n:
             raise ValueError("plaintext out of ring range")
-        randomizer = self._next_randomizer() if self._worker is None else self._worker.take()
         # (1+n)^m mod n^2 collapses to 1 + m*n by the binomial theorem
-        return (1 + m * self.n) % self.n_sq * randomizer % self.n_sq
+        return (1 + m * self.n) % self.n_sq * self.randomizer() % self.n_sq
 
     def add(self, c1: int, c2: int) -> int:
         return c1 * c2 % self.n_sq
@@ -316,8 +300,8 @@ def keygen(key_bits: int, seed: int) -> Keypair:
 
     p has (key_bits+1)//2 bits and q has key_bits//2, both with their top two
     bits set, so 2^(key_bits-1) < p*q < 2^key_bits for the first pair drawn.
-    The randomizer base h_s = (-x^2)^n mod n^2 takes an x prime to n; the
-    public key builds its comb table on its first randomizer.
+    The randomizer base h_s = (-x^2)^n mod n^2 takes an x prime to n, and the
+    public key's randomizers come from a seeded comb source.
     """
     if key_bits < 16:
         raise ValueError(f"key_bits too small: {key_bits}")
@@ -330,9 +314,17 @@ def keygen(key_bits: int, seed: int) -> Keypair:
     x = rng.randrange(1, n)
     while math.gcd(x, n) != 1:
         x = rng.randrange(1, n)
-    public = PaillierPublicKey(n, pow(-x * x % n, n, n * n))
-    public._rng.seed(rng.getrandbits(64))
+    h_s = pow(-x * x % n, n, n * n)
+    public = PaillierPublicKey(n, h_s, _comb_randomizers(h_s, n, rng.getrandbits(64)))
     return public, PaillierPrivateKey(public, p, q)
+
+
+def _comb_randomizers(h_s: int, n: int, seed: int) -> Callable[[], int]:
+    """A source of h_s^a mod n^2 for each next exponent a of n.bit_length() + _EXPONENT_MARGIN_BITS
+    bits from random.Random(seed), whose comb table is built on its first call."""
+    rng, bits = random.Random(seed), n.bit_length() + _EXPONENT_MARGIN_BITS
+    comb = functools.cache(lambda: _FixedBaseComb(h_s, bits, n * n))
+    return lambda: comb().pow(rng.getrandbits(bits))
 
 
 class _KeyWorker:
@@ -342,14 +334,15 @@ class _KeyWorker:
     workers' pipes, so that each worker alone holds its parent's pipe ends."""
 
     def __init__(self, key_bits: int, seed: int, ahead: int, earlier: Sequence[_KeyWorker]):
-        request_r, self._requests = os.pipe()
-        result_r, result_w = os.pipe()
+        fds = os.pipe()
         try:
+            fds += os.pipe()
             self.pid = os.fork()
         except BaseException:
-            for fd in (request_r, self._requests, result_r, result_w):
+            for fd in fds:
                 os.close(fd)
             raise
+        request_r, self._requests, result_r, result_w = fds
         if self.pid == 0:  # the child: pure-Python work, then os._exit whatever happens
             code = 1
             try:
@@ -379,8 +372,7 @@ class _KeyWorker:
             ok, value = pickle.loads(self._read(int.from_bytes(self._read(8), "big")))
             if not ok:
                 raise value
-            public = PaillierPublicKey(*value[:2])
-            public._rng, public._worker = None, self
+            public = PaillierPublicKey(*value[:2], self.take, self.ask)
             self._width = (public.n_sq.bit_length() + 7) // 8
             self._keypair = public, PaillierPrivateKey(public, *value[2:])
         return self._keypair
@@ -388,6 +380,8 @@ class _KeyWorker:
     def ask(self, count: int) -> None:
         """Ask for randomizers until `count` are asked for and unread; a request
         to a worker that is gone is dropped, and the next read fails."""
+        if self._results.closed:
+            raise RuntimeError(f"key worker {self.pid} is closed")
         if count > self._asked:
             with contextlib.suppress(BrokenPipeError):
                 os.write(self._requests, (count - self._asked).to_bytes(4, "big"))
@@ -403,8 +397,6 @@ class _KeyWorker:
         os.waitpid(self.pid, 0)
         os.close(self._requests)
         self._results.close()
-        if self._keypair is not None:
-            self._keypair[0]._worker = None  # so a key that outlives its worker refuses to encrypt
 
 
 def _serve_key(key_bits: int, seed: int, ahead: int, requests, results) -> None:
@@ -423,24 +415,25 @@ def _serve_key(key_bits: int, seed: int, ahead: int, requests, results) -> None:
     header = ahead.to_bytes(4, "big")
     while len(header) == 4:
         for _ in range(int.from_bytes(header, "big")):
-            results.write(public._next_randomizer().to_bytes(width, "big"))
+            results.write(public.randomizer().to_bytes(width, "big"))
             results.flush()
         header = requests.read(4)
 
 
 @contextlib.contextmanager
 def edge_keys(key_bits: int, seeds: Sequence[int], ahead: int) -> Iterator[list[Callable[[], Keypair]]]:
-    """Yield a getter of each seed's keypair, made by a _KeyWorker started here
-    with two or more usable cores, else here on first use; on exit, kill and
-    reap every worker."""
+    """Yield a getter of each seed's keypair. With two or more usable cores each
+    key is made by a _KeyWorker started here, until one cannot start (os.pipe
+    or os.fork raising OSError: out of fds, processes or memory); the rest are
+    made here on first use. On exit, kill and reap every worker."""
     workers: list[_KeyWorker] = []
     try:
-        if _usable_cores() < 2:
-            yield [functools.cache(functools.partial(keygen, key_bits, seed)) for seed in seeds]
-            return
-        for seed in seeds:
-            workers.append(_KeyWorker(key_bits, seed, ahead, workers))
-        yield [worker.keypair for worker in workers]
+        if _usable_cores() > 1:
+            with contextlib.suppress(OSError):
+                for seed in seeds:
+                    workers.append(_KeyWorker(key_bits, seed, ahead, workers))
+        made_here = [functools.cache(functools.partial(keygen, key_bits, seed)) for seed in seeds[len(workers) :]]
+        yield [worker.keypair for worker in workers] + made_here
     finally:
         for worker in workers:
             worker.close()

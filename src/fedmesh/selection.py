@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .params import check_field_types
-from .trainer import ClientReports, TrainerConfig, l1_distance
+from .trainer import ClientReports, TrainerConfig, l1_distance, surrogate_energy
 
 logger = logging.getLogger(__name__)
 
@@ -115,13 +115,12 @@ def estimate_metrics(
     """Edge's own estimate of each client's utility and energy, row by row.
 
     Utility is the L1 distance between the uploaded weights and the edge
-    model the client trained from; energy is the sample/model-size surrogate
-    energy_alpha * N_i + energy_beta * P, with the constants of the trainer
-    `spec` the clients report with. Both must stay finite, summed over
+    model the client trained from; energy is trainer.surrogate_energy under the
+    trainer `spec` the clients report with. Both must stay finite, summed over
     the edge's clients too (NonFiniteMetric names the client otherwise).
     """
     utility = l1_distance(reports.weights, edge_weights)
-    energy = spec.energy_alpha * reports.sample_count + spec.energy_beta * len(edge_weights)
+    energy = surrogate_energy(spec, reports.sample_count, len(edge_weights))
     _require_finite(reports.client_ids, "estimated utility", utility, summed=True)
     _require_finite(reports.client_ids, "estimated energy", energy, summed=True)
     return utility, energy

@@ -125,6 +125,12 @@ def l1_distance(rows: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return np.abs(rows - reference).sum(axis=1)
 
 
+def surrogate_energy(spec: TrainerConfig, sample_counts: Sequence[int], param_count: int) -> np.ndarray:
+    """The energy of each client that trained a param_count-parameter model on
+    sample_counts[i] samples: energy_alpha * sample_counts[i] + energy_beta * param_count."""
+    return spec.energy_alpha * np.asarray(sample_counts, dtype=np.int64) + spec.energy_beta * param_count
+
+
 def gradient(weights: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Analytic gradient of the mean binary cross-entropy at raw weights.
 
@@ -313,15 +319,14 @@ def build_report(
     """Assemble the uploads of clients that trained from `received`, one row each.
 
     An honest client reports utility as the L1 norm of its weight change,
-    sum_k |trained_k - received_k|, and energy as
-    alpha * sample_count + beta * param_count, which the edge can reproduce
-    exactly from the same inputs. A client named in `adversaries` distorts its
-    report (or weights) as assigned; a noise_weights client draws its noise
-    from `rng_for(client_id)`.
+    sum_k |trained_k - received_k|, and energy as surrogate_energy, which the
+    edge can reproduce exactly from the same inputs. A client named in
+    `adversaries` distorts its report (or weights) as assigned; a
+    noise_weights client draws its noise from `rng_for(client_id)`.
     """
     trained = np.asarray(trained, dtype=np.float64)
     utility = l1_distance(trained, received)
-    energy = spec.energy_alpha * np.asarray(sample_counts, dtype=np.int64) + spec.energy_beta * len(received)
+    energy = surrogate_energy(spec, sample_counts, len(received))
     weights = trained
     behaviors = {a.client_id: a for a in adversaries}
     for row, cid in enumerate(client_ids):

@@ -31,7 +31,6 @@ from fedmesh.cli import (
     ConfigError,
     apply_overrides,
     build_config,
-    canonical_config,
     cmd_compare,
     cmd_plot,
     cmd_run,
@@ -537,7 +536,7 @@ _SMALL = {
     "data": {"n_samples": 400},
     "secagg": {"enabled": False, "key_bits": 256, "noise_multiplier": 0.0, "clip_val": None},
 }
-_FULL = json.loads(json.dumps(canonical_config(build_config(_SMALL))))  # every field spelled out
+_FULL = json.loads(json.dumps(dataclasses.asdict(build_config(_SMALL))))  # every field spelled out
 
 
 def _paths(node, path=()):
@@ -758,7 +757,7 @@ class TestLibraryAndConfigFilesAgree:
     @given(_valid_configs())
     @settings(max_examples=150, deadline=None)
     def test_a_library_config_survives_its_config_file(self, config):
-        rebuilt = build_config(json.loads(json.dumps(canonical_config(config))))
+        rebuilt = build_config(json.loads(json.dumps(dataclasses.asdict(config))))
         assert rebuilt == config
         assert config_hash(rebuilt) == config_hash(config)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import inspect
 import json
 import os
@@ -360,6 +361,31 @@ class TestSecureAggregationPath:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert time.monotonic() - started < 10
+        _assert_no_child_left()
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self/fd"), reason="needs fork")
+    @pytest.mark.parametrize("call,failing", [("fork", 3), ("pipe", 6)], ids=["fork", "second_pipe"])
+    def test_worker_that_cannot_start_keeps_the_bytes(self, dataset, monkeypatch, call, failing):
+        # the 3rd of 5 edge keys cannot get a worker: it and the later keys are made in process
+        secure = make_config(n_edges=5, clients_per_edge=2, rounds_max=2, secagg=SecAggConfig(enabled=True, key_bits=256))
+        monkeypatch.setattr(fedmesh.secagg, "_usable_cores", lambda: 1)
+        in_process = run(secure, dataset)
+        calls, real = [], getattr(os, call)
+
+        def exhausted():
+            calls.append(call)
+            if len(calls) == failing:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return real()
+
+        monkeypatch.setattr(fedmesh.secagg, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(os, call, exhausted)
+        before = sorted(os.listdir("/proc/self/fd"))
+        result = run(secure, dataset)
+        assert len(calls) == failing
+        assert result.final_global.tobytes() == in_process.final_global.tobytes()
+        assert result.rounds == in_process.rounds and result.events == in_process.events
+        assert sorted(os.listdir("/proc/self/fd")) == before
         _assert_no_child_left()
 
     def test_headroom_refusal_names_round_edge_and_client(self, dataset):

@@ -1,3 +1,4 @@
+import errno
 import functools
 import math
 import os
@@ -16,7 +17,9 @@ from fedmesh.params import ParamVector
 from fedmesh.secagg import (
     FixedPointCodec,
     KeyGenerationError,
+    PaillierPublicKey,
     SecAggConfig,
+    _FixedBaseComb,
     _gen_prime,
     _KeyWorker,
     _miller_rabin_rounds,
@@ -68,6 +71,10 @@ class TestPaillierCore:
         public, private = keypair
         c = public.scalar_mul(public.raw_encrypt(21), 4)
         assert private.decrypt(c) == 84
+
+    def test_a_key_needs_its_randomizer_source(self, keypair):
+        with pytest.raises(TypeError):
+            PaillierPublicKey(keypair[0].n, keypair[0].h_s)
 
     def test_keygen_deterministic(self):
         pub_a, _ = keygen(KEY_BITS, seed=7)
@@ -140,7 +147,10 @@ class TestMillerRabinRounds:
         assert len(draws) == _miller_rabin_rounds(bits)
 
 
-_comb_keys = functools.cache(lambda bits: keygen(bits, seed=3)[0])
+@functools.cache
+def _comb_key(bits):
+    public = keygen(bits, seed=3)[0]
+    return public, _FixedBaseComb(public.h_s, bits + 128, public.n_sq)
 
 
 class TestFixedBaseComb:
@@ -148,16 +158,20 @@ class TestFixedBaseComb:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_equals_pow(self, bits, data):
-        public = _comb_keys(bits)
+        public, comb = _comb_key(bits)
         top = 2 ** (bits + 128) - 1
         a = data.draw(st.sampled_from([0, 1, top]) | st.integers(0, top))
-        assert public._comb.pow(a) == pow(public.h_s, a, public.n_sq)
+        assert comb.pow(a) == pow(public.h_s, a, public.n_sq)
 
     @pytest.mark.parametrize("bits", [17, 256])
-    def test_randomizers_are_powers_of_h_s(self, bits):
+    def test_randomizers_are_powers_of_h_s(self, bits, monkeypatch):
+        seeds, source = [], fedmesh.secagg._comb_randomizers
+        monkeypatch.setattr(
+            fedmesh.secagg, "_comb_randomizers", lambda h_s, n, seed: seeds.append(seed) or source(h_s, n, seed)
+        )
         public, private = keygen(bits, seed=bits)
-        shadow = random.Random()
-        shadow.setstate(public._rng.getstate())
+        [seed] = seeds
+        shadow = random.Random(seed)
         for m in (0, 1, public.n - 1):
             a = shadow.getrandbits(bits + 128)
             c = public.raw_encrypt(m)
@@ -230,10 +244,12 @@ class TestKeyWorker:
         with edge_keys(256, [7], 1) as keypairs:
             public, private = keypairs[0]()
             assert private.decrypt(public.raw_encrypt(3)) == 3
-            assert public._rng is None and "_comb" not in vars(public)  # no PRNG, and no comb table built here
-        # the worker is gone, and its key refuses to draw the exponents the worker drew
-        with pytest.raises(RuntimeError, match="draws its exponents in its worker alone"):
-            public.raw_encrypt(3)
+            worker = keypairs[0].__self__  # the key's randomizers come from its worker alone, with no comb here
+            assert public.randomizer == worker.take and public.precompute_randomizers == worker.ask
+        # the worker is gone, and its key refuses to encrypt or to ask for more
+        for use in (lambda: public.raw_encrypt(3), lambda: public.precompute_randomizers(2)):
+            with pytest.raises(RuntimeError, match=rf"^key worker {worker.pid} is closed$"):
+                use()
         _assert_no_child_left()
 
     def test_each_worker_alone_holds_its_pipe_ends(self):
@@ -261,7 +277,7 @@ class TestKeyWorker:
     def test_gone_worker_is_a_child_process_error(self):
         with edge_keys(256, [8], 0) as keypairs:
             public, _ = keypairs[0]()
-            os.kill(public._worker.pid, signal.SIGKILL)
+            os.kill(keypairs[0].__self__.pid, signal.SIGKILL)
             with pytest.raises(ChildProcessError, match="exited early"):
                 public.raw_encrypt(1)
         _assert_no_child_left()
@@ -276,8 +292,33 @@ class TestKeyWorker:
         with edge_keys(256, [9], 4) as keypairs:
             public, _ = keypairs[0]()
             public.precompute_randomizers(4)  # nothing to ask of: each randomizer is computed as it encrypts
-            assert public._worker is None and keypairs[0]()[0] is public
+            assert not isinstance(getattr(public.randomizer, "__self__", None), _KeyWorker)
+            assert keypairs[0]()[0] is public
             assert [public.raw_encrypt(m) for m in (2, 3)] == [serial.raw_encrypt(m) for m in (2, 3)]
+
+    @pytest.mark.parametrize("call,failing", [("fork", 3), ("pipe", 5), ("pipe", 6)], ids=["fork", "pipe", "second_pipe"])
+    def test_worker_that_cannot_start_leaves_the_rest_in_process(self, monkeypatch, call, failing):
+        # the 3rd of 5 workers fails at its os.fork, or at its first or second os.pipe
+        calls, real = [], getattr(os, call)
+
+        def exhausted():
+            calls.append(call)
+            if len(calls) == failing:
+                raise OSError(errno.EMFILE, "Too many open files")
+            return real()
+
+        monkeypatch.setattr(os, call, exhausted)
+        seeds = [21, 22, 23, 24, 25]
+        before = _open_fds()
+        with edge_keys(256, seeds, 2) as keypairs:
+            assert len(calls) == failing  # no worker is tried after the first that failed
+            assert [isinstance(getattr(k, "__self__", None), _KeyWorker) for k in keypairs] == [True] * 2 + [False] * 3
+            for keypair, seed in zip(keypairs, seeds):
+                (public, private), (serial, _) = keypair(), keygen(256, seed)
+                assert (public.n, public.h_s, private.public_key) == (serial.n, serial.h_s, public)
+                assert [public.raw_encrypt(m) for m in range(4)] == [serial.raw_encrypt(m) for m in range(4)]
+        assert _open_fds() == before
+        _assert_no_child_left()
 
 
 @fork_only
