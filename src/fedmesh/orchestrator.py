@@ -279,9 +279,13 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
     non_improving = 0
     stopped_early = False
 
-    # an edge encrypts at most one packed update per client in a round
+    # an edge encrypts one packed update per aggregated client in a round: all its clients under
+    # no_selection, else at most capacity_k
     slots, _ = codec.layout(config.secagg.key_bits)
-    ahead = max(map(len, edge_clients.values())) * -(-len(global_model) // slots)
+    aggregated = max(map(len, edge_clients.values()))
+    if config.baseline_mode != "no_selection":
+        aggregated = min(aggregated, config.selection.capacity_k)
+    ahead = aggregated * -(-len(global_model) // slots)
     key_seeds = [derive_seed(seed, "keys", e) for e in edge_clients] if config.secagg.enabled else []
     with secagg.edge_keys(config.secagg.key_bits, key_seeds, ahead) as keypairs:
         for round_no in range(1, config.rounds_max + 1):
@@ -292,8 +296,11 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
             if not alive:
                 raise RuntimeError(f"all edges failed in round {round_no}")
 
-            # the clients of every alive edge train as one lockstep cohort, stacked one row each
-            cids = [cid for e in alive for cid in edge_clients[e]]
+            # the clients of every alive edge train as one lockstep cohort, stacked one row each; under
+            # fedavg_single only the round's sample trains, as no other client's weights are used and
+            # none depends on who trains beside it
+            members = {0: _fedavg_sample(config, round_no)} if single_edge else edge_clients
+            cids = [cid for e in alive for cid in members[e]]
             train_seeds = [derive_seed(seed, "train", round_no, cid) for cid in cids]
             cohort = trainer.Cohort(global_model, spec, d_train, [client_train[cid] for cid in cids], train_seeds)
             try:
@@ -312,7 +319,7 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
             edge_updates: list[EdgeUpdate] = []
             first_row = 0
             for e in alive:
-                ids = edge_clients[e]  # ascending, so a client's report row is found by searchsorted
+                ids = members[e]  # ascending, so a client's report row is found by searchsorted
                 reports = trainer.build_report(
                     ids,
                     trained[first_row : first_row + len(ids)],
@@ -326,9 +333,7 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
                 first_row += len(ids)
 
                 try:
-                    selected_ids, evaluations = _select_for_mode(
-                        config, reports, global_model, score_weights, e, round_no
-                    )
+                    selected_ids, evaluations = _select_for_mode(config, reports, global_model, score_weights, e)
                 except selection.NonFiniteMetric as exc:
                     raise ValueError(
                         f"round {round_no}, client {exc.client_id}: {exc.detail}"
@@ -410,21 +415,23 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
     )
 
 
+def _fedavg_sample(config: SimulationConfig, round_no: int) -> list[int]:
+    """The clients that fedavg_single samples for a round, ascending: up to
+    capacity_k of all clients, uniformly without replacement."""
+    k = min(config.selection.capacity_k, config.n_clients)
+    rng = np.random.default_rng(derive_seed(config.seed, "sample", round_no))
+    return sorted(int(c) for c in rng.choice(range(config.n_clients), size=k, replace=False))
+
+
 def _select_for_mode(
     config: SimulationConfig,
     reports: ClientReports,
     edge_model: np.ndarray,
     score_weights: list[ScoreWeights | None],
     edge_id: int,
-    round_no: int,
 ) -> tuple[list[int], tuple[selection.ClientEvaluation, ...]]:
-    ids = sorted(reports.client_ids.tolist())
-    if config.baseline_mode == "no_selection":
-        return ids, ()
-    if config.baseline_mode == "fedavg_single":
-        k = min(config.selection.capacity_k, len(ids))
-        rng = np.random.default_rng(derive_seed(config.seed, "sample", round_no))
-        return sorted(int(c) for c in rng.choice(ids, size=k, replace=False)), ()
+    if config.baseline_mode != "fedselect_me":  # fedavg_single reports its round's sample alone
+        return sorted(reports.client_ids.tolist()), ()
 
     spec = config.trainer
     weights = score_weights[edge_id]

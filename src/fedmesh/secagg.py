@@ -27,18 +27,21 @@ cryptographic-grade randomness for determinism, which is the point of the
 simulator, not a deployment posture.
 
 The randomizer is fixed-base, after Damgard, Jurik and Nielsen: keygen draws x
-prime to n, sets h = -x^2 mod n and publishes h_s = h^n mod n^2 with the key,
+prime to n, sets h = -x^2 mod n and publishes h_s = h^n mod n^2 with the key
+(computed by the CRT over p^2 and q^2, since the key's maker holds p and q),
 and each encryption takes R = h_s^a for an exponent a of key_bits + 128 bits
 drawn from the key's PRNG. The order of h_s divides lambda(n) < n <
 2^key_bits, so a full-length a leaves h_s^a within 2^-128 of uniform on the
 subgroup h_s generates, and hiding m still rests on the decisional composite
 residuosity assumption alone, with no short-exponent assumption. Since the
 base is fixed, h_s^a is computed with a Lim-Lee comb: the exponent's bits are
-cut into 8 blocks of d = ceil((key_bits + 128) / 8) bits, and a 256-entry
-table, built for the key's first randomizer, holds the product of
-h_s^(2^(j*d)) over each subset of the 8 blocks; one power is then d squarings
-and d table multiplications, where r^n for a random r would take about
-key_bits squarings (about 74 KiB of table per 1024-bit key).
+cut into 8 blocks of d = 4 * ceil((key_bits + 128) / 32) bits and each block
+into 4 sub-blocks of d/4 bits; 4 tables of 256 entries, built for the key's
+first randomizer, hold in table s the product of h_s^(2^(j*d + s*d/4)) over
+each subset of the blocks j. One power is then d/4 squarings and d table
+multiplications, where r^n for a random r would take about key_bits
+squarings (about 300 KiB of tables per 1024-bit key, held by the key's worker
+where there is one).
 
 Real-valued updates are quantized by a fixed-point codec, q = x * scale
 rounded half to even, and packed BatchCrypt-style into signed fixed-width
@@ -93,6 +96,7 @@ _MAX_MILLER_RABIN_ROUNDS = 40
 _PRIME_ERROR_LOG2 = -102  # 2^-100 for a prime, less a factor 4 for its top two bits being set
 _EXPONENT_MARGIN_BITS = 128
 _COMB_TEETH = 8
+_COMB_SUBBLOCKS = 4
 _KEYGEN_RETRIES = 10_000
 _SIEVE_LIMIT = 4096
 _SLOT_HEADROOM_BITS = 12
@@ -211,34 +215,50 @@ def _gen_prime(bits: int, rng: random.Random) -> int:
 
 
 class _FixedBaseComb:
-    """Lim-Lee comb for base^e mod `mod` with 0 <= e < 2^bits, _COMB_TEETH teeth.
+    """Lim-Lee comb for base^e mod `mod` with 0 <= e < 2^bits: _COMB_TEETH
+    teeth, each block cut into _COMB_SUBBLOCKS sub-blocks with a table each.
 
-    e is cut into _COMB_TEETH blocks of width = ceil(bits / _COMB_TEETH) bits,
-    block j holding bits j*width .. (j+1)*width - 1; table[i] is the product
-    of base^(2^(j*width)) over the set bits j of i. Column c of the blocks
-    (bit c of each) indexes the table, so base^e is width squarings and width
-    multiplications, from the top column down.
+    e is cut into _COMB_TEETH * _COMB_SUBBLOCKS chunks of width =
+    ceil(bits / (_COMB_TEETH * _COMB_SUBBLOCKS)) bits, chunk i holding bits
+    i*width .. (i+1)*width - 1; block j is chunks j*S .. j*S + S - 1 (S =
+    _COMB_SUBBLOCKS), and its sub-block s is chunk j*S + s. tables[s][i] is
+    the product of base^(2^((j*S + s)*width)) over the set bits j of i. Column
+    c of sub-block s in every block (bit c of each) indexes tables[s], so
+    base^e is width squarings and S*width multiplications, from the top
+    column down.
     """
 
     def __init__(self, base: int, bits: int, mod: int):
-        self.width = -(-bits // _COMB_TEETH)
+        chunks = _COMB_TEETH * _COMB_SUBBLOCKS
+        self.width = -(-bits // chunks)
         self.mod = mod
         tooth = [base]
-        for _ in range(1, _COMB_TEETH):
+        for _ in range(1, chunks):
             tooth.append(pow(tooth[-1], 1 << self.width, mod))
-        self.table = [1]
-        for i in range(1, 1 << _COMB_TEETH):
-            low = i & -i
-            self.table.append(self.table[i ^ low] * tooth[low.bit_length() - 1] % mod)
+        self.tables = []
+        for s in range(_COMB_SUBBLOCKS):
+            teeth, table = tooth[s::_COMB_SUBBLOCKS], [1]
+            for i in range(1, 1 << _COMB_TEETH):
+                low = i & -i
+                table.append(table[i ^ low] * teeth[low.bit_length() - 1] % mod)
+            self.tables.append(table)
 
     def pow(self, exponent: int) -> int:
-        width, table, mod = self.width, self.table, self.mod
-        bits = format(exponent, f"0{_COMB_TEETH * width}b")
-        # most significant first: blocks[0] is the top block, so a column read left to right is its table index
-        blocks = [bits[j * width : (j + 1) * width] for j in range(_COMB_TEETH)]
+        width, tables, mod = self.width, self.tables, self.mod
+        count, mask = _COMB_TEETH * _COMB_SUBBLOCKS, (1 << _COMB_TEETH) - 1
+        bits = format(exponent, f"0{count * width}b")
+        # most significant first: chunk i is chunks[count - 1 - i], so chunks[S - 1 - s :: S] is sub-block s
+        # of each block, top block first; joined from sub-block S - 1 down to 0, a column read left to
+        # right holds every table's index, tables[0]'s in its low _COMB_TEETH bits
+        chunks = [bits[k * width : (k + 1) * width] for k in range(count)]
+        by_subblock = [chunk for r in range(_COMB_SUBBLOCKS) for chunk in chunks[r::_COMB_SUBBLOCKS]]
         acc = 1
-        for column in zip(*blocks):
-            acc = acc * acc % mod * table[int("".join(column), 2)] % mod
+        for column in zip(*by_subblock):
+            index = int("".join(column), 2)
+            acc = acc * acc % mod
+            for table in tables:
+                acc = acc * table[index & mask] % mod
+                index >>= _COMB_TEETH
         return acc
 
 
@@ -314,9 +334,18 @@ def keygen(key_bits: int, seed: int) -> Keypair:
     x = rng.randrange(1, n)
     while math.gcd(x, n) != 1:
         x = rng.randrange(1, n)
-    h_s = pow(-x * x % n, n, n * n)
+    h_s = _pow_n_mod_n_sq(-x * x % n, p, q)
     public = PaillierPublicKey(n, h_s, _comb_randomizers(h_s, n, rng.getrandbits(64)))
     return public, PaillierPrivateKey(public, p, q)
+
+
+def _pow_n_mod_n_sq(h: int, p: int, q: int) -> int:
+    """h^n mod n^2 for n = p*q, by the CRT over p^2 and q^2: the key's maker
+    holds the factorization, and two powers modulo the half-size squares cost
+    less than one modulo n^2."""
+    n, p_sq, q_sq = p * q, p * p, q * q
+    h_q = pow(h, n, q_sq)
+    return h_q + (pow(h, n, p_sq) - h_q) * pow(q_sq, -1, p_sq) % p_sq * q_sq
 
 
 def _comb_randomizers(h_s: int, n: int, seed: int) -> Callable[[], int]:

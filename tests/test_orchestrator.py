@@ -388,6 +388,42 @@ class TestSecureAggregationPath:
         assert sorted(os.listdir("/proc/self/fd")) == before
         _assert_no_child_left()
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_worker_makes_no_randomizer_that_goes_unused(self, dataset, monkeypatch):
+        # fedavg_single encrypts capacity_k of its 6 clients' updates a round, so the worker
+        # is asked for that many a round, not one per client of the edge
+        asked, made = [], []
+        key_worker = fedmesh.secagg._KeyWorker
+        init, ask, encrypt = key_worker.__init__, key_worker.ask, fedmesh.secagg.encrypt_update
+
+        def counted_init(worker, key_bits, seed, ahead, earlier):
+            asked.append(ahead)
+            init(worker, key_bits, seed, ahead, earlier)
+
+        def counted_ask(worker, count):
+            asked.append(max(0, count - worker._asked))
+            ask(worker, count)
+
+        def counted_encrypt(v, codec, public_key):
+            cv = encrypt(v, codec, public_key)
+            made.append(cv.dim)
+            return cv
+
+        monkeypatch.setattr(fedmesh.secagg, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(key_worker, "__init__", counted_init)
+        monkeypatch.setattr(key_worker, "ask", counted_ask)
+        monkeypatch.setattr(fedmesh.secagg, "encrypt_update", counted_encrypt)
+        config = make_config(
+            baseline_mode="fedavg_single",
+            rounds_max=3,
+            selection=SelectionConfig(capacity_k=4),
+            secagg=SecAggConfig(enabled=True, key_bits=256),
+        )
+        result = run(config, dataset)
+        assert len(result.rounds) == 3 and len(made) == 12
+        assert sum(asked) == sum(made)
+        _assert_no_child_left()
+
     def test_headroom_refusal_names_round_edge_and_client(self, dataset):
         # only client 1's submitted weights are out of range; every client is aggregated
         config = make_config(
@@ -598,6 +634,46 @@ class TestBaselines:
         result = run(config, dataset)
         event = next(e for e in result.events if e.type == "selection")
         assert len(event.selected) == 4
+
+    def test_fedavg_single_trains_only_the_sample(self, dataset, monkeypatch):
+        trained = []
+        train_clients_ = fedmesh.trainer.train_clients
+
+        def recording(start, spec, data, shards, seeds):
+            trained.append((list(shards), list(seeds)))
+            return train_clients_(start, spec, data, shards, seeds)
+
+        monkeypatch.setattr(fedmesh.trainer, "train_clients", recording)
+        config = make_config(baseline_mode="fedavg_single", rounds_max=3, selection=SelectionConfig(capacity_k=4))
+        result = run(config, dataset)
+        client_train = prepare_data(config, dataset).client_train
+        selections = [e for e in result.events if e.type == "selection"]
+        assert len(trained) == len(selections) == 3
+        for (shards, seeds), event in zip(trained, selections):
+            assert len(event.selected) == 4
+            assert seeds == [derive_seed(config.seed, "train", event.round, cid) for cid in event.selected]
+            assert [s.tobytes() for s in shards] == [client_train[cid].tobytes() for cid in event.selected]
+
+    def test_fedavg_single_unsampled_client_cannot_fail_the_run(self, dataset, monkeypatch):
+        # a client whose rows make its training diverge fails a run only if it trains
+        config = make_config(baseline_mode="fedavg_single", rounds_max=2, selection=SelectionConfig(capacity_k=4))
+        clean = run(config, dataset)
+        sampled = {cid for e in clean.events if e.type == "selection" for cid in e.selected}
+        victim = min(set(range(config.n_clients)) - sampled)
+        prepare_data_ = fedmesh.orchestrator.prepare_data
+
+        def poisoned(config, dataset):
+            prep = prepare_data_(config, dataset)
+            features = prep.d_train.features.copy()
+            features[prep.client_train[victim]] = 1e308
+            return dataclasses.replace(prep, d_train=dataclasses.replace(prep.d_train, features=features))
+
+        monkeypatch.setattr(fedmesh.orchestrator, "prepare_data", poisoned)
+        assert result_fingerprint(run(config, dataset)) == result_fingerprint(clean)
+        everyone = dataclasses.replace(config, selection=SelectionConfig(capacity_k=config.n_clients))
+        message = rf"^round 1, client {victim}: trained weights are not finite"
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=message):
+            run(everyone, dataset)
 
     def test_no_selection_takes_everyone(self, dataset):
         config = make_config(baseline_mode="no_selection", rounds_max=1)

@@ -69,9 +69,11 @@ def test_functions_child_calls_exist():
 
 
 @pytest.mark.parametrize(
-    "secure,cores", [(True, 2), (True, 1), (False, 2)], ids=["secure", "secure_one_core", "plaintext"]
+    "secure,cores,mode",
+    [(True, 2, "fedselect_me"), (True, 1, "fedselect_me"), (False, 2, "fedselect_me"), (True, 2, "fedavg_single")],
+    ids=["secure", "secure_one_core", "plaintext", "secure_fedavg_single"],
 )
-def test_every_probe_counts_the_runs_own_work(secure, cores, monkeypatch):
+def test_every_probe_counts_the_runs_own_work(secure, cores, mode, monkeypatch):
     monkeypatch.setattr(secagg, "_usable_cores", lambda: cores)
     calls = Counter()
     for module, attr, name in TARGETS:
@@ -89,23 +91,32 @@ def test_every_probe_counts_the_runs_own_work(secure, cores, monkeypatch):
             "rounds_max": 2,
             "patience": 2,
             "seed": 3,
+            "baseline_mode": mode,
             "data": {"n_samples": 400},
+            "selection": {"capacity_k": 4},
             "secagg": {"enabled": secure, "key_bits": 256},
         }
     )
     result = fedmesh.run(config, cli.make_dataset(config))
     selections = [event for event in result.events if event.type == "selection"]
-    assert len(result.rounds) == 2 and len(selections) == 4  # no early stop, no failed edge
-    assert calls["trainer.train_local"] == config.n_clients * len(result.rounds)
-    assert calls["selection.select_clients"] == len(selections)
+    assert len(result.rounds) == 2 and len(selections) == 2 * len(config.edge_clients)  # no early stop or failed edge
+    selected = sum(len(event.selected) for event in selections)
+    if mode == "fedavg_single":  # only the round's sample trains, 4 of the 6 clients
+        assert calls["trainer.train_local"] == selected == 4 * len(result.rounds)
+        assert calls["selection.select_clients"] == 0
+    else:
+        assert calls["trainer.train_local"] == config.n_clients * len(result.rounds)
+        assert calls["selection.select_clients"] == len(selections)
     if secure:
-        assert calls["secagg.encrypt_update"] == sum(len(event.selected) for event in selections)
+        assert calls["secagg.encrypt_update"] == selected
         edge_rounds_with_updates = sum(1 for event in selections if event.selected)
         assert calls["secagg.aggregate_encrypted"] == edge_rounds_with_updates
         assert calls["secagg.finalize_edge_update"] == edge_rounds_with_updates
     # every probe fires, and none of the secure path's on a plaintext run; with two cores
     # each key is made in its own worker process, so keygen counts there, not here
     expected = {name for _, _, name in TARGETS if secure or not name.startswith("secagg.")}
+    if mode == "fedavg_single":  # which scores no client
+        expected -= {"selection.select_clients", "selection.grid_search_init"}
     if cores > 1:
         expected.discard("secagg.keygen")
     assert {name for name, count in calls.items() if count} == expected

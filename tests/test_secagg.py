@@ -23,6 +23,7 @@ from fedmesh.secagg import (
     _gen_prime,
     _KeyWorker,
     _miller_rabin_rounds,
+    _pow_n_mod_n_sq,
     aggregate_encrypted,
     decrypt_vector,
     edge_keys,
@@ -148,17 +149,25 @@ class TestMillerRabinRounds:
 
 
 @functools.cache
+def _seed_3_keypair(bits):
+    return keygen(bits, seed=3)
+
+
+@functools.cache
 def _comb_key(bits):
-    public = keygen(bits, seed=3)[0]
+    public = _seed_3_keypair(bits)[0]
     return public, _FixedBaseComb(public.h_s, bits + 128, public.n_sq)
 
 
 class TestFixedBaseComb:
-    @pytest.mark.parametrize("bits", [256, 1024])
+    # at 17 bits the 145-bit exponents fill 32 chunks of 5 bits only after 15 bits of zero padding
+    @pytest.mark.parametrize("bits", [17, 256, 1024])
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_equals_pow(self, bits, data):
         public, comb = _comb_key(bits)
+        assert [len(table) for table in comb.tables] == [256] * 4
+        assert comb.width == -(-(bits + 128) // 32)
         top = 2 ** (bits + 128) - 1
         a = data.draw(st.sampled_from([0, 1, top]) | st.integers(0, top))
         assert comb.pow(a) == pow(public.h_s, a, public.n_sq)
@@ -177,6 +186,17 @@ class TestFixedBaseComb:
             c = public.raw_encrypt(m)
             assert c == (1 + m * public.n) * pow(public.h_s, a, public.n_sq) % public.n_sq
             assert private.decrypt(c) == m
+
+
+class TestRandomizerBase:
+    @pytest.mark.parametrize("bits", [17, 256, 1024])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_crt_power_equals_pow(self, bits, data):
+        public, private = _seed_3_keypair(bits)
+        n_sq = public.n_sq
+        h = data.draw(st.sampled_from([0, 1, public.n - 1, n_sq - 1]) | st.integers(0, n_sq - 1))
+        assert _pow_n_mod_n_sq(h, private.p, private.q) == pow(h, public.n, n_sq)
 
 
 def _open_fds():
