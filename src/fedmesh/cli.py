@@ -212,7 +212,7 @@ def _run_to_dir(config: SimulationConfig, dataset: Dataset, out: Path) -> Simula
     out.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
     result = run(config, dataset)
-    write_rounds_csv(out / "rounds.csv", result.rounds, list(config.edge_clients))
+    write_rounds_csv(out / "rounds.csv", result.rounds, range(len(config.edge_clients)))
     write_events_jsonl(out / "events.jsonl", result.events)
     manifest = {
         "config_hash": config_hash(config),

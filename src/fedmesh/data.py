@@ -110,11 +110,15 @@ def generate_synthetic(config: DataConfig, seed: int) -> Dataset:
     score = feats @ direction + rng.normal(0.0, config.label_noise, size=config.n_samples)
     cutoff = np.quantile(score, 1.0 - config.class_imbalance)
     labels = (score > cutoff).astype(np.int64)
+    return Dataset(_zscore(feats), labels)
 
+
+def _zscore(feats: np.ndarray) -> np.ndarray:
+    """Each column less its mean, over its standard deviation (or 1 where that is 0)."""
     mean = feats.mean(axis=0)
     std = feats.std(axis=0)
     std[std == 0.0] = 1.0
-    return Dataset((feats - mean) / std, labels)
+    return (feats - mean) / std
 
 
 def partition_noniid(
@@ -245,12 +249,7 @@ def ingest_csv(path: str, label_column: str) -> tuple[Dataset, int]:
     if dropped:
         logger.info("ingest_csv(%s): dropped %d rows with missing values", path, dropped)
 
-    feats = np.asarray(rows, dtype=np.float64)
-    mean = feats.mean(axis=0)
-    std = feats.std(axis=0)
-    std[std == 0.0] = 1.0
-    d = Dataset((feats - mean) / std, np.asarray(labels, dtype=np.int64))
-    return d, dropped
+    return Dataset(_zscore(np.asarray(rows, dtype=np.float64)), np.asarray(labels, dtype=np.int64)), dropped
 
 
 def split(d: Dataset, config: DataConfig, seed: int) -> tuple[Dataset, Dataset, Dataset]:

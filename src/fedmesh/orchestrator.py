@@ -62,13 +62,13 @@ class SimulationConfig:
         return self.n_edges * self.clients_per_edge
 
     @property
-    def edge_clients(self) -> dict[int, range]:
-        """The clients of each edge: client c sits on edge c // clients_per_edge,
-        or on the one virtual edge 0 under fedavg_single."""
+    def edge_clients(self) -> tuple[range, ...]:
+        """The clients of each edge, entry e for edge e: client c sits on edge
+        c // clients_per_edge, or on the one virtual edge 0 under fedavg_single."""
         if self.baseline_mode == "fedavg_single":
-            return {0: range(self.n_clients)}
+            return (range(self.n_clients),)
         k = self.clients_per_edge
-        return {e: range(e * k, (e + 1) * k) for e in range(self.n_edges)}
+        return tuple(range(e * k, (e + 1) * k) for e in range(self.n_edges))
 
     def __post_init__(self) -> None:
         check_field_types(self)
@@ -236,7 +236,7 @@ def prepare_data(config: SimulationConfig, dataset: Dataset) -> PreparedData:
         hold_out(rows, config.data.edge_test_fraction, np.random.default_rng(derive_seed(seed, "shard", cid)))
         for cid, rows in enumerate(client_rows)
     ]
-    edge_test_rows = [np.concatenate([holdouts[c][1] for c in clients]) for clients in config.edge_clients.values()]
+    edge_test_rows = [np.concatenate([holdouts[c][1] for c in clients]) for clients in config.edge_clients]
     return PreparedData(
         d_train=d_train,
         d_val=d_val,
@@ -255,15 +255,13 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
     d_train, d_val, d_test = prep.d_train, prep.d_val, prep.d_test
     client_train, edge_test_rows = prep.client_train, prep.edge_test_rows
     edge_clients = config.edge_clients
+    edges = range(len(edge_clients))
     single_edge = config.baseline_mode == "fedavg_single"
 
     spec = config.trainer
     security = [
         config.security_overrides.get(cid, config.selection.default_security_index) for cid in range(config.n_clients)
     ]
-    failures: dict[int, set[int]] = {}
-    for edge_id, round_no in config.edge_failures:
-        failures.setdefault(round_no, set()).add(edge_id)
 
     total_train = sum(len(rows) for rows in client_train)
     codec = FixedPointCodec(
@@ -282,24 +280,22 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
     # an edge encrypts one packed update per aggregated client in a round: all its clients under
     # no_selection, else at most capacity_k
     slots, _ = codec.layout(config.secagg.key_bits)
-    aggregated = max(map(len, edge_clients.values()))
+    aggregated = max(map(len, edge_clients))
     if config.baseline_mode != "no_selection":
         aggregated = min(aggregated, config.selection.capacity_k)
     ahead = aggregated * -(-len(global_model) // slots)
-    key_seeds = [derive_seed(seed, "keys", e) for e in edge_clients] if config.secagg.enabled else []
+    key_seeds = [derive_seed(seed, "keys", e) for e in edges] if config.secagg.enabled else []
     with secagg.edge_keys(config.secagg.key_bits, key_seeds, ahead) as keypairs:
         for round_no in range(1, config.rounds_max + 1):
-            failed = failures.get(round_no, set())
-            alive = [e for e in edge_clients if e not in failed]
-            for e in sorted(failed):
-                events.append(EdgeFailureEvent(round_no, e))
+            alive = [e for e in edges if (e, round_no) not in config.edge_failures]
+            events += [EdgeFailureEvent(round_no, e) for e in edges if e not in alive]
             if not alive:
                 raise RuntimeError(f"all edges failed in round {round_no}")
 
             # the clients of every alive edge train as one lockstep cohort, stacked one row each; under
             # fedavg_single only the round's sample trains, as no other client's weights are used and
             # none depends on who trains beside it
-            members = {0: _fedavg_sample(config, round_no)} if single_edge else edge_clients
+            members = [_fedavg_sample(config, round_no)] if single_edge else edge_clients
             cids = [cid for e in alive for cid in members[e]]
             train_seeds = [derive_seed(seed, "train", round_no, cid) for cid in cids]
             cohort = trainer.Cohort(global_model, spec, d_train, [client_train[cid] for cid in cids], train_seeds)
@@ -333,24 +329,14 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
                 first_row += len(ids)
 
                 try:
-                    selected_ids, evaluations = _select_for_mode(config, reports, global_model, score_weights, e)
+                    selected_ids, evaluations, weights_used, score_weights[e] = _select_for_mode(
+                        config, reports, global_model, score_weights[e]
+                    )
                 except selection.NonFiniteMetric as exc:
                     raise ValueError(
                         f"round {round_no}, client {exc.client_id}: {exc.detail}"
                         f" (trainer.learning_rate={spec.learning_rate})"
                     ) from exc
-                weights_now = score_weights[e]
-                if weights_now is not None:
-                    score_weights[e] = selection.update_weights(
-                        weights_now,
-                        (
-                            float(np.mean([ev.estimated_utility for ev in evaluations])),
-                            float(np.mean([ev.estimated_energy for ev in evaluations])),
-                            float(np.mean([ev.security_index for ev in evaluations])),
-                        ),
-                        config.selection,
-                    )
-                weights_used = None if weights_now is None else weights_now.as_tuple()
                 events.append(
                     SelectionEvent(round_no, e, config.baseline_mode, weights_used, tuple(selected_ids), evaluations)
                 )
@@ -387,10 +373,10 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
             new_global, cross = _central_step(edge_updates, config.aggregation)
 
             per_edge: dict[int, BinaryMetrics] = {}
-            for eid, model in zip(sorted(u.edge_id for u in edge_updates), cross):
-                rows = edge_test_rows[eid]
+            for update, model in zip(edge_updates, cross):  # both in ascending edge id
+                rows = edge_test_rows[update.edge_id]
                 if len(rows) > 0:
-                    per_edge[eid] = evaluate(model, d_train.features[rows], d_train.labels[rows], threshold)
+                    per_edge[update.edge_id] = evaluate(model, d_train.features[rows], d_train.labels[rows], threshold)
             val = evaluate(new_global, d_val.features, d_val.labels, threshold)
             test = evaluate(new_global, d_test.features, d_test.labels, threshold)
             accuracies = [m.accuracy for m in per_edge.values()]
@@ -407,12 +393,7 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
                     stopped_early = round_no < config.rounds_max
                     break
 
-    return SimulationResult(
-        rounds=rounds,
-        final_global=global_model,
-        stopped_early=stopped_early,
-        events=events,
-    )
+    return SimulationResult(rounds=rounds, final_global=global_model, stopped_early=stopped_early, events=events)
 
 
 def _fedavg_sample(config: SimulationConfig, round_no: int) -> list[int]:
@@ -427,17 +408,27 @@ def _select_for_mode(
     config: SimulationConfig,
     reports: ClientReports,
     edge_model: np.ndarray,
-    score_weights: list[ScoreWeights | None],
-    edge_id: int,
-) -> tuple[list[int], tuple[selection.ClientEvaluation, ...]]:
+    weights: ScoreWeights | None,
+) -> tuple[list[int], tuple[selection.ClientEvaluation, ...], tuple[float, float, float] | None, ScoreWeights | None]:
+    """One edge's selection in a round: the selected ids, the evaluations, the
+    score weights they used and the edge's weights for its next selection.
+
+    Under fedselect_me an edge's weights start from the grid search on its first
+    selection's estimates, then move toward each selection's evaluation means;
+    the other modes take every reporting client and keep no weights.
+    """
     if config.baseline_mode != "fedselect_me":  # fedavg_single reports its round's sample alone
-        return sorted(reports.client_ids.tolist()), ()
+        return reports.client_ids.tolist(), (), None, None
 
     spec = config.trainer
-    weights = score_weights[edge_id]
     if weights is None:
         utility, energy = selection.estimate_metrics(reports, edge_model, spec)
         triples = np.column_stack([utility, energy, reports.security_index])
         weights = selection.grid_search_init(triples, config.selection)
-        score_weights[edge_id] = weights
-    return selection.select_clients(reports, edge_model, weights, config.selection, spec)
+    selected, evaluations = selection.select_clients(reports, edge_model, weights, config.selection, spec)
+    means = (
+        float(np.mean([ev.estimated_utility for ev in evaluations])),
+        float(np.mean([ev.estimated_energy for ev in evaluations])),
+        float(np.mean([ev.security_index for ev in evaluations])),
+    )
+    return selected, evaluations, weights.as_tuple(), selection.update_weights(weights, means, config.selection)

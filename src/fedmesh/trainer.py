@@ -293,16 +293,11 @@ def train_local(
     dataset: Dataset,
     indices: np.ndarray | list[int],
     seed: int,
-    cohort: Cohort | None = None,
+    cohort: Cohort,
 ) -> np.ndarray:
-    """One client's weights after mini-batch descent from `start` on the rows `indices`.
-
-    Without `cohort` the client trains alone. As a member of `cohort` it trains
-    in lockstep with the other members (see `Cohort`). The weights are the
-    same bytes either way.
-    """
-    if cohort is None:
-        return train_clients(start, spec, dataset, [indices], [seed])[0]
+    """One client's weights after mini-batch descent from `start` on the rows
+    `indices`, trained in lockstep with the other members of `cohort` (see
+    `Cohort`); the same bytes as training it alone."""
     return cohort.trained(start, spec, dataset, indices, seed)
 
 

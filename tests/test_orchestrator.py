@@ -16,10 +16,12 @@ import fedmesh.aggregation
 import fedmesh.orchestrator
 import fedmesh.secagg
 import fedmesh.trainer
+from fedmesh import cli
 from fedmesh.aggregation import CrossEdgeConfig, EdgeUpdate
 from fedmesh.data import DataConfig, generate_synthetic, partition_noniid
 from fedmesh.metrics import BinaryMetrics
 from fedmesh.orchestrator import (
+    MODES,
     SimulationConfig,
     _central_step,
     derive_seed,
@@ -29,7 +31,7 @@ from fedmesh.orchestrator import (
     run,
 )
 from fedmesh.secagg import SecAggConfig
-from fedmesh.selection import SelectionConfig
+from fedmesh.selection import ScoreWeights, SelectionConfig, grid_search_init, update_weights
 from fedmesh.trainer import AdversaryAssignment, TrainerConfig, train_clients
 
 
@@ -194,6 +196,36 @@ class TestRunBasics:
         assert any(
             r1.score_weights != r3.score_weights for r1, r3 in zip(round1, round3)
         )
+
+    def test_score_weights_follow_each_edges_own_selections(self, big_dataset):
+        # an edge's first selection uses the grid search on its estimates, each later one the update
+        # of its previous weights by the previous evaluation means; a failed round leaves them alone
+        config = make_config(
+            n_edges=3,
+            clients_per_edge=4,
+            rounds_max=5,
+            data=DataConfig(n_samples=1600),
+            edge_failures=((0, 1), (1, 3), (1, 4)),
+        )
+        result = run(config, big_dataset)
+        assert len(result.rounds) == 5
+        moved = 0
+        for e in range(config.n_edges):
+            selections = [ev for ev in result.events if ev.type == "selection" and ev.edge == e]
+            failed = {r for edge, r in config.edge_failures if edge == e}
+            assert [ev.round for ev in selections] == [r for r in range(1, 6) if r not in failed]
+            first = selections[0]
+            triples = [(ev.estimated_utility, ev.estimated_energy, ev.security_index) for ev in first.evaluations]
+            assert first.score_weights == grid_search_init(triples, config.selection).as_tuple()
+            for prev, event in zip(selections, selections[1:]):
+                means = tuple(
+                    float(np.mean([getattr(ev, key) for ev in prev.evaluations]))
+                    for key in ("estimated_utility", "estimated_energy", "security_index")
+                )
+                want = update_weights(ScoreWeights(*prev.score_weights), means, config.selection)
+                assert event.score_weights == want.as_tuple()
+                moved += event.score_weights != prev.score_weights
+        assert moved > 0
 
     def test_invalid_config_rejected(self, dataset):
         with pytest.raises(ValueError, match="patience"):
@@ -574,6 +606,17 @@ class TestEdgeFailures:
         assert set(result.rounds[1].per_edge) == {4}
         assert np.all(np.isfinite(result.final_global))
 
+    def test_failure_pairs_are_a_set(self, big_dataset, tmp_path):
+        # a pair given twice fails its edge once, and the events of a round come in ascending edge id
+        base = make_config(n_edges=4, clients_per_edge=2, rounds_max=3, data=DataConfig(n_samples=1600))
+        out = {}
+        for name, pairs in (("repeated", ((3, 2), (1, 2), (3, 2))), ("once", ((1, 2), (3, 2)))):
+            result = cli._run_to_dir(dataclasses.replace(base, edge_failures=pairs), big_dataset, tmp_path / name)
+            failures = [(ev.round, ev.edge) for ev in result.events if ev.type == "edge_failure"]
+            assert failures == [(2, 1), (2, 3)]
+            out[name] = [(tmp_path / name / f).read_bytes() for f in ("rounds.csv", "events.jsonl")]
+        assert out["repeated"] == out["once"]
+
     def test_failing_every_edge_errors(self, dataset):
         config = make_config(edge_failures=((0, 1), (1, 1)))
         with pytest.raises(RuntimeError, match="all edges failed"):
@@ -621,7 +664,7 @@ class TestBaselines:
 
     def test_fedavg_single_has_one_edge(self, dataset):
         config = make_config(baseline_mode="fedavg_single", rounds_max=1)
-        assert config.edge_clients == {0: range(6)}
+        assert config.edge_clients == (range(6),)
         result = run(config, dataset)
         edges = {e.edge for e in result.events if e.type == "selection"}
         assert edges == {0}
@@ -686,6 +729,18 @@ class TestBaselines:
         for mode in ("fedavg_single", "no_selection"):
             config = make_config(baseline_mode=mode, rounds_max=2)
             assert result_fingerprint(run(config, dataset)) == result_fingerprint(run(config, dataset))
+
+
+class TestEdgeClients:
+    @given(n_edges=st.integers(1, 12), clients_per_edge=st.integers(1, 12), mode=st.sampled_from(MODES))
+    @settings(max_examples=100, deadline=None)
+    def test_contiguous_ranges_partition_the_clients(self, n_edges, clients_per_edge, mode):
+        config = SimulationConfig(n_edges=n_edges, clients_per_edge=clients_per_edge, baseline_mode=mode)
+        edge_clients = config.edge_clients
+        assert isinstance(edge_clients, tuple)
+        assert len(edge_clients) == (1 if mode == "fedavg_single" else n_edges)
+        assert all(isinstance(clients, range) and clients.step == 1 and clients for clients in edge_clients)
+        assert [c for clients in edge_clients for c in clients] == list(range(config.n_clients))
 
 
 class TestPrivacyBoundary:
@@ -771,7 +826,7 @@ class TestUnknownRegion:
         client_rows = partition_noniid(
             base.d_train, config.n_clients, config.data.dirichlet_alpha, derive_seed(config.seed, "partition")
         )
-        assert config.edge_clients == {0: range(0, 3), 1: range(3, 6)}
+        assert config.edge_clients == (range(0, 3), range(3, 6))
         # every row of edge 1's clients, training and test rows alike
         shifted_rows = np.concatenate([client_rows[c] for c in config.edge_clients[1]])
         unshifted_rows = np.concatenate([client_rows[c] for c in config.edge_clients[0]])

@@ -1,8 +1,12 @@
+import ast
 import importlib
 import re
+from collections import Counter
 from pathlib import Path
 
 import fedmesh
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC_API = [
     "AdversaryAssignment",
@@ -38,10 +42,41 @@ def test_star_import_binds_exactly_all():
 
 def test_readme_module_paths_resolve():
     # each backticked `fedmesh.<module>.<name>` in README names something that exists
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     paths = set(re.findall(r"`fedmesh\.(\w+)((?:\.\w+)*)", readme))
     assert ("secagg", ".encrypt_update") in paths and ("selection", ".select_clients") in paths
     for module, names in sorted(paths):
         target = importlib.import_module(f"fedmesh.{module}")
         for name in names.split(".")[1:]:
             target = getattr(target, name)
+
+
+def _referenced_names(tree):
+    """How often each name is used in `tree`, as a bare name or as an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_module_level_definition_has_a_caller_outside_the_tests():
+    # a function or class of src/fedmesh must be used by src outside its own body, wrapped or
+    # called by perfbench (whose probe targets are named by string), exported, or be cli.main
+    src = sorted((ROOT / "src" / "fedmesh").glob("*.py"))
+    modules = {path: ast.parse(path.read_text(encoding="utf-8")) for path in src}
+    in_src = sum((_referenced_names(tree) for tree in modules.values()), Counter())
+    perfbench = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    in_perfbench = {name for tree in perfbench for name in _referenced_names(tree)}
+    in_perfbench |= {node.value for tree in perfbench for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    unused = []
+    for path, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            outside = in_src[name] - _referenced_names(node)[name]
+            exempt = name in fedmesh.__all__ or (path.stem, name) == ("cli", "main")
+            if not (outside or name in in_perfbench or exempt):
+                unused.append(f"{path.stem}.{name}")
+    assert unused == []

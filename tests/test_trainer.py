@@ -89,7 +89,7 @@ class TestTrainLocal:
         losses = []
         for epochs in range(101):
             spec = TrainerConfig(learning_rate=0.5, local_epochs=epochs, batch_size=2)
-            w = train_local(start, spec, two_point_dataset, idx, seed=0)
+            w = train_clients(start, spec, two_point_dataset, [idx], [0])[0]
             losses.append(bce_loss(w, feats, labs))
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
@@ -163,17 +163,17 @@ class TestTrainLocal:
             patch.setattr(fedmesh.trainer, "_GATHER_ROWS", gather_rows)
             got = train_clients(start, spec, ORACLE_DATASET, indices, seeds)
         for trained, rows, client_seed in zip(got, indices, seeds):
-            alone = train_local(start, spec, ORACLE_DATASET, rows, client_seed)
+            alone = train_clients(start, spec, ORACLE_DATASET, [rows], [client_seed])[0]
             want = train_local_oracle(start, spec, ORACLE_DATASET, rows, client_seed)
             assert trained.tobytes() == alone.tobytes() == want.tobytes()
 
     def test_deterministic_given_seed(self, small_dataset):
         spec = TrainerConfig(learning_rate=0.2, local_epochs=5, batch_size=16)
         start = np.zeros(11)
-        a = train_local(start, spec, small_dataset, np.arange(80), seed=9)
-        b = train_local(start, spec, small_dataset, np.arange(80), seed=9)
+        a = train_clients(start, spec, small_dataset, [np.arange(80)], [9])[0]
+        b = train_clients(start, spec, small_dataset, [np.arange(80)], [9])[0]
         assert a.tobytes() == b.tobytes()
-        c = train_local(start, spec, small_dataset, np.arange(80), seed=10)
+        c = train_clients(start, spec, small_dataset, [np.arange(80)], [10])[0]
         assert a.tobytes() != c.tobytes()
 
     def test_empty_client_rejected(self, small_dataset):
@@ -204,7 +204,7 @@ class TestTrainLocal:
 
     def test_training_actually_fits(self, small_dataset):
         spec = TrainerConfig(learning_rate=0.5, local_epochs=30)
-        w = train_local(np.zeros(11), spec, small_dataset, np.arange(200), seed=4)
+        w = train_clients(np.zeros(11), spec, small_dataset, [np.arange(200)], [4])[0]
         probs = predict_proba(w, small_dataset.features)
         acc = np.mean((probs >= 0.5) == small_dataset.labels)
         assert acc > 0.8
@@ -217,7 +217,7 @@ class TestCohort:
     def test_members_train_once_and_match_training_alone(self, small_dataset, monkeypatch):
         spec = TrainerConfig(learning_rate=0.4, local_epochs=3, batch_size=16)
         start = np.random.default_rng(3).normal(size=11)
-        alone = [train_local(start, spec, small_dataset, i, s) for i, s in zip(self.SHARDS, self.SEEDS)]
+        alone = [train_clients(start, spec, small_dataset, [i], [s])[0] for i, s in zip(self.SHARDS, self.SEEDS)]
         runs = []
         train_clients_ = fedmesh.trainer.train_clients
 
@@ -266,7 +266,7 @@ class TestCohort:
             with pytest.raises(fedmesh.trainer.DivergedError) as info:
                 train_local(start, spec, data, self.SHARDS[2], self.SEEDS[2], cohort)
             assert info.value.index == 1
-            train_local(start, spec, data, self.SHARDS[0], self.SEEDS[0])
+            train_clients(start, spec, data, [self.SHARDS[0]], [self.SEEDS[0]])
 
 
 def report(client_id, trained, received, spec, sample_count, security, behavior=None, rng=None):
