@@ -16,11 +16,6 @@ import numpy as np
 from .data import Dataset
 from .params import check_field_types
 
-# rows gathered into the stacked-step buffer at once (more when one step needs more); larger
-# buffers trained no faster and raised the peak memory of small cohorts, whose whole epoch they held
-_GATHER_ROWS = 512
-
-
 @dataclass(frozen=True)
 class TrainerConfig:
     """Hyperparameters of the local model and its energy-cost constants."""
@@ -164,79 +159,56 @@ def train_clients(
     """Mini-batch gradient descent on BCE from `start` for every shard; deterministic per seed.
 
     Row i of the (len(shards), P) result is client i's weights. Client i
-    trains on the rows `shards[i]` of `dataset`, shuffled each epoch by its
-    own `default_rng(seeds[i])`, and the result does not depend on which
-    other clients are trained with it. All clients take their k-th full batch
-    in one stacked step, then their final partial batches in one stacked step
-    per distinct length. Each epoch's rows are gathered step after step, a
-    buffer of consecutive steps at a time, so every step reads one contiguous
-    block.
+    trains on the rows `shards[i]` of `dataset` (1-D integer ids), shuffled
+    each epoch by its own `default_rng(seeds[i])`, and the result does not
+    depend on which other clients are trained with it. All clients take their
+    k-th full batch in one stacked step, then their final partial batches in
+    one stacked step per distinct length. Each step gathers its clients' rows
+    into one contiguous buffer, sized by the largest step.
     """
     if len(shards) != len(seeds):
         raise ValueError(f"{len(shards)} shards but {len(seeds)} seeds")
     width = model_dim(dataset.n_features)
     if np.shape(start) != (width,):
         raise ValueError(f"start has dim {np.size(start)}, model needs {width}")
-    idx = [np.asarray(shard, dtype=np.int64) for shard in shards]
-    if any(shard.size == 0 for shard in idx):
+    shards = [np.asarray(shard) for shard in shards]
+    if any(shard.size == 0 for shard in shards):
         raise ValueError("client has no training samples")
-    if not idx:
+    for i, shard in enumerate(shards):
+        if shard.ndim != 1 or shard.dtype.kind not in "iu":
+            raise ValueError(f"shard {i} is not a 1-D array of integer row ids ({shard.dtype}, shape {shard.shape})")
+    if not shards:
         return np.empty((0, width))
-    step, lr = spec.batch_size, spec.learning_rate
-    sizes = np.array([shard.size for shard in idx], dtype=np.int64)
-    # clients ordered by full-batch count, descending: those with a k-th full batch are a prefix
-    order = np.argsort(-(sizes // step), kind="stable")
-    sizes = sizes[order]
-    full = sizes // step
-    tail = sizes % step
+    sizes = np.array([shard.size for shard in shards])
     offsets = np.cumsum(sizes) - sizes
-    active = [int(np.count_nonzero(full > k)) for k in range(int(full[0]))]
-    tails = [(int(t), np.flatnonzero(tail == t)) for t in np.unique(tail[tail > 0])]
-    # stacked steps in training order, as (clients updated, client count, batch length)
-    steps = [(slice(0, a), a, step) for a in active] + [(members, members.size, t) for t, members in tails]
-    # where each step's rows sit in `epoch`, laid out step after step: batch k of clients 0..active[k]-1
-    # (clients with a k-th full batch are a prefix), then each partial-batch group
-    k_of = np.repeat(np.arange(len(active)), active)
-    client_of = np.concatenate([np.arange(a) for a in active] or [np.zeros(0, dtype=np.int64)])
-    layout = np.concatenate(
-        [((offsets[client_of] + k_of * step)[:, None] + np.arange(step)).ravel()]
-        + [(offsets[members, None] + full[members, None] * step + np.arange(t)).ravel() for t, members in tails]
-    )
-    # consecutive steps share one gather into `rows`, of at most max(_GATHER_ROWS, one step) rows
-    limit = max(_GATHER_ROWS, max(clients * length for _, clients, length in steps))
-    chunks: list[tuple[int, int, list]] = []  # (first row, end row, steps) of each gather
-    lo = hi = 0
-    group: list = []
-    for s in steps:
-        if group and hi + s[1] * s[2] - lo > limit:
-            chunks.append((lo, hi, group))
-            lo, group = hi, []
-        group.append(s)
-        hi += s[1] * s[2]
-    chunks.append((lo, hi, group))
-    rngs = [np.random.default_rng(seeds[i]) for i in order]
-    w = np.tile(start, (len(idx), 1))
-    rows = np.ones((max(hi - lo for lo, hi, _ in chunks), width))  # last column stays the bias input
-    epoch = np.empty(int(sizes.sum()), dtype=np.int64)  # dataset row ids, each client's in its shuffled order
+    ids = np.concatenate(shards, dtype=np.int64)  # shard i at offsets[i]
+    if ids.min() < 0 or ids.max() >= dataset.n_samples:
+        i = np.searchsorted(offsets + sizes, np.flatnonzero((ids < 0) | (ids >= dataset.n_samples))[0], "right")
+        raise ValueError(f"shard {i} has row ids outside [0, {dataset.n_samples})")
+    step, lr = spec.batch_size, spec.learning_rate
+    full, tail = sizes // step, sizes % step
+    # stacked steps in training order, as (clients, where their batches sit in `epoch`): every
+    # client's k-th full batch, then the final partial batches, one step per distinct length
+    batches = [(full > k, offsets + k * step, step) for k in range(int(full.max()))]
+    batches += [(tail == t, offsets + full * step, t) for t in np.unique(tail[tail > 0])]
+    steps = [(np.flatnonzero(m), first[m, None] + np.arange(n)) for m, first, n in batches]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    w = np.tile(start, (len(shards), 1))
+    rows = np.ones((max(positions.size for _, positions in steps), width))  # last column stays the bias input
+    epoch = np.empty_like(ids)  # dataset row ids, each client's in its shuffled order
     for _ in range(spec.local_epochs):
-        for i, rng, lo in zip(order, rngs, offsets):
-            epoch[lo : lo + idx[i].size] = idx[i][rng.permutation(idx[i].size)]
-        for lo, hi, group in chunks:
-            ids = epoch[layout[lo:hi]]
-            rows[: hi - lo, :-1] = np.take(dataset.features, ids, axis=0)
-            labels = dataset.labels[ids]
-            at = 0
-            for members, clients, length in group:
-                n = clients * length
-                batch = rows[at : at + n].reshape(clients, length, -1)
-                w[members] -= lr * gradient(w[members], batch, labels[at : at + n].reshape(clients, length))
-                at += n
-    trained = np.empty_like(w)
-    trained[order] = w
-    diverged = np.flatnonzero(~np.isfinite(trained).all(axis=1))
+        for rng, lo, n in zip(rngs, offsets, sizes.tolist()):
+            epoch[lo : lo + n] = ids[lo + rng.permutation(n)]
+        for clients, positions in steps:
+            batch_ids = epoch[positions]
+            batch = rows[: batch_ids.size]
+            batch[:, :-1] = np.take(dataset.features, batch_ids.ravel(), axis=0)
+            batch = batch.reshape(*batch_ids.shape, width)
+            w[clients] -= lr * gradient(w[clients], batch, dataset.labels[batch_ids])
+    diverged = np.flatnonzero(~np.isfinite(w).all(axis=1))
     if diverged.size:
         raise DivergedError(int(diverged[0]))
-    return trained
+    return w
 
 
 class Cohort:

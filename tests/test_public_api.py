@@ -52,17 +52,28 @@ def test_readme_module_paths_resolve():
 
 
 def _referenced_names(tree):
-    """How often each name is used in `tree`, as a bare name or as an attribute."""
+    """How often each name is read in `tree`, as a bare name or as an attribute."""
     return Counter(
         node.id if isinstance(node, ast.Name) else node.attr
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
     )
+
+
+def _defined_names(node):
+    """The names a module-level statement defines: a function's or class's, or an assignment's targets."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if not isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+        return []
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
 
 
 def test_every_module_level_definition_has_a_caller_outside_the_tests():
     # a function or class of src/fedmesh must be used by src outside its own body, wrapped or
-    # called by perfbench (whose probe targets are named by string), exported, or be cli.main
+    # called by perfbench (whose probe targets are named by string), exported, or be cli.main;
+    # a module-level constant or other assigned name must be read by src outside its assignment
     src = sorted((ROOT / "src" / "fedmesh").glob("*.py"))
     modules = {path: ast.parse(path.read_text(encoding="utf-8")) for path in src}
     in_src = sum((_referenced_names(tree) for tree in modules.values()), Counter())
@@ -72,11 +83,12 @@ def test_every_module_level_definition_has_a_caller_outside_the_tests():
     unused = []
     for path, tree in modules.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            name = node.name
-            outside = in_src[name] - _referenced_names(node)[name]
-            exempt = name in fedmesh.__all__ or (path.stem, name) == ("cli", "main")
-            if not (outside or name in in_perfbench or exempt):
-                unused.append(f"{path.stem}.{name}")
+            for name in _defined_names(node):
+                outside = in_src[name] - _referenced_names(node)[name]
+                if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                    exempt = name.startswith("__") and name.endswith("__")
+                else:
+                    exempt = name in in_perfbench or name in fedmesh.__all__ or (path.stem, name) == ("cli", "main")
+                if not (outside or exempt):
+                    unused.append(f"{path.stem}.{name}")
     assert unused == []

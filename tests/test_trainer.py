@@ -144,28 +144,31 @@ class TestTrainLocal:
         for trained, i in zip(shuffled, perm):
             assert trained.tobytes() == got[i].tobytes()
 
-    @given(
-        shards=shard_sizes(),
-        gather_rows=st.integers(1, 400),
-        local_epochs=st.integers(1, 3),
-        seed=st.integers(0, 2**32 - 1),
-    )
+    @given(shards=shard_sizes(), local_epochs=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
-    def test_chunked_gathers_match_training_alone(self, shards, gather_rows, local_epochs, seed):
-        # buffer fills that split the epoch anywhere between steps leave every client's bytes alone
+    def test_steps_stack_every_client_that_takes_them(self, shards, local_epochs, seed):
+        # bytes cannot tell lockstep from one client at a time, so pin the schedule itself: per
+        # epoch, the k-th full batch of every client that has one, then one step per partial length
         batch_size, sizes = shards
-        spec = TrainerConfig(local_epochs=local_epochs, learning_rate=2.0, batch_size=batch_size)
+        spec = TrainerConfig(local_epochs=local_epochs, learning_rate=0.5, batch_size=batch_size)
         rng = np.random.default_rng(seed)
         indices = [rng.permutation(len(ORACLE_DATASET.labels))[:n] for n in sizes]
         seeds = [int(s) for s in rng.integers(0, 2**63, len(sizes))]
-        start = rng.normal(size=11)
+        calls = []
+        gradient_ = fedmesh.trainer.gradient
+
+        def recording(weights, rows, labels):
+            calls.append(rows.shape[:2])
+            return gradient_(weights, rows, labels)
+
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(fedmesh.trainer, "_GATHER_ROWS", gather_rows)
-            got = train_clients(start, spec, ORACLE_DATASET, indices, seeds)
-        for trained, rows, client_seed in zip(got, indices, seeds):
-            alone = train_clients(start, spec, ORACLE_DATASET, [rows], [client_seed])[0]
-            want = train_local_oracle(start, spec, ORACLE_DATASET, rows, client_seed)
-            assert trained.tobytes() == alone.tobytes() == want.tobytes()
+            patch.setattr(fedmesh.trainer, "gradient", recording)
+            train_clients(np.zeros(11), spec, ORACLE_DATASET, indices, seeds)
+        full = np.array(sizes) // batch_size
+        tails = np.array(sizes) % batch_size
+        per_epoch = [(int(np.sum(full > k)), batch_size) for k in range(int(full.max()))]
+        per_epoch += [(int(np.sum(tails == t)), int(t)) for t in sorted(set(tails.tolist()) - {0})]
+        assert calls == per_epoch * local_epochs
 
     def test_deterministic_given_seed(self, small_dataset):
         spec = TrainerConfig(learning_rate=0.2, local_epochs=5, batch_size=16)
@@ -185,6 +188,16 @@ class TestTrainLocal:
             train_clients(start, spec, small_dataset, [np.arange(5), [], np.arange(9)], [0, 1, 2])
         with pytest.raises(ValueError, match="seeds"):
             train_clients(start, spec, small_dataset, [np.arange(5)], [0, 1])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[-1, -2, 3], [1.7, 2.2], [[1, 2], [3, 4]], [0, 200]],
+        ids=["negative", "float", "2-D", "n_samples"],
+    )
+    def test_shards_must_be_row_ids_of_the_dataset(self, small_dataset, bad):
+        # named by position, not wrapped round to rows from the end or truncated to whole rows
+        with pytest.raises(ValueError, match=r"shard 1 (is not a 1-D array of integer|has row ids outside \[0, 200\))"):
+            train_clients(np.zeros(11), TrainerConfig(), small_dataset, [np.arange(5), bad, np.arange(3)], [0, 1, 2])
 
     def test_start_must_have_the_dataset_width(self, small_dataset):
         # ten features and the bias: 11 parameters
