@@ -154,19 +154,18 @@ def _edge_mean_update(
     codec: FixedPointCodec,
     keypair: tuple[secagg.PaillierPublicKey, secagg.PaillierPrivateKey] | None,
     deltas: np.ndarray,
-    weights: Sequence[int] | None,
-    divisor: int,
+    weights: Sequence[int],
     noise_seed: int,
     ahead: int,
 ) -> np.ndarray:
-    """Release the (weighted) mean of the deltas, one client update per row,
+    """Release sum_i w_i * delta_i / sum_i w_i, one client update per row,
     encrypted under the edge's keypair; with secagg off (keypair None) the
     same quantized ints are summed in plaintext. A secagg.HeadroomError names
     the refused row. Then a worker-fed key's worker computes the next `ahead`
     randomizers while this process decrypts, evaluates and trains."""
     if keypair is None:
         total = secagg.sum_quantized(deltas, codec, cfg.key_bits, weights)
-        return secagg.release(total, divisor, cfg, noise_seed)
+        return secagg.release(total, sum(weights), cfg, noise_seed)
     public_key, private_key = keypair
     ciphers = []
     for row, d in enumerate(deltas):
@@ -176,7 +175,7 @@ def _edge_mean_update(
             raise secagg.HeadroomError(str(exc), row) from exc
     public_key.precompute_randomizers(ahead)
     agg = secagg.aggregate_encrypted(ciphers, public_key, codec, weights)
-    return secagg.finalize_edge_update(agg, private_key, codec, divisor, cfg, noise_seed)
+    return secagg.finalize_edge_update(agg, private_key, codec, sum(weights), cfg, noise_seed)
 
 
 def _central_step(
@@ -346,20 +345,13 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
                     continue
                 rows = np.searchsorted(reports.client_ids, selected_ids)
                 counts = reports.sample_count[rows]
-                if single_edge:
-                    int_weights = counts.tolist()
-                    divisor = sum(int_weights)
-                else:
-                    int_weights = None
-                    divisor = len(selected_ids)
                 try:
                     mean_update = _edge_mean_update(
                         config.secagg,
                         codec,
                         keypairs[e]() if keypairs else None,
                         reports.weights[rows] - global_model,
-                        int_weights,
-                        divisor,
+                        counts.tolist() if single_edge else [1] * len(selected_ids),
                         derive_seed(seed, "dp", round_no, e),
                         ahead if round_no < config.rounds_max else 0,
                     )

@@ -53,9 +53,9 @@ Packing is linear, so ciphertext products and scalar powers encrypt the packed
 weighted sum, and decryption lifts m to a signed integer and peels balanced
 base-2^W digits. An element is refused with OverflowError unless
 |q| * max_participants < 2^(W-1), which proves that no slot carries into the
-next under max_participants unit-weight additions (and no packed sum wraps the
-ring). Encrypted and plaintext sums apply the same bound and share one release
-step.
+next under nonnegative integer weights summing to at most max_participants
+(and no packed sum wraps the ring). Encrypted and plaintext sums apply the
+same bound and share one release step.
 
 A public key is n, h_s and the source of its randomizers: keygen's draws
 each exponent a from a PRNG seeded by the key seed and returns h_s^a, which
@@ -535,14 +535,11 @@ class CipherVector:
         return len(self.ciphertexts)
 
 
-def _coefficients(count: int, weights: Sequence[int] | None, max_participants: int) -> list[int]:
-    """Validated per-update multipliers whose total stays within max_participants."""
+def _coefficients(count: int, weights: Sequence[int], max_participants: int) -> list[int]:
+    """Validated per-update multipliers whose total stays within max_participants;
+    zero-weight updates add nothing to a slot, so that total alone bounds the headroom."""
     if count == 0:
         raise ValueError("aggregation requires at least one update")
-    if count > max_participants:
-        raise ValueError(f"{count} updates exceed max participants {max_participants}")
-    if weights is None:
-        return [1] * count
     if len(weights) != count:
         raise ValueError("one weight per update required")
     if any(int(w) != w or w < 0 for w in weights):
@@ -568,23 +565,20 @@ def aggregate_encrypted(
     updates: Sequence[CipherVector],
     public_key: PaillierPublicKey,
     codec: FixedPointCodec,
-    weights: Sequence[int] | None = None,
+    weights: Sequence[int],
 ) -> CipherVector:
-    """Homomorphic slotwise sum under `codec`, optionally with nonnegative integer weights.
+    """Homomorphic slotwise sum under `codec`, one nonnegative integer weight per update.
 
-    Nothing is decrypted here. With weights w_i the result encrypts
-    sum_i w_i * v_i; sum(w_i) may not exceed codec.max_participants, the
-    weight the codec's headroom covers, so a sum that could wrap is refused.
+    Nothing is decrypted here. The result encrypts sum_i w_i * v_i;
+    sum(w_i) may not exceed codec.max_participants, the weight the codec's
+    headroom covers, so a sum that could wrap is refused.
     """
     coeffs = _coefficients(len(updates), weights, codec.max_participants)
     elements = updates[0].elements
     if any(u.elements != elements for u in updates):
         raise ValueError("all cipher vectors must share one dimension")
 
-    terms = [
-        u.ciphertexts if weights is None else [public_key.scalar_mul(c, w) for c in u.ciphertexts]
-        for w, u in zip(coeffs, updates)
-    ]
+    terms = [[public_key.scalar_mul(c, w) for c in u.ciphertexts] for w, u in zip(coeffs, updates)]
     acc = terms[0]
     for cts in terms[1:]:
         acc = [public_key.add(a, c) for a, c in zip(acc, cts)]
@@ -617,11 +611,12 @@ def sum_quantized(
     updates: np.ndarray,
     codec: FixedPointCodec,
     key_bits: int,
-    weights: Sequence[int] | None = None,
+    weights: Sequence[int],
 ) -> np.ndarray:
     """Bit-exact plaintext twin of decrypt_vector(aggregate_encrypted(...)) under
-    a key_bits-bit key, for updates stacked one per row: the same headroom
-    refusals, then the weighted quantized sum, decoded.
+    a key_bits-bit key, for updates stacked one per row with one nonnegative
+    integer weight each: the same headroom refusals, then the weighted
+    quantized sum, decoded.
 
     The headroom check bounds every partial sum by 2^(width-1), so int64 sums
     are exact for slots of at most _INT64_SUM_MAX_WIDTH bits; wider slots are

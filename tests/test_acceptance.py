@@ -157,7 +157,7 @@ def test_criterion_04_secure_aggregation_homomorphism():
         dim = int(rng.integers(1, 51))
         vectors = [rng.uniform(-5, 5, size=dim) for _ in range(count)]
         ciphers = [encrypt_update(ParamVector(v), codec, public) for v in vectors]
-        agg = aggregate_encrypted(ciphers, public, codec)
+        agg = aggregate_encrypted(ciphers, public, codec, [1] * count)
         decrypted = decrypt_vector(agg, private, codec)
         plain_sum = np.sum(vectors, axis=0)
         assert np.max(np.abs(decrypted - plain_sum)) <= count * 0.5 / scale

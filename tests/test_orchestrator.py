@@ -637,14 +637,22 @@ class TestEdgeFailures:
 
 
 class TestBaselines:
-    def test_fedavg_single_matches_weighted_mean_oracle(self, dataset):
-        # independent recomputation of the plain sample-weighted averaging rule
+    @pytest.mark.parametrize("secure", [True, False], ids=["secagg", "plaintext"])
+    @pytest.mark.parametrize(
+        "mode,shape",
+        [("fedavg_single", {}), ("no_selection", {"n_edges": 1, "clients_per_edge": 6})],
+        ids=["fedavg_single", "no_selection"],
+    )
+    def test_edge_release_matches_weighted_mean_oracle(self, dataset, mode, shape, secure):
+        # independent recomputation of sum_i w_i * model_i / sum_i w_i over the six clients on one edge:
+        # w_i is client i's training sample count under fedavg_single, 1 under no_selection
         config = make_config(
-            baseline_mode="fedavg_single",
+            baseline_mode=mode,
             rounds_max=3,
             selection=SelectionConfig(capacity_k=6),
-            secagg=SecAggConfig(enabled=True, key_bits=512, noise_multiplier=0.0, clip_val=None),
+            secagg=SecAggConfig(enabled=secure, key_bits=512, noise_multiplier=0.0, clip_val=None),
             aggregation=CrossEdgeConfig(alpha=0.5, clip_val=1e6),
+            **shape,
         )
         sim = run(config, dataset)
         prep = prepare_data(config, dataset)
@@ -658,8 +666,8 @@ class TestBaselines:
                 prep.client_train,
                 [derive_seed(config.seed, "train", round_no, cid) for cid in range(config.n_clients)],
             )
-            total = sum(len(rows) for rows in prep.client_train)
-            global_model = sum(len(rows) / total * w for rows, w in zip(prep.client_train, models, strict=True))
+            weights = [len(rows) if mode == "fedavg_single" else 1 for rows in prep.client_train]
+            global_model = sum(w / sum(weights) * m for w, m in zip(weights, models, strict=True))
         assert np.allclose(sim.final_global, global_model, atol=4 * 0.5 / 2**20)
 
     def test_fedavg_single_has_one_edge(self, dataset):

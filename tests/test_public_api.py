@@ -70,14 +70,17 @@ def _defined_names(node):
     return [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
 
 
+def _parsed(directory):
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(directory.glob("*.py"))}
+
+
 def test_every_module_level_definition_has_a_caller_outside_the_tests():
     # a function or class of src/fedmesh must be used by src outside its own body, wrapped or
     # called by perfbench (whose probe targets are named by string), exported, or be cli.main;
     # a module-level constant or other assigned name must be read by src outside its assignment
-    src = sorted((ROOT / "src" / "fedmesh").glob("*.py"))
-    modules = {path: ast.parse(path.read_text(encoding="utf-8")) for path in src}
+    modules = _parsed(ROOT / "src" / "fedmesh")
     in_src = sum((_referenced_names(tree) for tree in modules.values()), Counter())
-    perfbench = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    perfbench = _parsed(ROOT / "perfbench").values()
     in_perfbench = {name for tree in perfbench for name in _referenced_names(tree)}
     in_perfbench |= {node.value for tree in perfbench for node in ast.walk(tree) if isinstance(node, ast.Constant)}
     unused = []
@@ -91,4 +94,23 @@ def test_every_module_level_definition_has_a_caller_outside_the_tests():
                     exempt = name in in_perfbench or name in fedmesh.__all__ or (path.stem, name) == ("cli", "main")
                 if not (outside or exempt):
                     unused.append(f"{path.stem}.{name}")
+    assert unused == []
+
+
+def test_every_method_has_a_caller_outside_the_tests():
+    # a method or property of a src/fedmesh class must be read by name in src outside its own
+    # body, or in perfbench; dunders are called by Python itself
+    modules = _parsed(ROOT / "src" / "fedmesh")
+    in_src = sum((_referenced_names(tree) for tree in modules.values()), Counter())
+    in_perfbench = {name for tree in _parsed(ROOT / "perfbench").values() for name in _referenced_names(tree)}
+    unused = [
+        f"{path.stem}.{cls.name}.{method.name}"
+        for path, tree in modules.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (method.name.startswith("__") and method.name.endswith("__"))
+        and not (in_src[method.name] - _referenced_names(method)[method.name] or method.name in in_perfbench)
+    ]
     assert unused == []

@@ -437,7 +437,7 @@ class TestAggregateEncrypted:
     def test_single_update_identity(self, keypair, codec):
         public, private = keypair
         v = ParamVector(np.array([1.25, -2.5]))
-        agg = aggregate_encrypted([encrypt_update(v, codec, public)], public, codec)
+        agg = aggregate_encrypted([encrypt_update(v, codec, public)], public, codec, [1])
         assert np.allclose(decrypt_vector(agg, private, codec), v.values, atol=0.5 / codec.scale)
 
     def test_three_constant_vectors(self, keypair):
@@ -447,7 +447,7 @@ class TestAggregateEncrypted:
             encrypt_update(ParamVector(np.array([float(k), float(k)])), codec, public)
             for k in (1, 2, 3)
         ]
-        agg = aggregate_encrypted(cvs, public, codec)
+        agg = aggregate_encrypted(cvs, public, codec, [1, 1, 1])
         assert np.allclose(decrypt_vector(agg, private, codec), [6.0, 6.0], atol=3 * 0.5 / 100)
 
     def test_matches_plaintext_sum_oracle(self, keypair, codec):
@@ -458,7 +458,7 @@ class TestAggregateEncrypted:
             dim = int(rng.integers(1, 10))
             vs = [rng.uniform(-3, 3, size=dim) for _ in range(k)]
             cvs = [encrypt_update(ParamVector(v), codec, public) for v in vs]
-            got = decrypt_vector(aggregate_encrypted(cvs, public, codec), private, codec)
+            got = decrypt_vector(aggregate_encrypted(cvs, public, codec, [1] * k), private, codec)
             expected = [sum(v[i] for v in vs) for i in range(dim)]
             assert np.max(np.abs(got - expected)) <= k * 0.5 / codec.scale
 
@@ -476,8 +476,8 @@ class TestAggregateEncrypted:
         public, _ = keypair
         rng = np.random.default_rng(4)
         cvs = [encrypt_update(ParamVector(rng.uniform(-1, 1, 4)), codec, public) for _ in range(5)]
-        forward = aggregate_encrypted(cvs, public, codec)
-        backward = aggregate_encrypted(list(reversed(cvs)), public, codec)
+        forward = aggregate_encrypted(cvs, public, codec, [1] * 5)
+        backward = aggregate_encrypted(list(reversed(cvs)), public, codec, [1] * 5)
         assert forward.ciphertexts == backward.ciphertexts
 
     def test_validation(self, keypair, codec):
@@ -485,11 +485,11 @@ class TestAggregateEncrypted:
         a = encrypt_update(ParamVector(np.zeros(2)), codec, public)
         b = encrypt_update(ParamVector(np.zeros(3)), codec, public)
         with pytest.raises(ValueError):
-            aggregate_encrypted([], public, codec)
+            aggregate_encrypted([], public, codec, [])
         with pytest.raises(ValueError):
-            aggregate_encrypted([a, b], public, codec)
+            aggregate_encrypted([a, b], public, codec, [1, 1])
         with pytest.raises(ValueError):
-            aggregate_encrypted([a, a], public, FixedPointCodec(scale=2**20, max_participants=1))
+            aggregate_encrypted([a, a], public, FixedPointCodec(scale=2**20, max_participants=1), [1, 1])
         with pytest.raises(ValueError):
             aggregate_encrypted([a, a], public, codec, weights=[1])
         with pytest.raises(ValueError):
@@ -498,16 +498,19 @@ class TestAggregateEncrypted:
             aggregate_encrypted([a, a], public, codec, weights=[60, 5])
 
     def test_refuses_more_updates_than_the_codec_bounds(self, keypair):
-        # the codec packed each slot for two addends, so a third could carry out of it and wrap
+        # the codec packed each slot for a total weight of two, so a third unit could carry out of it
+        # and wrap; zero-weight updates add nothing, so the weights' sum alone is bounded
         public, private = keypair
         codec = FixedPointCodec(scale=2**20, max_participants=2)
         _, width = codec.layout(public.n.bit_length())
         peak = (2 ** (width - 2) - 1) / codec.scale  # the largest value the headroom admits
-        cvs = [encrypt_update(ParamVector(np.array([peak, -peak])), codec, public) for _ in range(5)]
-        pair = decrypt_vector(aggregate_encrypted(cvs[:2], public, codec), private, codec)
+        vs = [ParamVector(np.array([peak, -peak])) for _ in range(5)]
+        cvs = [encrypt_update(v, codec, public) for v in vs]
+        pair = decrypt_vector(aggregate_encrypted(cvs, public, codec, [1, 1, 0, 0, 0]), private, codec)
         assert pair.tolist() == [2 * peak, -2 * peak]
-        with pytest.raises(ValueError, match="^5 updates exceed max participants 2$"):
-            aggregate_encrypted(cvs, public, codec)
+        assert pair.tobytes() == sum_quantized(stacked(vs), codec, KEY_BITS, [1, 1, 0, 0, 0]).tobytes()
+        with pytest.raises(ValueError, match="^weights sum to 3, above max participants 2$"):
+            aggregate_encrypted(cvs, public, codec, [1, 1, 1, 0, 0])
 
 
 class TestSumQuantized:
@@ -515,7 +518,7 @@ class TestSumQuantized:
         public, private = keypair
         codec = FixedPointCodec(scale=2**20, max_participants=1000)
         rng = np.random.default_rng(6)
-        for weights in (None, [3, 7, 1]):
+        for weights in ([1, 1, 1], [3, 7, 1]):
             vs = [ParamVector(rng.uniform(-3, 3, size=6)) for _ in range(3)]
             cvs = [encrypt_update(v, codec, public) for v in vs]
             decrypted = decrypt_vector(aggregate_encrypted(cvs, public, codec, weights=weights), private, codec)
@@ -523,9 +526,9 @@ class TestSumQuantized:
 
     def test_validation(self, codec):
         with pytest.raises(ValueError, match="one per row"):
-            sum_quantized(np.zeros(3), codec, KEY_BITS)
+            sum_quantized(np.zeros(3), codec, KEY_BITS, [1])
         with pytest.raises(ValueError, match="at least one"):
-            sum_quantized(np.zeros((0, 3)), codec, KEY_BITS)
+            sum_quantized(np.zeros((0, 3)), codec, KEY_BITS, [])
         with pytest.raises(ValueError):
             sum_quantized(np.zeros((2, 3)), codec, KEY_BITS, weights=[1])
         with pytest.raises(ValueError):
@@ -537,15 +540,15 @@ PROPERTY_CODEC = FixedPointCodec(scale=2**20, max_participants=64)
 
 @st.composite
 def packed_sums(draw):
-    """Updates of quantized values up to the slot bound, with optional weights
-    whose total stays within the codec's participant bound."""
+    """Updates of quantized values up to the slot bound, with unit weights or
+    weights whose total stays within the codec's participant bound."""
     _, width = PROPERTY_CODEC.layout(KEY_BITS)
     bound = ((1 << (width - 1)) - 1) // PROPERTY_CODEC.max_participants
     dim = draw(st.integers(1, 60))
     count = draw(st.integers(1, 10))
     row = st.lists(st.integers(-bound, bound), min_size=dim, max_size=dim)
     rows = draw(st.lists(row, min_size=count, max_size=count))
-    weights = draw(st.none() | st.lists(st.integers(0, 6), min_size=count, max_size=count))
+    weights = draw(st.just([1] * count) | st.lists(st.integers(0, 6), min_size=count, max_size=count))
     return rows, weights
 
 
@@ -561,8 +564,7 @@ class TestPackedProperties:
         agg = aggregate_encrypted(cvs, public, codec, weights)
         decrypted = decrypt_vector(agg, private, codec)
         assert decrypted.tobytes() == sum_quantized(stacked(vs), codec, KEY_BITS, weights).tobytes()
-        coeffs = [1] * len(rows) if weights is None else weights
-        exact = [sum(c * q for c, q in zip(coeffs, column)) / codec.scale for column in zip(*rows)]
+        exact = [sum(w * q for w, q in zip(weights, column)) / codec.scale for column in zip(*rows)]
         assert decrypted.tolist() == exact
         slots, _ = codec.layout(KEY_BITS)
         assert {cv.dim for cv in cvs} == {agg.dim} == {math.ceil(len(rows[0]) / slots)}
@@ -584,7 +586,7 @@ class TestPackedProperties:
             for v in vs:
                 encrypt_update(v, codec, public)
         with pytest.raises(OverflowError) as plain:
-            sum_quantized(stacked(vs), codec, KEY_BITS)
+            sum_quantized(stacked(vs), codec, KEY_BITS, [1] * len(vs))
         assert str(plain.value) == str(encrypted.value)
         assert plain.value.row == bad_update
         rows[bad_update][bad_element] = sign * (refused - 1)  # the last value the bound admits
@@ -608,7 +610,7 @@ def int64_edge_sums(draw):
         at = draw(st.integers(0, count - 1)), draw(st.integers(0, dim - 1))
         rows[at] = draw(st.sampled_from([1, -1])) * (admitted + 1)
     cap = codec.max_participants // count
-    weights = draw(st.none() | st.just(rng.integers(0, cap, size=count, endpoint=True).tolist()))
+    weights = draw(st.just([1] * count) | st.just(rng.integers(0, cap, size=count, endpoint=True).tolist()))
     return codec, key_bits, rows.astype(float) / codec.scale, weights
 
 
@@ -653,8 +655,7 @@ class TestArrayQuantization:
         if refused:
             assert outcomes[0].startswith(f"element {refused[0][0]} ({refused[0][1]}) exceeds the {width}-bit")
         else:
-            coeffs = [1] * len(quantized) if weights is None else weights
-            exact = [sum(c * q for c, q in zip(coeffs, column)) / codec.scale for column in zip(*quantized)]
+            exact = [sum(w * q for w, q in zip(weights, column)) / codec.scale for column in zip(*quantized)]
             assert outcomes[0] == np.array(exact).tobytes()
 
 
@@ -663,7 +664,7 @@ class TestFinalize:
         public, private = keypair
         rng = np.random.default_rng(5)
         v = ParamVector(rng.uniform(-0.3, 0.3, size=8))
-        agg = aggregate_encrypted([encrypt_update(v, codec, public)], public, codec)
+        agg = aggregate_encrypted([encrypt_update(v, codec, public)], public, codec, [1])
         out = finalize_edge_update(
             agg, private, codec, divisor=1, config=SecAggConfig(clip_val=10.0, noise_multiplier=0.0), seed=0
         )
@@ -674,7 +675,7 @@ class TestFinalize:
         vs = [np.full(3, 1.0), np.full(3, 2.0), np.full(3, 6.0)]
         cvs = [encrypt_update(ParamVector(v), codec, public) for v in vs]
         out = finalize_edge_update(
-            aggregate_encrypted(cvs, public, codec), private, codec, divisor=3,
+            aggregate_encrypted(cvs, public, codec, [1, 1, 1]), private, codec, divisor=3,
             config=SecAggConfig(clip_val=100.0, noise_multiplier=0.0), seed=0,
         )
         assert np.allclose(out, [3.0, 3.0, 3.0], atol=0.5 / codec.scale)
@@ -683,7 +684,7 @@ class TestFinalize:
         # sigma=0 on a large aggregate: output norm must already be clipped
         public, private = keypair
         v = ParamVector(np.full(4, 5.0))  # norm 10
-        agg = aggregate_encrypted([encrypt_update(v, codec, public)], public, codec)
+        agg = aggregate_encrypted([encrypt_update(v, codec, public)], public, codec, [1])
         out = finalize_edge_update(
             agg, private, codec, divisor=1, config=SecAggConfig(clip_val=1.0, noise_multiplier=0.0), seed=0
         )
@@ -693,7 +694,7 @@ class TestFinalize:
         # 10 draws of a 1000-dim zero aggregate give 10k noise samples
         public, private = keypair
         dim, count, sigma, clip_val = 1000, 10, 1.0, 1.0
-        agg = aggregate_encrypted([encrypt_update(ParamVector(np.zeros(dim)), codec, public)], public, codec)
+        agg = aggregate_encrypted([encrypt_update(ParamVector(np.zeros(dim)), codec, public)], public, codec, [1])
         samples = np.concatenate(
             [
                 finalize_edge_update(
@@ -709,7 +710,7 @@ class TestFinalize:
     def test_deterministic_given_seed(self, keypair, codec):
         public, private = keypair
         v = ParamVector(np.full(5, 0.2))
-        agg = aggregate_encrypted([encrypt_update(v, codec, public)], public, codec)
+        agg = aggregate_encrypted([encrypt_update(v, codec, public)], public, codec, [1])
         config = SecAggConfig(clip_val=1.0, noise_multiplier=0.5)
         a = finalize_edge_update(agg, private, codec, 1, config, seed=42)
         b = finalize_edge_update(agg, private, codec, 1, config, seed=42)
