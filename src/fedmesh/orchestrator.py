@@ -181,14 +181,14 @@ def _edge_mean_update(
 def _central_step(
     edge_updates: Sequence[EdgeUpdate], cross_config: CrossEdgeConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-edge exchange plus central aggregation: the global model and the
-    edges' blended models, one row each in ascending edge id.
+    """Cross-edge exchange plus central aggregation of `edge_updates`, given in
+    ascending edge id: the global model and the edges' blended models, one row each.
 
     This is the only path to the global model; it accepts edge-level updates
     exclusively, which is what keeps client reports out of the central tier.
     """
     cross = cross_edge_exchange(edge_updates, cross_config)
-    counts = [u.sample_count for u in sorted(edge_updates, key=lambda u: u.edge_id)]
+    counts = [u.sample_count for u in edge_updates]
     return central_aggregate(cross, counts), cross
 
 

@@ -163,8 +163,14 @@ def train_clients(
     each epoch by its own `default_rng(seeds[i])`, and the result does not
     depend on which other clients are trained with it. All clients take their
     k-th full batch in one stacked step, then their final partial batches in
-    one stacked step per distinct length. Each step gathers its clients' rows
-    into one contiguous buffer, sized by the largest step.
+    one stacked step per distinct length.
+
+    Each client's Python cost is paid once per call: one `permuted` call on
+    its (local_epochs, rows) block draws every epoch's order, the stream of one
+    `permutation` per epoch. The clients train in descending order of their
+    full-batch count, so every full-batch step updates a prefix of the stacked
+    weights in place; consecutive steps share one gather of their rows, at most
+    as many as the largest step's.
     """
     if len(shards) != len(seeds):
         raise ValueError(f"{len(shards)} shards but {len(seeds)} seeds")
@@ -179,32 +185,58 @@ def train_clients(
             raise ValueError(f"shard {i} is not a 1-D array of integer row ids ({shard.dtype}, shape {shard.shape})")
     if not shards:
         return np.empty((0, width))
-    sizes = np.array([shard.size for shard in shards])
-    offsets = np.cumsum(sizes) - sizes
-    ids = np.concatenate(shards, dtype=np.int64)  # shard i at offsets[i]
-    if ids.min() < 0 or ids.max() >= dataset.n_samples:
-        i = np.searchsorted(offsets + sizes, np.flatnonzero((ids < 0) | (ids >= dataset.n_samples))[0], "right")
-        raise ValueError(f"shard {i} has row ids outside [0, {dataset.n_samples})")
     step, lr = spec.batch_size, spec.learning_rate
+    sizes = np.array([shard.size for shard in shards])
+    order = np.argsort(-(sizes // step), kind="stable")  # training order: descending full-batch count
+    sizes = sizes[order]
+    offsets = np.cumsum(sizes) - sizes
+    ids = np.concatenate([shards[i] for i in order], dtype=np.int64)  # the client at order[j] at offsets[j]
+    if ids.min() < 0 or ids.max() >= dataset.n_samples:
+        bad = np.flatnonzero((ids < 0) | (ids >= dataset.n_samples))
+        i = order[np.searchsorted(offsets + sizes, bad, "right")].min()
+        raise ValueError(f"shard {i} has row ids outside [0, {dataset.n_samples})")
     full, tail = sizes // step, sizes % step
-    # stacked steps in training order, as (clients, where their batches sit in `epoch`): every
-    # client's k-th full batch, then the final partial batches, one step per distinct length
+    # stacked steps in training order, as (clients, where their batches sit in an epoch's order): every
+    # client's k-th full batch, then the final partial batches, one step per distinct length; a step
+    # whose clients are a prefix, as every full-batch step's are, takes them as a view
     batches = [(full > k, offsets + k * step, step) for k in range(int(full.max()))]
     batches += [(tail == t, offsets + full * step, t) for t in np.unique(tail[tail > 0])]
-    steps = [(np.flatnonzero(m), first[m, None] + np.arange(n)) for m, first, n in batches]
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    steps = []
+    for mask, first, n in batches:
+        clients = np.flatnonzero(mask)
+        positions = first[clients, None] + np.arange(n)
+        steps.append((slice(0, clients.size) if clients[-1] == clients.size - 1 else clients, positions))
+    # consecutive steps share one gather of at most `cap` rows into `rows` and `y`, as (its positions,
+    # then per step: its clients, and its batch and labels as views of the buffers)
+    cap = max(positions.size for _, positions in steps)
+    rows = np.ones((cap, width))  # last column stays the bias input
+    y = np.empty(cap)
+    gathers, used = [], cap
+    for clients, positions in steps:
+        if used + positions.size > cap:
+            gathers.append(([], []))
+            used = 0
+        span = slice(used, used + positions.size)
+        gathers[-1][0].append(positions.ravel())
+        gathers[-1][1].append((clients, rows[span].reshape(*positions.shape, width), y[span].reshape(positions.shape)))
+        used += positions.size
+    gathers = [(np.concatenate(positions), group) for positions, group in gathers]
+    epochs = np.tile(ids, (spec.local_epochs, 1))  # row e: every client's rows in its epoch-e order
+    for seed, lo, hi in zip([seeds[i] for i in order], offsets.tolist(), (offsets + sizes).tolist()):
+        block = epochs[:, lo:hi]
+        np.random.default_rng(seed).permuted(block, axis=1, out=block)
+    labels = dataset.labels.astype(np.float64)
     w = np.tile(start, (len(shards), 1))
-    rows = np.ones((max(positions.size for _, positions in steps), width))  # last column stays the bias input
-    epoch = np.empty_like(ids)  # dataset row ids, each client's in its shuffled order
-    for _ in range(spec.local_epochs):
-        for rng, lo, n in zip(rngs, offsets, sizes.tolist()):
-            epoch[lo : lo + n] = ids[lo + rng.permutation(n)]
-        for clients, positions in steps:
+    for epoch in epochs:
+        for positions, group in gathers:
             batch_ids = epoch[positions]
-            batch = rows[: batch_ids.size]
-            batch[:, :-1] = np.take(dataset.features, batch_ids.ravel(), axis=0)
-            batch = batch.reshape(*batch_ids.shape, width)
-            w[clients] -= lr * gradient(w[clients], batch, dataset.labels[batch_ids])
+            rows[: batch_ids.size, :-1] = np.take(dataset.features, batch_ids, axis=0)
+            y[: batch_ids.size] = labels[batch_ids]
+            for clients, batch, batch_labels in group:
+                g = gradient(w[clients], batch, batch_labels)
+                g *= lr
+                w[clients] -= g
+    w[order] = w.copy()  # back to the shards' order
     diverged = np.flatnonzero(~np.isfinite(w).all(axis=1))
     if diverged.size:
         raise DivergedError(int(diverged[0]))

@@ -71,7 +71,7 @@ def config_file(tmp_path):
 
 class TestConfigLoading:
     def test_minimal_config_builds(self, config_file):
-        raw = json.loads(open(config_file).read())
+        raw = json.loads(Path(config_file).read_text())
         config = build_config(raw)
         assert config.n_edges == 2
         assert config.patience == 10
@@ -116,7 +116,7 @@ class TestConfigLoading:
         assert config.security_overrides[3] == 0.9
 
     def test_config_hash_stability(self, config_file):
-        raw = json.loads(open(config_file).read())
+        raw = json.loads(Path(config_file).read_text())
         assert config_hash(build_config(raw)) == config_hash(build_config(dict(raw)))
         bumped = apply_overrides(raw, ["seed=6"])
         assert config_hash(build_config(raw)) != config_hash(build_config(bumped))

@@ -73,6 +73,10 @@ class TestBinaryMetrics:
         assert m.accuracy == 0.5
         assert m.auroc == pytest.approx(0.75, abs=1e-12)
 
+    def test_a_probability_at_the_threshold_counts_as_positive(self):
+        assert binary_metrics([0.5, 0.25], [1, 0], threshold=0.5).accuracy == 1.0
+        assert binary_metrics([0.7], [1], threshold=0.7).accuracy == 1.0
+
     def test_constant_probability_gives_half_auroc(self):
         m = binary_metrics([0.5] * 6, [1, 0, 1, 0, 1, 0])
         assert m.auroc == pytest.approx(0.5, abs=1e-12)

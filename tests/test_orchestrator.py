@@ -128,6 +128,14 @@ class TestRunBasics:
         assert len(result.rounds) == config.patience + 1
         assert result.stopped_early
 
+    def test_patience_ending_the_last_round_is_not_an_early_stop(self, dataset, monkeypatch):
+        # rounds 2..patience + 1 fail to improve, so patience runs out in round rounds_max itself
+        monkeypatch.setattr(fedmesh.orchestrator, "evaluate", frozen_evaluate)
+        config = make_config(rounds_max=4, patience=3)
+        result = run(config, dataset)
+        assert len(result.rounds) == config.rounds_max
+        assert not result.stopped_early
+
     @pytest.mark.parametrize("patience, rounds_run", [(1, 3), (2, 6), (3, 10)])
     def test_patience_counts_consecutive_rounds_without_improvement(
         self, dataset, monkeypatch, patience, rounds_run
@@ -156,6 +164,13 @@ class TestRunBasics:
         # 0 would stop at the first round without improvement, exactly as 1 does
         with pytest.raises(ValueError, match=r"^patience: must be >= 1$"):
             make_config(patience=0)
+
+    def test_a_round_without_an_edge_update_is_refused(self):
+        # every client lies tenfold about its utility, so every edge flags all of them and selects none
+        liars = tuple(AdversaryAssignment(c, "inflate_utility", 10.0) for c in range(4))
+        config = make_config(clients_per_edge=2, seed=3, data=DataConfig(n_samples=400), adversaries=liars)
+        with pytest.raises(RuntimeError, match=r"^no edge produced an update in round 1$"):
+            run(config, generate_synthetic(config.data, seed=3))
 
     def test_runs_all_rounds_without_stop(self, dataset):
         result = run(make_config(rounds_max=3, patience=10), dataset)
@@ -821,7 +836,15 @@ class TestEdgeHoldout:
         prep = prepare_data(config, dataset)
         assert [len(rows) for rows in prep.edge_test_rows] == [0, 0]
         assert sum(len(rows) for rows in prep.client_train) == prep.d_train.n_samples
-        assert run(config, dataset).rounds[0].per_edge == {}
+        record = run(config, dataset).rounds[0]
+        assert record.per_edge == {}
+        assert record.jfi == 1.0
+
+    def test_an_edge_with_one_test_row_keeps_its_cells(self, dataset):
+        config = make_config(rounds_max=1, clients_per_edge=1, data=DataConfig(n_samples=600, edge_test_fraction=0.001))
+        prep = prepare_data(config, dataset)
+        assert [len(rows) for rows in prep.edge_test_rows] == [1, 1]
+        assert set(run(config, dataset).rounds[0].per_edge) == {0, 1}
 
 
 class TestUnknownRegion:

@@ -259,6 +259,14 @@ class TestSelectClients:
         assert 9 not in selected
         assert len(selected) == 9
 
+    def test_outlier_step_runs_at_a_pool_of_four(self):
+        # population std: the z of 50 among [1, 1, 1, 50] is sqrt(3), the most any of 4 scores can reach
+        edge = np.zeros(2)
+        reports = [honest_report(c, [v, 0.0], edge) for c, v in enumerate([1.0, 1.0, 1.0, 50.0])]
+        selected, evals = select(reports, edge, ScoreWeights(1.0, 0.0, 0.0), self.config(outlier_z_threshold=1.5))
+        assert [ev.client for ev in evals if FLAG_SCORE_OUTLIER in ev.flags] == [3]
+        assert sorted(selected) == [0, 1, 2]
+
     def test_outlier_step_skipped_for_tiny_pools(self):
         edge = np.zeros(2)
         reports = [honest_report(c, [v, 0.0], edge) for c, v in enumerate([1.0, 1.0, 50.0])]

@@ -119,7 +119,7 @@ class TestTrainLocal:
 
     @given(
         shards=shard_sizes(),
-        local_epochs=st.integers(0, 3),
+        local_epochs=st.integers(0, 5),
         learning_rate=st.floats(0.0, 50.0),
         start=st.lists(st.floats(-1e3, 1e3), min_size=11, max_size=11),
         seed=st.integers(0, 2**32 - 1),
@@ -169,6 +169,28 @@ class TestTrainLocal:
         per_epoch = [(int(np.sum(full > k)), batch_size) for k in range(int(full.max()))]
         per_epoch += [(int(np.sum(tails == t)), int(t)) for t in sorted(set(tails.tolist()) - {0})]
         assert calls == per_epoch * local_epochs
+
+    @given(shards=shard_sizes(), local_epochs=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_diverged_client_is_named_by_its_input_position(self, shards, local_epochs, seed, data):
+        # the clients train in their own order inside; only the one at `position` has huge rows, so
+        # only it overflows, and the error names it by where it sits in the shard list
+        batch_size, sizes = shards
+        position = data.draw(st.integers(0, len(sizes) - 1))
+        n = len(ORACLE_DATASET.labels)
+        huge = Dataset(
+            np.vstack([ORACLE_DATASET.features, ORACLE_DATASET.features * 1e200]),
+            np.concatenate([ORACLE_DATASET.labels, ORACLE_DATASET.labels]),
+        )
+        rng = np.random.default_rng(seed)
+        indices = [rng.permutation(n)[:size] for size in sizes]
+        indices[position] = indices[position] + n
+        seeds = [int(s) for s in rng.integers(0, 2**63, len(sizes))]
+        spec = TrainerConfig(local_epochs=local_epochs, learning_rate=1e200, batch_size=batch_size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(fedmesh.trainer.DivergedError) as info:
+                train_clients(np.zeros(11), spec, huge, indices, seeds)
+        assert info.value.index == position
 
     def test_deterministic_given_seed(self, small_dataset):
         spec = TrainerConfig(learning_rate=0.2, local_epochs=5, batch_size=16)
