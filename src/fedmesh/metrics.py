@@ -114,15 +114,14 @@ def binary_metrics(
 
 
 def jain_fairness(values: Sequence[float]) -> float:
-    """Jain's index (sum x)^2 / (n * sum x^2); 1.0 means perfectly equal."""
+    """Jain's index (sum x)^2 / (n * sum x^2); 1.0 means perfectly equal, as
+    does an empty or all-zero input, where no value is below another."""
     x = np.asarray(values, dtype=np.float64)
-    if x.size == 0:
-        raise ValueError("jain_fairness requires a nonempty input")
     if np.any(x < 0):
         raise ValueError("jain_fairness requires nonnegative values")
-    peak = float(np.max(x))
+    peak = float(np.max(x, initial=0.0))
     if peak == 0.0:
-        raise ValueError("jain_fairness undefined for all-zero input")
+        return 1.0
     x = x / peak  # scale-invariant; guards squaring against under/overflow
     total = float(np.sum(x))
     return total * total / (x.size * float(np.sum(x * x)))

@@ -372,7 +372,7 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
             val = evaluate(new_global, d_val.features, d_val.labels, threshold)
             test = evaluate(new_global, d_test.features, d_test.labels, threshold)
             accuracies = [m.accuracy for m in per_edge.values()]
-            jfi = 1.0 if not any(accuracies) else jain_fairness(accuracies)
+            jfi = jain_fairness(accuracies)
             rounds.append(RoundRecord(round=round_no, val=val, test=test, per_edge=per_edge, jfi=jfi))
             global_model = new_global
 

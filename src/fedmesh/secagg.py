@@ -20,7 +20,8 @@ with their top two bits set can raise that chance by at most a factor of 4, so
 each accepted prime is composite with probability at most 2^-100. That is 31
 rounds for 128-bit primes, 18 for 256-bit, 8 for 512-bit and 4 for 1024-bit;
 below about 96 bits no bound reaches 2^-102 within 40 rounds, and all 40 run.
-Decryption uses the CRT split over p and q for speed; encryption does not,
+Decryption uses the CRT split over p and q for speed, with its constants in
+closed form, h_p = (-q)^-1 mod p and h_q = (-p)^-1 mod q; encryption does not,
 because an encrypting client does not hold the factorization. Randomness is
 drawn from a seeded PRNG so simulations reproduce bit-for-bit; this trades
 cryptographic-grade randomness for determinism, which is the point of the
@@ -57,23 +58,24 @@ next under nonnegative integer weights summing to at most max_participants
 (and no packed sum wraps the ring). Encrypted and plaintext sums apply the
 same bound and share one release step.
 
-A public key is n, h_s and the source of its randomizers: keygen's draws
-each exponent a from a PRNG seeded by the key seed and returns h_s^a, which
-depends on the key and a alone, never on the message. So the exponentiations
-run beside the simulation: edge_keys forks one worker per key, which makes
-the key from its seed, sends n, h_s, p and q, and then computes that source's
-randomizers ahead of the encryptions, as many as the main process asks for;
-the main process's copy takes them from the worker. With one usable core,
-without os.fork, or from the first worker that cannot start (out of fds,
-processes or memory), keys are made in process, to the same bytes. The
-encrypting side works from n and h_s alone and never uses the factorization.
-The workers are plain os.fork children that run only pure-Python big-integer
-code and pickle, and leave through os._exit; edge_keys kills and reaps them on
-every exit path. Python 3.12 and later warn when a process with other threads
-forks, because a child may inherit a lock that one of those threads held. The
-parent's other threads here are numpy's BLAS pool; a child never calls numpy,
-BLAS, logging or any other code that takes such a lock, and os._exit skips
-atexit handlers and inherited buffers, so that cannot happen.
+A public key is n, h_s and the source of its randomizers: keygen's draws each
+exponent a from a PRNG seeded by the key seed and returns h_s^a, which depends
+on the key and a alone, never on the message. So the exponentiations run
+beside the simulation: edge_keys forks one worker per key and at once asks it
+for one round's randomizers. The worker makes the key from its seed, sends n,
+h_s, p and q, and then only answers requests, each for the next so many of
+that source's randomizers, computed ahead of the encryptions; the main
+process's copy takes them from the worker. With one usable core, without
+os.fork, or from the first worker that cannot start (out of fds, processes or
+memory), keys are made in process, to the same bytes. The encrypting side
+works from n and h_s alone and never uses the factorization. The workers are
+plain os.fork children that run only pure-Python big-integer code and pickle,
+and leave through os._exit; edge_keys kills and reaps them on every exit path.
+Python 3.12 and later warn when a process with other threads forks, because a
+child may inherit a lock that one of those threads held. The parent's other
+threads here are numpy's BLAS pool; a child never calls numpy, BLAS, logging
+or any other code that takes such a lock, and os._exit skips atexit handlers
+and inherited buffers, so that cannot happen.
 """
 
 from __future__ import annotations
@@ -277,8 +279,8 @@ class PaillierPublicKey:
         """Encrypt an integer already mapped into [0, n) with the key's next randomizer."""
         if not 0 <= m < self.n:
             raise ValueError("plaintext out of ring range")
-        # (1+n)^m mod n^2 collapses to 1 + m*n by the binomial theorem
-        return (1 + m * self.n) % self.n_sq * self.randomizer() % self.n_sq
+        # (1+n)^m mod n^2 collapses to 1 + m*n by the binomial theorem, and 1 + m*n < n^2 already
+        return (1 + m * self.n) * self.randomizer() % self.n_sq
 
     def add(self, c1: int, c2: int) -> int:
         return c1 * c2 % self.n_sq
@@ -296,19 +298,18 @@ class PaillierPrivateKey:
     q: int
 
     def __post_init__(self) -> None:
-        n = self.public_key.n
         self._p_sq = self.p * self.p
         self._q_sq = self.q * self.q
-        # hp = L_p(g^(p-1) mod p^2)^-1 mod p with g = n + 1, same for q
-        self._hp = pow((pow(1 + n, self.p - 1, self._p_sq) - 1) // self.p % self.p, -1, self.p)
-        self._hq = pow((pow(1 + n, self.q - 1, self._q_sq) - 1) // self.q % self.q, -1, self.q)
+        # hp = L_p((1+n)^(p-1) mod p^2)^-1 mod p, and (1+n)^(p-1) = 1 + (p-1)*n mod p^2 gives L_p = -q mod p
+        self._hp = pow(-self.q, -1, self.p)
+        self._hq = pow(-self.p, -1, self.q)
         self._q_inv_p = pow(self.q, -1, self.p)
 
     def decrypt(self, c: int) -> int:
         if not 0 <= c < self.public_key.n_sq:
             raise ValueError("ciphertext out of range")
-        mp = (pow(c, self.p - 1, self._p_sq) - 1) // self.p % self.p * self._hp % self.p
-        mq = (pow(c, self.q - 1, self._q_sq) - 1) // self.q % self.q * self._hq % self.q
+        mp = (pow(c, self.p - 1, self._p_sq) - 1) // self.p * self._hp % self.p
+        mq = (pow(c, self.q - 1, self._q_sq) - 1) // self.q * self._hq % self.q
         return (mp - mq) * self._q_inv_p % self.p * self.q + mq
 
 
@@ -358,11 +359,11 @@ def _comb_randomizers(h_s: int, n: int, seed: int) -> Callable[[], int]:
 
 class _KeyWorker:
     """A forked child that sends keygen(key_bits, seed) as (n, h_s, p, q), or its
-    exception, then h_s^a mod n^2 in the key's exponent order: `ahead` at once,
-    then as many as each request asks for. It closes its copies of the `earlier`
-    workers' pipes, so that each worker alone holds its parent's pipe ends."""
+    exception, then h_s^a mod n^2 in the key's exponent order, as many as each
+    request asks for. It closes its copies of the `earlier` workers' pipes, so
+    that each worker alone holds its parent's pipe ends."""
 
-    def __init__(self, key_bits: int, seed: int, ahead: int, earlier: Sequence[_KeyWorker]):
+    def __init__(self, key_bits: int, seed: int, earlier: Sequence[_KeyWorker]):
         fds = os.pipe()
         try:
             fds += os.pipe()
@@ -378,7 +379,7 @@ class _KeyWorker:
                 for fd in (self._requests, result_r, *(fd for w in earlier for fd in w._fds)):
                     os.close(fd)
                 with open(request_r, "rb") as requests, open(result_w, "wb") as results:
-                    _serve_key(key_bits, seed, ahead, requests, results)
+                    _serve_key(key_bits, seed, requests, results)
                 code = 0
             finally:
                 os._exit(code)
@@ -386,7 +387,7 @@ class _KeyWorker:
         os.close(result_w)
         self._fds = self._requests, result_r
         self._results = open(result_r, "rb")
-        self._asked = ahead  # randomizers asked for and not yet read
+        self._asked = 0  # randomizers asked for and not yet read
         self._keypair: Keypair | None = None
 
     def _read(self, size: int) -> bytes:
@@ -428,7 +429,7 @@ class _KeyWorker:
         self._results.close()
 
 
-def _serve_key(key_bits: int, seed: int, ahead: int, requests, results) -> None:
+def _serve_key(key_bits: int, seed: int, requests, results) -> None:
     """The child's side of a _KeyWorker, until its requests end."""
     try:
         public, private = keygen(key_bits, seed)
@@ -441,26 +442,26 @@ def _serve_key(key_bits: int, seed: int, ahead: int, requests, results) -> None:
     if not ok:
         return
     width = (public.n_sq.bit_length() + 7) // 8
-    header = ahead.to_bytes(4, "big")
-    while len(header) == 4:
+    while len(header := requests.read(4)) == 4:
         for _ in range(int.from_bytes(header, "big")):
             results.write(public.randomizer().to_bytes(width, "big"))
             results.flush()
-        header = requests.read(4)
 
 
 @contextlib.contextmanager
 def edge_keys(key_bits: int, seeds: Sequence[int], ahead: int) -> Iterator[list[Callable[[], Keypair]]]:
     """Yield a getter of each seed's keypair. With two or more usable cores each
-    key is made by a _KeyWorker started here, until one cannot start (os.pipe
-    or os.fork raising OSError: out of fds, processes or memory); the rest are
-    made here on first use. On exit, kill and reap every worker."""
+    key is made by a _KeyWorker started here and asked at once for its first
+    `ahead` randomizers, until one cannot start (os.pipe or os.fork raising
+    OSError: out of fds, processes or memory); the rest are made here on first
+    use. Every worker is killed and reaped on exit."""
     workers: list[_KeyWorker] = []
     try:
         if _usable_cores() > 1:
             with contextlib.suppress(OSError):
                 for seed in seeds:
-                    workers.append(_KeyWorker(key_bits, seed, ahead, workers))
+                    workers.append(_KeyWorker(key_bits, seed, workers))
+                    workers[-1].ask(ahead)
         made_here = [functools.cache(functools.partial(keygen, key_bits, seed)) for seed in seeds[len(workers) :]]
         yield [worker.keypair for worker in workers] + made_here
     finally:
@@ -578,10 +579,9 @@ def aggregate_encrypted(
     if any(u.elements != elements for u in updates):
         raise ValueError("all cipher vectors must share one dimension")
 
-    terms = [[public_key.scalar_mul(c, w) for c in u.ciphertexts] for w, u in zip(coeffs, updates)]
-    acc = terms[0]
-    for cts in terms[1:]:
-        acc = [public_key.add(a, c) for a, c in zip(acc, cts)]
+    acc = [1] * updates[0].dim  # the empty product, which encrypts 0 with randomizer 1
+    for w, u in zip(coeffs, updates):
+        acc = [public_key.add(a, public_key.scalar_mul(c, w)) for a, c in zip(acc, u.ciphertexts)]
     return CipherVector(tuple(acc), elements)
 
 

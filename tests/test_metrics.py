@@ -173,10 +173,8 @@ class TestJainFairness:
         assert jain_fairness(4.0 * values) == base
         assert jain_fairness(3.7 * values) == pytest.approx(base, abs=1e-12)
 
-    def test_degenerate_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            jain_fairness([])
-        with pytest.raises(ValueError):
-            jain_fairness([0.0, 0.0])
+    def test_empty_or_all_zero_reads_one_and_negative_is_refused(self):
+        assert jain_fairness([]) == 1.0
+        assert jain_fairness([0.0, 0.0]) == 1.0
         with pytest.raises(ValueError):
             jain_fairness([-1.0, 2.0])

@@ -436,16 +436,13 @@ class TestSecureAggregationPath:
         _assert_no_child_left()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_worker_makes_no_randomizer_that_goes_unused(self, dataset, monkeypatch):
+    @pytest.mark.parametrize("mode,encrypted", [("fedavg_single", 12), ("no_selection", 18)])
+    def test_worker_makes_no_randomizer_that_goes_unused(self, dataset, monkeypatch, mode, encrypted):
         # fedavg_single encrypts capacity_k of its 6 clients' updates a round, so the worker
-        # is asked for that many a round, not one per client of the edge
+        # is asked for that many a round, not one per client of the edge; no_selection encrypts
+        # all 3 clients of each of the 2 edges, so each edge's worker is asked for 3 a round
         asked, made = [], []
-        key_worker = fedmesh.secagg._KeyWorker
-        init, ask, encrypt = key_worker.__init__, key_worker.ask, fedmesh.secagg.encrypt_update
-
-        def counted_init(worker, key_bits, seed, ahead, earlier):
-            asked.append(ahead)
-            init(worker, key_bits, seed, ahead, earlier)
+        ask, encrypt = fedmesh.secagg._KeyWorker.ask, fedmesh.secagg.encrypt_update
 
         def counted_ask(worker, count):
             asked.append(max(0, count - worker._asked))
@@ -457,17 +454,16 @@ class TestSecureAggregationPath:
             return cv
 
         monkeypatch.setattr(fedmesh.secagg, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(key_worker, "__init__", counted_init)
-        monkeypatch.setattr(key_worker, "ask", counted_ask)
+        monkeypatch.setattr(fedmesh.secagg._KeyWorker, "ask", counted_ask)
         monkeypatch.setattr(fedmesh.secagg, "encrypt_update", counted_encrypt)
         config = make_config(
-            baseline_mode="fedavg_single",
+            baseline_mode=mode,
             rounds_max=3,
             selection=SelectionConfig(capacity_k=4),
             secagg=SecAggConfig(enabled=True, key_bits=256),
         )
         result = run(config, dataset)
-        assert len(result.rounds) == 3 and len(made) == 12
+        assert len(result.rounds) == 3 and len(made) == encrypted
         assert sum(asked) == sum(made)
         _assert_no_child_left()
 

@@ -98,6 +98,15 @@ class TestPaillierCore:
         assert private.p != private.q and private.p * private.q == public.n
         assert keygen(bits, seed=bits)[0].n == public.n
 
+    @given(st.integers(16, 256), st.integers())
+    @settings(max_examples=100, deadline=None)
+    def test_crt_constants_equal_their_definition(self, bits, seed):
+        # h_p = L_p(g^(p-1) mod p^2)^-1 mod p with g = n + 1 and L_p(x) = (x - 1) / p, likewise h_q
+        public, private = keygen(bits, seed)
+        for prime, constant in ((private.p, private._hp), (private.q, private._hq)):
+            l_p = (pow(1 + public.n, prime - 1, prime * prime) - 1) // prime
+            assert constant == pow(l_p, -1, prime)
+
 
 def dlp_bound(k, t):
     """The least of Damgard, Landrock and Pomerance's bounds on p_{k,t}, the
@@ -275,8 +284,8 @@ class TestKeyWorker:
     def test_each_worker_alone_holds_its_pipe_ends(self):
         # a worker sees EOF on its requests once its parent's end closes, which needs
         # every later worker to have closed the copy of that end it inherited
-        first = _KeyWorker(256, 1, 0, [])
-        second = _KeyWorker(256, 2, 0, [first])
+        first = _KeyWorker(256, 1, [])
+        second = _KeyWorker(256, 2, [first])
         reaped = False
         try:
             first.keypair()

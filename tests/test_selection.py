@@ -267,6 +267,14 @@ class TestSelectClients:
         assert [ev.client for ev in evals if FLAG_SCORE_OUTLIER in ev.flags] == [3]
         assert sorted(selected) == [0, 1, 2]
 
+    def test_outlier_needs_a_z_above_the_threshold(self):
+        # population std: the z of 5 among [1, 1, 1, 1, 5] is exactly 3.2 / 1.6 = 2
+        edge = np.zeros(2)
+        reports = [honest_report(c, [v, 0.0], edge) for c, v in enumerate([1.0, 1.0, 1.0, 1.0, 5.0])]
+        for threshold, flagged in ((2.0, []), (np.nextafter(2.0, 0), [4])):
+            _, evals = select(reports, edge, ScoreWeights(1.0, 0.0, 0.0), self.config(outlier_z_threshold=threshold))
+            assert [ev.client for ev in evals if FLAG_SCORE_OUTLIER in ev.flags] == flagged
+
     def test_outlier_step_skipped_for_tiny_pools(self):
         edge = np.zeros(2)
         reports = [honest_report(c, [v, 0.0], edge) for c, v in enumerate([1.0, 1.0, 50.0])]
