@@ -4,7 +4,8 @@ The synthetic task is a linearly-separable-with-noise binary classification
 problem with a controllable positive-class fraction, standing in for real
 tabular data. Heterogeneity across clients is produced by Dirichlet label-skew
 partitioning; one edge can additionally be feature-shifted to act as an
-out-of-distribution region.
+out-of-distribution region. Splits and partitions are sorted int64 row ids
+into the one dataset they were drawn from, never copies of its rows.
 """
 
 from __future__ import annotations
@@ -70,14 +71,17 @@ class Dataset:
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        feats = np.array(self.features, dtype=np.float64, copy=True)
-        labs = np.array(self.labels, dtype=np.int64, copy=True)
+        feats, labs = np.asarray(self.features), np.asarray(self.labels)
+        if feats.dtype.kind not in "biuf":
+            raise ValueError(f"features must be boolean, integer or real, got dtype {feats.dtype}")
+        if labs.dtype.kind not in "biuf" or not np.all((labs == 0) | (labs == 1)):
+            raise ValueError(f"labels must be binary (0/1), got dtype {labs.dtype}")
+        feats = np.array(feats, dtype=np.float64, copy=True)
+        labs = np.array(labs, dtype=np.int64, copy=True)
         if feats.ndim != 2 or feats.shape[0] == 0:
             raise ValueError(f"features must be a nonempty 2-D matrix, got shape {feats.shape}")
         if labs.shape != (feats.shape[0],):
             raise ValueError("labels must be 1-D with one entry per feature row")
-        if not np.all((labs == 0) | (labs == 1)):
-            raise ValueError("labels must be binary (0/1)")
         feats.setflags(write=False)
         labs.setflags(write=False)
         object.__setattr__(self, "features", feats)
@@ -114,49 +118,53 @@ def generate_synthetic(config: DataConfig, seed: int) -> Dataset:
 
 
 def _zscore(feats: np.ndarray) -> np.ndarray:
-    """Each column less its mean, over its standard deviation (or 1 where that is 0)."""
+    """Z-score each column of `feats` in place, a zero std taken as 1, and return `feats`."""
     mean = feats.mean(axis=0)
     std = feats.std(axis=0)
     std[std == 0.0] = 1.0
-    return (feats - mean) / std
+    feats -= mean
+    feats /= std
+    return feats
 
 
 def partition_noniid(
     d: Dataset,
+    rows: np.ndarray,
     n_clients: int,
     dirichlet_alpha: float,
     seed: int,
 ) -> list[np.ndarray]:
-    """Dirichlet label-skew partition of all samples across n_clients clients.
+    """Dirichlet label-skew partition of the given sorted rows of `d` across n_clients clients.
 
     For each class, the class's rows are split across all clients with
     proportions drawn from Dirichlet(alpha); small alpha gives strongly skewed
     per-client label mixes, large alpha approaches IID. Entry c holds client
-    c's sorted rows, and every row is held by exactly one client. Starved
-    clients are topped up until every client holds at least 2 samples of some
-    class.
+    c's sorted row ids into `d`, and every given row is held by exactly one
+    client. Starved clients are topped up until every client holds at least 2
+    samples of some class.
     """
     if n_clients < 1:
         raise ValueError(f"n_clients must be positive, got {n_clients}")
     if not dirichlet_alpha > 0:
         raise ValueError(f"dirichlet_alpha must be positive, got {dirichlet_alpha}")
-    if d.n_samples < 2 * n_clients:
+    if len(rows) < 2 * n_clients:
         raise ValueError(
-            f"{d.n_samples} samples cannot give {n_clients} clients >= 2 samples each"
+            f"{len(rows)} samples cannot give {n_clients} clients >= 2 samples each"
         )
 
     rng = np.random.default_rng(seed)
-    class_rows = [np.flatnonzero(d.labels == c) for c in (0, 1)]
+    labels = d.labels[rows]
+    class_rows = [rows[labels == c] for c in (0, 1)]
 
     # per client, per class row indices
     empty = np.array([], dtype=np.int64)
     holdings: list[list[np.ndarray]] = [[empty, empty] for _ in range(n_clients)]
-    for cls, rows in enumerate(class_rows):
-        if len(rows) == 0:
+    for cls, members in enumerate(class_rows):
+        if len(members) == 0:
             continue
-        shuffled = rng.permutation(rows)
+        shuffled = rng.permutation(members)
         proportions = rng.dirichlet([dirichlet_alpha] * n_clients)
-        counts = _largest_remainder_counts(proportions, len(rows))
+        counts = _largest_remainder_counts(proportions, len(members))
         for j, part in enumerate(np.split(shuffled, np.cumsum(counts)[:-1])):
             holdings[j][cls] = part
     _repair_starved_clients(holdings)
@@ -252,9 +260,10 @@ def ingest_csv(path: str, label_column: str) -> tuple[Dataset, int]:
     return Dataset(_zscore(np.asarray(rows, dtype=np.float64)), np.asarray(labels, dtype=np.int64)), dropped
 
 
-def split(d: Dataset, config: DataConfig, seed: int) -> tuple[Dataset, Dataset, Dataset]:
-    """Stratified disjoint train/val/test split by the config's fractions; each
-    class's rows are dealt by largest remainders, and an empty part is an error."""
+def split(d: Dataset, config: DataConfig, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stratified disjoint train/val/test split by the config's fractions, as
+    three sorted int64 row-id arrays into `d`; each class's rows are dealt by
+    largest remainders, and an empty part is an error."""
     fractions = np.array([config.train_fraction, config.val_fraction, config.test_fraction])
     rng = np.random.default_rng(seed)
     per_class = []
@@ -267,5 +276,5 @@ def split(d: Dataset, config: DataConfig, seed: int) -> tuple[Dataset, Dataset, 
         rows = np.sort(np.concatenate(chunks))
         if not rows.size:
             raise ValueError(f"{tag} split is empty; adjust fractions or dataset size")
-        out.append(d.subset(rows))
+        out.append(rows)
     return out[0], out[1], out[2]

@@ -194,10 +194,12 @@ def _central_step(
 
 @dataclass
 class PreparedData:
-    """Splits and per-client shards as the round loop sees them: client c
-    trains on client_train[c], and edge e is tested on edge_test_rows[e]."""
+    """Splits and per-client shards as the round loop sees them: client c trains on the
+    rows client_train[c] of `data`, and edge e is tested on its rows edge_test_rows[e].
+    `data` is the caller's dataset itself, or with an unknown edge its copy with that
+    edge's training rows shifted; d_val and d_test copy the unshifted rows."""
 
-    d_train: Dataset
+    data: Dataset
     d_val: Dataset
     d_test: Dataset
     client_train: list[np.ndarray]
@@ -220,15 +222,16 @@ def hold_out(rows: np.ndarray, fraction: float, rng: np.random.Generator) -> tup
 def prepare_data(config: SimulationConfig, dataset: Dataset) -> PreparedData:
     """Split, partition, and shard the dataset exactly as run() will."""
     seed = config.seed
-    d_train, d_val, d_test = split(dataset, config.data, derive_seed(seed, "split"))
+    train_rows, val_rows, test_rows = split(dataset, config.data, derive_seed(seed, "split"))
     client_rows = partition_noniid(
-        d_train, config.n_clients, config.data.dirichlet_alpha, derive_seed(seed, "partition")
+        dataset, train_rows, config.n_clients, config.data.dirichlet_alpha, derive_seed(seed, "partition")
     )
+    data = dataset
     if config.data.unknown_edge is not None:
         # the unknown region is one physical edge's clients, also under fedavg_single
         k = config.clients_per_edge
         first = config.data.unknown_edge * k
-        d_train = shift_features(d_train, np.concatenate(client_rows[first : first + k]), config.data.unknown_shift)
+        data = shift_features(dataset, np.concatenate(client_rows[first : first + k]), config.data.unknown_shift)
 
     # per-client holdout feeding the edge-level test shards
     holdouts = [
@@ -237,9 +240,9 @@ def prepare_data(config: SimulationConfig, dataset: Dataset) -> PreparedData:
     ]
     edge_test_rows = [np.concatenate([holdouts[c][1] for c in clients]) for clients in config.edge_clients]
     return PreparedData(
-        d_train=d_train,
-        d_val=d_val,
-        d_test=d_test,
+        data=data,
+        d_val=dataset.subset(val_rows),
+        d_test=dataset.subset(test_rows),
         client_train=[train for train, _ in holdouts],
         edge_test_rows=edge_test_rows,
     )
@@ -251,7 +254,7 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
     threshold = config.decision_threshold
 
     prep = prepare_data(config, dataset)
-    d_train, d_val, d_test = prep.d_train, prep.d_val, prep.d_test
+    data, d_val, d_test = prep.data, prep.d_val, prep.d_test
     client_train, edge_test_rows = prep.client_train, prep.edge_test_rows
     edge_clients = config.edge_clients
     edges = range(len(edge_clients))
@@ -297,11 +300,11 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
             members = [_fedavg_sample(config, round_no)] if single_edge else edge_clients
             cids = [cid for e in alive for cid in members[e]]
             train_seeds = [derive_seed(seed, "train", round_no, cid) for cid in cids]
-            cohort = trainer.Cohort(global_model, spec, d_train, [client_train[cid] for cid in cids], train_seeds)
+            cohort = trainer.Cohort(global_model, spec, data, [client_train[cid] for cid in cids], train_seeds)
             try:
                 trained = np.stack(
                     [
-                        trainer.train_local(global_model, spec, d_train, client_train[cid], s, cohort)
+                        trainer.train_local(global_model, spec, data, client_train[cid], s, cohort)
                         for cid, s in zip(cids, train_seeds)
                     ]
                 )
@@ -368,7 +371,7 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
             for update, model in zip(edge_updates, cross):  # both in ascending edge id
                 rows = edge_test_rows[update.edge_id]
                 if len(rows) > 0:
-                    per_edge[update.edge_id] = evaluate(model, d_train.features[rows], d_train.labels[rows], threshold)
+                    per_edge[update.edge_id] = evaluate(model, data.features[rows], data.labels[rows], threshold)
             val = evaluate(new_global, d_val.features, d_val.labels, threshold)
             test = evaluate(new_global, d_test.features, d_test.labels, threshold)
             accuracies = [m.accuracy for m in per_edge.values()]

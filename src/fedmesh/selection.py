@@ -161,23 +161,21 @@ def grid_search_init(evaluations: Sequence[tuple[float, float, float]], config: 
 
     The objective is mean(score) - std(score) across clients: reward overall
     utility while penalizing a scoring that spreads clients far apart. Ties go
-    to the lexicographically smallest (w1, w2, w3).
+    to the lexicographically smallest (w1, w2, w3); a NaN objective never wins.
     """
     triples = np.asarray(evaluations, dtype=np.float64).reshape(-1, 3)
     if not triples.size:
         raise ValueError("grid_search_init requires at least one evaluation")
+    grid = simplex_grid(config)  # enumeration order is lexicographic
+    w = np.array([candidate.as_tuple() for candidate in grid])
     u, e, s = triples.T
-    best: ScoreWeights | None = None
-    best_objective = -math.inf
-    for candidate in simplex_grid(config):  # enumeration order is lexicographic
-        scores = score((u, e, s), candidate)
-        objective = float(scores.mean() - scores.std())
-        if objective > best_objective:
-            best_objective = objective
-            best = candidate
-    if best is None:
+    scores = w[:, :1] * u - w[:, 1:2] * e + w[:, 2:] * s  # score() of every candidate, one row each
+    objective = scores.mean(axis=1) - scores.std(axis=1)
+    objective[np.isnan(objective)] = -math.inf
+    best = int(np.argmax(objective))  # the first maximum, so the lexicographic tie rule
+    if objective[best] == -math.inf:
         raise ValueError("grid_search_init: no score weights give a finite objective for these evaluations")
-    return best
+    return grid[best]
 
 
 def update_weights(

@@ -343,7 +343,7 @@ def test_criterion_11_fedavg_baseline_equivalence():
         models = train_clients(
             oracle_model,
             spec,
-            prep.d_train,
+            prep.data,
             prep.client_train,
             [derive_seed(base.seed, "train", rounds_max, cid) for cid in range(base.n_clients)],
         )

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -50,6 +52,10 @@ def partition_oracle(d, n_clients, dirichlet_alpha, seed):
     return [sorted(h[0] + h[1]) for h in holdings], repairs
 
 
+def every_row(d):
+    return np.arange(d.n_samples)
+
+
 def synthetic(n_samples, n_features, class_imbalance, seed):
     return generate_synthetic(
         DataConfig(n_samples=n_samples, n_features=n_features, class_imbalance=class_imbalance), seed
@@ -65,7 +71,7 @@ def positive_fraction(labels):
 
 
 def split_oracle(d, train, val, test, seed):
-    """Each class's shuffled rows dealt to the three parts one Python int at a time."""
+    """Each class's shuffled row ids dealt to the three parts one Python int at a time, each part sorted."""
     rng = np.random.default_rng(seed)
     parts = [[], [], []]
     for c in (0, 1):
@@ -77,7 +83,7 @@ def split_oracle(d, train, val, test, seed):
             start += cnt
     if not all(parts):
         return None
-    return [d.subset(sorted(chunk)) for chunk in parts]
+    return [sorted(chunk) for chunk in parts]
 
 
 class TestGenerateSynthetic:
@@ -113,9 +119,30 @@ class TestGenerateSynthetic:
 
 
 class TestDataset:
-    def test_label_validation(self):
-        with pytest.raises(ValueError):
-            Dataset(np.zeros((3, 2)), np.array([0, 1, 2]))
+    @pytest.mark.parametrize(
+        "features,labels,message",
+        [
+            (np.zeros((3, 2)), np.array([0, 1, 2]), "labels must be binary"),
+            # nothing is rounded, parsed or cast away on the way in
+            (np.zeros((3, 2)), [0.5, 1.0, 1.9], "labels must be binary"),
+            (np.zeros((2, 2)), ["0", "1"], "labels must be binary"),
+            (np.zeros((2, 2)), np.array([0, 1], dtype=object), "labels must be binary"),
+            (np.zeros((2, 2)), [0.0, math.nan], "labels must be binary"),
+            ([["1", "2"], ["3", "4"]], [0, 1], "features must be boolean, integer or real"),
+            (np.zeros((2, 2), dtype=complex), [0, 1], "features must be boolean, integer or real"),
+            (np.zeros((2, 2), dtype=object), [0, 1], "features must be boolean, integer or real"),
+        ],
+        ids=["two", "fractional", "strings", "object-labels", "nan-label", "string-features", "complex", "object-features"],
+    )
+    def test_label_validation(self, features, labels, message):
+        with pytest.raises(ValueError, match=message):
+            Dataset(features, labels)
+
+    def test_numeric_inputs_are_stored_as_float64_and_int64(self):
+        d = Dataset(np.array([[1, 2], [3, 4]], dtype=np.int32), np.array([True, False]))
+        assert d.features.dtype == np.float64 and d.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert d.labels.dtype == np.int64 and d.labels.tolist() == [1, 0]
+        assert Dataset(np.zeros((2, 1)), [1.0, 0.0]).labels.tolist() == [1, 0]
 
     def test_subset(self):
         d = synthetic(200, 4, 0.5, seed=9)
@@ -127,7 +154,7 @@ class TestDataset:
 class TestPartitionNonIID:
     def test_near_iid_limit(self):
         d = synthetic(4000, 5, 0.4, seed=2)
-        part = partition_noniid(d, n_clients=12, dirichlet_alpha=1e6, seed=5)
+        part = partition_noniid(d, every_row(d), n_clients=12, dirichlet_alpha=1e6, seed=5)
         global_frac = positive_fraction(d.labels)
         assert len(part) == 12
         for rows in part:
@@ -135,14 +162,14 @@ class TestPartitionNonIID:
 
     def test_skewed_alpha_starves_a_client(self):
         d = synthetic(4000, 5, 0.4, seed=2)
-        part = partition_noniid(d, n_clients=20, dirichlet_alpha=0.1, seed=11)
+        part = partition_noniid(d, every_row(d), n_clients=20, dirichlet_alpha=0.1, seed=11)
         global_frac = positive_fraction(d.labels)
         fractions = [positive_fraction(d.labels[rows]) for rows in part]
         assert min(fractions) < global_frac / 2
 
     def test_disjoint_and_bookkeeping(self):
         d = synthetic(1500, 5, 0.3, seed=4)
-        part = partition_noniid(d, n_clients=12, dirichlet_alpha=0.5, seed=6)
+        part = partition_noniid(d, every_row(d), n_clients=12, dirichlet_alpha=0.5, seed=6)
         assert len(part) == 12
         all_rows = [int(r) for rows in part for r in rows]
         assert len(all_rows) == len(set(all_rows)) == d.n_samples
@@ -158,9 +185,9 @@ class TestPartitionNonIID:
         want, _ = partition_oracle(d, n_clients, alpha, seed)
         if want is None:
             with pytest.raises(ValueError, match="could not give every client"):
-                partition_noniid(d, n_clients, alpha, seed)
+                partition_noniid(d, every_row(d), n_clients, alpha, seed)
             return
-        part = partition_noniid(d, n_clients, alpha, seed)
+        part = partition_noniid(d, every_row(d), n_clients, alpha, seed)
         got = [rows.tolist() for rows in part]
         assert got == want
         # each client's rows are sorted, no two clients share a row, and together they hold every row once
@@ -169,17 +196,36 @@ class TestPartitionNonIID:
         assert len(held) == len(set(held))
         assert sorted(held) == list(range(d.n_samples))
 
+    @given(
+        st.integers(1, 15), st.sampled_from([0.005, 0.05, 0.5, 5.0]),
+        st.integers(100, 400), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_given_rows_partition_as_their_subset_does(self, n_clients, alpha, n_samples, imbalance, seed):
+        # the train rows of a split are partitioned as the dataset of those rows alone, mapped back to row ids
+        d = synthetic(n_samples, 3, imbalance, seed=seed % 1000)
+        rows = split(d, DataConfig(), seed)[0]
+        assert 0 < len(rows) < d.n_samples
+        want, _ = partition_oracle(d.subset(rows), n_clients, alpha, seed)
+        if want is None:
+            with pytest.raises(ValueError, match="could not give every client"):
+                partition_noniid(d, rows, n_clients, alpha, seed)
+            return
+        part = partition_noniid(d, rows, n_clients, alpha, seed)
+        assert [p.tolist() for p in part] == [rows[w].tolist() for w in want]
+        assert all(p.dtype == np.int64 for p in part)
+
     def test_every_client_has_two_of_a_class(self):
         d = synthetic(900, 5, 0.25, seed=8)
-        part = partition_noniid(d, n_clients=9, dirichlet_alpha=0.3, seed=3)
+        part = partition_noniid(d, every_row(d), n_clients=9, dirichlet_alpha=0.3, seed=3)
         for rows in part:
             counts = np.bincount(d.labels[rows], minlength=2)
             assert counts.max() >= 2
 
     def test_deterministic(self):
         d = synthetic(1000, 5, 0.5, seed=1)
-        p1 = partition_noniid(d, 6, 0.5, seed=9)
-        p2 = partition_noniid(d, 6, 0.5, seed=9)
+        p1 = partition_noniid(d, every_row(d), 6, 0.5, seed=9)
+        p2 = partition_noniid(d, every_row(d), 6, 0.5, seed=9)
         assert len(p1) == len(p2) == 6
         for rows1, rows2 in zip(p1, p2):
             assert np.array_equal(rows1, rows2)
@@ -187,7 +233,7 @@ class TestPartitionNonIID:
     def test_infeasible_sizes_rejected(self):
         d = synthetic(100, 5, 0.5, seed=1)
         with pytest.raises(ValueError):
-            partition_noniid(d, n_clients=100, dirichlet_alpha=0.5, seed=0)
+            partition_noniid(d, every_row(d), n_clients=100, dirichlet_alpha=0.5, seed=0)
 
 
 class TestShiftFeatures:
@@ -262,30 +308,31 @@ class TestSplit:
     def test_sizes(self):
         d = synthetic(1000, 5, 0.3, seed=4)
         tr, va, te = split(d, split_config(0.8, 0.1, 0.1), seed=2)
-        assert abs(tr.n_samples - 800) <= 1
-        assert abs(va.n_samples - 100) <= 1
-        assert abs(te.n_samples - 100) <= 1
-        assert tr.n_samples + va.n_samples + te.n_samples == 1000
+        assert abs(len(tr) - 800) <= 1
+        assert abs(len(va) - 100) <= 1
+        assert abs(len(te) - 100) <= 1
+        assert len(tr) + len(va) + len(te) == 1000
 
     def test_deterministic(self):
         d = synthetic(500, 5, 0.5, seed=4)
         s1 = split(d, split_config(0.7, 0.15, 0.15), seed=3)
         s2 = split(d, split_config(0.7, 0.15, 0.15), seed=3)
         for a, b in zip(s1, s2):
-            assert a.features.tobytes() == b.features.tobytes()
+            assert a.tobytes() == b.tobytes()
 
     def test_stratification(self):
         d = synthetic(1000, 5, 0.3, seed=4)
         whole = positive_fraction(d.labels)
-        for part in split(d, split_config(0.8, 0.1, 0.1), seed=2):
-            assert abs(positive_fraction(part.labels) - whole) < 0.03
+        for rows in split(d, split_config(0.8, 0.1, 0.1), seed=2):
+            assert abs(positive_fraction(d.labels[rows]) - whole) < 0.03
 
     def test_disjoint_union(self):
         d = synthetic(300, 4, 0.5, seed=6)
-        tr, va, te = split(d, split_config(0.6, 0.2, 0.2), seed=1)
-        # feature rows are unique with probability 1, so match rows by bytes
-        seen = {row.tobytes() for part in (tr, va, te) for row in part.features}
-        assert len(seen) == 300
+        parts = split(d, split_config(0.6, 0.2, 0.2), seed=1)
+        for rows in parts:
+            assert rows.dtype == np.int64
+            assert np.all(np.diff(rows) > 0)  # sorted, no row twice
+        assert np.array_equal(np.sort(np.concatenate(parts)), np.arange(d.n_samples))
 
     @given(
         n=st.integers(1, 300),
@@ -306,9 +353,9 @@ class TestSplit:
             with pytest.raises(ValueError, match="split is empty"):
                 split(d, split_config(train, val, test), seed)
             return
-        for got, ref in zip(split(d, split_config(train, val, test), seed), want):
-            assert got.features.tobytes() == ref.features.tobytes()
-            assert got.labels.tobytes() == ref.labels.tobytes()
+        got = split(d, split_config(train, val, test), seed)
+        assert [rows.tolist() for rows in got] == want
+        assert all(rows.dtype == np.int64 for rows in got)
 
     def test_fraction_sum_validated(self):
         # the config that split takes refuses these fractions

@@ -6,6 +6,7 @@ import os
 import re
 import signal
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ import fedmesh.secagg
 import fedmesh.trainer
 from fedmesh import cli
 from fedmesh.aggregation import CrossEdgeConfig, EdgeUpdate
-from fedmesh.data import DataConfig, generate_synthetic, partition_noniid
+from fedmesh.data import DataConfig, generate_synthetic, partition_noniid, split
 from fedmesh.metrics import BinaryMetrics
 from fedmesh.orchestrator import (
     MODES,
@@ -673,7 +674,7 @@ class TestBaselines:
             models = train_clients(
                 global_model,
                 spec,
-                prep.d_train,
+                prep.data,
                 prep.client_train,
                 [derive_seed(config.seed, "train", round_no, cid) for cid in range(config.n_clients)],
             )
@@ -726,9 +727,9 @@ class TestBaselines:
 
         def poisoned(config, dataset):
             prep = prepare_data_(config, dataset)
-            features = prep.d_train.features.copy()
+            features = prep.data.features.copy()
             features[prep.client_train[victim]] = 1e308
-            return dataclasses.replace(prep, d_train=dataclasses.replace(prep.d_train, features=features))
+            return dataclasses.replace(prep, data=dataclasses.replace(prep.data, features=features))
 
         monkeypatch.setattr(fedmesh.orchestrator, "prepare_data", poisoned)
         assert result_fingerprint(run(config, dataset)) == result_fingerprint(clean)
@@ -831,7 +832,8 @@ class TestEdgeHoldout:
         config = make_config(rounds_max=1, data=DataConfig(n_samples=600, edge_test_fraction=0.0))
         prep = prepare_data(config, dataset)
         assert [len(rows) for rows in prep.edge_test_rows] == [0, 0]
-        assert sum(len(rows) for rows in prep.client_train) == prep.d_train.n_samples
+        train_rows = split(dataset, config.data, derive_seed(config.seed, "split"))[0]
+        assert sum(len(rows) for rows in prep.client_train) == len(train_rows)
         record = run(config, dataset).rounds[0]
         assert record.per_edge == {}
         assert record.jfi == 1.0
@@ -843,6 +845,37 @@ class TestEdgeHoldout:
         assert set(run(config, dataset).rounds[0].per_edge) == {0, 1}
 
 
+class TestDataPathMemory:
+    """tracemalloc bounds, in multiples of the feature matrix's bytes, on a 20,000-sample dataset
+    and the 10 x 20-client plaintext shape of the benchmark's large workload."""
+
+    data_config = DataConfig(n_samples=20_000)
+
+    @staticmethod
+    def traced(call):
+        """call()'s result, with the traced bytes it held at its peak and when it returned."""
+        tracemalloc.start()
+        try:
+            result = call()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, peak, held
+
+    def test_generate_synthetic_normalizes_in_place(self):
+        generate_synthetic(DataConfig(), seed=1)  # the first quantile's imports are not the data's memory
+        dataset, peak, _ = self.traced(lambda: generate_synthetic(self.data_config, seed=2))
+        assert peak <= 2.6 * dataset.features.nbytes
+
+    def test_prepare_data_keeps_row_ids_into_the_dataset(self):
+        dataset = generate_synthetic(self.data_config, seed=2)
+        config = make_config(n_edges=10, clients_per_edge=20, data=self.data_config)
+        prep, peak, held = self.traced(lambda: prepare_data(config, dataset))
+        assert peak <= 1.2 * dataset.features.nbytes
+        assert held <= 0.6 * dataset.features.nbytes
+        assert prep.data is dataset
+
+
 class TestUnknownRegion:
     def test_feature_shift_applied_to_one_edge(self, dataset):
         config = make_config(
@@ -850,18 +883,22 @@ class TestUnknownRegion:
         )
         prep = prepare_data(config, dataset)
         base = prepare_data(make_config(rounds_max=1), dataset)
+        train_rows, val_rows, test_rows = split(dataset, config.data, derive_seed(config.seed, "split"))
         client_rows = partition_noniid(
-            base.d_train, config.n_clients, config.data.dirichlet_alpha, derive_seed(config.seed, "partition")
+            dataset, train_rows, config.n_clients, config.data.dirichlet_alpha, derive_seed(config.seed, "partition")
         )
         assert config.edge_clients == (range(0, 3), range(3, 6))
         # every row of edge 1's clients, training and test rows alike
         shifted_rows = np.concatenate([client_rows[c] for c in config.edge_clients[1]])
-        unshifted_rows = np.concatenate([client_rows[c] for c in config.edge_clients[0]])
-        assert np.allclose(
-            prep.d_train.features[shifted_rows], base.d_train.features[shifted_rows] + 2.0
-        )
-        assert np.array_equal(
-            prep.d_train.features[unshifted_rows], base.d_train.features[unshifted_rows]
-        )
+        assert np.allclose(prep.data.features[shifted_rows], dataset.features[shifted_rows] + 2.0)
+        # every other row, edge 0's and the validation and test rows alike, is the caller's
+        unshifted = np.ones(dataset.n_samples, dtype=bool)
+        unshifted[shifted_rows] = False
+        assert np.array_equal(prep.data.features[unshifted], dataset.features[unshifted])
+        assert np.array_equal(prep.data.labels, dataset.labels)
+        assert base.data is dataset and prep.data is not dataset
+        for got, rows in ((prep.d_val, val_rows), (prep.d_test, test_rows)):
+            assert got.features.tobytes() == dataset.features[rows].tobytes()
+            assert got.labels.tobytes() == dataset.labels[rows].tobytes()
         result = run(config, dataset)  # still trains fine
         assert len(result.rounds) == 1

@@ -125,7 +125,39 @@ class TestSimplexGrid:
                 SelectionConfig(grid_step=grid_step)
 
 
+def grid_search_oracle(evaluations, config):
+    """One candidate at a time in lexicographic order; a strictly larger objective replaces the best."""
+    u, e, s = np.asarray(evaluations, dtype=np.float64).reshape(-1, 3).T
+    best, best_objective = None, -math.inf
+    for candidate in simplex_grid(config):
+        scores = score((u, e, s), candidate)
+        objective = float(scores.mean() - scores.std())
+        if objective > best_objective:
+            best, best_objective = candidate, objective
+    return best
+
+
 class TestGridSearchInit:
+    @given(
+        st.lists(st.tuples(*[st.floats(-10, 10)] * 3), min_size=1, max_size=39),
+        st.sampled_from([1.0, 1e150, 1e299]),  # the larger scales overflow some scores' spreads
+        st.lists(st.tuples(*[st.floats()] * 3), max_size=1),  # any float, nan and +-inf included
+        st.integers(1, 10),
+    )
+    @example([(1.0, -1.0, 1.0), (-1.0, 1.0, -1.0)], 1e308, [], 2)  # every objective overflows
+    @example([(1.0, 1.0, 1.0)] * 3, 1.0, [], 4)  # every candidate ties
+    @settings(max_examples=300, deadline=None)
+    def test_matches_candidate_loop(self, evaluations, scale, extra, m):
+        evaluations = [tuple(scale * v for v in t) for t in evaluations] + extra
+        config = SelectionConfig(grid_step=1 / m)
+        with np.errstate(all="ignore"):
+            want = grid_search_oracle(evaluations, config)
+            if want is None:
+                with pytest.raises(ValueError, match="no score weights give a finite objective"):
+                    grid_search_init(evaluations, config)
+                return
+            assert grid_search_init(evaluations, config) == want
+
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
