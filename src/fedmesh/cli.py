@@ -43,10 +43,20 @@ class ConfigError(ValueError):
     """Invalid configuration; message names the offending field."""
 
 
+def _unique_keys(where: str, pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object's pairs as a dict; a key given twice raises ConfigError."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"{where}: key {key!r} is given twice")
+        out[key] = value
+    return out
+
+
 def load_config_dict(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=lambda pairs: _unique_keys(path, pairs))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except OSError as exc:  # a directory, say
@@ -68,7 +78,7 @@ def apply_overrides(raw: dict, assignments: Sequence[str]) -> dict:
             raise ConfigError(f"override {item!r} must look like key=value")
         key, _, value = item.partition("=")
         try:
-            parsed: Any = json.loads(value)
+            parsed: Any = json.loads(value, object_pairs_hook=lambda pairs: _unique_keys(f"override {key!r}", pairs))
         except json.JSONDecodeError:
             parsed = value
         node = out

@@ -226,14 +226,19 @@ def ingest_csv(path: str, label_column: str) -> tuple[Dataset, int]:
     """Load a header-first CSV, z-score the feature columns, drop incomplete rows.
 
     Returns the dataset together with the number of dropped rows. A row is
-    dropped when any cell, the label's included, is empty or not a finite
-    number (nan and inf count as missing). Every kept label must be 0 or 1.
+    dropped when its cell count differs from the header's or any cell, the
+    label's included, is empty or not a finite number (nan and inf count as
+    missing). Every kept label must be 0 or 1; a column named twice is refused.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or label_column not in reader.fieldnames:
             raise ValueError(f"label column {label_column!r} not found in CSV header")
-        feature_cols = [c for c in reader.fieldnames if c != label_column]
+        header = reader.fieldnames
+        twice = next((c for i, c in enumerate(header) if c in header[:i]), None)
+        if twice is not None:
+            raise ValueError(f"column {twice!r} is given twice in the CSV header")
+        feature_cols = [c for c in header if c != label_column]
         if not feature_cols:
             raise ValueError("CSV has no feature columns")
         rows: list[list[float]] = []
@@ -244,7 +249,8 @@ def ingest_csv(path: str, label_column: str) -> tuple[Dataset, int]:
                 *feats, label = [float(record[c]) for c in (*feature_cols, label_column)]
             except (TypeError, ValueError):  # an empty or non-numeric cell
                 feats, label = [], math.nan
-            if not (math.isfinite(label) and all(map(math.isfinite, feats))):
+            # a long row's extra cells sit under the key None; a short row's missing cells read None
+            if None in record or not (math.isfinite(label) and all(map(math.isfinite, feats))):
                 dropped += 1
                 continue
             if label not in (0.0, 1.0):
@@ -255,7 +261,7 @@ def ingest_csv(path: str, label_column: str) -> tuple[Dataset, int]:
     if not rows:
         raise ValueError(f"no usable rows in {path} ({dropped} dropped)")
     if dropped:
-        logger.info("ingest_csv(%s): dropped %d rows with missing values", path, dropped)
+        logger.info("ingest_csv(%s): dropped %d incomplete rows", path, dropped)
 
     return Dataset(_zscore(np.asarray(rows, dtype=np.float64)), np.asarray(labels, dtype=np.int64)), dropped
 

@@ -156,13 +156,11 @@ def _edge_mean_update(
     deltas: np.ndarray,
     weights: Sequence[int],
     noise_seed: int,
-    ahead: int,
 ) -> np.ndarray:
     """Release sum_i w_i * delta_i / sum_i w_i, one client update per row,
     encrypted under the edge's keypair; with secagg off (keypair None) the
     same quantized ints are summed in plaintext. A secagg.HeadroomError names
-    the refused row. Then a worker-fed key's worker computes the next `ahead`
-    randomizers while this process decrypts, evaluates and trains."""
+    the refused row."""
     if keypair is None:
         total = secagg.sum_quantized(deltas, codec, cfg.key_bits, weights)
         return secagg.release(total, sum(weights), cfg, noise_seed)
@@ -173,7 +171,6 @@ def _edge_mean_update(
             ciphers.append(secagg.encrypt_update(ParamVector(d), codec, public_key))
         except secagg.HeadroomError as exc:
             raise secagg.HeadroomError(str(exc), row) from exc
-    public_key.precompute_randomizers(ahead)
     agg = secagg.aggregate_encrypted(ciphers, public_key, codec, weights)
     return secagg.finalize_edge_update(agg, private_key, codec, sum(weights), cfg, noise_seed)
 
@@ -280,14 +277,14 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
     stopped_early = False
 
     # an edge encrypts one packed update per aggregated client in a round: all its clients under
-    # no_selection, else at most capacity_k
+    # no_selection, else at most capacity_k; a key's worker makes that many for every round
     slots, _ = codec.layout(config.secagg.key_bits)
     aggregated = max(map(len, edge_clients))
     if config.baseline_mode != "no_selection":
         aggregated = min(aggregated, config.selection.capacity_k)
-    ahead = aggregated * -(-len(global_model) // slots)
+    per_round = aggregated * -(-len(global_model) // slots)
     key_seeds = [derive_seed(seed, "keys", e) for e in edges] if config.secagg.enabled else []
-    with secagg.edge_keys(config.secagg.key_bits, key_seeds, ahead) as keypairs:
+    with secagg.edge_keys(config.secagg.key_bits, key_seeds, config.rounds_max * per_round) as keypairs:
         for round_no in range(1, config.rounds_max + 1):
             alive = [e for e in edges if (e, round_no) not in config.edge_failures]
             events += [EdgeFailureEvent(round_no, e) for e in edges if e not in alive]
@@ -356,7 +353,6 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
                         reports.weights[rows] - global_model,
                         counts.tolist() if single_edge else [1] * len(selected_ids),
                         derive_seed(seed, "dp", round_no, e),
-                        ahead if round_no < config.rounds_max else 0,
                     )
                 except secagg.HeadroomError as exc:
                     raise OverflowError(f"round {round_no}, edge {e}, client {selected_ids[exc.row]}: {exc}") from exc

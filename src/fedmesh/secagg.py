@@ -61,16 +61,19 @@ same bound and share one release step.
 A public key is n, h_s and the source of its randomizers: keygen's draws each
 exponent a from a PRNG seeded by the key seed and returns h_s^a, which depends
 on the key and a alone, never on the message. So the exponentiations run
-beside the simulation: edge_keys forks one worker per key and at once asks it
-for one round's randomizers. The worker makes the key from its seed, sends n,
-h_s, p and q, and then only answers requests, each for the next so many of
-that source's randomizers, computed ahead of the encryptions; the main
-process's copy takes them from the worker. With one usable core, without
-os.fork, or from the first worker that cannot start (out of fds, processes or
-memory), keys are made in process, to the same bytes. The encrypting side
-works from n and h_s alone and never uses the factorization. The workers are
-plain os.fork children that run only pure-Python big-integer code and pickle,
-and leave through os._exit; edge_keys kills and reaps them on every exit path.
+beside the simulation: edge_keys forks one worker per key, which drops to nice
+19 (so it uses only CPU the simulation leaves idle), makes the key from its
+seed, sends n, h_s, p and q, writes the run's budget of the source's
+randomizers down its one pipe, in order, and exits; a read past the budget
+raises ChildProcessError. A full pipe (64 KiB by default on Linux: 256
+randomizers of a 1024-bit key) holds the worker until the encryptions catch
+up, and what it made beyond what the run used dies with it. With one usable
+core, without os.fork, or from the first worker that cannot start (out of
+fds, processes or memory), keys are made in process, to the same bytes. The
+encrypting side works from n and h_s alone and never uses the factorization.
+The workers are plain os.fork children that run only pure-Python big-integer
+code and pickle, and leave through os._exit; edge_keys kills and reaps them
+on every exit path.
 Python 3.12 and later warn when a process with other threads forks, because a
 child may inherit a lock that one of those threads held. The parent's other
 threads here are numpy's BLAS pool; a child never calls numpy, BLAS, logging
@@ -269,8 +272,6 @@ class PaillierPublicKey:
     n: int
     h_s: int  # h^n mod n^2 with h = -x^2 mod n for a secret x: every randomizer is a power of it
     randomizer: Callable[[], int] = field(repr=False, compare=False)  # each call gives the next h_s^a mod n^2
-    # precompute_randomizers(count): a worker-fed key's worker computes the next `count` meanwhile
-    precompute_randomizers: Callable[[int], None] = field(default=lambda count: None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.n_sq = self.n * self.n
@@ -358,36 +359,32 @@ def _comb_randomizers(h_s: int, n: int, seed: int) -> Callable[[], int]:
 
 
 class _KeyWorker:
-    """A forked child that sends keygen(key_bits, seed) as (n, h_s, p, q), or its
-    exception, then h_s^a mod n^2 in the key's exponent order, as many as each
-    request asks for. It closes its copies of the `earlier` workers' pipes, so
-    that each worker alone holds its parent's pipe ends."""
+    """A forked child at nice 19 that sends keygen(key_bits, seed) as (n, h_s,
+    p, q), or its exception, then the key's first `count` randomizers in its
+    exponent order, and exits. It closes its copies of the `earlier` workers'
+    read ends, so that each worker alone holds its parent's pipe end."""
 
-    def __init__(self, key_bits: int, seed: int, earlier: Sequence[_KeyWorker]):
-        fds = os.pipe()
+    def __init__(self, key_bits: int, seed: int, count: int, earlier: Sequence[_KeyWorker]):
+        result_r, result_w = os.pipe()
         try:
-            fds += os.pipe()
             self.pid = os.fork()
         except BaseException:
-            for fd in fds:
-                os.close(fd)
+            os.close(result_r)
+            os.close(result_w)
             raise
-        request_r, self._requests, result_r, result_w = fds
         if self.pid == 0:  # the child: pure-Python work, then os._exit whatever happens
             code = 1
             try:
-                for fd in (self._requests, result_r, *(fd for w in earlier for fd in w._fds)):
+                for fd in (result_r, *(w._results.fileno() for w in earlier)):
                     os.close(fd)
-                with open(request_r, "rb") as requests, open(result_w, "wb") as results:
-                    _serve_key(key_bits, seed, requests, results)
+                os.nice(19)
+                with open(result_w, "wb") as results:
+                    _serve_key(key_bits, seed, count, results)
                 code = 0
             finally:
                 os._exit(code)
-        os.close(request_r)
         os.close(result_w)
-        self._fds = self._requests, result_r
         self._results = open(result_r, "rb")
-        self._asked = 0  # randomizers asked for and not yet read
         self._keypair: Keypair | None = None
 
     def _read(self, size: int) -> bytes:
@@ -402,35 +399,25 @@ class _KeyWorker:
             ok, value = pickle.loads(self._read(int.from_bytes(self._read(8), "big")))
             if not ok:
                 raise value
-            public = PaillierPublicKey(*value[:2], self.take, self.ask)
+            public = PaillierPublicKey(*value[:2], self.take)
             self._width = (public.n_sq.bit_length() + 7) // 8
             self._keypair = public, PaillierPrivateKey(public, *value[2:])
         return self._keypair
 
-    def ask(self, count: int) -> None:
-        """Ask for randomizers until `count` are asked for and unread; a request
-        to a worker that is gone is dropped, and the next read fails."""
+    def take(self) -> int:
+        """The key's next randomizer; past the worker's `count`, a ChildProcessError."""
         if self._results.closed:
             raise RuntimeError(f"key worker {self.pid} is closed")
-        if count > self._asked:
-            with contextlib.suppress(BrokenPipeError):
-                os.write(self._requests, (count - self._asked).to_bytes(4, "big"))
-            self._asked = count
-
-    def take(self) -> int:
-        self.ask(1)
-        self._asked -= 1
         return int.from_bytes(self._read(self._width), "big")
 
     def close(self) -> None:
         os.kill(self.pid, signal.SIGKILL)
         os.waitpid(self.pid, 0)
-        os.close(self._requests)
         self._results.close()
 
 
-def _serve_key(key_bits: int, seed: int, requests, results) -> None:
-    """The child's side of a _KeyWorker, until its requests end."""
+def _serve_key(key_bits: int, seed: int, count: int, results) -> None:
+    """The child's side of a _KeyWorker: the key, then `count` randomizers."""
     try:
         public, private = keygen(key_bits, seed)
         ok, value = True, (public.n, public.h_s, private.p, private.q)
@@ -442,26 +429,24 @@ def _serve_key(key_bits: int, seed: int, requests, results) -> None:
     if not ok:
         return
     width = (public.n_sq.bit_length() + 7) // 8
-    while len(header := requests.read(4)) == 4:
-        for _ in range(int.from_bytes(header, "big")):
-            results.write(public.randomizer().to_bytes(width, "big"))
-            results.flush()
+    for _ in range(count):
+        results.write(public.randomizer().to_bytes(width, "big"))
+        results.flush()
 
 
 @contextlib.contextmanager
-def edge_keys(key_bits: int, seeds: Sequence[int], ahead: int) -> Iterator[list[Callable[[], Keypair]]]:
+def edge_keys(key_bits: int, seeds: Sequence[int], count: int) -> Iterator[list[Callable[[], Keypair]]]:
     """Yield a getter of each seed's keypair. With two or more usable cores each
-    key is made by a _KeyWorker started here and asked at once for its first
-    `ahead` randomizers, until one cannot start (os.pipe or os.fork raising
-    OSError: out of fds, processes or memory); the rest are made here on first
-    use. Every worker is killed and reaped on exit."""
+    key is made by a _KeyWorker started here, which makes the key's first
+    `count` randomizers and no more, until one cannot start (os.pipe or os.fork
+    raising OSError: out of fds, processes or memory); the rest are made here
+    on first use. Every worker is killed and reaped on exit."""
     workers: list[_KeyWorker] = []
     try:
         if _usable_cores() > 1:
             with contextlib.suppress(OSError):
                 for seed in seeds:
-                    workers.append(_KeyWorker(key_bits, seed, workers))
-                    workers[-1].ask(ahead)
+                    workers.append(_KeyWorker(key_bits, seed, count, workers))
         made_here = [functools.cache(functools.partial(keygen, key_bits, seed)) for seed in seeds[len(workers) :]]
         yield [worker.keypair for worker in workers] + made_here
     finally:

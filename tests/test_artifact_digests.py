@@ -150,40 +150,49 @@ def test_artifacts_are_byte_identical(name, seed, tmp_path, monkeypatch, capsys)
     assert manifest["config_hash"][:16] == CONFIG_HASHES[name, seed]
 
 
-def encryption_sequence(public, precompute):
+def encryption_sequence(public):
     """Four raw encryptions, three packed updates of two ciphertexts each, one more
-    raw encryption; precompute maps a step to the randomizers queued before it."""
+    raw encryption, yielded one ciphertext at a time."""
     codec = FixedPointCodec(scale=2**20, max_participants=64)
-    steps = [lambda m=m: [public.raw_encrypt(m)] for m in (0, 1, 2**100, public.n - 1)]
-    steps += [
-        lambda i=i: list(encrypt_update(ParamVector(np.linspace(-1.0, 1.0, 7) * (i + 1)), codec, public).ciphertexts)
-        for i in range(3)
-    ]
-    steps.append(lambda: [public.raw_encrypt(12345)])
-    cts = []
-    for step, encrypt in enumerate(steps):
-        if step in precompute:
-            public.precompute_randomizers(precompute[step])
-        cts += encrypt()
-    return cts
+    for m in (0, 1, 2**100, public.n - 1):
+        yield public.raw_encrypt(m)
+    for i in range(3):
+        yield from encrypt_update(ParamVector(np.linspace(-1.0, 1.0, 7) * (i + 1)), codec, public).ciphertexts
+    yield public.raw_encrypt(12345)
 
 
-@pytest.mark.parametrize("precompute", [{}, {0: 11}, {1: 2, 4: 4, 7: 3}, {3: 20}], ids=["serial", "all", "mixed", "surplus"])
+def ciphertext_digest(cts):
+    return hashlib.sha256(b"".join(c.to_bytes(64, "big") for c in cts)).hexdigest()[:16]
+
+
 @pytest.mark.parametrize("seed", sorted(CIPHERTEXT_DIGESTS))
-def test_ciphertexts_are_byte_identical(seed, precompute):
+def test_ciphertexts_are_byte_identical(seed):
     public, _ = keygen(256, seed)
-    cts = encryption_sequence(public, precompute)
+    cts = list(encryption_sequence(public))
     assert len(cts) == 11
-    assert hashlib.sha256(b"".join(c.to_bytes(64, "big") for c in cts)).hexdigest()[:16] == CIPHERTEXT_DIGESTS[seed]
+    assert ciphertext_digest(cts) == CIPHERTEXT_DIGESTS[seed]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-@pytest.mark.parametrize("precompute", [{}, {0: 11}, {1: 2, 4: 4, 7: 3}, {3: 20}], ids=["serial", "all", "mixed", "surplus"])
+@pytest.mark.parametrize("count", [11, 20], ids=["exact", "surplus"])
 @pytest.mark.parametrize("seed", sorted(CIPHERTEXT_DIGESTS))
-def test_worker_fed_ciphertexts_are_byte_identical(seed, precompute, monkeypatch):
-    # the key's worker draws the exponents, in the same order whatever it is asked for ahead
+def test_worker_fed_ciphertexts_are_byte_identical(seed, count, monkeypatch):
+    # the key's worker draws the exponents, in the same order whatever its budget
     monkeypatch.setattr(fedmesh.secagg, "_usable_cores", lambda: 2)
-    with edge_keys(256, [seed], 3) as keypairs:
-        cts = encryption_sequence(keypairs[0]()[0], precompute)
+    with edge_keys(256, [seed], count) as keypairs:
+        cts = list(encryption_sequence(keypairs[0]()[0]))
     assert len(cts) == 11
-    assert hashlib.sha256(b"".join(c.to_bytes(64, "big") for c in cts)).hexdigest()[:16] == CIPHERTEXT_DIGESTS[seed]
+    assert ciphertext_digest(cts) == CIPHERTEXT_DIGESTS[seed]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.parametrize("seed", sorted(CIPHERTEXT_DIGESTS))
+def test_worker_budget_ends_the_ciphertexts(seed, monkeypatch):
+    # a worker makes its budget of 10 randomizers and exits, so the 11th encryption fails
+    monkeypatch.setattr(fedmesh.secagg, "_usable_cores", lambda: 2)
+    with edge_keys(256, [seed], 10) as keypairs:
+        cts = encryption_sequence(keypairs[0]()[0])
+        first = [next(cts) for _ in range(10)]
+        with pytest.raises(ChildProcessError, match="exited early"):
+            next(cts)
+    assert first == list(encryption_sequence(keygen(256, seed)[0]))[:10]

@@ -35,6 +35,7 @@ from fedmesh.cli import (
     cmd_plot,
     cmd_run,
     config_hash,
+    load_config_dict,
     main,
     write_rounds_csv,
 )
@@ -196,6 +197,7 @@ class TestCmdRun:
             (None, ["data.edge_test_fraction=-1"], "data: edge_test_fraction"),
             (None, ["data.csv_path=TMP/missing.csv", "data.label_column=y"], "data.csv_path: [Errno 2]"),
             (None, ["data.csv_path=TMP/rows.csv", "data.label_column=y"], "data.csv_path: label column 'y' not found"),
+            (None, ["data.csv_path=TMP/twice.csv", "data.label_column=y"], "data.csv_path: column 'a' is given twice"),
             (
                 None,
                 [
@@ -239,6 +241,7 @@ class TestCmdRun:
         if env_seed is not None:
             monkeypatch.setenv("FEDMESH_SEED", env_seed)
         (tmp_path / "rows.csv").write_text("a,b\n1.0,0\n")  # a readable table without column y
+        (tmp_path / "twice.csv").write_text("a,a,y\n1.0,2.0,0\n")
         overrides = [item.replace("TMP", str(tmp_path)) for item in overrides]
         assert cmd_run(config_file, str(tmp_path / "o"), overrides=overrides) == 2
         assert cmd_compare(config_file, ["fedselect_me", "no_selection"], str(tmp_path / "c"), overrides) == 2
@@ -478,6 +481,15 @@ def test_readme_library_example_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "BinaryMetrics(" in proc.stdout  # it printed the last round's test metrics
+
+
+def test_readme_quick_start_config_builds(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = re.search(r"## Quick start\s+```bash\ncat > config.json <<'EOF'\n(.*?)\nEOF\n", readme, re.S).group(1)
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    config = build_config(load_config_dict(str(path)))
+    assert (config.n_edges, config.clients_per_edge, config.rounds_max, config.secagg.key_bits) == (5, 10, 30, 512)
 
 
 class TestCmdPlot:
@@ -821,3 +833,82 @@ class TestLibraryAndConfigFilesAgree:
         events = [json.loads(line) for line in written["int"][1].splitlines()]
         energies = [ev["estimated_energy"] for event in events for ev in event.get("evaluations", [])]
         assert energies and all(type(energy) is float for energy in energies)
+
+
+class TestErrorPathsThroughMain:
+    """Each refusal as `fedmesh` reports it: the exit code and the first line of stderr."""
+
+    def first_line(self, argv, capsys, code):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(argv) == code
+        return capsys.readouterr().err.splitlines()[0]
+
+    @pytest.mark.parametrize(
+        "text,overrides,message",
+        [
+            ('{"seed": 1, "seed": 2}', [], "key 'seed' is given twice"),
+            ('{"data": {"n_samples": 400, "n_samples": 500}}', [], "key 'n_samples' is given twice"),
+            ('{"adversaries": [{"client_id": 1, "client_id": 2}]}', [], "key 'client_id' is given twice"),
+            ("{}", ['data={"n_samples": 400, "n_samples": 500}'], "override 'data': key 'n_samples' is given twice"),
+        ],
+        ids=["top_level", "section", "list_entry", "override"],
+    )
+    def test_key_given_twice_exits_2(self, tmp_path, capsys, text, overrides, message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        for command in (["run"], ["compare", "--modes", "fedselect_me,no_selection"]):
+            argv = [*command, "--config", str(path), "--out", str(tmp_path / "o"), *sets]
+            assert self.first_line(argv, capsys, 2).startswith("config error: ")
+            assert message in self.first_line(argv, capsys, 2)
+        assert not (tmp_path / "o").exists()
+
+    def test_json_syntax_error_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"seed": 1,,}')
+        line = self.first_line(["run", "--config", str(path), "--out", str(tmp_path / "o")], capsys, 2)
+        assert line == f"config error: {path}: line 1: Expecting property name enclosed in double quotes"
+
+    def test_override_through_a_non_section_exits_2(self, config_file, tmp_path, capsys):
+        argv = ["run", "--config", config_file, "--out", str(tmp_path / "o"), "--set", "seed.x=1"]
+        assert self.first_line(argv, capsys, 2) == "config error: override 'seed.x': 'seed' is not a section"
+
+    def test_compare_with_a_failing_mode_exits_1(self, config_file, tmp_path, capsys):
+        argv = ["compare", "--config", config_file, "--modes", "fedselect_me,no_selection", "--out", str(tmp_path / "c")]
+        line = self.first_line([*argv, "--set", "trainer.learning_rate=1e308"], capsys, 1)
+        assert line.startswith("compare failed: round 1, client 1: estimated utility ")
+        assert not (tmp_path / "c" / "compare.csv").exists()
+
+    def test_plot_dispatch(self, config_file, tmp_path, capsys):
+        assert main(["run", "--config", config_file, "--out", str(tmp_path / "o")]) == 0
+        assert main(["plot", "--csv", str(tmp_path / "o" / "rounds.csv"), "--out", str(tmp_path / "p")]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"wrote 4 charts to {tmp_path / 'p'}"
+        assert sorted(os.listdir(tmp_path / "p")) == ["edge_metrics.svg", "global_metrics.svg", "jfi.svg", "test_quality.svg"]
+
+    def test_header_only_rounds_csv_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "rounds.csv"
+        path.write_text(GOLDEN_HEADER + "\n")
+        line = self.first_line(["plot", "--csv", str(path), "--out", str(tmp_path / "p")], capsys, 2)
+        assert line == f"plot error: {path}: no data rows"
+
+    def test_label_only_csv_exits_2(self, config_file, tmp_path, capsys):
+        data = tmp_path / "labels.csv"
+        data.write_text("y\n0\n1\n")
+        sets = ["--set", f"data.csv_path={data}", "--set", "data.label_column=y"]
+        line = self.first_line(["run", "--config", config_file, "--out", str(tmp_path / "o"), *sets], capsys, 2)
+        assert line == "config error: data.csv_path: CSV has no feature columns"
+
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            ("clients_per_edge=0", "clients_per_edge: must be >= 1"),
+            ("rounds_max=0", "rounds_max: must be >= 1"),
+            ('security_overrides={"4": 0.5}', "security_overrides: client_id 4 out of range"),
+            ("selection.capacity_k=0", "selection: capacity_k must be >= 1, got 0"),
+            ("secagg.scale=0", "secagg: scale must be a positive integer"),
+        ],
+    )
+    def test_out_of_range_field_exits_2(self, config_file, tmp_path, capsys, override, message):
+        argv = ["run", "--config", config_file, "--out", str(tmp_path / "o"), "--set", override]
+        assert self.first_line(argv, capsys, 2) == f"config error: {message}"
+        assert not (tmp_path / "o").exists()

@@ -281,6 +281,25 @@ class TestIngestCsv:
         assert d.n_samples == 3
         assert dropped == 1
 
+    @pytest.mark.parametrize("row", ["1,2,0,99", "1,2", "1"], ids=["long", "short", "label_missing"])
+    def test_row_of_another_length_dropped(self, tmp_path, row):
+        # a row with more or fewer cells than the header is dropped and counted; its cells are not read
+        path = tmp_path / "ragged.csv"
+        path.write_text(f"a,b,y\n1,10,0\n{row}\n3,60,0\n2,20,1\n")
+        d, dropped = ingest_csv(str(path), "y")
+        assert dropped == 1
+        assert np.array_equal(d.labels, [0, 0, 1])
+        assert d.features[:, 0].tolist() == pytest.approx([-1.224744871391589, 1.224744871391589, 0.0])
+
+    @pytest.mark.parametrize("header,twice", [("a,a,y", "a"), ("a,y,b,y", "y")])
+    def test_column_named_twice_rejected(self, tmp_path, header, twice):
+        # csv.DictReader would keep the later column under the name and lose the earlier one
+        path = tmp_path / "twice.csv"
+        cells = ",".join(["1"] * (header.count(",") + 1))
+        path.write_text(f"{header}\n{cells}\n")
+        with pytest.raises(ValueError, match=f"^column '{twice}' is given twice in the CSV header$"):
+            ingest_csv(str(path), "y")
+
     def test_non_binary_label_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,y\n1,0\n2,2\n")

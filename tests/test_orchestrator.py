@@ -412,7 +412,7 @@ class TestSecureAggregationPath:
         _assert_no_child_left()
 
     @pytest.mark.skipif(not hasattr(os, "fork") or not os.path.isdir("/proc/self/fd"), reason="needs fork")
-    @pytest.mark.parametrize("call,failing", [("fork", 3), ("pipe", 6)], ids=["fork", "second_pipe"])
+    @pytest.mark.parametrize("call,failing", [("fork", 3), ("pipe", 3)], ids=["fork", "pipe"])
     def test_worker_that_cannot_start_keeps_the_bytes(self, dataset, monkeypatch, call, failing):
         # the 3rd of 5 edge keys cannot get a worker: it and the later keys are made in process
         secure = make_config(n_edges=5, clients_per_edge=2, rounds_max=2, secagg=SecAggConfig(enabled=True, key_bits=256))
@@ -439,15 +439,15 @@ class TestSecureAggregationPath:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     @pytest.mark.parametrize("mode,encrypted", [("fedavg_single", 12), ("no_selection", 18)])
     def test_worker_makes_no_randomizer_that_goes_unused(self, dataset, monkeypatch, mode, encrypted):
-        # fedavg_single encrypts capacity_k of its 6 clients' updates a round, so the worker
-        # is asked for that many a round, not one per client of the edge; no_selection encrypts
-        # all 3 clients of each of the 2 edges, so each edge's worker is asked for 3 a round
-        asked, made = [], []
-        ask, encrypt = fedmesh.secagg._KeyWorker.ask, fedmesh.secagg.encrypt_update
+        # fedavg_single encrypts capacity_k of its 6 clients' updates a round, so its worker's
+        # budget is that many a round, not one per client of the edge; no_selection encrypts
+        # all 3 clients of each of the 2 edges, so each edge's worker makes 3 a round
+        budgets, made = [], []
+        start, encrypt = fedmesh.secagg._KeyWorker.__init__, fedmesh.secagg.encrypt_update
 
-        def counted_ask(worker, count):
-            asked.append(max(0, count - worker._asked))
-            ask(worker, count)
+        def counted_start(worker, key_bits, seed, count, earlier):
+            budgets.append(count)
+            start(worker, key_bits, seed, count, earlier)
 
         def counted_encrypt(v, codec, public_key):
             cv = encrypt(v, codec, public_key)
@@ -455,7 +455,7 @@ class TestSecureAggregationPath:
             return cv
 
         monkeypatch.setattr(fedmesh.secagg, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(fedmesh.secagg._KeyWorker, "ask", counted_ask)
+        monkeypatch.setattr(fedmesh.secagg._KeyWorker, "__init__", counted_start)
         monkeypatch.setattr(fedmesh.secagg, "encrypt_update", counted_encrypt)
         config = make_config(
             baseline_mode=mode,
@@ -465,7 +465,7 @@ class TestSecureAggregationPath:
         )
         result = run(config, dataset)
         assert len(result.rounds) == 3 and len(made) == encrypted
-        assert sum(asked) == sum(made)
+        assert sum(budgets) == sum(made)
         _assert_no_child_left()
 
     def test_headroom_refusal_names_round_edge_and_client(self, dataset):

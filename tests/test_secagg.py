@@ -239,7 +239,7 @@ class TestKeyWorker:
 
         monkeypatch.setattr(fedmesh.secagg, "keygen", failing_keygen)
         before = _open_fds()
-        with edge_keys(256, [1, 2, 3], 2) as keypairs:
+        with edge_keys(256, [1, 2, 3], 1) as keypairs:
             public, private = keypairs[0]()
             assert private.decrypt(public.raw_encrypt(5)) == 5
             with pytest.raises(error) as raised:
@@ -260,7 +260,7 @@ class TestKeyWorker:
 
     def test_worker_keypair_equals_serial(self):
         seeds = [11, 12, 13]
-        with edge_keys(256, seeds, 2) as keypairs:
+        with edge_keys(256, seeds, 4) as keypairs:
             for keypair, seed in zip(keypairs, seeds):
                 pub, priv = keypair()
                 serial_pub, serial_priv = keygen(256, seed)
@@ -274,25 +274,26 @@ class TestKeyWorker:
             public, private = keypairs[0]()
             assert private.decrypt(public.raw_encrypt(3)) == 3
             worker = keypairs[0].__self__  # the key's randomizers come from its worker alone, with no comb here
-            assert public.randomizer == worker.take and public.precompute_randomizers == worker.ask
-        # the worker is gone, and its key refuses to encrypt or to ask for more
-        for use in (lambda: public.raw_encrypt(3), lambda: public.precompute_randomizers(2)):
-            with pytest.raises(RuntimeError, match=rf"^key worker {worker.pid} is closed$"):
-                use()
+            assert public.randomizer == worker.take
+        # the worker is gone, and its key refuses to encrypt
+        with pytest.raises(RuntimeError, match=rf"^key worker {worker.pid} is closed$"):
+            public.raw_encrypt(3)
         _assert_no_child_left()
 
     def test_each_worker_alone_holds_its_pipe_ends(self):
-        # a worker sees EOF on its requests once its parent's end closes, which needs
-        # every later worker to have closed the copy of that end it inherited
-        first = _KeyWorker(256, 1, [])
-        second = _KeyWorker(256, 2, [first])
+        # a worker with more randomizers to write than its pipe holds fails its write, and
+        # exits, once its parent's read end closes; that needs every later worker (alive here,
+        # blocked on its own full pipe) to have closed the copy of that end it inherited, or
+        # the first worker blocks on a full pipe
+        first = _KeyWorker(256, 1, 10**6, [])
+        second = _KeyWorker(256, 2, 10**6, [first])
         reaped = False
         try:
             first.keypair()
-            os.close(first._requests)
+            first._results.close()
             deadline = time.monotonic() + 10
             while not reaped:
-                assert time.monotonic() < deadline, "the first worker never saw the end of its requests"
+                assert time.monotonic() < deadline, "the first worker never saw its reader go"
                 reaped = os.waitpid(first.pid, os.WNOHANG)[0] == first.pid
                 time.sleep(0.01)
         finally:
@@ -301,6 +302,16 @@ class TestKeyWorker:
                 os.waitpid(first.pid, 0)
             first._results.close()
             second.close()
+        _assert_no_child_left()
+
+    def test_worker_runs_at_idle_priority(self):
+        worker = _KeyWorker(256, 3, 10**6, [])
+        try:
+            public, _ = worker.keypair()  # the worker sets its priority before it makes the key
+            assert os.getpriority(os.PRIO_PROCESS, worker.pid) == 19
+            assert public.raw_encrypt(1) == keygen(256, 3)[0].raw_encrypt(1)
+        finally:
+            worker.close()
         _assert_no_child_left()
 
     def test_gone_worker_is_a_child_process_error(self):
@@ -320,14 +331,13 @@ class TestKeyWorker:
         serial, _ = keygen(256, 9)
         with edge_keys(256, [9], 4) as keypairs:
             public, _ = keypairs[0]()
-            public.precompute_randomizers(4)  # nothing to ask of: each randomizer is computed as it encrypts
             assert not isinstance(getattr(public.randomizer, "__self__", None), _KeyWorker)
             assert keypairs[0]()[0] is public
             assert [public.raw_encrypt(m) for m in (2, 3)] == [serial.raw_encrypt(m) for m in (2, 3)]
 
-    @pytest.mark.parametrize("call,failing", [("fork", 3), ("pipe", 5), ("pipe", 6)], ids=["fork", "pipe", "second_pipe"])
+    @pytest.mark.parametrize("call,failing", [("fork", 3), ("pipe", 3)], ids=["fork", "pipe"])
     def test_worker_that_cannot_start_leaves_the_rest_in_process(self, monkeypatch, call, failing):
-        # the 3rd of 5 workers fails at its os.fork, or at its first or second os.pipe
+        # the 3rd of 5 workers fails at its os.fork or its os.pipe
         calls, real = [], getattr(os, call)
 
         def exhausted():
@@ -339,7 +349,7 @@ class TestKeyWorker:
         monkeypatch.setattr(os, call, exhausted)
         seeds = [21, 22, 23, 24, 25]
         before = _open_fds()
-        with edge_keys(256, seeds, 2) as keypairs:
+        with edge_keys(256, seeds, 4) as keypairs:
             assert len(calls) == failing  # no worker is tried after the first that failed
             assert [isinstance(getattr(k, "__self__", None), _KeyWorker) for k in keypairs] == [True] * 2 + [False] * 3
             for keypair, seed in zip(keypairs, seeds):
@@ -352,34 +362,25 @@ class TestKeyWorker:
 
 @fork_only
 class TestPrecomputedRandomizers:
-    @given(
-        st.lists(
-            st.one_of(
-                st.tuples(st.just("precompute"), st.integers(0, 4)),
-                st.tuples(st.just("encrypt"), st.integers(0, 2**200)),
-            ),
-            max_size=12,
-        ),
-        st.integers(0, 3),
-    )
+    @given(st.data())
     @settings(max_examples=30, deadline=None)
-    def test_ciphertexts_equal_serial_ones(self, ops, ahead):
+    def test_ciphertexts_equal_serial_ones(self, data):
+        count = data.draw(st.integers(0, 12))
+        messages = data.draw(st.lists(st.integers(0, 2**200), max_size=count))
         serial, _ = keygen(256, seed=5)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(fedmesh.secagg, "_usable_cores", lambda: 2)
-            with edge_keys(256, [5], ahead) as keypairs:
+            with edge_keys(256, [5], count) as keypairs:
                 batched, _ = keypairs[0]()
-                for op, value in ops:
-                    if op == "precompute":
-                        batched.precompute_randomizers(value)
-                    else:
-                        assert batched.raw_encrypt(value) == serial.raw_encrypt(value)
-                assert [batched.raw_encrypt(1) for _ in range(5)] == [serial.raw_encrypt(1) for _ in range(5)]
+                assert [batched.raw_encrypt(m) for m in messages] == [serial.raw_encrypt(m) for m in messages]
+                if len(messages) == count:  # the budget is spent: the worker has exited
+                    with pytest.raises(ChildProcessError, match="exited early"):
+                        batched.raw_encrypt(1)
 
     def test_refused_plaintext_keeps_the_randomizer(self, monkeypatch):
         monkeypatch.setattr(fedmesh.secagg, "_usable_cores", lambda: 2)
         serial, _ = keygen(256, seed=5)
-        with edge_keys(256, [5], 1) as keypairs:
+        with edge_keys(256, [5], 3) as keypairs:
             public, private = keypairs[0]()
             with pytest.raises(ValueError, match="out of ring range"):
                 public.raw_encrypt(public.n)
