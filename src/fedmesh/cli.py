@@ -405,6 +405,8 @@ def _read_rounds_csv(path: str) -> tuple[list[dict[str, float | None]], list[int
         )
         rows: list[dict[str, float | None]] = []
         for record in reader:
+            if None in record:  # csv.DictReader keeps a long row's extra cells under the key None
+                raise ValueError(f"{path}: line {reader.line_num} has more cells than the header")
             parsed: dict[str, float | None] = {}
             for key, value in record.items():
                 parsed[key] = float(value) if value not in (None, "") else None

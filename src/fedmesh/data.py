@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -64,11 +64,15 @@ class Dataset:
     """Feature matrix (rows = samples) with binary labels.
 
     Columns are z-score normalized at creation time (generator / CSV reader);
-    subsets taken for individual clients are not re-normalized.
+    subsets taken for individual clients are not re-normalized. The dataset
+    keeps one read-only float64 copy of its features, `rows`, bias-augmented
+    with a last column of 1.0 (the model's input rows); `features` is the view
+    `rows[:, :-1]`.
     """
 
     features: np.ndarray
     labels: np.ndarray
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         feats, labs = np.asarray(self.features), np.asarray(self.labels)
@@ -76,15 +80,18 @@ class Dataset:
             raise ValueError(f"features must be boolean, integer or real, got dtype {feats.dtype}")
         if labs.dtype.kind not in "biuf" or not np.all((labs == 0) | (labs == 1)):
             raise ValueError(f"labels must be binary (0/1), got dtype {labs.dtype}")
-        feats = np.array(feats, dtype=np.float64, copy=True)
-        labs = np.array(labs, dtype=np.int64, copy=True)
         if feats.ndim != 2 or feats.shape[0] == 0:
             raise ValueError(f"features must be a nonempty 2-D matrix, got shape {feats.shape}")
         if labs.shape != (feats.shape[0],):
             raise ValueError("labels must be 1-D with one entry per feature row")
-        feats.setflags(write=False)
+        rows = np.empty((feats.shape[0], feats.shape[1] + 1))
+        rows[:, :-1] = feats
+        rows[:, -1] = 1.0
+        rows.setflags(write=False)
+        labs = np.array(labs, dtype=np.int64, copy=True)
         labs.setflags(write=False)
-        object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "features", rows[:, :-1])
         object.__setattr__(self, "labels", labs)
 
     @property
@@ -112,9 +119,26 @@ def generate_synthetic(config: DataConfig, seed: int) -> Dataset:
     direction /= np.linalg.norm(direction)
     feats = rng.normal(size=(config.n_samples, config.n_features))
     score = feats @ direction + rng.normal(0.0, config.label_noise, size=config.n_samples)
-    cutoff = np.quantile(score, 1.0 - config.class_imbalance)
+    cutoff = _quantile(score, 1.0 - config.class_imbalance)
     labels = (score > cutoff).astype(np.int64)
     return Dataset(_zscore(feats), labels)
+
+
+def _quantile(values: np.ndarray, q: float) -> float:
+    """`np.quantile(values, q)` of a 1-D float array, the same bytes by numpy's own linear rule.
+
+    It partitions at numpy's order statistics (the first, the last and the two
+    around the virtual index (n - 1) * q), so a tie of signed zeros resolves as
+    numpy's does, and interpolates from whichever end is nearer. np.quantile's
+    first call of a process imports numpy.ma, which nothing else here needs.
+    """
+    n = values.size
+    virtual = (n - 1) * q
+    lo, hi = (-1, -1) if virtual >= n - 1 else (math.floor(virtual), math.floor(virtual) + 1)
+    ordered = np.partition(values, sorted({0, -1, lo, hi}))
+    a, b = float(ordered[lo]), float(ordered[hi])
+    gamma = virtual - lo
+    return b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma
 
 
 def _zscore(feats: np.ndarray) -> np.ndarray:

@@ -42,8 +42,11 @@ class RoundRecord:
 
 
 def _bce(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Mean binary cross-entropy with probabilities clamped to [PROB_CLAMP, 1 - PROB_CLAMP]; each
+    term is the log of the probability given to the true label, as y log p + (1 - y) log(1 - p) is
+    when both logs are finite."""
     p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    return float(-np.mean(labels * np.log(p) + (1 - labels) * np.log(1 - p)))
+    return float(-np.mean(np.log(np.where(labels == 1, p, 1 - p))))
 
 
 def _f1(tp: int, fp: int, fn: int) -> float:
@@ -84,11 +87,8 @@ def binary_metrics(
     if not np.all((y == 0) | (y == 1)):
         raise ValueError("labels must be binary (0/1)")
 
-    pred = (probs >= threshold).astype(np.int64)
-    tp = int(np.sum((pred == 1) & (y == 1)))
-    fp = int(np.sum((pred == 1) & (y == 0)))
-    fn = int(np.sum((pred == 0) & (y == 1)))
-    tn = int(np.sum((pred == 0) & (y == 0)))
+    # one count per (prediction, label) cell, indexed 2 * prediction + label
+    tn, fn, fp, tp = np.bincount(2 * (probs >= threshold) + y, minlength=4).tolist()
     n = len(y)
 
     accuracy = (tp + tn) / n

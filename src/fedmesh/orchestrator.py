@@ -144,9 +144,9 @@ class SimulationResult:
     events: list[SelectionEvent | EdgeFailureEvent]
 
 
-def evaluate(weights: np.ndarray, features: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> BinaryMetrics:
-    """Evaluate a parameter vector as the reference model on a labeled set."""
-    return binary_metrics(trainer.predict_proba(weights, features), labels, threshold)
+def evaluate(weights: np.ndarray, rows: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> BinaryMetrics:
+    """Evaluate a parameter vector as the reference model on labeled bias-augmented rows (`Dataset.rows`)."""
+    return binary_metrics(trainer.predict_proba(weights, rows), labels, threshold)
 
 
 def _edge_mean_update(
@@ -367,9 +367,9 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
             for update, model in zip(edge_updates, cross):  # both in ascending edge id
                 rows = edge_test_rows[update.edge_id]
                 if len(rows) > 0:
-                    per_edge[update.edge_id] = evaluate(model, data.features[rows], data.labels[rows], threshold)
-            val = evaluate(new_global, d_val.features, d_val.labels, threshold)
-            test = evaluate(new_global, d_test.features, d_test.labels, threshold)
+                    per_edge[update.edge_id] = evaluate(model, data.rows[rows], data.labels[rows], threshold)
+            val = evaluate(new_global, d_val.rows, d_val.labels, threshold)
+            test = evaluate(new_global, d_test.rows, d_test.labels, threshold)
             accuracies = [m.accuracy for m in per_edge.values()]
             jfi = jain_fairness(accuracies)
             rounds.append(RoundRecord(round=round_no, val=val, test=test, per_edge=per_edge, jfi=jfi))

@@ -1,13 +1,16 @@
 """Pluggable local training and client-side metric reporting.
 
 The reference local model is logistic regression on the raw features with a
-bias term folded into the parameter vector (P = n_features + 1). Every
-protocol step downstream only sees flat weight vectors, so swapping in a
-different model kind does not touch selection or aggregation.
+bias term folded into the parameter vector (P = n_features + 1); it reads a
+dataset's bias-augmented rows (`Dataset.rows`, the features then 1.0), in
+training and in evaluation alike. Every protocol step downstream only sees
+flat weight vectors, so swapping in a different model kind does not touch
+selection or aggregation.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -84,9 +87,9 @@ class ClientReports:
             raise ValueError("reported metrics must be nonnegative")
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function with the logit clipped to [-500, 500]; allocates one array."""
-    p = np.maximum(z, -500.0)
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function with the logit clipped to [-500, 500], into `out` (which may be `z`) or one new array."""
+    p = np.maximum(z, -500.0, out=out)
     np.minimum(p, 500.0, out=p)
     np.negative(p, out=p)
     np.exp(p, out=p)
@@ -99,16 +102,11 @@ def model_dim(n_features: int) -> int:
     return n_features + 1
 
 
-def _with_bias(features: np.ndarray) -> np.ndarray:
-    return np.hstack([features, np.ones((features.shape[0], 1))])
-
-
-def predict_proba(weights: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Positive-class probability for each feature row."""
-    width = model_dim(features.shape[1])
-    if np.shape(weights) != (width,):
-        raise ValueError(f"expected {width} parameters, got shape {np.shape(weights)}")
-    return sigmoid(_with_bias(features) @ weights)
+def predict_proba(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Positive-class probability for each bias-augmented row (its features, then 1.0; see `Dataset.rows`)."""
+    if np.shape(weights) != rows.shape[1:]:
+        raise ValueError(f"expected {rows.shape[1]} parameters, got shape {np.shape(weights)}")
+    return sigmoid(rows @ weights)
 
 
 def l1_distance(rows: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -126,27 +124,59 @@ def surrogate_energy(spec: TrainerConfig, sample_counts: Sequence[int], param_co
     return spec.energy_alpha * np.asarray(sample_counts, dtype=np.int64) + spec.energy_beta * param_count
 
 
-def gradient(weights: np.ndarray, rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Analytic gradient of the mean binary cross-entropy at raw weights.
-
-    `rows` are bias-augmented feature rows (a trailing column of ones) of shape
-    (..., B, P), `weights` (..., P) and `labels` (..., B); any leading axes are
-    independent problems. Each product is one matrix-vector `matmul` per leading
-    index, so a stacked call gives the same floats as one call per problem.
-    """
-    residual = sigmoid(np.matmul(rows, weights[..., None])[..., 0])
-    residual -= labels
-    grad = np.matmul(np.swapaxes(rows, -1, -2), residual[..., None])[..., 0]
-    grad /= labels.shape[-1]
-    return grad
-
-
 class DivergedError(ValueError):
     """Training left a client's weights non-finite; `index` is its position in the shard list."""
 
     def __init__(self, index: int):
         super().__init__(f"trained weights of shard {index} are not finite")
         self.index = index
+
+
+@functools.lru_cache(maxsize=4)
+def _schedule(sizes: tuple[int, ...], step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, tuple]:
+    """The stacked steps of one epoch for shards of these sizes at batch size `step`, made once per run.
+
+    The clients train in descending order of their full-batch count, so every
+    full-batch step's clients are a prefix of that order. Returns, in that
+    order: `order` (each client's shard position), `sizes` and `offsets` (where
+    each client's rows sit in an epoch's row order); `positions`, the epoch
+    positions of every step's batch rows, step after step; the most rows a
+    gather takes; and the gathers, each its span of `positions` and its steps,
+    as (clients, start in the gather, client count, batch length), where
+    clients is a prefix slice or the ids of a final partial batch's clients.
+    Every array is read-only: the same schedule serves every call with these
+    sizes.
+    """
+    sizes = np.array(sizes)
+    order = np.argsort(-(sizes // step), kind="stable")
+    sizes = sizes[order]
+    offsets = np.cumsum(sizes) - sizes
+    full, tail = sizes // step, sizes % step
+    # every client's k-th full batch, then the final partial batches, one step per distinct length
+    batches = [(full > k, offsets + k * step, step) for k in range(int(full.max()))]
+    batches += [(tail == t, offsets + full * step, int(t)) for t in np.flatnonzero(np.bincount(tail)[1:]) + 1]
+    steps = []
+    for mask, first, n in batches:
+        clients = np.flatnonzero(mask)
+        clients.setflags(write=False)
+        prefix = clients[-1] == clients.size - 1
+        steps.append((slice(0, clients.size) if prefix else clients, (first[clients, None] + np.arange(n)).ravel(), n))
+    # consecutive steps share one gather of at most `cap` rows
+    cap = max(rows.size for _, rows, _ in steps)
+    gathers, used, lo = [], cap, 0
+    for clients, rows, n in steps:
+        if used + rows.size > cap:
+            gathers.append((lo, []))
+            used = 0
+        gathers[-1][1].append((clients, used, rows.size // n, n))
+        used += rows.size
+        lo += rows.size
+    positions = np.concatenate([rows for _, rows, _ in steps])
+    spans = [first for first, _ in gathers[1:]] + [positions.size]
+    gathers = tuple((slice(first, end), tuple(group)) for (first, group), end in zip(gathers, spans))
+    for array in (order, sizes, offsets, positions):
+        array.setflags(write=False)
+    return order, sizes, offsets, positions, cap, gathers
 
 
 def train_clients(
@@ -167,10 +197,13 @@ def train_clients(
 
     Each client's Python cost is paid once per call: one `permuted` call on
     its (local_epochs, rows) block draws every epoch's order, the stream of one
-    `permutation` per epoch. The clients train in descending order of their
-    full-batch count, so every full-batch step updates a prefix of the stacked
-    weights in place; consecutive steps share one gather of their rows, at most
-    as many as the largest step's.
+    `permutation` per epoch. The step schedule depends only on the shard sizes
+    and the batch size, so it is made once per run (`_schedule`, memoized).
+    Consecutive steps share one `take` of their bias-augmented rows from
+    `dataset.rows` into a row buffer; each step then runs in views of buffers
+    made once per call, and updates its clients' weights in place, a prefix
+    of the stacked weights (a final partial batch's clients are gathered and
+    scattered back).
     """
     if len(shards) != len(seeds):
         raise ValueError(f"{len(shards)} shards but {len(seeds)} seeds")
@@ -185,57 +218,58 @@ def train_clients(
             raise ValueError(f"shard {i} is not a 1-D array of integer row ids ({shard.dtype}, shape {shard.shape})")
     if not shards:
         return np.empty((0, width))
-    step, lr = spec.batch_size, spec.learning_rate
-    sizes = np.array([shard.size for shard in shards])
-    order = np.argsort(-(sizes // step), kind="stable")  # training order: descending full-batch count
-    sizes = sizes[order]
-    offsets = np.cumsum(sizes) - sizes
+    order, sizes, offsets, positions, cap, gathers = _schedule(tuple(shard.size for shard in shards), spec.batch_size)
     ids = np.concatenate([shards[i] for i in order], dtype=np.int64)  # the client at order[j] at offsets[j]
     if ids.min() < 0 or ids.max() >= dataset.n_samples:
         bad = np.flatnonzero((ids < 0) | (ids >= dataset.n_samples))
         i = order[np.searchsorted(offsets + sizes, bad, "right")].min()
         raise ValueError(f"shard {i} has row ids outside [0, {dataset.n_samples})")
-    full, tail = sizes // step, sizes % step
-    # stacked steps in training order, as (clients, where their batches sit in an epoch's order): every
-    # client's k-th full batch, then the final partial batches, one step per distinct length; a step
-    # whose clients are a prefix, as every full-batch step's are, takes them as a view
-    batches = [(full > k, offsets + k * step, step) for k in range(int(full.max()))]
-    batches += [(tail == t, offsets + full * step, t) for t in np.unique(tail[tail > 0])]
-    steps = []
-    for mask, first, n in batches:
-        clients = np.flatnonzero(mask)
-        positions = first[clients, None] + np.arange(n)
-        steps.append((slice(0, clients.size) if clients[-1] == clients.size - 1 else clients, positions))
-    # consecutive steps share one gather of at most `cap` rows into `rows` and `y`, as (its positions,
-    # then per step: its clients, and its batch and labels as views of the buffers)
-    cap = max(positions.size for _, positions in steps)
-    rows = np.ones((cap, width))  # last column stays the bias input
-    y = np.empty(cap)
-    gathers, used = [], cap
-    for clients, positions in steps:
-        if used + positions.size > cap:
-            gathers.append(([], []))
-            used = 0
-        span = slice(used, used + positions.size)
-        gathers[-1][0].append(positions.ravel())
-        gathers[-1][1].append((clients, rows[span].reshape(*positions.shape, width), y[span].reshape(positions.shape)))
-        used += positions.size
-    gathers = [(np.concatenate(positions), group) for positions, group in gathers]
     epochs = np.tile(ids, (spec.local_epochs, 1))  # row e: every client's rows in its epoch-e order
+    del ids  # the training loop's peak memory holds only the epochs' copies
     for seed, lo, hi in zip([seeds[i] for i in order], offsets.tolist(), (offsets + sizes).tolist()):
         block = epochs[:, lo:hi]
         np.random.default_rng(seed).permuted(block, axis=1, out=block)
-    labels = dataset.labels.astype(np.float64)
+    for epoch in epochs:  # then in the order the gathers take them
+        epoch[...] = epoch[positions]
+    lr = spec.learning_rate
     w = np.tile(start, (len(shards), 1))
+    # the buffers, and per gather its views of them and per step: the clients whose weights it gathers
+    # (None for a prefix, which it updates in place), their weights as rows and as columns, the batch
+    # and its transpose, its labels, residual and gradient as columns and as rows, and its length
+    rows, labels, residual = np.empty((cap, width)), np.empty(cap), np.empty(cap)
+    grad, gathered = np.empty((len(shards), width, 1)), np.empty((len(shards), width))
+    plan = []
+    for span, group in gathers:
+        views = []
+        for clients, first, count, n in group:
+            at = slice(first, first + count * n)
+            batch = rows[at].reshape(count, n, width)
+            prefix = isinstance(clients, slice)
+            own = w[clients] if prefix else gathered[:count]
+            views.append((
+                None if prefix else clients, own, own[..., None], batch, batch.transpose(0, 2, 1),
+                labels[at].reshape(count, n, 1), residual[at].reshape(count, n, 1), grad[:count], grad[:count, :, 0], n,
+            ))
+        taken = span.stop - span.start
+        plan.append((span, rows[:taken], labels[:taken], views))
     for epoch in epochs:
-        for positions, group in gathers:
-            batch_ids = epoch[positions]
-            rows[: batch_ids.size, :-1] = np.take(dataset.features, batch_ids, axis=0)
-            y[: batch_ids.size] = labels[batch_ids]
-            for clients, batch, batch_labels in group:
-                g = gradient(w[clients], batch, batch_labels)
+        for span, rows_, labels_, views in plan:
+            batch_ids = epoch[span]
+            # the ids are range-checked above: "clip" never clips, it skips take's bounds checks
+            dataset.rows.take(batch_ids, axis=0, out=rows_, mode="clip")
+            labels_[...] = dataset.labels[batch_ids]
+            for clients, own, column, batch, batch_t, y, r, g, step_grad, n in views:
+                if clients is not None:
+                    w.take(clients, axis=0, out=own, mode="clip")
+                np.matmul(batch, column, out=r)
+                sigmoid(r, out=r)
+                r -= y
+                np.matmul(batch_t, r, out=g)
+                g /= n
                 g *= lr
-                w[clients] -= g
+                own -= step_grad
+                if clients is not None:
+                    w[clients] = own
     w[order] = w.copy()  # back to the shards' order
     diverged = np.flatnonzero(~np.isfinite(w).all(axis=1))
     if diverged.size:

@@ -255,7 +255,7 @@ def test_criterion_08_convergence_sanity():
     dataset = generate_synthetic(config.data, seed=777)
     result = run(config, dataset)
     prep = prepare_data(config, dataset)
-    init = evaluate(np.zeros(dataset.n_features + 1), prep.d_test.features, prep.d_test.labels)
+    init = evaluate(np.zeros(dataset.n_features + 1), prep.d_test.rows, prep.d_test.labels)
     final_acc = result.rounds[-1].test.accuracy
     final_auroc = result.rounds[-1].test.auroc
     assert final_acc - init.accuracy >= 0.15

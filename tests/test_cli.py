@@ -891,6 +891,14 @@ class TestErrorPathsThroughMain:
         line = self.first_line(["plot", "--csv", str(path), "--out", str(tmp_path / "p")], capsys, 2)
         assert line == f"plot error: {path}: no data rows"
 
+    def test_long_row_in_rounds_csv_exits_2(self, tmp_path, capsys):
+        # csv.DictReader files a long row's extra cells under the key None; plot refuses the row
+        path = tmp_path / "long.csv"
+        path.write_text("round,val_loss\n1,0.5,9\n")
+        line = self.first_line(["plot", "--csv", str(path), "--out", str(tmp_path / "p")], capsys, 2)
+        assert line == f"plot error: {path}: line 2 has more cells than the header"
+        assert not (tmp_path / "p").exists()
+
     def test_label_only_csv_exits_2(self, config_file, tmp_path, capsys):
         data = tmp_path / "labels.csv"
         data.write_text("y\n0\n1\n")

@@ -9,6 +9,7 @@ from fedmesh.data import (
     DataConfig,
     Dataset,
     _largest_remainder_counts,
+    _quantile,
     generate_synthetic,
     ingest_csv,
     partition_noniid,
@@ -149,6 +150,46 @@ class TestDataset:
         sub = d.subset([0, 5, 7])
         assert sub.n_samples == 3
         assert np.array_equal(sub.features[1], d.features[5])
+
+    @pytest.mark.parametrize("made_by", ["constructor", "subset", "shift_features", "ingest_csv", "generate_synthetic"])
+    def test_rows_are_one_read_only_bias_augmented_store(self, made_by, tmp_path):
+        # the model's input rows, its features then 1.0, kept once: features is a view of them
+        given = np.array([[1, 2], [3, 4], [5, -6]], dtype=np.int32)
+        path = tmp_path / "tiny.csv"
+        path.write_text("a,b,y\n1,10,0\n2,20,1\n3,60,0\n")
+        make = {
+            "constructor": lambda: Dataset(given, [0, 1, 1]),
+            "subset": lambda: synthetic(200, 4, 0.5, seed=9).subset([0, 5, 7]),
+            "shift_features": lambda: shift_features(synthetic(200, 4, 0.5, seed=10), [0, 1], 2.5),
+            "ingest_csv": lambda: ingest_csv(str(path), "y")[0],
+            "generate_synthetic": lambda: synthetic(300, 5, 0.3, seed=4),
+        }
+        d = make[made_by]()
+        assert d.rows.dtype == np.float64 and d.rows.shape == (d.n_samples, d.n_features + 1)
+        assert d.rows.flags.c_contiguous and not d.rows.flags.writeable and not d.features.flags.writeable
+        assert np.all(d.rows[:, -1] == 1.0)
+        assert np.shares_memory(d.features, d.rows) and d.features.tobytes() == d.rows[:, :-1].tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            d.rows[0, 0] = 0.0
+        if made_by == "constructor":
+            given[0, 0] = 99  # the dataset keeps its own copy
+            assert d.features.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, -6.0]]
+
+
+@given(
+    values=st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324]), st.floats(-1e6, 1e6, allow_subnormal=True)),
+        min_size=1,
+        max_size=60,
+    ),
+    q=st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0)),
+)
+@settings(max_examples=400, deadline=None)
+def test_quantile_has_the_bytes_of_numpys(values, q):
+    # ties of signed zeros included: the cutoff of generate_synthetic is np.quantile's to the bit
+    v = np.array(values)
+    assert np.float64(_quantile(v, q)).tobytes() == np.quantile(v, q).tobytes()
+    assert v.tobytes() == np.array(values).tobytes()  # the input is left as it was
 
 
 class TestPartitionNonIID:

@@ -1,9 +1,13 @@
+import dataclasses
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedmesh.metrics import binary_metrics, jain_fairness
+from fedmesh.metrics import PROB_CLAMP, _midrank_auroc, binary_metrics, jain_fairness
 
 # published per-edge test accuracies whose fairness index is quoted as 0.999993
 EDGE_ACCURACIES = (0.9937605, 0.9914487, 0.994351, 0.9970067, 0.9954772)
@@ -59,7 +63,55 @@ def f1_oracle(tp, fp, fn):
     return 2 * precision * recall / (precision + recall) if precision + recall else 0.0
 
 
+def binary_metrics_oracle(probs, labels, threshold):
+    """The fields of binary_metrics by the four masked confusion sums and the two-log BCE."""
+    probs, y = np.asarray(probs, dtype=np.float64), np.asarray(labels, dtype=np.int64)
+    pred = (probs >= threshold).astype(np.int64)
+    tp = int(np.sum((pred == 1) & (y == 1)))
+    fp = int(np.sum((pred == 1) & (y == 0)))
+    fn = int(np.sum((pred == 0) & (y == 1)))
+    tn = int(np.sum((pred == 0) & (y == 0)))
+    n = len(y)
+    f1_pos, f1_neg = (
+        2.0 * a / (2 * a + b + c) if 2 * a + b + c > 0 else 0.0 for a, b, c in ((tp, fp, fn), (tn, fn, fp))
+    )
+    p = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    return {
+        "accuracy": (tp + tn) / n,
+        "f1_macro": 0.5 * (f1_pos + f1_neg),
+        "f1_weighted": ((tp + fn) * f1_pos + (tn + fp) * f1_neg) / n,
+        "auroc": None if tp + fn == 0 or tn + fp == 0 else _midrank_auroc(probs, y),
+        "loss": float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))),
+    }
+
+
 class TestBinaryMetrics:
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 0.5, 1e-13, 1.0 - 1e-13, math.nan])),
+                st.integers(0, 1),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        threshold=st.sampled_from([0.5, 0.0, 1.0, 0.3]),
+        one_class=st.sampled_from([None, 0, 1]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_field_has_the_bytes_of_the_two_pass_formulas(self, pairs, threshold, one_class):
+        # one bincount for the confusion matrix and one log per term for the loss give the same floats
+        probs = [p for p, _ in pairs]
+        labels = [y if one_class is None else one_class for _, y in pairs]
+        got = dataclasses.asdict(binary_metrics(probs, labels, threshold))
+        want = binary_metrics_oracle(probs, labels, threshold)
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            if value is None:
+                assert got[name] is None, name
+            else:
+                assert struct.pack("<d", got[name]) == struct.pack("<d", value), name
+
     def test_perfect_predictor(self):
         m = binary_metrics([1.0, 0.0, 1.0, 0.0], [1, 0, 1, 0])
         assert m.accuracy == 1.0

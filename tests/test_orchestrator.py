@@ -5,8 +5,11 @@ import json
 import os
 import re
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,7 +68,7 @@ def big_dataset():
     return generate_synthetic(DataConfig(n_samples=1600), seed=100)
 
 
-def frozen_evaluate(weights, features, labels, threshold=0.5):
+def frozen_evaluate(weights, rows, labels, threshold=0.5):
     return BinaryMetrics(accuracy=0.5, f1_macro=0.5, f1_weighted=0.5, auroc=0.5, loss=0.7)
 
 
@@ -149,8 +152,8 @@ class TestRunBasics:
             prepared.append(prepare_data(config, data))
             return prepared[-1]
 
-        def scripted_evaluate(weights, features, labels, threshold=0.5):
-            metrics = frozen_evaluate(weights, features, labels, threshold)
+        def scripted_evaluate(weights, rows, labels, threshold=0.5):
+            metrics = frozen_evaluate(weights, rows, labels, threshold)
             if labels is prepared[-1].d_val.labels:
                 return dataclasses.replace(metrics, loss=next(val_losses))
             return metrics
@@ -194,8 +197,8 @@ class TestRunBasics:
         config = make_config(rounds_max=5)
         result = run(config, dataset)
         prep = prepare_data(config, dataset)
-        init = evaluate(np.zeros(dataset.n_features + 1), prep.d_test.features, prep.d_test.labels)
-        final = evaluate(result.final_global, prep.d_test.features, prep.d_test.labels)
+        init = evaluate(np.zeros(dataset.n_features + 1), prep.d_test.rows, prep.d_test.labels)
+        final = evaluate(result.final_global, prep.d_test.rows, prep.d_test.labels)
         assert final.accuracy > init.accuracy
 
     def test_score_weights_initialized_then_adapted(self, dataset):
@@ -863,9 +866,19 @@ class TestDataPathMemory:
         return result, peak, held
 
     def test_generate_synthetic_normalizes_in_place(self):
-        generate_synthetic(DataConfig(), seed=1)  # the first quantile's imports are not the data's memory
+        generate_synthetic(DataConfig(), seed=1)  # a first call's lazy imports are not the data's memory
         dataset, peak, _ = self.traced(lambda: generate_synthetic(self.data_config, seed=2))
         assert peak <= 2.6 * dataset.features.nbytes
+
+    def test_train_clients_gathers_into_buffers(self):
+        # a round's training holds its epochs' row ids and the gather and step buffers, but no float
+        # copy of the labels and no temporary per gather, which together took it to about 1.04x
+        dataset = generate_synthetic(self.data_config, seed=2)
+        prep = prepare_data(make_config(n_edges=10, clients_per_edge=20, data=self.data_config), dataset)
+        shards = list(prep.client_train)
+        args = (np.zeros(dataset.n_features + 1), TrainerConfig(), prep.data, shards, range(len(shards)))
+        _, peak, _ = self.traced(lambda: train_clients(*args))
+        assert peak <= 0.75 * dataset.features.nbytes
 
     def test_prepare_data_keeps_row_ids_into_the_dataset(self):
         dataset = generate_synthetic(self.data_config, seed=2)
@@ -874,6 +887,30 @@ class TestDataPathMemory:
         assert peak <= 1.2 * dataset.features.nbytes
         assert held <= 0.6 * dataset.features.nbytes
         assert prep.data is dataset
+
+
+def test_a_run_never_imports_numpy_ma():
+    # the first np.quantile or np.unique of a process imports numpy.ma (about 1.3 MB and 10 ms);
+    # making a dataset and running a plaintext and a secure config import it nowhere
+    script = """if True:
+        import dataclasses, sys
+        from fedmesh import DataConfig, SecAggConfig, SimulationConfig, generate_synthetic, run
+        plain = SecAggConfig(enabled=False, noise_multiplier=0.0, clip_val=None)
+        config = SimulationConfig(
+            n_edges=2, clients_per_edge=3, rounds_max=2, data=DataConfig(n_samples=600), secagg=plain
+        )
+        dataset = generate_synthetic(config.data, seed=1)
+        run(config, dataset)
+        run(dataclasses.replace(config, secagg=SecAggConfig(enabled=True, key_bits=256)), dataset)
+        print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]))
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestUnknownRegion:

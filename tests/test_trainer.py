@@ -13,19 +13,24 @@ from fedmesh.trainer import (
     Cohort,
     TrainerConfig,
     build_report,
-    gradient,
     predict_proba,
     train_clients,
     train_local,
 )
 
 
-def bce_loss(weights, features, labels):
-    return binary_metrics(predict_proba(weights, features), labels).loss
+def bce_loss(weights, rows, labels):
+    return binary_metrics(predict_proba(weights, rows), labels).loss
 
 
 def with_bias(features):
     return np.hstack([features, np.ones((features.shape[0], 1))])
+
+
+def oracle_gradient(w, xb, y):
+    """The mean BCE's gradient at `w` on the bias-augmented batch `xb` with labels `y`, longhand."""
+    p = 1.0 / (1.0 + np.exp(-np.clip(xb @ w, -500, 500)))
+    return xb.T @ (p - y) / len(y)
 
 
 def train_local_oracle(start, spec, dataset, indices, seed):
@@ -41,8 +46,7 @@ def train_local_oracle(start, spec, dataset, indices, seed):
             batch = order[lo : lo + spec.batch_size]
             xb = with_bias(feats[batch])
             y = labs[batch]
-            p = 1.0 / (1.0 + np.exp(-np.clip(xb @ w, -500, 500)))
-            w = w - spec.learning_rate * (xb.T @ (p - y) / len(y))
+            w = w - spec.learning_rate * oracle_gradient(w, xb, y)
     return w
 
 
@@ -85,37 +89,33 @@ class TestTrainLocal:
         # full-batch descent on a separable pair: per-epoch loss is monotone
         start = np.zeros(2)
         idx = np.array([0, 1])
-        feats, labs = two_point_dataset.features, two_point_dataset.labels.astype(float)
+        rows, labs = two_point_dataset.rows, two_point_dataset.labels
         losses = []
         for epochs in range(101):
             spec = TrainerConfig(learning_rate=0.5, local_epochs=epochs, batch_size=2)
             w = train_clients(start, spec, two_point_dataset, [idx], [0])[0]
-            losses.append(bce_loss(w, feats, labs))
+            losses.append(bce_loss(w, rows, labs))
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_gradient_matches_finite_differences(self, small_dataset):
-        # one stacked call: three problems, each against its own finite differences
+        # the oracle's step formula, which test_matches_per_batch_oracle ties train_clients to byte for
+        # byte, is the loss's gradient: three batches, each against its own finite differences
         rng = np.random.default_rng(3)
-        feats = small_dataset.features[:120].reshape(3, 40, 10)
+        rows = small_dataset.rows[:120].reshape(3, 40, 11)
         labs = small_dataset.labels[:120].astype(float).reshape(3, 40)
-        rows = np.stack([with_bias(f) for f in feats])
         eps = 1e-6
         for _ in range(20):
             w = rng.normal(scale=0.5, size=(3, 11))
-            analytic = gradient(w, rows, labs)
-            assert analytic.shape == (3, 11)
             for j in range(3):
-                assert analytic[j].tobytes() == gradient(w[j], rows[j], labs[j]).tobytes()
+                analytic = oracle_gradient(w[j], rows[j], labs[j])
                 numeric = np.empty(11)
                 for k in range(11):
                     up, down = w[j].copy(), w[j].copy()
                     up[k] += eps
                     down[k] -= eps
-                    numeric[k] = (
-                        bce_loss(up, feats[j], labs[j]) - bce_loss(down, feats[j], labs[j])
-                    ) / (2 * eps)
+                    numeric[k] = (bce_loss(up, rows[j], labs[j]) - bce_loss(down, rows[j], labs[j])) / (2 * eps)
                 denom = np.maximum(np.abs(numeric), 1e-8)
-                assert np.max(np.abs(analytic[j] - numeric) / denom) < 1e-5
+                assert np.max(np.abs(analytic - numeric) / denom) < 1e-5
 
     @given(
         shards=shard_sizes(),
@@ -144,31 +144,55 @@ class TestTrainLocal:
         for trained, i in zip(shuffled, perm):
             assert trained.tobytes() == got[i].tobytes()
 
-    @given(shards=shard_sizes(), local_epochs=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    @given(shards=shard_sizes(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
-    def test_steps_stack_every_client_that_takes_them(self, shards, local_epochs, seed):
+    def test_steps_stack_every_client_that_takes_them(self, shards, seed):
         # bytes cannot tell lockstep from one client at a time, so pin the schedule itself: per
-        # epoch, the k-th full batch of every client that has one, then one step per partial length
+        # epoch, the k-th full batch of every client that has one, then one step per partial length;
+        # a training call leaves it in the memo, where the next call with these sizes finds it
         batch_size, sizes = shards
-        spec = TrainerConfig(local_epochs=local_epochs, learning_rate=0.5, batch_size=batch_size)
+        spec = TrainerConfig(local_epochs=1, learning_rate=0.5, batch_size=batch_size)
         rng = np.random.default_rng(seed)
         indices = [rng.permutation(len(ORACLE_DATASET.labels))[:n] for n in sizes]
         seeds = [int(s) for s in rng.integers(0, 2**63, len(sizes))]
-        calls = []
-        gradient_ = fedmesh.trainer.gradient
-
-        def recording(weights, rows, labels):
-            calls.append(rows.shape[:2])
-            return gradient_(weights, rows, labels)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(fedmesh.trainer, "gradient", recording)
-            train_clients(np.zeros(11), spec, ORACLE_DATASET, indices, seeds)
+        train_clients(np.zeros(11), spec, ORACLE_DATASET, indices, seeds)
+        hits = fedmesh.trainer._schedule.cache_info().hits
+        order, _, _, positions, cap, gathers = fedmesh.trainer._schedule(tuple(sizes), batch_size)
+        assert fedmesh.trainer._schedule.cache_info().hits == hits + 1
+        steps = [(count, n) for _, group in gathers for _, _, count, n in group]
         full = np.array(sizes) // batch_size
         tails = np.array(sizes) % batch_size
         per_epoch = [(int(np.sum(full > k)), batch_size) for k in range(int(full.max()))]
         per_epoch += [(int(np.sum(tails == t)), int(t)) for t in sorted(set(tails.tolist()) - {0})]
-        assert calls == per_epoch * local_epochs
+        assert steps == per_epoch
+        # every epoch position is gathered once, no gather overfills the row buffer, and every array
+        # of the shared schedule is read-only
+        assert sorted(positions.tolist()) == list(range(sum(sizes)))
+        assert all(span.stop - span.start <= cap for span, _ in gathers)
+        assert not (order.flags.writeable or positions.flags.writeable)
+
+    def test_interleaved_calls_match_cold_calls(self, small_dataset):
+        # the memo keys the schedule on the shard sizes and the batch size alone: calls on shard sets
+        # of other sizes, of the same sizes on other rows, and at two batch sizes, interleaved, each
+        # give the bytes of a call that found the memo empty
+        start = np.random.default_rng(5).normal(size=11)
+        shard_sets = [
+            [np.arange(0, 50), np.arange(60, 67), np.arange(100, 164)],
+            [np.arange(3, 40), np.arange(120, 200)],
+            [np.arange(150, 200), np.arange(0, 7), np.arange(20, 84)],
+        ]
+        specs = [TrainerConfig(learning_rate=0.3, local_epochs=2, batch_size=b) for b in (16, 5)]
+        calls = [(shards, spec) for spec in specs for shards in shard_sets]
+        seeds = [21, 22, 23]
+        cold = []
+        for shards, spec in calls:
+            fedmesh.trainer._schedule.cache_clear()
+            cold.append(train_clients(start, spec, small_dataset, shards, seeds[: len(shards)]).tobytes())
+        fedmesh.trainer._schedule.cache_clear()
+        for _ in range(2):
+            for (shards, spec), want in zip(calls, cold):
+                assert train_clients(start, spec, small_dataset, shards, seeds[: len(shards)]).tobytes() == want
+        assert fedmesh.trainer._schedule.cache_info()[:2] == (8, 4)  # (hits, misses): two sizes at two batch sizes
 
     @given(shards=shard_sizes(), local_epochs=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -240,7 +264,7 @@ class TestTrainLocal:
     def test_training_actually_fits(self, small_dataset):
         spec = TrainerConfig(learning_rate=0.5, local_epochs=30)
         w = train_clients(np.zeros(11), spec, small_dataset, [np.arange(200)], [4])[0]
-        probs = predict_proba(w, small_dataset.features)
+        probs = predict_proba(w, small_dataset.rows)
         acc = np.mean((probs >= 0.5) == small_dataset.labels)
         assert acc > 0.8
 
