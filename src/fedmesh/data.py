@@ -11,7 +11,6 @@ into the one dataset they were drawn from, never copies of its rows.
 from __future__ import annotations
 
 import csv
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -19,8 +18,6 @@ from typing import Sequence
 import numpy as np
 
 from .params import check_field_types
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -59,7 +56,7 @@ class DataConfig:
                 raise ValueError(message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Feature matrix (rows = samples) with binary labels.
 
@@ -72,7 +69,7 @@ class Dataset:
 
     features: np.ndarray
     labels: np.ndarray
-    rows: np.ndarray = field(init=False, repr=False, compare=False)
+    rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         feats, labs = np.asarray(self.features), np.asarray(self.labels)
@@ -284,9 +281,6 @@ def ingest_csv(path: str, label_column: str) -> tuple[Dataset, int]:
 
     if not rows:
         raise ValueError(f"no usable rows in {path} ({dropped} dropped)")
-    if dropped:
-        logger.info("ingest_csv(%s): dropped %d incomplete rows", path, dropped)
-
     return Dataset(_zscore(np.asarray(rows, dtype=np.float64)), np.asarray(labels, dtype=np.int64)), dropped
 
 

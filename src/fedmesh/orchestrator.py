@@ -5,7 +5,7 @@ Every source of randomness is drawn from a seed derived per (purpose, round,
 actor id), so runs reproduce bit-for-bit and injecting an edge failure leaves
 all earlier rounds byte-identical. The central aggregation step only receives
 edge-level updates; client reports and raw client weights never cross that
-boundary (see _central_step).
+boundary (see `EdgeUpdate` and `cross_edge_exchange`).
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ class EdgeFailureEvent:
     type: Literal["edge_failure"] = "edge_failure"
 
 
-@dataclass
+@dataclass(eq=False)
 class SimulationResult:
     rounds: list[RoundRecord]
     final_global: np.ndarray
@@ -175,21 +175,7 @@ def _edge_mean_update(
     return secagg.finalize_edge_update(agg, private_key, codec, sum(weights), cfg, noise_seed)
 
 
-def _central_step(
-    edge_updates: Sequence[EdgeUpdate], cross_config: CrossEdgeConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-edge exchange plus central aggregation of `edge_updates`, given in
-    ascending edge id: the global model and the edges' blended models, one row each.
-
-    This is the only path to the global model; it accepts edge-level updates
-    exclusively, which is what keeps client reports out of the central tier.
-    """
-    cross = cross_edge_exchange(edge_updates, cross_config)
-    counts = [u.sample_count for u in edge_updates]
-    return central_aggregate(cross, counts), cross
-
-
-@dataclass
+@dataclass(eq=False)
 class PreparedData:
     """Splits and per-client shards as the round loop sees them: client c trains on the
     rows client_train[c] of `data`, and edge e is tested on its rows edge_test_rows[e].
@@ -267,7 +253,7 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
         scale=config.secagg.scale,
         max_participants=total_train + len(client_train) + 2,
     )
-    global_model = np.zeros(trainer.model_dim(dataset.n_features))
+    global_model = np.zeros(data.rows.shape[1])
     score_weights: list[ScoreWeights | None] = [None] * len(edge_clients)
 
     rounds: list[RoundRecord] = []
@@ -361,7 +347,8 @@ def run(config: SimulationConfig, dataset: Dataset) -> SimulationResult:
 
             if not edge_updates:
                 raise RuntimeError(f"no edge produced an update in round {round_no}")
-            new_global, cross = _central_step(edge_updates, config.aggregation)
+            cross = cross_edge_exchange(edge_updates, config.aggregation)
+            new_global = central_aggregate(cross, [u.sample_count for u in edge_updates])
 
             per_edge: dict[int, BinaryMetrics] = {}
             for update, model in zip(edge_updates, cross):  # both in ascending edge id

@@ -1,11 +1,11 @@
-"""Pluggable local training and client-side metric reporting.
+"""Local training of the reference model and the reports clients upload.
 
-The reference local model is logistic regression on the raw features with a
-bias term folded into the parameter vector (P = n_features + 1); it reads a
-dataset's bias-augmented rows (`Dataset.rows`, the features then 1.0), in
-training and in evaluation alike. Every protocol step downstream only sees
-flat weight vectors, so swapping in a different model kind does not touch
-selection or aggregation.
+The model is logistic regression on the raw features with a bias term folded
+into the parameter vector (P = n_features + 1); it reads a dataset's
+bias-augmented rows (`Dataset.rows`, the features then 1.0), in training and
+in evaluation alike. `train_clients` trains many clients in lockstep, and
+`build_report` assembles an edge's uploads (`ClientReports`), which adversaries
+may distort; selection and aggregation see only flat weight vectors.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class AdversaryAssignment:
             raise ValueError("behavior factor must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClientReports:
     """One edge's uploads in a round, one row per client: the submitted weights
     plus each client's self-reported metrics."""
@@ -95,11 +95,6 @@ def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     np.exp(p, out=p)
     p += 1.0
     return np.reciprocal(p, out=p)
-
-
-def model_dim(n_features: int) -> int:
-    """Parameter count of the model on `n_features` features: one weight each plus the bias."""
-    return n_features + 1
 
 
 def predict_proba(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -147,6 +142,7 @@ def _schedule(sizes: tuple[int, ...], step: int) -> tuple[np.ndarray, np.ndarray
     Every array is read-only: the same schedule serves every call with these
     sizes.
     """
+    step = min(step, max(sizes) + 1)  # any larger batch is every shard as one partial batch
     sizes = np.array(sizes)
     order = np.argsort(-(sizes // step), kind="stable")
     sizes = sizes[order]
@@ -207,7 +203,7 @@ def train_clients(
     """
     if len(shards) != len(seeds):
         raise ValueError(f"{len(shards)} shards but {len(seeds)} seeds")
-    width = model_dim(dataset.n_features)
+    width = dataset.rows.shape[1]
     if np.shape(start) != (width,):
         raise ValueError(f"start has dim {np.size(start)}, model needs {width}")
     shards = [np.asarray(shard) for shard in shards]

@@ -162,6 +162,10 @@ class TestCentralAggregate:
         out = central_aggregate(np.delete(models, 2, axis=0), [10] * 4)
         assert np.all(np.isfinite(out))
 
+    def test_zero_total_samples_rejected(self):
+        with pytest.raises(ValueError, match="^zero total samples across edges$"):
+            central_aggregate(np.ones((2, 3)), [0, 0])
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             central_aggregate(np.zeros((0, 3)), [])

@@ -137,6 +137,13 @@ class TestCmdRun:
         header = (out / "rounds.csv").read_text().splitlines()[0]
         assert header == GOLDEN_HEADER
 
+    def test_batch_size_beyond_int64_runs(self, config_file, tmp_path):
+        # every batch above the largest shard is that shard whole: 2**63 writes the rounds of 2**63 - 1
+        for batch_size in (2**63 - 1, 2**63):
+            argv = ["run", "--config", config_file, "--out", str(tmp_path / str(batch_size))]
+            assert main([*argv, "--set", f"trainer.batch_size={batch_size}"]) == 0
+        assert (tmp_path / str(2**63) / "rounds.csv").read_bytes() == (tmp_path / str(2**63 - 1) / "rounds.csv").read_bytes()
+
     def test_invalid_config_exits_2(self, config_file, tmp_path, capsys):
         code = cmd_run(config_file, str(tmp_path / "o"), overrides=["patience=-1"])
         assert code == 2

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fedmesh.data import (
@@ -132,12 +132,25 @@ class TestDataset:
             ([["1", "2"], ["3", "4"]], [0, 1], "features must be boolean, integer or real"),
             (np.zeros((2, 2), dtype=complex), [0, 1], "features must be boolean, integer or real"),
             (np.zeros((2, 2), dtype=object), [0, 1], "features must be boolean, integer or real"),
+            (np.zeros(3), [0, 1, 0], "features must be a nonempty 2-D matrix"),
+            (np.zeros((0, 2)), [], "features must be a nonempty 2-D matrix"),
+            (np.zeros((3, 2)), [0, 1], "labels must be 1-D with one entry per feature row"),
+            (np.zeros((3, 2)), [[0], [1], [0]], "labels must be 1-D with one entry per feature row"),
         ],
-        ids=["two", "fractional", "strings", "object-labels", "nan-label", "string-features", "complex", "object-features"],
+        ids=[
+            "two", "fractional", "strings", "object-labels", "nan-label", "string-features", "complex",
+            "object-features", "1-d-features", "no-rows", "short-labels", "column-labels",
+        ],
     )
     def test_label_validation(self, features, labels, message):
         with pytest.raises(ValueError, match=message):
             Dataset(features, labels)
+
+    def test_equality_is_identity(self):
+        # the records hold arrays, so == compares no content and a dataset can be a set member
+        a, b = Dataset(np.zeros((3, 2)), [0, 1, 0]), Dataset(np.zeros((3, 2)), [0, 1, 0])
+        assert a == a and a != b
+        assert len({a, b}) == 2
 
     def test_numeric_inputs_are_stored_as_float64_and_int64(self):
         d = Dataset(np.array([[1, 2], [3, 4]], dtype=np.int32), np.array([True, False]))
@@ -220,6 +233,7 @@ class TestPartitionNonIID:
         st.integers(100, 400), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=150, deadline=None)
+    @example(30, 5.0, 100, 0.5, 1)  # a draw whose starved client no donor can top up: refused
     def test_matches_per_row_oracle(self, n_clients, alpha, n_samples, imbalance, seed):
         # the same rows per client, including which rows a starved client takes from which donor
         d = synthetic(n_samples, 3, imbalance, seed=seed % 1000)
@@ -270,6 +284,30 @@ class TestPartitionNonIID:
         assert len(p1) == len(p2) == 6
         for rows1, rows2 in zip(p1, p2):
             assert np.array_equal(rows1, rows2)
+
+    @pytest.mark.parametrize(
+        "n_clients,alpha,message",
+        [
+            (0, 0.5, "n_clients must be positive, got 0"),
+            (-2, 0.5, "n_clients must be positive, got -2"),
+            (4, 0.0, "dirichlet_alpha must be positive, got 0.0"),
+            (4, -1.0, "dirichlet_alpha must be positive, got -1.0"),
+            (4, math.nan, "dirichlet_alpha must be positive, got nan"),
+        ],
+    )
+    def test_invalid_arguments_rejected(self, n_clients, alpha, message):
+        d = synthetic(100, 3, 0.5, seed=1)
+        with pytest.raises(ValueError, match=message):
+            partition_noniid(d, every_row(d), n_clients, alpha, seed=0)
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_one_class_rows_partition(self, label):
+        # a class with no rows among those given is skipped; the other is dealt as usual
+        d = synthetic(300, 3, 0.5, seed=3)
+        rows = np.flatnonzero(d.labels == label)
+        part = partition_noniid(d, rows, 5, 0.5, seed=4)
+        assert len(part) == 5 and all(len(p) >= 2 and np.all(d.labels[p] == label) for p in part)
+        assert sorted(np.concatenate(part).tolist()) == rows.tolist()
 
     def test_infeasible_sizes_rejected(self):
         d = synthetic(100, 5, 0.5, seed=1)

@@ -27,7 +27,6 @@ from fedmesh.metrics import BinaryMetrics
 from fedmesh.orchestrator import (
     MODES,
     SimulationConfig,
-    _central_step,
     derive_seed,
     evaluate,
     hold_out,
@@ -255,6 +254,28 @@ class TestRunBasics:
             run(make_config(min_delta=float("nan")), dataset)
         with pytest.raises(ValueError, match="decision_threshold"):
             run(make_config(decision_threshold=float("nan")), dataset)
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            (dict(min_delta=-1e-4), "min_delta: must be >= 0"),
+            (dict(adversaries=(AdversaryAssignment(6, "inflate_utility", 2.0),)), "adversaries: client_id 6 out of range"),
+            (dict(adversaries=(AdversaryAssignment(-1, "deflate_energy", 2.0),)), "adversaries: client_id -1 out of range"),
+        ],
+        ids=["negative-min_delta", "adversary-past-last-client", "negative-adversary"],
+    )
+    def test_out_of_range_field_rejected(self, overrides, message):
+        # make_config's topology has 6 clients, 0..5
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_config(**overrides)
+
+    def test_results_compare_by_identity(self, dataset):
+        # the records hold arrays, so == compares no content and never raises
+        config = make_config(rounds_max=1)
+        a, b = run(config, dataset), run(config, dataset)
+        assert a == a and a != b
+        prepared = prepare_data(config, dataset)
+        assert prepared == prepared and prepared != prepare_data(config, dataset)
 
     FLOAT_FIELDS = {
         SimulationConfig: ("min_delta", "decision_threshold"),
@@ -768,7 +789,7 @@ class TestEdgeClients:
 
 class TestPrivacyBoundary:
     def test_central_step_accepts_only_edge_updates(self):
-        signature = inspect.signature(_central_step)
+        signature = inspect.signature(fedmesh.aggregation.cross_edge_exchange)
         rendered = str(signature)
         assert "EdgeUpdate" in rendered
         assert "ClientReport" not in rendered and "report" not in rendered

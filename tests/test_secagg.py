@@ -73,6 +73,17 @@ class TestPaillierCore:
         c = public.scalar_mul(public.raw_encrypt(21), 4)
         assert private.decrypt(c) == 84
 
+    def test_negative_scalar_rejected(self, keypair):
+        public, _ = keypair
+        with pytest.raises(ValueError, match="^scalar must be a nonnegative integer$"):
+            public.scalar_mul(public.raw_encrypt(21), -1)
+
+    def test_ciphertext_out_of_range_rejected(self, keypair):
+        public, private = keypair
+        for c in (-1, public.n_sq, public.n_sq + 5):
+            with pytest.raises(ValueError, match="^ciphertext out of range$"):
+                private.decrypt(c)
+
     def test_a_key_needs_its_randomizer_source(self, keypair):
         with pytest.raises(TypeError):
             PaillierPublicKey(keypair[0].n, keypair[0].h_s)
@@ -406,6 +417,11 @@ class TestCodec:
         x = rng.uniform(-10, 10, size=200)
         decoded = decrypt_vector(encrypt_update(ParamVector(x), codec, public), private, codec)
         assert np.max(np.abs(decoded - x)) <= 0.5 / codec.scale
+
+    @pytest.mark.parametrize("scale,max_participants", [(0, 64), (-1, 64), (2**20, 0), (2**20, -3)])
+    def test_nonpositive_parameters_rejected(self, scale, max_participants):
+        with pytest.raises(ValueError, match="^scale and max_participants must be positive$"):
+            FixedPointCodec(scale=scale, max_participants=max_participants)
 
     def test_layout(self):
         # need = 21 + 7 + 12 = 40 bits; a 2**500 participant bound leaves one slot

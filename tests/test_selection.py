@@ -105,6 +105,12 @@ class TestScore:
         with pytest.raises(ValueError):
             ScoreWeights(0.5, 0.5, 0.5)
 
+    @pytest.mark.parametrize("weights", [(1.5, -0.5, 0.0), (0.0, 2.0, -1.0), (-0.25, 0.25, 1.0)])
+    def test_component_outside_unit_interval_rejected(self, weights):
+        # each sums to 1: the component check refuses it, not the simplex check
+        with pytest.raises(ValueError, match=r"^score weight out of \[0, 1\]: "):
+            ScoreWeights(*weights)
+
 
 class TestSimplexGrid:
     def test_half_step_lattice(self):
@@ -216,6 +222,11 @@ class TestUpdateWeights:
         # the config that update_weights takes refuses the rate
         with pytest.raises(ValueError, match="eta"):
             SelectionConfig(eta=eta)
+
+    @pytest.mark.parametrize("means", [(-1.0, 1.0, 1.0), (1.0, -1e-300, 1.0), (1.0, 1.0, -2.0)])
+    def test_negative_mean_rejected(self, means):
+        with pytest.raises(ValueError, match="^round means must be nonnegative$"):
+            update_weights(ScoreWeights(0.2, 0.3, 0.5), means, SelectionConfig())
 
     def test_all_zero_means_returns_prev(self, caplog):
         prev = ScoreWeights(0.2, 0.3, 0.5)

@@ -261,6 +261,19 @@ class TestTrainLocal:
             want = train_local_oracle(start, spec, small_dataset, rows, seed)
             assert trained.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("batch_size", [2**63, 10**30])
+    def test_batch_size_beyond_int64_trains_as_the_largest_shard_plus_one(self, small_dataset, batch_size):
+        # any batch above the largest shard (160 rows here) makes every shard one partial batch
+        start = np.random.default_rng(3).normal(size=11)
+        shards = [np.arange(3), np.arange(40, 200), np.arange(7, 47)]
+        got = train_clients(start, TrainerConfig(batch_size=batch_size), small_dataset, shards, [4, 5, 6])
+        want = train_clients(start, TrainerConfig(batch_size=161), small_dataset, shards, [4, 5, 6])
+        assert got.tobytes() == want.tobytes()
+
+    def test_no_shards_train_no_clients(self, small_dataset):
+        got = train_clients(np.zeros(11), TrainerConfig(), small_dataset, [], [])
+        assert got.shape == (0, 11) and got.dtype == np.float64
+
     def test_training_actually_fits(self, small_dataset):
         spec = TrainerConfig(learning_rate=0.5, local_epochs=30)
         w = train_clients(np.zeros(11), spec, small_dataset, [np.arange(200)], [4])[0]
@@ -423,6 +436,27 @@ class TestValidation:
         for bad in (dict(security=1.5), dict(security=float("nan")), dict(count=0), dict(utility=-1.0), dict(rows=2)):
             with pytest.raises(ValueError):
                 reports(**bad)
+
+    @pytest.mark.parametrize("column", range(4))
+    def test_every_metric_column_has_one_entry_per_client(self, column):
+        columns = [np.array([1.0, 2.0]), np.array([1.0, 1.0]), np.array([0.5, 0.5]), np.array([5, 6])]
+        columns[column] = columns[column][:1]
+        with pytest.raises(ValueError, match=r"^every reported metric needs one entry per client \(2\)$"):
+            ClientReports(np.array([0, 1]), np.ones((2, 3)), *columns)
+
+    def test_reports_compare_by_identity(self):
+        def reports():
+            return ClientReports(
+                np.array([0]), np.ones((1, 3)), np.array([1.0]), np.array([1.0]), np.array([0.5]), np.array([5])
+            )
+
+        a, b = reports(), reports()
+        assert a == a and a != b and len({a, b}) == 2
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_predict_proba_needs_one_weight_per_column(self, width):
+        with pytest.raises(ValueError, match=rf"^expected 3 parameters, got shape \({width},\)$"):
+            predict_proba(np.zeros(width), np.ones((5, 3)))
 
     def test_spec_invariants(self):
         assert TrainerConfig().local_epochs == 5
